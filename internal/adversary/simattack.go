@@ -29,14 +29,14 @@ import (
 const DefaultThreshold = 0.5
 
 // Profile is the adversary's knowledge about one user: the term vectors of
-// the user's training queries.
+// the user's training queries, indexed for the similarity metric.
 type Profile struct {
-	User    string
-	vectors []textproc.Vector
+	User  string
+	index *textproc.SimilarityIndex
 }
 
 // Size returns the number of profile queries.
-func (p *Profile) Size() int { return len(p.vectors) }
+func (p *Profile) Size() int { return p.index.Len() }
 
 // SimAttack is the re-identification adversary.
 type SimAttack struct {
@@ -69,19 +69,22 @@ func New(train *queries.Log, cfg Config) *SimAttack {
 		threshold: cfg.Threshold,
 	}
 	for _, q := range train.Queries {
-		p, ok := a.profiles[q.User]
-		if !ok {
-			p = &Profile{User: q.User}
-			a.profiles[q.User] = p
-			a.users = append(a.users, q.User)
-		}
-		v := textproc.NewVector(q.Text)
-		if v.Len() > 0 {
-			p.vectors = append(p.vectors, v)
-		}
+		a.profile(q.User).index.Add(textproc.Tokenize(q.Text))
 	}
 	sort.Strings(a.users)
 	return a
+}
+
+// profile returns the user's profile, creating an empty one for a user not
+// seen before. The caller re-sorts users after adding.
+func (a *SimAttack) profile(user string) *Profile {
+	p, ok := a.profiles[user]
+	if !ok {
+		p = &Profile{User: user, index: textproc.NewSimilarityIndex(0)}
+		a.profiles[user] = p
+		a.users = append(a.users, user)
+	}
+	return p
 }
 
 // Users returns the users the adversary has profiles for.
@@ -94,18 +97,15 @@ func (a *SimAttack) Users() []string {
 // Learn adds an intercepted query to a user's profile (the adversary's
 // additional knowledge while intercepting, §VII-E).
 func (a *SimAttack) Learn(user, query string) {
-	v := textproc.NewVector(query)
-	if v.Len() == 0 {
+	terms := textproc.Tokenize(query)
+	if len(terms) == 0 {
 		return
 	}
-	p, ok := a.profiles[user]
-	if !ok {
-		p = &Profile{User: user}
-		a.profiles[user] = p
-		a.users = append(a.users, user)
+	known := len(a.users)
+	a.profile(user).index.Add(terms)
+	if len(a.users) > known {
 		sort.Strings(a.users)
 	}
-	p.vectors = append(p.vectors, v)
 }
 
 // Similarity returns the SimAttack metric between a query and a user's
@@ -115,31 +115,20 @@ func (a *SimAttack) Similarity(user, query string) float64 {
 	if !ok {
 		return 0
 	}
-	return a.similarityVec(p, textproc.NewVector(query))
-}
-
-func (a *SimAttack) similarityVec(p *Profile, v textproc.Vector) float64 {
-	if v.Len() == 0 || len(p.vectors) == 0 {
-		return 0
-	}
-	sims := make([]float64, len(p.vectors))
-	for i, pv := range p.vectors {
-		sims[i] = textproc.Cosine(v, pv)
-	}
-	return textproc.ExponentialSmoothing(sims, a.alpha)
+	return p.index.Score(textproc.Tokenize(query), a.alpha)
 }
 
 // Identify attempts to link an anonymous query to a user. It succeeds only
 // when the best-scoring profile exceeds the threshold and is the unique
 // maximum (the confidence rule of §VII-E).
 func (a *SimAttack) Identify(query string) (user string, ok bool) {
-	v := textproc.NewVector(query)
-	if v.Len() == 0 {
+	terms := textproc.Tokenize(query)
+	if len(terms) == 0 {
 		return "", false
 	}
 	best, bestScore, tied := "", 0.0, false
 	for _, u := range a.users {
-		s := a.similarityVec(a.profiles[u], v)
+		s := a.profiles[u].index.Score(terms, a.alpha)
 		switch {
 		case s > bestScore:
 			best, bestScore, tied = u, s, false
@@ -164,7 +153,7 @@ func (a *SimAttack) PickReal(user string, candidates []string) int {
 	}
 	bestIdx, bestScore := -1, a.threshold
 	for i, q := range candidates {
-		s := a.similarityVec(p, textproc.NewVector(q))
+		s := p.index.Score(textproc.Tokenize(q), a.alpha)
 		if s > bestScore {
 			bestIdx, bestScore = i, s
 		}
@@ -179,12 +168,9 @@ func (a *SimAttack) PickReal(user string, candidates []string) int {
 func (a *SimAttack) IdentifyGroup(candidates []string) (queryIdx int, user string, ok bool) {
 	bestIdx, bestUser, bestScore, tied := -1, "", 0.0, false
 	for i, q := range candidates {
-		v := textproc.NewVector(q)
-		if v.Len() == 0 {
-			continue
-		}
+		terms := textproc.Tokenize(q)
 		for _, u := range a.users {
-			s := a.similarityVec(a.profiles[u], v)
+			s := a.profiles[u].index.Score(terms, a.alpha)
 			switch {
 			case s > bestScore:
 				bestIdx, bestUser, bestScore, tied = i, u, s, false

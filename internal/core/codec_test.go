@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,12 +41,20 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeResponseWire(frame)
+		got, err := decodeResponseWire(frame, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.RequestID != tc.RequestID || got.EngineError != tc.EngineError {
 			t.Errorf("header round trip: got %+v, want %+v", got, tc)
+		}
+		// Discarding the page keeps the header and drops only the results.
+		skipped, err := decodeResponseWire(frame, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skipped.RequestID != tc.RequestID || skipped.EngineError != tc.EngineError || skipped.Results != nil {
+			t.Errorf("discard-page round trip: got %+v, want header of %+v and no results", skipped, tc)
 		}
 		if len(got.Results) != len(tc.Results) {
 			t.Fatalf("results: got %d, want %d", len(got.Results), len(tc.Results))
@@ -127,8 +136,10 @@ func TestWireRejectsBadFrames(t *testing.T) {
 	}
 	resp, _ := encodeResponse(&forwardResponse{RequestID: 1, Results: []searchengine.Result{{DocID: 1, URL: "u", Terms: []string{"t"}}}})
 	for i := 0; i < len(resp); i++ {
-		if _, err := decodeResponseWire(resp[:i]); err == nil {
-			t.Errorf("truncated response of %d bytes accepted", i)
+		for _, discardPage := range []bool{false, true} {
+			if _, err := decodeResponseWire(resp[:i], discardPage); err == nil {
+				t.Errorf("truncated response of %d bytes accepted (discardPage=%v)", i, discardPage)
+			}
 		}
 	}
 }
@@ -196,6 +207,73 @@ func TestRelayRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// pageBackend answers every query with one fixed page.
+type pageBackend struct{ page []searchengine.Result }
+
+func (b pageBackend) Search(string, string, time.Time) ([]searchengine.Result, error) {
+	return b.page, nil
+}
+
+// realPage is a page of the size a relay really carries: 10 results, 30
+// terms in all.
+func realPage() []searchengine.Result {
+	page := make([]searchengine.Result, 10)
+	for i := range page {
+		page[i] = searchengine.Result{
+			DocID: 1000 + i,
+			URL:   fmt.Sprintf("https://web.sim/health/%d", 1000+i),
+			Title: fmt.Sprintf("kidney dialysis treatment %d", i),
+			Terms: []string{"kidney", "dialysis", fmt.Sprintf("treatment%d", i)},
+			Score: 9.5 - float64(i)/4,
+		}
+	}
+	return page
+}
+
+// The pins above only ever see NullBackend's empty page. With a real page
+// in the response, a forward whose page the caller discards (a fake, a
+// capacity probe) must cost no more than with an empty one, and a forward
+// whose page is kept only the three allocations of the page decode on top.
+func TestForwardAllocsOnRealPage(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	page := realPage()
+	net, err := NewNetwork(NetworkOptions{Nodes: 2, Seed: 4242, Backend: pageBackend{page}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := net.NodeIDs()
+	client, relay := net.Node(ids[0]), ids[1]
+	now := time.Unix(0, 0)
+
+	for _, tc := range []struct {
+		name        string
+		discardPage bool
+		wantResults int
+		maxAllocs   float64
+	}{
+		{"fake path", true, 0, 3},
+		{"real path", false, len(page), 6},
+	} {
+		forward := func() {
+			resp, _, err := net.forward(client, relay, "steady state probe", now, tc.discardPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != tc.wantResults {
+				t.Fatalf("%s: %d results, want %d", tc.name, len(resp.Results), tc.wantResults)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			forward() // attest, grow the scratch buffers, fill the pool
+		}
+		if n := testing.AllocsPerRun(500, forward); n > tc.maxAllocs {
+			t.Errorf("%s forward allocates %.1f times per op, want <= %.0f", tc.name, n, tc.maxAllocs)
+		}
+	}
+}
+
 // BenchmarkWireRequestCodec measures one request encode+decode through the
 // binary codec (the per-crossing serialization cost that replaced JSON).
 func BenchmarkWireRequestCodec(b *testing.B) {
@@ -252,12 +330,22 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("request re-encode mismatch: %v", err)
 			}
 		}
-		if resp, err := decodeResponseWire(data); err == nil {
+		resp, err := decodeResponseWire(data, false)
+		// A fake's response gets every check the real one does: discarding
+		// the page must accept and reject exactly the same frames.
+		skipped, skipErr := decodeResponseWire(data, true)
+		if (err == nil) != (skipErr == nil) {
+			t.Fatalf("decode err %v but discard-page err %v", err, skipErr)
+		}
+		if err == nil {
+			if skipped.RequestID != resp.RequestID || skipped.EngineError != resp.EngineError || skipped.Results != nil {
+				t.Fatalf("discard-page header %+v differs from decoded %+v", skipped, resp)
+			}
 			re, err := encodeResponse(&resp)
 			if err != nil {
 				t.Fatalf("re-encode of decoded response failed: %v", err)
 			}
-			resp2, err := decodeResponseWire(re)
+			resp2, err := decodeResponseWire(re, false)
 			if err != nil || resp2.RequestID != resp.RequestID || resp2.EngineError != resp.EngineError || len(resp2.Results) != len(resp.Results) {
 				t.Fatalf("response re-encode mismatch: %v", err)
 			}

@@ -10,6 +10,7 @@ import (
 	"cyclosa/internal/queries"
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/sensitivity"
+	"cyclosa/internal/testutil"
 	"cyclosa/internal/wordnet"
 )
 
@@ -196,6 +197,85 @@ func TestSearchNoAnalyzerMeansNoFakes(t *testing.T) {
 	}
 	if res.Assessment.SemanticSensitive {
 		t.Error("no analyzer should mean no semantic verdict")
+	}
+}
+
+// A search that finds no relay sent nothing, so it must leave no trace in the
+// history later queries are compared with; one that did leave is recorded.
+func TestSearchRecordsQueryOnlyOnceItLeaves(t *testing.T) {
+	w := getWorld(t)
+	links := make(map[string]*sensitivity.Linkability)
+	net, err := NewNetwork(NetworkOptions{
+		Nodes:   6,
+		Seed:    53,
+		Backend: w.engine,
+		AnalyzerFor: func(id string) *sensitivity.Analyzer {
+			links[id] = sensitivity.NewLinkability(0)
+			return sensitivity.NewAnalyzer(nil, links[id], 3)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.BootstrapFromTrending(w.uni, 8, 53)
+	node := net.Node(net.NodeIDs()[0])
+	link := links[node.ID()]
+	query := w.uni.Topic("music").Terms[0]
+
+	if _, err := node.Search(query, t0); err != nil {
+		t.Fatal(err)
+	}
+	if link.HistorySize() != 1 {
+		t.Fatalf("history holds %d queries after one search, want 1", link.HistorySize())
+	}
+
+	for _, d := range node.peers.View() {
+		node.peers.Blacklist(d.ID)
+	}
+	if _, err := node.Search(query, t0); !errors.Is(err, ErrNoPeers) {
+		t.Fatalf("search with an empty view: err = %v, want ErrNoPeers", err)
+	}
+	if link.HistorySize() != 1 {
+		t.Errorf("history holds %d queries after a search that sent nothing, want 1", link.HistorySize())
+	}
+}
+
+// One protected search at k = 7 over real pages — assessment, sampling, eight
+// forwards on eight goroutines, one page kept — stays within a fixed budget
+// (39 when written). The seven fake pages add nothing to it: decoding them,
+// even at three allocations each, would break the pin.
+func TestSearchAllocsAtKMax(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	page := realPage()
+	net, err := NewNetwork(NetworkOptions{
+		Nodes:   16,
+		Seed:    54,
+		Backend: pageBackend{page},
+		AnalyzerFor: func(string) *sensitivity.Analyzer {
+			return sensitivity.NewAnalyzer(alwaysSensitive{}, sensitivity.NewLinkability(0), 7)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.BootstrapFromTrending(getWorld(t).uni, 24, 54)
+	node := net.Node(net.NodeIDs()[0])
+	search := func() {
+		res, err := node.Search("kidney dialysis treatment", t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.K != 7 || len(res.Results) != len(page) {
+			t.Fatalf("K = %d with %d results, want 7 with %d", res.K, len(res.Results), len(page))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		search() // attest every pair, grow the scratch buffers, fill the pools
+	}
+	if n := testing.AllocsPerRun(200, search); n > 50 {
+		t.Errorf("Search at k=7 allocates %.1f times per op, want <= 50", n)
 	}
 }
 

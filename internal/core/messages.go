@@ -168,8 +168,9 @@ func appendResponseHeader(dst []byte, requestID uint64, engineErr string) []byte
 }
 
 // decodeResponseWire decodes a full forward response. The result does not
-// alias data.
-func decodeResponseWire(data []byte) (forwardResponse, error) {
+// alias data. With discardPage the result page is validated exactly as
+// decoding it would, but not materialised: Results stays nil.
+func decodeResponseWire(data []byte, discardPage bool) (forwardResponse, error) {
 	var resp forwardResponse
 	data, err := consumeVersion(data)
 	if err != nil {
@@ -186,14 +187,17 @@ func decodeResponseWire(data []byte) (forwardResponse, error) {
 	if len(engineErr) > 0 {
 		resp.EngineError = string(engineErr)
 	}
-	results, data, err := searchengine.DecodeResults(data)
+	if discardPage {
+		data, err = searchengine.SkipResults(data)
+	} else {
+		resp.Results, data, err = searchengine.DecodeResults(data)
+	}
 	if err != nil {
 		return resp, fmt.Errorf("core: response result page: %w", err)
 	}
 	if len(data) != 0 {
 		return resp, ErrWireTrailing
 	}
-	resp.Results = results
 	return resp, nil
 }
 
@@ -317,7 +321,7 @@ func encodeResponse(r *forwardResponse) ([]byte, error) {
 }
 
 func decodeResponse(data []byte) (*forwardResponse, error) {
-	resp, err := decodeResponseWire(data)
+	resp, err := decodeResponseWire(data, false)
 	if err != nil {
 		return nil, fmt.Errorf("decode forward response: %w", err)
 	}

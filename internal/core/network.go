@@ -473,10 +473,14 @@ func (d directConduit) Deliver(from, to string, payload []byte, now time.Time) (
 // the request record was sealed breaks the pair (see breakPair), and any
 // failure that is not plain unavailability is classified as relay
 // misbehavior so the retry layer can blacklist Byzantine relays.
-func (net *Network) forward(client *Node, relayID, query string, now time.Time) (forwardResponse, time.Duration, error) {
+//
+// discardPage says the caller will not look at the result page (a fake
+// query's response, a capacity probe): the page then gets the same checks
+// but is not materialised, and the returned Results are nil.
+func (net *Network) forward(client *Node, relayID, query string, now time.Time, discardPage bool) (forwardResponse, time.Duration, error) {
 	start := time.Now()
 	var tm forwardTiming
-	resp, lat, err := net.forwardExchange(client, relayID, query, now, &tm)
+	resp, lat, err := net.forwardExchange(client, relayID, query, now, discardPage, &tm)
 	totalNS := int64(time.Since(start))
 	if tm.encryptNS > 0 {
 		stageEncrypt.Observe(time.Duration(tm.encryptNS))
@@ -526,7 +530,7 @@ func classifyForward(resp forwardResponse, err error) (string, *telemetry.Counte
 
 // forwardExchange is the body of forward; tm receives per-stage durations
 // and must point into the caller's frame (it never escapes).
-func (net *Network) forwardExchange(client *Node, relayID, query string, now time.Time, tm *forwardTiming) (forwardResponse, time.Duration, error) {
+func (net *Network) forwardExchange(client *Node, relayID, query string, now time.Time, discardPage bool, tm *forwardTiming) (forwardResponse, time.Duration, error) {
 	if relayID == client.id {
 		// A node must never relay its own query: the engine would see the
 		// requester's identity, voiding the unlinkability argument (§IV).
@@ -619,7 +623,7 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 		return forwardResponse{}, latency, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, relayID, err)
 	}
 	ps.plainBuf = respPlain
-	resp, err := decodeResponseWire(respPlain)
+	resp, err := decodeResponseWire(respPlain, discardPage)
 	tm.spliceNS = int64(time.Since(splStart))
 	if err != nil {
 		net.breakPair(ps, client, relay)
@@ -719,7 +723,7 @@ func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node) error {
 // capacity benchmarking (Fig 8c). The sampled network latency is discarded;
 // the caller measures wall time.
 func (net *Network) RelayRoundTrip(client *Node, relayID, query string, now time.Time) error {
-	_, _, err := net.forward(client, relayID, query, now)
+	_, _, err := net.forward(client, relayID, query, now, true)
 	return err
 }
 

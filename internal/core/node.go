@@ -41,11 +41,6 @@ func (NullBackend) Search(string, string, time.Time) ([]searchengine.Result, err
 	return nil, nil
 }
 
-// emptyResultsBlob is the pre-encoded empty result page the engine ocall
-// returns when the backend produced no results, so the NullBackend hot path
-// never encodes. Read-only; callers splice it, never mutate it.
-var emptyResultsBlob = searchengine.AppendResults(nil, nil)
-
 // Node errors.
 var (
 	ErrNoPeers          = errors.New("core: no peers available")
@@ -293,7 +288,11 @@ func (n *Node) registerECalls() {
 		*eb = engineArgs
 		putBuf(pb) // query copied into the gate frame and the table
 		resultsBlob, engineErr := n.encl.OCall("engine", engineArgs)
-		putBuf(eb)
+		if cap(resultsBlob) > cap(*eb) {
+			// The page outgrew the frame's buffer and the ocall allocated:
+			// keep the larger array, so the next page fits.
+			*eb = resultsBlob[:0]
+		}
 
 		// Assemble the response: header plus the engine's result page,
 		// spliced verbatim (the client validates it on decode).
@@ -313,6 +312,7 @@ func (n *Node) registerECalls() {
 			resp = append(resp, resultsBlob...)
 		}
 		*rb = resp
+		putBuf(eb) // resultsBlob, which lives in it, is spliced
 
 		rs.mu.Lock()
 		out, err := rs.sess.EncryptAppend(rs.out[:0], resp)
@@ -326,7 +326,10 @@ func (n *Node) registerECalls() {
 
 	// "engine": the untrusted host callback that carries the query to the
 	// search engine. Returns a binary result page (spliced into the
-	// response by the ecall above).
+	// response by the ecall above). The gate frame doubles as the out-buffer,
+	// as an SGX ocall's [out] parameter would: the page is encoded behind the
+	// frame, in the spare capacity of the caller's pooled buffer, so a relay
+	// at steady state encodes it without allocating.
 	n.encl.RegisterOCall("engine", func(args []byte) ([]byte, error) {
 		source, query, nowNano, err := decodeEngineArgs(args)
 		if err != nil {
@@ -358,10 +361,7 @@ func (n *Node) registerECalls() {
 		// Clamp to the wire bounds so an arbitrary backend cannot produce a
 		// page the requesting client's decoder rejects.
 		results = searchengine.ClampForWire(results)
-		if len(results) == 0 {
-			return emptyResultsBlob, nil
-		}
-		return searchengine.AppendResults(nil, results), nil
+		return searchengine.AppendResults(args[len(args):], results), nil
 	})
 }
 
@@ -469,7 +469,6 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	assessment := sensitivity.Assessment{Query: query}
 	if n.analyzer != nil {
 		assessment = n.analyzer.Assess(query)
-		n.analyzer.RecordQuery(query)
 	}
 	k := assessment.K
 
@@ -477,6 +476,11 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	relays := n.peers.Sample(k + 1)
 	if len(relays) == 0 {
 		return nil, ErrNoPeers
+	}
+	// The query is about to leave: only now does it join the history the
+	// linkability assessment compares later queries with.
+	if n.analyzer != nil {
+		n.analyzer.RecordQuery(assessment)
 	}
 	if len(relays) < k+1 {
 		k = len(relays) - 1
@@ -525,7 +529,9 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reply, usedRelay, pathLatency, err := n.forwardWithRetry(relay, q, now, relays)
+			// Only the real query's page is kept; a fake's response is
+			// validated and dropped without being materialised.
+			reply, usedRelay, pathLatency, err := n.forwardWithRetry(relay, q, now, relays, !isReal)
 			outcomes <- outcome{real: isReal, reply: reply, usedRelay: usedRelay, pathLatency: pathLatency, err: err}
 		}()
 	}
@@ -538,7 +544,7 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 			if o.err == nil {
 				n.stats.fakesSent.Add(1)
 			}
-			continue // responses to fake queries are silently dropped
+			continue // fake responses were checked on arrival and never decoded
 		}
 		// Real query: its path latency dominates the user-visible delay.
 		res.Latency += o.pathLatency
@@ -576,8 +582,8 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 // (no transport error occurred; the caller surfaces EngineError).
 // Retry bookkeeping (the tried set, replacement sampling) is built lazily
 // on the first failure, so the common all-relays-healthy path does no extra
-// work.
-func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID) (forwardResponse, string, time.Duration, error) {
+// work. discardPage is passed to every attempt's forward.
+func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID, discardPage bool) (forwardResponse, string, time.Duration, error) {
 	var total time.Duration
 	var tried map[string]struct{}
 	current := relay
@@ -585,7 +591,7 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 	var engineReply forwardResponse
 	engineRelay := ""
 	for attempt := 0; attempt < 3; attempt++ {
-		reply, lat, err := n.net.forward(n, current, query, now)
+		reply, lat, err := n.net.forward(n, current, query, now, discardPage)
 		total += lat
 		if err == nil && reply.EngineError == "" {
 			return reply, current, total, nil

@@ -182,8 +182,9 @@ func RunSensitivitySweep(w *World, weights []float64, maxQueries int) (*Sensitiv
 				analyzer = sw.NewAnalyzerForUser(q.User, DetectorCombined)
 				analyzers[q.User] = analyzer
 			}
-			kq := analyzer.Assess(q.Text).K
-			analyzer.RecordQuery(q.Text)
+			assessed := analyzer.Assess(q.Text)
+			analyzer.RecordQuery(assessed)
+			kq := assessed.K
 			attempts++
 			if user, ok := attack.Identify(q.Text); ok && user == q.User {
 				successes++

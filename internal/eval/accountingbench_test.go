@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"cyclosa/internal/testutil"
 )
 
 // TestRunAccountingBench drives the admission bench at test scale: the
@@ -39,11 +41,15 @@ func TestRunAccountingBench(t *testing.T) {
 	if r.LimiterAdmitted != r.Admitted+uint64(r.Clients) || r.LimiterThrottled != r.Throttled {
 		t.Fatalf("limiter counters disagree with client observations: %+v", r)
 	}
-	if r.HotPathAllocsPerOp > 3 {
-		t.Fatalf("hot path blew the 3 allocs/op budget: %.2f", r.HotPathAllocsPerOp)
-	}
-	if r.Failed() {
-		t.Fatalf("Failed() on a passing run: %+v", r)
+	// Race instrumentation adds allocations (the pools drop buffers at
+	// random), so the budget is checked in uninstrumented runs only.
+	if !testutil.RaceEnabled {
+		if r.HotPathAllocsPerOp > 3 {
+			t.Fatalf("hot path blew the 3 allocs/op budget: %.2f", r.HotPathAllocsPerOp)
+		}
+		if r.Failed() {
+			t.Fatalf("Failed() on a passing run: %+v", r)
+		}
 	}
 	if r.String() == "" {
 		t.Fatal("empty rendering")

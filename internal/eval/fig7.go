@@ -38,7 +38,7 @@ func RunAdaptiveK(w *World, maxQueries int) *AdaptiveKResult {
 			analyzers[q.User] = analyzer
 		}
 		a := analyzer.Assess(q.Text)
-		analyzer.RecordQuery(q.Text)
+		analyzer.RecordQuery(a)
 		res.Counts[a.K]++
 		res.Queries++
 		if a.SemanticSensitive {

@@ -20,7 +20,9 @@ import (
 //	str    := len(uvarint) bytes
 //
 // Decoding is hardened: truncated input, unknown versions and any length
-// field beyond the Max* bounds below are rejected before allocation.
+// field beyond the Max* bounds below are rejected before allocation. A
+// reader that will not look at a page validates it with SkipResults instead
+// of decoding it.
 
 // ResultsWireVersion is the result-page wire version; bump on layout change.
 const ResultsWireVersion = 1
@@ -100,57 +102,110 @@ func wireSafe(r *Result) bool {
 	return true
 }
 
-// DecodeResults decodes one result page from the front of data, returning
-// the page, the unconsumed remainder and any error. The returned results do
-// not alias data (all strings are copied), so the caller may reuse the
-// buffer. A zero-count page decodes to a nil slice.
-func DecodeResults(data []byte) ([]Result, []byte, error) {
+// measureResults walks one result page at the front of data and applies
+// every check of the format (version, bounds, truncation) without
+// allocating. It returns the page's result count, the total length of its
+// term lists and the unconsumed remainder.
+func measureResults(data []byte) (nResults, nTerms int, rest []byte, err error) {
 	if len(data) < 1 {
-		return nil, nil, ErrWireTruncated
+		return 0, 0, nil, ErrWireTruncated
 	}
 	if data[0] != ResultsWireVersion {
-		return nil, nil, fmt.Errorf("%w: %d", ErrWireVersion, data[0])
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrWireVersion, data[0])
 	}
-	data = data[1:]
-	count, data, err := wire.ConsumeUvarint(data, MaxWireResults)
+	count, data, err := wire.ConsumeUvarint(data[1:], MaxWireResults)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	for i := uint64(0); i < count; i++ {
+		if _, data, err = wire.ConsumeVarint(data); err != nil { // docID
+			return 0, 0, nil, err
+		}
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // url
+			return 0, 0, nil, err
+		}
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // title
+			return 0, 0, nil, err
+		}
+		var terms uint64
+		if terms, data, err = wire.ConsumeUvarint(data, MaxWireTerms); err != nil {
+			return 0, 0, nil, err
+		}
+		nTerms += int(terms)
+		for ; terms > 0; terms-- {
+			if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
+				return 0, 0, nil, err
+			}
+		}
+		if _, data, err = wire.ConsumeUint64(data); err != nil { // score
+			return 0, 0, nil, err
+		}
+	}
+	return int(count), nTerms, data, nil
+}
+
+// SkipResults validates one result page at the front of data exactly as
+// DecodeResults does — it accepts and rejects the same inputs — and returns
+// the unconsumed remainder without materialising the page or allocating. It
+// is what a reader uses on a page it has to check but will not look at.
+func SkipResults(data []byte) ([]byte, error) {
+	_, _, rest, err := measureResults(data)
+	return rest, err
+}
+
+// DecodeResults decodes one result page from the front of data, returning
+// the page, the unconsumed remainder and any error. The returned results do
+// not alias data, so the caller may reuse the buffer. A page costs three
+// allocations whatever its size: one string holding a copy of the page's
+// bytes, which every URL, title and term is a substring of, one []Result,
+// and one []string that all Terms lists are cut from. Holding on to any one
+// string of a page therefore keeps the whole page's bytes alive. A
+// zero-count page decodes to a nil slice.
+func DecodeResults(data []byte) ([]Result, []byte, error) {
+	nResults, nTerms, rest, err := measureResults(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if count == 0 {
-		return nil, data, nil
+	if nResults == 0 {
+		return nil, rest, nil
 	}
-	results := make([]Result, count)
+	// measureResults accepted the page, so this second walk cannot run off
+	// its end or meet a length beyond a bound.
+	page := string(data[:len(data)-len(rest)])
+	off := 1 // past the version
+	uvarint := func() int {
+		v, n := binary.Uvarint(data[off:])
+		off += n
+		return int(v)
+	}
+	str := func() string {
+		n := uvarint()
+		off += n
+		return page[off-n : off]
+	}
+	uvarint() // past the count
+	results := make([]Result, nResults)
+	var terms []string
+	if nTerms > 0 {
+		terms = make([]string, nTerms)
+	}
 	for i := range results {
 		r := &results[i]
-		var docID int64
-		docID, data, err = wire.ConsumeVarint(data)
-		if err != nil {
-			return nil, nil, err
-		}
+		docID, n := binary.Varint(data[off:])
+		off += n
 		r.DocID = int(docID)
-		if r.URL, data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-			return nil, nil, err
-		}
-		if r.Title, data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-			return nil, nil, err
-		}
-		var nTerms uint64
-		if nTerms, data, err = wire.ConsumeUvarint(data, MaxWireTerms); err != nil {
-			return nil, nil, err
-		}
-		if nTerms > 0 {
-			r.Terms = make([]string, nTerms)
+		r.URL = str()
+		r.Title = str()
+		if n := uvarint(); n > 0 {
+			// Capacity capped: appending to one result's Terms must not
+			// overwrite the next result's.
+			r.Terms, terms = terms[:n:n], terms[n:]
 			for j := range r.Terms {
-				if r.Terms[j], data, err = wire.ConsumeString(data, MaxWireStringLen); err != nil {
-					return nil, nil, err
-				}
+				r.Terms[j] = str()
 			}
 		}
-		if len(data) < 8 {
-			return nil, nil, ErrWireTruncated
-		}
-		r.Score = math.Float64frombits(binary.BigEndian.Uint64(data))
-		data = data[8:]
+		r.Score = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
+		off += 8
 	}
-	return results, data, nil
+	return results, rest, nil
 }

@@ -1,7 +1,10 @@
 package searchengine
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +17,22 @@ func sampleResults() []Result {
 		{DocID: 0, URL: "https://web.sim/pets/0", Title: "", Terms: nil, Score: -2.5},
 		{DocID: -3, URL: "", Title: "only title", Terms: []string{""}, Score: 0},
 	}
+}
+
+// realPage is a page of the size a relay really carries: 10 results, 30
+// terms in all.
+func realPage() []Result {
+	page := make([]Result, 10)
+	for i := range page {
+		page[i] = Result{
+			DocID: 1000 + i,
+			URL:   fmt.Sprintf("https://web.sim/health/%d", 1000+i),
+			Title: fmt.Sprintf("kidney dialysis treatment %d", i),
+			Terms: []string{"kidney", "dialysis", fmt.Sprintf("treatment%d", i)},
+			Score: 9.5 - float64(i)/4,
+		}
+	}
+	return page
 }
 
 func TestResultsCodecRoundTrip(t *testing.T) {
@@ -125,6 +144,86 @@ func TestResultsCodecAllocsOnEmptyPage(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("DecodeResults(empty page) allocates %.1f times, want 0", n)
 	}
+}
+
+// The page decode costs a fixed three allocations however many strings the
+// page holds, and validating a page without decoding it costs none.
+func TestResultsCodecAllocsOnRealPage(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	blob := AppendResults(nil, realPage())
+	if n := testing.AllocsPerRun(200, func() {
+		if _, _, err := DecodeResults(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Errorf("DecodeResults(10-result page) allocates %.1f times, want 3", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := SkipResults(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SkipResults(10-result page) allocates %.1f times, want 0", n)
+	}
+}
+
+// The decoded page shares one backing string and one terms array, but none
+// of it with the input buffer or between results.
+func TestDecodeResultsOwnsItsMemory(t *testing.T) {
+	want := realPage()
+	blob := AppendResults(nil, want)
+	got, _, err := DecodeResults(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] = 0xFF // the caller reuses its buffer
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("page changed with the input buffer:\n got %+v\nwant %+v", got, want)
+	}
+	_ = append(got[0].Terms, "appended")
+	if !reflect.DeepEqual(got[1].Terms, want[1].Terms) {
+		t.Errorf("appending to result 0's terms overwrote result 1's: %v", got[1].Terms)
+	}
+}
+
+// checkSkipMatchesDecode is the SkipResults contract: it accepts and rejects
+// exactly what DecodeResults does, with the same error and remainder.
+func checkSkipMatchesDecode(t *testing.T, data []byte) {
+	t.Helper()
+	_, decRest, decErr := DecodeResults(data)
+	skipRest, skipErr := SkipResults(data)
+	if fmt.Sprint(decErr) != fmt.Sprint(skipErr) {
+		t.Fatalf("DecodeResults err %v, SkipResults err %v", decErr, skipErr)
+	}
+	if !bytes.Equal(decRest, skipRest) {
+		t.Fatalf("DecodeResults left %d bytes, SkipResults %d", len(decRest), len(skipRest))
+	}
+}
+
+func TestSkipResultsMatchesDecode(t *testing.T) {
+	good := AppendResults(nil, sampleResults())
+	for i := 0; i <= len(good); i++ {
+		checkSkipMatchesDecode(t, good[:i])
+	}
+	checkSkipMatchesDecode(t, append(append([]byte{}, good...), 0xDE, 0xAD))
+	checkSkipMatchesDecode(t, AppendResults(nil, nil))
+	checkSkipMatchesDecode(t, []byte{0xEE})
+	checkSkipMatchesDecode(t, []byte{ResultsWireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x3F})
+}
+
+// FuzzResultsSkip is the differential target for the validating walk fake
+// responses get: on arbitrary bytes SkipResults must agree with
+// DecodeResults on accept/reject and on the remainder.
+func FuzzResultsSkip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendResults(nil, nil))
+	f.Add(AppendResults(nil, sampleResults()))
+	f.Add(append(AppendResults(nil, realPage()), 0x01))
+	f.Fuzz(checkSkipMatchesDecode)
 }
 
 // FuzzResultsDecode hammers the page decoder with arbitrary bytes: it must

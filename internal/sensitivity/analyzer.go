@@ -20,6 +20,10 @@ type Assessment struct {
 	Linkability float64
 	// K is the resulting number of fake queries.
 	K int
+
+	// terms is the tokenized query, kept so that RecordQuery does not
+	// tokenize it again.
+	terms []string
 }
 
 // Analyzer combines the semantic detector and the linkability assessor into
@@ -51,23 +55,22 @@ func (a *Analyzer) KMax() int { return a.kmax }
 // record the query in the local history; call RecordQuery once the query has
 // actually been sent.
 func (a *Analyzer) Assess(query string) Assessment {
-	terms := textproc.Tokenize(query)
-	out := Assessment{Query: query}
+	out := Assessment{Query: query, terms: textproc.Tokenize(query)}
 	if a.detector != nil {
-		out.SemanticSensitive = a.detector.IsSensitive(terms)
+		out.SemanticSensitive = a.detector.IsSensitive(out.terms)
 	}
 	if a.link != nil {
-		out.Linkability = a.link.Score(query)
+		out.Linkability = a.link.scoreTerms(out.terms)
 	}
 	out.K = a.projectK(out.SemanticSensitive, out.Linkability)
 	return out
 }
 
 // RecordQuery adds a sent query to the local history used by the
-// linkability assessment.
-func (a *Analyzer) RecordQuery(query string) {
+// linkability assessment. assessed must be the value Assess returned for it.
+func (a *Analyzer) RecordQuery(assessed Assessment) {
 	if a.link != nil {
-		a.link.Add(query)
+		a.link.addTerms(assessed.terms)
 	}
 }
 

@@ -15,41 +15,35 @@ import (
 // The assessor maintains the user's local history. It is safe for concurrent
 // use: the browser extension assesses queries while the history grows.
 type Linkability struct {
-	mu      sync.RWMutex
-	history []textproc.Vector
-	alpha   float64
-	maxSize int
+	mu    sync.RWMutex
+	index *textproc.SimilarityIndex
+	alpha float64
 }
 
 // NewLinkability creates an assessor with the given smoothing factor
 // (DefaultSmoothingAlpha if alpha <= 0) and unbounded history.
 func NewLinkability(alpha float64) *Linkability {
-	if alpha <= 0 {
-		alpha = textproc.DefaultSmoothingAlpha
-	}
-	return &Linkability{alpha: alpha}
+	return NewBoundedLinkability(alpha, 0)
 }
 
 // NewBoundedLinkability creates an assessor that keeps only the most recent
 // maxSize queries, for long-running clients.
 func NewBoundedLinkability(alpha float64, maxSize int) *Linkability {
-	l := NewLinkability(alpha)
-	l.maxSize = maxSize
-	return l
+	if alpha <= 0 {
+		alpha = textproc.DefaultSmoothingAlpha
+	}
+	return &Linkability{index: textproc.NewSimilarityIndex(maxSize), alpha: alpha}
 }
 
 // Add records a past query of the local user.
 func (l *Linkability) Add(query string) {
-	v := textproc.NewVector(query)
-	if v.Len() == 0 {
-		return
-	}
+	l.addTerms(textproc.Tokenize(query))
+}
+
+func (l *Linkability) addTerms(terms []string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.history = append(l.history, v)
-	if l.maxSize > 0 && len(l.history) > l.maxSize {
-		l.history = l.history[len(l.history)-l.maxSize:]
-	}
+	l.index.Add(terms)
 }
 
 // AddAll records a batch of past queries.
@@ -63,25 +57,18 @@ func (l *Linkability) AddAll(queries []string) {
 func (l *Linkability) HistorySize() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.history)
+	return l.index.Len()
 }
 
 // Score returns the linkability of query against the recorded history:
 // the exponential smoothing of the ranked cosine similarities. An empty
 // history or empty query yields 0.
 func (l *Linkability) Score(query string) float64 {
-	v := textproc.NewVector(query)
-	if v.Len() == 0 {
-		return 0
-	}
+	return l.scoreTerms(textproc.Tokenize(query))
+}
+
+func (l *Linkability) scoreTerms(terms []string) float64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.history) == 0 {
-		return 0
-	}
-	sims := make([]float64, len(l.history))
-	for i, h := range l.history {
-		sims[i] = textproc.Cosine(v, h)
-	}
-	return textproc.ExponentialSmoothing(sims, l.alpha)
+	return l.index.Score(terms, l.alpha)
 }

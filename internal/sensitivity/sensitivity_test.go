@@ -7,6 +7,7 @@ import (
 
 	"cyclosa/internal/lda"
 	"cyclosa/internal/queries"
+	"cyclosa/internal/testutil"
 	"cyclosa/internal/wordnet"
 )
 
@@ -262,7 +263,7 @@ func TestAnalyzerAdaptiveK(t *testing.T) {
 
 	// Build linkable history: repeated identical query drives score to ~1.
 	for i := 0; i < 10; i++ {
-		a.RecordQuery("bodu keta ruda")
+		a.RecordQuery(a.Assess("bodu keta ruda"))
 	}
 	got = a.Assess("bodu keta ruda")
 	if got.K < 5 {
@@ -270,6 +271,32 @@ func TestAnalyzerAdaptiveK(t *testing.T) {
 	}
 	if got.Linkability <= 0.5 {
 		t.Errorf("linkability = %v, want > 0.5", got.Linkability)
+	}
+}
+
+// Assessing a query against a long history is bounded by what tokenizing it
+// costs: the linkability score itself works out of pooled scratch.
+func TestAnalyzerAssessAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	fx := getFixture(t)
+	log := queries.Generate(queries.GeneratorConfig{Seed: 33, Universe: fx.uni, NumUsers: 4, MeanQueriesPerUser: 400})
+	if len(log.Queries) < 601 {
+		t.Fatalf("generated %d queries, need 601", len(log.Queries))
+	}
+	link := NewLinkability(0)
+	for _, q := range log.Queries[:600] {
+		link.Add(q.Text)
+	}
+	if link.HistorySize() < 590 {
+		t.Fatalf("history holds %d entries, want about 600", link.HistorySize())
+	}
+	a := NewAnalyzer(NewCombinedDetector(fx.db, fx.models, 40, []string{"sex"}), link, 7)
+	query := log.Queries[600].Text
+	a.Assess(query) // sizes the scratch
+	if n := testing.AllocsPerRun(200, func() { a.Assess(query) }); n > 10 {
+		t.Errorf("Assess over a %d-entry history allocates %.1f times, want <= 10", link.HistorySize(), n)
 	}
 }
 
@@ -282,7 +309,7 @@ func TestAnalyzerNilComponents(t *testing.T) {
 	if got.SemanticSensitive || got.Linkability != 0 || got.K != 0 {
 		t.Errorf("nil-component assessment = %+v", got)
 	}
-	a.RecordQuery("whatever") // must not panic
+	a.RecordQuery(a.Assess("whatever")) // must not panic
 }
 
 func TestProjectKBounds(t *testing.T) {

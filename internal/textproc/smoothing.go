@@ -19,9 +19,27 @@ func ExponentialSmoothing(scores []float64, alpha float64) float64 {
 	sorted := make([]float64, len(scores))
 	copy(sorted, scores)
 	sort.Float64s(sorted)
-	s := sorted[0]
-	for _, x := range sorted[1:] {
+	return smoothAscending(sorted[0], sorted[1:], alpha)
+}
+
+// smoothAscending folds scores, already in ascending order, onto s.
+func smoothAscending(s float64, scores []float64, alpha float64) float64 {
+	for _, x := range scores {
 		s = alpha*x + (1-alpha)*s
+	}
+	return s
+}
+
+// smoothRepeated folds n scores of the same value x onto s, as smoothAscending
+// does for n equal elements. The fold converges on a fixed point, after which
+// further steps change nothing and are skipped.
+func smoothRepeated(s, x float64, n int, alpha float64) float64 {
+	for ; n > 0; n-- {
+		next := alpha*x + (1-alpha)*s
+		if next == s {
+			break
+		}
+		s = next
 	}
 	return s
 }

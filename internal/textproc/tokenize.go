@@ -6,7 +6,9 @@
 // The paper (§V-A2, §VII-E) represents a query as a binary vector of its
 // terms, compares it against past queries with cosine similarity, and
 // aggregates the ranked similarities with exponential smoothing. This package
-// implements exactly those operations.
+// implements exactly those operations, and SimilarityIndex, which answers
+// the aggregate over a whole set of past queries without visiting the ones
+// that share no term with the query.
 package textproc
 
 import (

@@ -55,10 +55,17 @@ func Cosine(a, b Vector) float64 {
 			inter++
 		}
 	}
+	return cosine(inter, len(a), len(b))
+}
+
+// cosine is the cosine similarity of two binary term vectors of na and nb
+// distinct terms that share inter of them. Cosine and SimilarityIndex both
+// evaluate this one expression, which is what keeps them bit-identical.
+func cosine(inter, na, nb int) float64 {
 	if inter == 0 {
 		return 0
 	}
-	return float64(inter) / (math.Sqrt(float64(len(a))) * math.Sqrt(float64(len(b))))
+	return float64(inter) / (math.Sqrt(float64(na)) * math.Sqrt(float64(nb)))
 }
 
 // Jaccard returns the Jaccard similarity |a∩b| / |a∪b| of two binary term

@@ -53,11 +53,11 @@ func DefaultWANConfig(seed int64) WANConfig {
 		Regions: []string{"us-east", "us-west", "eu-west", "ap-south", "ap-east"},
 		OneWayMs: [][]float64{
 			//        us-east us-west eu-west ap-south ap-east
-			{2, 32, 40, 95, 85},    // us-east
-			{32, 2, 70, 115, 55},   // us-west
-			{40, 70, 2, 60, 105},   // eu-west
-			{95, 115, 60, 2, 60},   // ap-south
-			{85, 55, 105, 60, 2},   // ap-east
+			{2, 32, 40, 95, 85},  // us-east
+			{32, 2, 70, 115, 55}, // us-west
+			{40, 70, 2, 60, 105}, // eu-west
+			{95, 115, 60, 2, 60}, // ap-south
+			{85, 55, 105, 60, 2}, // ap-east
 		},
 		Loss: [][]float64{
 			{0.001, 0.003, 0.004, 0.010, 0.010},
