@@ -60,14 +60,14 @@
 // binary wire codec + pooled-buffer round trip) in a closed loop and can
 // emit the measurement as JSON (-json) for CI perf tracking.
 //
-// The net experiment measures the same forward round trip side by side over
-// comparative transport variants — the in-process direct conduit, loopback
-// TCP through the internal/nettrans frame protocol without and with write
-// coalescing, and the attested query plane with query batching — each with
-// -concurrency multiplexed clients, p50/p95 latency, separately reported
-// cold start and warmup, and the frames-per-flush contention proxy. With
-// -json it emits BENCH_net.json, carrying prior summaries forward as
-// history so the throughput trajectory is visible across PRs.
+// The net experiment measures the same forward round trip side by side in
+// process (the direct conduit) and over loopback TCP through the
+// internal/nettrans frame protocol — serially, and with -concurrency
+// clients multiplexed on one group-committed connection ("tcp+coalesce") —
+// with p50/p95 latency, separately reported cold start and warmup, and the
+// frames-per-flush contention proxy. With -json it emits BENCH_net.json,
+// carrying prior summaries forward as history so the throughput trajectory
+// is visible across PRs.
 //
 // The loadtest experiment drives the concurrent workload engine
 // (internal/workload) against the full forward path of one relay with a

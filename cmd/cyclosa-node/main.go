@@ -32,7 +32,9 @@
 //
 // The client issues -n queries over ONE attested session using -concurrency
 // worker goroutines — the stream-multiplexing path, not n serial
-// connections — and reports throughput and latency.
+// connections — and reports throughput and latency. A query the daemon sheds
+// as over the per-client rate (-client-qps/-client-burst) is retried on the
+// same session after a bounded backoff, and counted in the report.
 //
 // Separate processes must share the -ias-secret flag: it stands in for
 // Intel's platform provisioning, letting every side reconstruct the
@@ -498,6 +500,45 @@ func runView(w io.Writer, addr string) error {
 	return nil
 }
 
+// Bounds on waiting out the daemon's per-client admission: a throttled
+// query is retried up to throttleRetries times, sleeping 25 ms doubling to a
+// 2 s cap in between (about 5 s in all) before the error is surfaced.
+const (
+	throttleRetries     = 8
+	throttleBackoffBase = 25 * time.Millisecond
+	throttleBackoffMax  = 2 * time.Second
+)
+
+// backoffClient retries queries the daemon sheds with ErrClientThrottled.
+// All workers share one identity, hence one token bucket, so the client
+// backs off as a whole: queries run under the read lock, and the worker
+// that was throttled takes the write lock while it waits and retries —
+// pausing the others instead of letting them burn the refill.
+type backoffClient struct {
+	c         *nettrans.Client
+	gate      sync.RWMutex
+	throttled atomic.Int64 // shed attempts, each followed by a retry
+}
+
+func (b *backoffClient) query(q string) ([]searchengine.Result, error) {
+	b.gate.RLock()
+	results, err := b.c.Query(q)
+	b.gate.RUnlock()
+	if !errors.Is(err, accounting.ErrClientThrottled) {
+		return results, err
+	}
+	b.gate.Lock()
+	defer b.gate.Unlock()
+	wait := throttleBackoffBase
+	for try := 0; try < throttleRetries && errors.Is(err, accounting.ErrClientThrottled); try++ {
+		b.throttled.Add(1)
+		time.Sleep(wait)
+		wait = min(2*wait, throttleBackoffMax)
+		results, err = b.c.Query(q)
+	}
+	return results, err
+}
+
 // runClient attests the daemon and issues n queries over the single
 // session, concurrency at a time.
 func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed int64) error {
@@ -512,6 +553,7 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 	defer c.Close()
 	fmt.Printf("client: attested %s (relay enclave %s)\n", c.ServerID(), c.PeerMeasurement())
+	bc := &backoffClient{c: c}
 
 	uni := queries.NewUniverse(queries.UniverseConfig{Seed: seed})
 	sample := sampleQueries(uni)
@@ -523,7 +565,7 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 
 	if n <= 1 {
-		results, err := c.Query(queryFor(0))
+		results, err := bc.query(queryFor(0))
 		if err != nil {
 			return err
 		}
@@ -557,7 +599,7 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 					return
 				}
 				qStart := time.Now()
-				_, err := c.Query(queryFor(i))
+				_, err := bc.query(queryFor(i))
 				latencies[i] = time.Since(qStart)
 				switch {
 				case err == nil:
@@ -578,8 +620,8 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	fmt.Printf("client: %d queries over one attested session (%d in flight): %d answered, %d engine-refused in %v\n",
-		n, concurrency, answered.Load(), refused.Load(), elapsed.Round(time.Millisecond))
+	fmt.Printf("client: %d queries over one attested session (%d in flight): %d answered, %d engine-refused, %d throttled and retried in %v\n",
+		n, concurrency, answered.Load(), refused.Load(), bc.throttled.Load(), elapsed.Round(time.Millisecond))
 	fmt.Printf("client: %.0f req/s, p50 %v, p99 %v\n",
 		float64(n)/elapsed.Seconds(),
 		latencies[n/2].Round(time.Microsecond),

@@ -90,6 +90,21 @@ func TestClientManyQueriesOneSession(t *testing.T) {
 	}
 }
 
+// TestClientRidesOutThrottling drives -n well above the daemon's burst:
+// the shed queries must be retried on the same session until every one is
+// answered, instead of the first throttle failing the run.
+func TestClientRidesOutThrottling(t *testing.T) {
+	env := newAttestationEnv("test-secret")
+	lim := testLimiter(t, 200, 5)
+	addr := startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: "throttling-node", seed: 3, admission: lim})
+	if err := runClient(env, addr, "", 40, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if st := lim.Stats(); st.Admitted != 40 || st.Throttled == 0 {
+		t.Fatalf("limiter stats = %+v, want 40 admitted and some throttled (burst 5 never exceeded?)", st)
+	}
+}
+
 // TestMismatchedIASSecret verifies that a client provisioned with a
 // different attestation secret is rejected by the daemon.
 func TestMismatchedIASSecret(t *testing.T) {

@@ -117,20 +117,6 @@ func NewLimiter(cfg LimiterConfig) (*Limiter, error) {
 // Allow spends one token from client's bucket, returning nil when admitted
 // and ErrClientThrottled when the bucket is empty.
 func (l *Limiter) Allow(client string) error {
-	if l.AllowN(client, 1) == 1 {
-		return nil
-	}
-	return ErrClientThrottled
-}
-
-// AllowN atomically spends up to n tokens from client's bucket and reports
-// how many were granted. The admitted count is a prefix: callers batching n
-// requests admit the first k and shed the remaining n-k, which keeps batch
-// admission deterministic.
-func (l *Limiter) AllowN(client string, n int) int {
-	if n <= 0 {
-		return 0
-	}
 	sh := &l.shards[fnv32(client)%limiterShards]
 	t := l.now()
 
@@ -142,20 +128,18 @@ func (l *Limiter) AllowN(client string, n int) int {
 	} else {
 		l.refill(b, t)
 	}
-	granted := int(b.tokens)
-	if granted > n {
-		granted = n
+	admitted := b.tokens >= 1
+	if admitted {
+		b.tokens--
 	}
-	b.tokens -= float64(granted)
 	sh.mu.Unlock()
 
-	if granted > 0 {
-		l.admitted.Add(uint64(granted))
+	if !admitted {
+		l.throttled.Add(1)
+		return ErrClientThrottled
 	}
-	if granted < n {
-		l.throttled.Add(uint64(n - granted))
-	}
-	return granted
+	l.admitted.Add(1)
+	return nil
 }
 
 // refill credits b with tokens accrued since its last touch.

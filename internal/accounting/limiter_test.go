@@ -119,30 +119,6 @@ func TestLimiterRefill(t *testing.T) {
 	}
 }
 
-func TestLimiterAllowNPrefix(t *testing.T) {
-	clk := newFakeClock()
-	l, err := NewLimiter(LimiterConfig{QPS: 1, Burst: 4, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.AllowN("batcher", 10); got != 4 {
-		t.Fatalf("AllowN(10) with burst 4 = %d, want 4", got)
-	}
-	if got := l.AllowN("batcher", 3); got != 0 {
-		t.Fatalf("AllowN on empty bucket = %d, want 0", got)
-	}
-	if got := l.AllowN("batcher", 0); got != 0 {
-		t.Fatalf("AllowN(0) = %d, want 0", got)
-	}
-	if got := l.AllowN("batcher", -2); got != 0 {
-		t.Fatalf("AllowN(-2) = %d, want 0", got)
-	}
-	st := l.Stats()
-	if st.Admitted != 4 || st.Throttled != 9 {
-		t.Fatalf("stats = %+v, want 4 admitted / 9 throttled", st)
-	}
-}
-
 func TestLimiterEviction(t *testing.T) {
 	clk := newFakeClock()
 	l, err := NewLimiter(LimiterConfig{QPS: 100, Burst: 2, MaxClients: limiterShards, Now: clk.Now})

@@ -6,20 +6,17 @@ import (
 	"time"
 
 	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
 	"cyclosa/internal/nettrans"
 	"cyclosa/internal/rps"
-	"cyclosa/internal/securechan"
 	"cyclosa/internal/stats"
 	"cyclosa/internal/transport"
 )
 
 // NetBenchOptions configures the network-transport benchmark behind
 // cyclosa-bench's -exp net: the forward round trip measured side by side
-// over comparative transport variants (direct / TCP without coalescing /
-// TCP with coalescing / the attested service plane with query batching),
-// so each layer of the data plane's cost — and each optimization's payoff —
-// is tracked PR over PR in BENCH_net.json.
+// in process (direct) and over loopback TCP (serial, and multiplexed on one
+// group-committed connection), so the data plane's cost is tracked PR over
+// PR in BENCH_net.json.
 type NetBenchOptions struct {
 	// Seed drives network randomness.
 	Seed int64
@@ -29,7 +26,7 @@ type NetBenchOptions struct {
 	// before measurement (default 500). Reported per variant so BENCH_net
 	// deltas are known to reflect steady state only.
 	Warmup int
-	// Concurrency is the client count of the multiplexed variants (default
+	// Concurrency is the client count of the multiplexed variant (default
 	// 4): that many clients forward through one relay over one shared TCP
 	// connection, measuring stream multiplexing rather than serial RTT.
 	Concurrency int
@@ -49,8 +46,7 @@ func (o *NetBenchOptions) applyDefaults() {
 
 // NetBenchVariant is one transport variant's measurement.
 type NetBenchVariant struct {
-	// Name identifies the variant: "direct", "tcp", "tcp+coalesce",
-	// "tcp+coalesce+query-batch".
+	// Name identifies the variant: "direct" or "tcp+coalesce".
 	Name string `json:"name"`
 	// Concurrency is the closed-loop client count of this variant.
 	Concurrency int `json:"concurrency"`
@@ -64,9 +60,9 @@ type NetBenchVariant struct {
 	// measured iterations.
 	P50NsPerOp float64 `json:"p50_ns_per_op"`
 	P95NsPerOp float64 `json:"p95_ns_per_op"`
-	// ColdStartNs is the first exchange on the cold stack — dial + hello +
-	// (for the service plane) attestation — reported separately so it is
-	// never charged to a measured op.
+	// ColdStartNs is the first exchange on the cold stack — dial, hello and
+	// the first attested session — reported separately so it is never
+	// charged to a measured op.
 	ColdStartNs float64 `json:"cold_start_ns,omitempty"`
 	// WarmupOps is how many unmeasured ops preceded measurement.
 	WarmupOps int `json:"warmup_ops"`
@@ -96,13 +92,13 @@ type NetBenchResult struct {
 	// DirectNsPerOp is the in-process (direct conduit) round-trip time.
 	DirectNsPerOp float64 `json:"direct_ns_per_op"`
 	// TCPNsPerOp is the serial loopback-TCP round-trip time (single client,
-	// closed loop, coalescing on — a lone writer flushes immediately).
+	// closed loop — a lone writer flushes immediately).
 	TCPNsPerOp float64 `json:"tcp_ns_per_op"`
 	// TCPOpsPerSec is the single-client closed-loop TCP throughput.
 	TCPOpsPerSec float64 `json:"tcp_ops_per_sec"`
 	// OverheadNsPerOp is TCPNsPerOp - DirectNsPerOp.
 	OverheadNsPerOp float64 `json:"overhead_ns_per_op"`
-	// Concurrency is the multiplexed variants' client count.
+	// Concurrency is the multiplexed variant's client count.
 	Concurrency int `json:"concurrency"`
 	// TCPConcurrentOpsPerSec is the aggregate throughput of the
 	// "tcp+coalesce" variant (the default production transport) — the field
@@ -142,9 +138,8 @@ func RunNetBench(opts NetBenchOptions) (*NetBenchResult, error) {
 	res.Variants = append(res.Variants, direct)
 	res.DirectNsPerOp = direct.NsPerOp
 
-	// Serial loopback TCP (not a named variant of its own: a lone writer is
-	// identical with and without coalescing, since an idle-writer flush is
-	// immediate either way). This is the RTT figure tcp_ns_per_op tracks.
+	// Serial loopback TCP: the RTT figure tcp_ns_per_op tracks (a summary
+	// field, not a named variant).
 	serialTCP, err := measureSerialTCP(opts, query)
 	if err != nil {
 		return nil, fmt.Errorf("tcp serial phase: %w", err)
@@ -153,32 +148,14 @@ func RunNetBench(opts NetBenchOptions) (*NetBenchResult, error) {
 	res.TCPOpsPerSec = serialTCP.OpsPerSec
 	res.OverheadNsPerOp = serialTCP.NsPerOp - direct.NsPerOp
 
-	// Variants 2 and 3: Concurrency clients multiplexing over the shared
-	// pool — the pre-coalescing write path vs the coalesced one.
-	plain, err := measureConcurrent(opts, query, true)
-	if err != nil {
-		return nil, fmt.Errorf("tcp phase: %w", err)
-	}
-	plain.Name = "tcp"
-	res.Variants = append(res.Variants, plain)
-
-	coalesce, err := measureConcurrent(opts, query, false)
+	// Variant 2: Concurrency clients multiplexing over the shared pool.
+	coalesce, err := measureConcurrent(opts, query)
 	if err != nil {
 		return nil, fmt.Errorf("tcp+coalesce phase: %w", err)
 	}
 	coalesce.Name = "tcp+coalesce"
 	res.Variants = append(res.Variants, coalesce)
 	res.TCPConcurrentOpsPerSec = coalesce.OpsPerSec
-
-	// Variant 4: the attested service plane with opportunistic query
-	// batching — many queries per securechan record.
-	batch, err := measureQueryBatch(opts, query)
-	if err != nil {
-		return nil, fmt.Errorf("tcp+coalesce+query-batch phase: %w", err)
-	}
-	batch.Name = "tcp+coalesce+query-batch"
-	res.Variants = append(res.Variants, batch)
-
 	return res, nil
 }
 
@@ -211,9 +188,8 @@ func (s *tcpStack) close() {
 // newTCPStack starts a loopback relay server (data plane over the direct
 // conduit, gossip plane under the relay's overlay identity) and a client
 // membership that joins it via -bootstrap semantics; the conduit resolves
-// relays through the resulting attestation directory. noCoalesce selects
-// the pre-coalescing write path on both ends (the A/B baseline).
-func newTCPStack(direct transport.Conduit, relayID string, noCoalesce bool) (*tcpStack, error) {
+// relays through the resulting attestation directory.
+func newTCPStack(direct transport.Conduit, relayID string) (*tcpStack, error) {
 	serverMem := nettrans.NewMembership(nettrans.MembershipConfig{
 		Self:       rps.Descriptor{ID: rps.NodeID(relayID)},
 		PoolConfig: nettrans.PoolConfig{ID: relayID},
@@ -222,7 +198,6 @@ func newTCPStack(direct transport.Conduit, relayID string, noCoalesce bool) (*tc
 		ID:         "bench-relay-host",
 		Handler:    direct,
 		Membership: serverMem,
-		NoCoalesce: noCoalesce,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		serverMem.Stop()
@@ -257,7 +232,6 @@ func newTCPStack(direct transport.Conduit, relayID string, noCoalesce bool) (*tc
 		PoolConfig: nettrans.PoolConfig{
 			ID:             "bench-pool",
 			RequestTimeout: 30 * time.Second,
-			NoCoalesce:     noCoalesce,
 		},
 	})
 	return &tcpStack{server: srv, serverMem: serverMem, clientMem: clientMem, tcp: tcp}, nil
@@ -269,12 +243,12 @@ func newTCPStack(direct transport.Conduit, relayID string, noCoalesce bool) (*tc
 // an error probe. NewNetwork's hook has no error path, so a failed listen
 // or join is parked in the probe — callers MUST check it, or a bench phase
 // would silently measure the in-process path and label it TCP.
-func withTCPStack(relayID string, noCoalesce bool) (hook func(transport.Conduit) transport.Conduit, stack func() *tcpStack, cleanup func(), hookErr func() error) {
+func withTCPStack(relayID string) (hook func(transport.Conduit) transport.Conduit, stack func() *tcpStack, cleanup func(), hookErr func() error) {
 	var s *tcpStack
 	var err error
 	hook = func(direct transport.Conduit) transport.Conduit {
 		var st *tcpStack
-		st, err = newTCPStack(direct, relayID, noCoalesce)
+		st, err = newTCPStack(direct, relayID)
 		if err != nil {
 			return direct
 		}
@@ -343,10 +317,9 @@ func measureSerial(netOpts core.NetworkOptions, hook func(transport.Conduit) tra
 	}, nil
 }
 
-// measureSerialTCP runs the serial loopback-TCP measurement with coalescing
-// on (identical to off for a lone writer).
+// measureSerialTCP runs the serial loopback-TCP measurement.
 func measureSerialTCP(opts NetBenchOptions, query string) (NetBenchVariant, error) {
-	hook, _, cleanup, hookErr := withTCPStack(string(rps.Name(1)), false)
+	hook, _, cleanup, hookErr := withTCPStack(string(rps.Name(1)))
 	defer cleanup()
 	v, err := measureSerial(core.NetworkOptions{
 		Nodes:   2,
@@ -360,13 +333,12 @@ func measureSerialTCP(opts NetBenchOptions, query string) (NetBenchVariant, erro
 }
 
 // measureConcurrent times opts.Concurrency clients multiplexing forwards to
-// one relay over the shared TCP pool — with the pre-coalescing write path
-// (noCoalesce) or the coalesced one.
-func measureConcurrent(opts NetBenchOptions, query string, noCoalesce bool) (NetBenchVariant, error) {
+// one relay over the shared TCP pool.
+func measureConcurrent(opts NetBenchOptions, query string) (NetBenchVariant, error) {
 	// The relay is the highest-numbered node (ids are sorted); its identity
 	// is known before the network exists because overlay names are
 	// deterministic.
-	hook, stack, cleanup, hookErr := withTCPStack(string(rps.Name(opts.Concurrency)), noCoalesce)
+	hook, stack, cleanup, hookErr := withTCPStack(string(rps.Name(opts.Concurrency)))
 	defer cleanup()
 	net, err := core.NewNetwork(core.NetworkOptions{
 		Nodes:   opts.Concurrency + 1,
@@ -465,117 +437,6 @@ func measureConcurrent(opts NetBenchOptions, query string, noCoalesce bool) (Net
 	return v, nil
 }
 
-// measureQueryBatch times opts.Concurrency callers issuing queries over one
-// batching service client against a relay daemon's attested query plane —
-// many queries per securechan record, the service-layer analogue of frame
-// coalescing.
-func measureQueryBatch(opts NetBenchOptions, query string) (NetBenchVariant, error) {
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	relayPlat := enclave.NewDeterministicPlatform("bench-relay", []byte("netbench"), ias)
-	hsRelay, err := securechan.NewHandshaker(relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-	srv := nettrans.NewServer(nettrans.ServerConfig{
-		ID:      "bench-service",
-		Service: &nettrans.RelayService{Handshaker: hsRelay, Backend: core.NullBackend{}, Source: "bench-service"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return NetBenchVariant{}, err
-	}
-	defer srv.Close()
-
-	clientPlat := enclave.NewDeterministicPlatform("bench-client", []byte("netbench"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-
-	coldStart := time.Now()
-	c, err := nettrans.DialService(srv.Addr().String(), hsClient, nettrans.ClientConfig{
-		QueryBatching:  true,
-		RequestTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		return NetBenchVariant{}, err
-	}
-	defer c.Close()
-	if _, err := c.Query(query); err != nil {
-		return NetBenchVariant{}, fmt.Errorf("cold start: %w", err)
-	}
-	coldNs := float64(time.Since(coldStart).Nanoseconds())
-
-	perClient := opts.Iterations / opts.Concurrency
-	if perClient == 0 {
-		perClient = 1
-	}
-	warmPer := opts.Warmup/opts.Concurrency + 1
-	lats := make([][]float64, opts.Concurrency)
-	for i := range lats {
-		lats[i] = make([]float64, 0, perClient)
-	}
-	run := func(measured bool) error {
-		n := warmPer
-		if measured {
-			n = perClient
-		}
-		var wg sync.WaitGroup
-		errCh := make(chan error, opts.Concurrency)
-		for w := 0; w < opts.Concurrency; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				last := time.Now()
-				for i := 0; i < n; i++ {
-					if _, err := c.Query(query); err != nil {
-						errCh <- fmt.Errorf("caller %d iteration %d: %w", w, i, err)
-						return
-					}
-					if measured {
-						end := time.Now()
-						lats[w] = append(lats[w], float64(end.Sub(last).Nanoseconds()))
-						last = end
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errCh)
-		return <-errCh
-	}
-	if err := run(false); err != nil {
-		return NetBenchVariant{}, fmt.Errorf("warmup: %w", err)
-	}
-	before := c.WriteStats()
-	start := time.Now()
-	if err := run(true); err != nil {
-		return NetBenchVariant{}, err
-	}
-	elapsed := time.Since(start)
-	after := c.WriteStats()
-
-	totalOps := perClient * opts.Concurrency
-	all := make([]float64, 0, totalOps)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	nsPerOp := float64(elapsed.Nanoseconds()) / float64(totalOps)
-	v := NetBenchVariant{
-		Concurrency: opts.Concurrency,
-		NsPerOp:     nsPerOp,
-		OpsPerSec:   float64(totalOps) / elapsed.Seconds(),
-		P50NsPerOp:  stats.Percentile(all, 50),
-		P95NsPerOp:  stats.Percentile(all, 95),
-		ColdStartNs: coldNs,
-		WarmupOps:   warmPer * opts.Concurrency,
-	}
-	if df := after.Flushes - before.Flushes; df > 0 {
-		v.FramesPerFlush = float64(after.Frames-before.Frames) / float64(df)
-	}
-	return v, nil
-}
-
 // WriteJSON writes the result as indented JSON to path. When path already
 // holds a NetBenchResult, its summary is prepended to this result's history
 // (along with any history it carried), so the file accumulates the
@@ -594,7 +455,7 @@ func (r *NetBenchResult) WriteJSON(path string) error {
 // String renders the result for the terminal.
 func (r *NetBenchResult) String() string {
 	s := fmt.Sprintf(
-		"Network transport (%s):\n  %d iterations per variant, %d clients in the multiplexed variants\n  direct   %8.0f ns/op\n  loopback %8.0f ns/op  (%.0f req/s single client, +%.0f ns TCP overhead)\n  tcp+coalesce multiplexed: %.0f req/s aggregate",
+		"Network transport (%s):\n  %d iterations per variant, %d clients in the multiplexed variant\n  direct   %8.0f ns/op\n  loopback %8.0f ns/op  (%.0f req/s single client, +%.0f ns TCP overhead)\n  tcp+coalesce multiplexed: %.0f req/s aggregate",
 		r.Benchmark, r.Iterations, r.Concurrency, r.DirectNsPerOp, r.TCPNsPerOp,
 		r.TCPOpsPerSec, r.OverheadNsPerOp, r.TCPConcurrentOpsPerSec)
 	for _, v := range r.Variants {

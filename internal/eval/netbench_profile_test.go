@@ -12,7 +12,7 @@ func TestNetBenchProfile(t *testing.T) {
 	if os.Getenv("NETBENCH_PROFILE") == "" {
 		t.Skip("set NETBENCH_PROFILE=1 to run")
 	}
-	v, err := measureConcurrent(NetBenchOptions{Seed: 1, Iterations: 60000, Warmup: 500, Concurrency: 4}, "profile probe", false)
+	v, err := measureConcurrent(NetBenchOptions{Seed: 1, Iterations: 60000, Warmup: 500, Concurrency: 4}, "profile probe")
 	if err != nil {
 		t.Fatal(err)
 	}

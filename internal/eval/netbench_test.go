@@ -24,7 +24,7 @@ func TestRunNetBench(t *testing.T) {
 		t.Fatalf("TCP (%.0f ns) not slower than direct (%.0f ns): transport not engaged", r.TCPNsPerOp, r.DirectNsPerOp)
 	}
 
-	wantVariants := []string{"direct", "tcp", "tcp+coalesce", "tcp+coalesce+query-batch"}
+	wantVariants := []string{"direct", "tcp+coalesce"}
 	if len(r.Variants) != len(wantVariants) {
 		t.Fatalf("%d variants, want %d: %+v", len(r.Variants), len(wantVariants), r.Variants)
 	}

@@ -104,23 +104,14 @@ func TestAdmissionThrottlesAndSessionSurvives(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsBatchedQueries drives the query-batch path: batches
-// decrypt first (stream IDs ride inside the record), then the over-quota
-// suffix is refused per stream with the typed error.
-func TestAdmissionShedsBatchedQueries(t *testing.T) {
-	d, lim, _ := startThrottledDaemon(t, 1, 3)
-
-	plat := enclave.NewDeterministicPlatform("batch-client-platform", d.secret, d.ias)
-	encl := plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, d.verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialService(d.srv.Addr().String(), hs, ClientConfig{ID: "batch-client", QueryBatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+// TestAdmissionShedsConcurrentQueries races 8 queries on one session into
+// a burst of 3: exactly 3 are admitted and 5 shed with the typed error —
+// each shed record skipped before decrypt while admitted ones decrypt around
+// it, so the session's receive counter must stay in step — and after a
+// refill the same session answers again.
+func TestAdmissionShedsConcurrentQueries(t *testing.T) {
+	d, lim, clk := startThrottledDaemon(t, 1, 3)
+	c := d.dial(t)
 
 	const total = 8
 	var wg sync.WaitGroup
@@ -130,7 +121,7 @@ func TestAdmissionShedsBatchedQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := c.Query(fmt.Sprintf("batched %d", i))
+			_, err := c.Query(fmt.Sprintf("concurrent %d", i))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -150,6 +141,11 @@ func TestAdmissionShedsBatchedQueries(t *testing.T) {
 	st := lim.Stats()
 	if st.Admitted != 3 || st.Throttled != 5 {
 		t.Fatalf("limiter stats = %+v, want 3 admitted / 5 throttled", st)
+	}
+
+	clk.Advance(time.Second)
+	if _, err := c.Query("after refill"); err != nil {
+		t.Fatalf("query after refill on same session: %v", err)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // flusher goroutine (and every writer queued behind it) forever.
 const defaultWriteTimeout = 30 * time.Second
 
-// defaultCoalesceMaxBytes bounds the bytes queued in one pending write
-// batch; writers beyond it block until the flusher drains.
-const defaultCoalesceMaxBytes = 256 << 10
+// coalesceMaxBytes bounds the bytes queued in one pending write batch;
+// writers beyond it block until the flusher drains.
+const coalesceMaxBytes = 256 << 10
 
 // deadlineSlack is the re-arm elision window: an armed deadline is reused
 // (no syscall) while less than a quarter of its budget has elapsed, so the
@@ -72,19 +72,8 @@ func (w *WriteStats) Snapshot() WriteStatsSnapshot {
 	}
 }
 
-// writeOptions tunes a frameConn's write path.
+// writeOptions holds what a frameConn's owner supplies to its write path.
 type writeOptions struct {
-	// noCoalesce forces one flush per frame (the pre-coalescing write path),
-	// kept for A/B benchmark variants.
-	noCoalesce bool
-	// maxBatch bounds the pending batch bytes (default
-	// defaultCoalesceMaxBytes); writers block while the batch is over it.
-	maxBatch int
-	// delay, when > 0, lets the flush leader linger before flushing so more
-	// concurrent frames can join the batch. Default 0: flush immediately
-	// when the writer is idle — coalescing then comes only from frames that
-	// queue while a flush is in flight.
-	delay time.Duration
 	// timeout is the write deadline per flush (default defaultWriteTimeout;
 	// negative disables).
 	timeout time.Duration
@@ -94,9 +83,6 @@ type writeOptions struct {
 }
 
 func (o *writeOptions) applyDefaults() {
-	if o.maxBatch <= 0 {
-		o.maxBatch = defaultCoalesceMaxBytes
-	}
 	if o.timeout == 0 {
 		o.timeout = defaultWriteTimeout
 	} else if o.timeout < 0 {
@@ -225,23 +211,18 @@ func (fc *frameConn) writeSealedFrame(sess *securechan.Session, typ frameType, s
 }
 
 // waitWritable blocks (wmu held) until the frame may join the pending
-// batch: the connection is not poisoned, the batch is under its byte bound,
-// and — in no-coalesce mode — no other frame is queued or being flushed.
+// batch: the connection is not poisoned and the batch is under its byte
+// bound. An empty batch always admits, so a frame larger than the bound
+// still ships (alone).
 func (fc *frameConn) waitWritable(hint int) error {
-	for {
-		if fc.werr != nil {
-			return fc.werr
-		}
-		switch {
-		case fc.wopts.noCoalesce && (fc.flushing || len(fc.wbuf) > 0):
-			// One flush per frame: wait for exclusive use of the batch.
-		case len(fc.wbuf) > 0 && len(fc.wbuf)+hint > fc.wopts.maxBatch:
-			// Backpressure: the batch is full; wait for the flusher.
-		default:
+	for fc.werr == nil {
+		if len(fc.wbuf) == 0 || len(fc.wbuf)+hint <= coalesceMaxBytes {
 			return nil
 		}
+		// Backpressure: the batch is full; wait for the flusher.
 		fc.wcond.Wait()
 	}
+	return fc.werr
 }
 
 // commitFrame finishes a write after the frame bytes were appended under
@@ -276,29 +257,19 @@ func (fc *frameConn) commitFrame() error {
 func (fc *frameConn) flushLoop(ownGen uint64) error {
 	var ownErr error
 	for {
-		if fc.wopts.delay > 0 && fc.wflushed+1 == fc.wgen {
-			// Optional linger: give concurrent writers a window to join the
-			// batch before it is detached. Off by default — an idle writer
-			// flushes immediately.
+		// Cooperative linger: yield before detaching so writers that are
+		// runnable right now join this batch instead of paying their own
+		// flush. Bounded, and abandoned the moment a round adds nothing.
+		for i := 0; i < coalesceYieldRounds; i++ {
+			before := len(fc.wbuf)
+			if before >= coalesceMaxBytes {
+				break
+			}
 			fc.wmu.Unlock()
-			time.Sleep(fc.wopts.delay)
+			runtime.Gosched()
 			fc.wmu.Lock()
-		}
-		if !fc.wopts.noCoalesce {
-			// Cooperative linger: yield before detaching so writers that are
-			// runnable right now join this batch instead of paying their own
-			// flush. Bounded, and abandoned the moment a round adds nothing.
-			for i := 0; i < coalesceYieldRounds; i++ {
-				before := len(fc.wbuf)
-				if before >= fc.wopts.maxBatch {
-					break
-				}
-				fc.wmu.Unlock()
-				runtime.Gosched()
-				fc.wmu.Lock()
-				if len(fc.wbuf) == before {
-					break
-				}
+			if len(fc.wbuf) == before {
+				break
 			}
 		}
 		batch := fc.wbuf

@@ -114,24 +114,80 @@ func TestConcurrentWritersFrameIntegrity(t *testing.T) {
 		snap.Frames, snap.Flushes, snap.FramesPerFlush())
 }
 
-// TestNoCoalesceWritesFramePerFlush pins the A/B benchmark variant: with
-// coalescing off every frame pays exactly one flush.
-func TestNoCoalesceWritesFramePerFlush(t *testing.T) {
+// TestWriteBatchByteBound drives the pending-batch byte bound: writers of
+// ~100 KiB frames against a peer that is not reading must block in
+// waitWritable once the batch passes coalesceMaxBytes (the queue does not
+// grow with the number of writers), resume when the peer drains, and
+// deliver every frame intact and in per-writer order.
+func TestWriteBatchByteBound(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	var stats WriteStats
-	wc := newFrameConn(b, DefaultMaxFrame, writeOptions{noCoalesce: true, timeout: -1, stats: &stats})
-	go io.Copy(io.Discard, a) //nolint:errcheck
+	wc := newFrameConn(b, DefaultMaxFrame, writeOptions{timeout: -1, stats: &stats})
+	rc := newFrameConn(a, DefaultMaxFrame, writeOptions{})
 
-	const frames = 10
-	for i := 0; i < frames; i++ {
-		if err := wc.writeFrame(frameData, 1, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+	const writers, perWriter, frameLen = 6, 3, 100 << 10
+	mkPayload := func(writer, seq int) []byte {
+		p := bytes.Repeat([]byte{byte(writer<<4 | seq)}, frameLen)
+		binary.BigEndian.PutUint32(p, uint32(seq))
+		return p
 	}
-	if snap := stats.Snapshot(); snap.Flushes != frames || snap.Frames != frames {
-		t.Fatalf("no-coalesce stats = %+v, want %d flushes for %d frames", snap, frames, frames)
+	var wg sync.WaitGroup
+	errCh := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := 0; seq < perWriter; seq++ {
+				if err := wc.writeFrame(frameData, uint64(w+1), mkPayload(w, seq)); err != nil {
+					errCh <- fmt.Errorf("writer %d seq %d: %w", w, seq, err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	// Nobody reads yet, so the leader's first flush is stuck on the pipe.
+	// Two frames fit under the bound and a third does not: the stuck batch
+	// and the one pending behind it hold at most two frames each, and the
+	// other writers must be parked outside the queue, not appended to it.
+	deadline := time.Now().Add(5 * time.Second)
+	for stats.Snapshot().Flushes == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no flush started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let every writer reach the queue or the bound
+	wc.wmu.Lock()
+	pending := len(wc.wbuf)
+	wc.wmu.Unlock()
+	if pending > coalesceMaxBytes {
+		t.Fatalf("pending batch %d bytes exceeds the %d bound", pending, coalesceMaxBytes)
+	}
+	if queued := stats.Snapshot().Frames; queued > 4 {
+		t.Fatalf("%d frames queued against a stalled peer, want at most 4 (2 on the wire, 2 pending)", queued)
+	}
+
+	// Drain: every blocked writer resumes and every frame arrives whole.
+	nextSeq := make(map[uint64]int)
+	for i := 0; i < writers*perWriter; i++ {
+		h, buf, err := rc.readFrame(5 * time.Second)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		seq := nextSeq[h.stream]
+		nextSeq[h.stream] = seq + 1
+		if want := mkPayload(int(h.stream-1), seq); !bytes.Equal(*buf, want) {
+			t.Fatalf("stream %d frame %d corrupted or out of order", h.stream, seq)
+		}
+		putFrame(buf)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
 	}
 }
 

@@ -16,10 +16,10 @@
 // socket. length is the payload size; frames longer than the limit
 // (DefaultMaxFrame, covering the 1 MiB encrypted-record bound plus envelope
 // slack) are rejected before any allocation based on them, as are frames
-// with a bad magic, an unknown version or an unknown type. Frame payloads
-// use the internal/wire primitives (uvarint length-prefixed fields,
-// big-endian fixed fields), the same codec vocabulary as the enclave gate
-// frames.
+// with a bad magic, an unknown version or an unknown or retired type. Frame
+// payloads use the internal/wire primitives (uvarint length-prefixed
+// fields, big-endian fixed fields), the same codec vocabulary as the
+// enclave gate frames.
 //
 // Frame types:
 //
@@ -33,16 +33,19 @@
 //	goaway := (empty)                        — server draining, stop opening streams
 //	gossip := view buffer (rps wire format)  — membership exchange, both directions
 //	view   := (empty) out, JSON ViewSnapshot back           — introspection
-//	querybatch  := encrypted record          — many queries in one sealed record
-//	answerbatch := encrypted record          — many answers in one sealed record
+//	accounting := ledger state (PN-counter wire format)     — ledger exchange, both directions
+//
+// The type byte numbers them 1–10 in the order above and 13 for accounting.
+// Numbers 11 and 12 are retired and reserved: they carried a query-batch
+// record pair, are never reused, and are refused like an unknown type.
 //
 // A gossip frame's payload is an rps view buffer
 // (`ver | count | {id | addr | age}*`, see internal/rps/wire.go): the
 // initiator sends its exchange buffer, the passive side replies with its
-// own on the same stream. gossip/view and querybatch/answerbatch were
-// added after version 1 shipped as backward-additive extensions — the
-// header layout is unchanged and a peer that predates them rejects the
-// unknown type (and the connection) rather than misparsing the stream.
+// own on the same stream. gossip, view and accounting were added after
+// version 1 shipped as backward-additive extensions — the header layout is
+// unchanged and a peer that predates them rejects the unknown type (and the
+// connection) rather than misparsing the stream.
 //
 // # The write path
 //
@@ -55,12 +58,10 @@
 // cooperative linger, coalescing never engages on transports whose writes
 // do not block (loopback TCP). A lone writer still flushes immediately; a
 // flush failure is sticky and poisons every queued and future write; the
-// write deadline is disarmed when the queue goes idle. Tuning lives on
-// PoolConfig/ServerConfig/ClientConfig: NoCoalesce (one flush per frame,
-// the A/B benchmark baseline), CoalesceMaxBytes (pending-batch bound,
-// writers beyond it block) and CoalesceDelay (optional wall-clock linger,
-// default 0). WriteStats exposes flushes/frames/bytes — frames-per-flush
-// is the contention proxy BENCH_net.json reports.
+// write deadline is disarmed when the queue goes idle. The pending batch is
+// bounded at 256 KiB: writers beyond it block until the flusher drains.
+// WriteStats exposes flushes/frames/bytes — frames-per-flush is the
+// contention proxy BENCH_net.json reports.
 //
 // # Components
 //
@@ -92,12 +93,7 @@
 // write order (both happen under the connection write lock) and decryption
 // happens in the reader goroutine in arrival order, which is what the
 // channel's strict record sequence numbers require; concurrency lives
-// between the two, in the engine dispatch. With ClientConfig.QueryBatching
-// the client also batches at the record level: queries issued while
-// another caller's batch write is in flight share one sealed querybatch
-// record, the relay answers the entries concurrently (one stalled query
-// never starves co-batched fast ones), and answers that complete together
-// share an answerbatch record back. Connection teardown closes the
+// between the two, in the engine dispatch. Connection teardown closes the
 // session half on each side, so a dropped TCP connection never leaks nonce
 // state into a reconnect: the next connection re-attests from scratch.
 //

@@ -42,16 +42,6 @@ const (
 	// frameView is the membership introspection exchange: empty request out,
 	// JSON ViewSnapshot back on the same stream.
 	frameView frameType = 10
-	// frameQueryBatch carries one sealed record holding several client
-	// queries (count + {stream, query} entries), amortizing AES-GCM and
-	// socket writes across concurrent callers. frameAnswerBatch is its
-	// response shape: one sealed record of {stream, errMsg, results}
-	// entries. Both ride stream 0 — the routing stream IDs live inside the
-	// authenticated record, not the cleartext header. Added in PR 6,
-	// backward-additive like frameGossip: an older peer rejects the type
-	// (and the connection) rather than misparsing it.
-	frameQueryBatch  frameType = 11
-	frameAnswerBatch frameType = 12
 	// frameAccounting carries one misbehavior-ledger exchange (the
 	// internal/accounting PN-counter wire format) in each direction: the
 	// initiator's full ledger state out, the passive side's back on the same
@@ -63,6 +53,14 @@ const (
 
 	// frameTypeMax bounds the known types; anything above is rejected.
 	frameTypeMax = frameAccounting
+)
+
+// Types 11 and 12 carried the query-batch records of PR 6. They are retired:
+// reserved, never reused, and refused like any unknown type, so a peer that
+// still sends one loses the connection rather than being misparsed.
+const (
+	frameRetiredFirst frameType = 11
+	frameRetiredLast  frameType = 12
 )
 
 // maxGossipLen bounds a gossip or view frame payload: a view buffer is
@@ -121,7 +119,7 @@ func parseHeader(src *[headerSize]byte, maxFrame int) (header, error) {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameVersion, src[2])
 	}
 	typ := frameType(src[3])
-	if typ == 0 || typ > frameTypeMax {
+	if typ == 0 || typ > frameTypeMax || (typ >= frameRetiredFirst && typ <= frameRetiredLast) {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameType, src[3])
 	}
 	h := header{

@@ -64,6 +64,37 @@ func TestFrameHeaderRejectsHostileInput(t *testing.T) {
 	})
 }
 
+// TestFrameHeaderTypeTable pins which type bytes parseHeader lets through:
+// 11 and 12 (the retired query-batch pair) are refused like 0 and anything
+// past the last known type, while 13 keeps its number.
+func TestFrameHeaderTypeTable(t *testing.T) {
+	for _, tc := range []struct {
+		typ     byte
+		refused bool
+	}{
+		{0, true},
+		{byte(frameView), false},
+		{11, true},
+		{12, true},
+		{13, false},
+		{14, true},
+	} {
+		var hdr [headerSize]byte
+		putHeader(&hdr, frameType(tc.typ), 7, 64)
+		h, err := parseHeader(&hdr, DefaultMaxFrame)
+		if tc.refused {
+			if !errors.Is(err, ErrFrameType) {
+				t.Errorf("type %d: err = %v, want ErrFrameType", tc.typ, err)
+			}
+		} else if err != nil || h.typ != frameType(tc.typ) {
+			t.Errorf("type %d: header %+v err %v, want accepted", tc.typ, h, err)
+		}
+	}
+	if frameAccounting != 13 || ProtoVersion != 1 {
+		t.Fatalf("frameAccounting = %d, ProtoVersion = %d: wire numbers moved", frameAccounting, ProtoVersion)
+	}
+}
+
 func TestPayloadCodecsRoundTrip(t *testing.T) {
 	hello := appendHelloPayload(nil, "node-7")
 	id, err := decodeHelloPayload(hello)

@@ -2,7 +2,10 @@ package nettrans
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +40,78 @@ func TestErrPayloadTruncatesOversizedMessage(t *testing.T) {
 	}
 	if len(msg) != maxErrMsgLen {
 		t.Fatalf("msg length %d, want truncation to %d", len(msg), maxErrMsgLen)
+	}
+}
+
+// TestRetiredFrameTypesCutConnection: frame types 11 and 12 (the retired
+// query-batch pair) are refused with ErrFrameType at the header on both
+// connection roles, and the connection is cut.
+func TestRetiredFrameTypesCutConnection(t *testing.T) {
+	for _, typ := range []frameType{11, 12} {
+		t.Run(fmt.Sprintf("server/0x%02X", byte(typ)), func(t *testing.T) {
+			refused := make(chan error, 1)
+			srv := startEchoServer(t, ServerConfig{Logf: func(_ string, args ...any) {
+				for _, a := range args {
+					if err, ok := a.(error); ok && errors.Is(err, ErrFrameType) {
+						select {
+						case refused <- err:
+						default:
+						}
+					}
+				}
+			}})
+			p := NewPool(PoolConfig{RequestTimeout: 2 * time.Second})
+			defer p.Close()
+			_, buf, err := p.RoundTrip(srv.Addr().String(), typ, []byte("payload"))
+			if buf != nil {
+				putFrame(buf)
+			}
+			if !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("err = %v, want the connection cut", err)
+			}
+			select {
+			case <-refused:
+			case <-time.After(2 * time.Second):
+				t.Fatal("server read loop did not report ErrFrameType")
+			}
+		})
+		t.Run(fmt.Sprintf("pool/0x%02X", byte(typ)), func(t *testing.T) {
+			// A rogue peer: hello, then a retired-type frame as the answer.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer nc.Close()
+				fc := newFrameConn(nc, DefaultMaxFrame, writeOptions{})
+				if _, err := fc.expectHello(time.Second); err != nil || fc.sendHello("rogue") != nil {
+					return
+				}
+				h, buf, err := fc.readFrame(time.Second)
+				if err != nil {
+					return
+				}
+				putFrame(buf)
+				if fc.writeFrame(typ, h.stream, []byte("payload")) != nil {
+					return
+				}
+				fc.readFrame(2 * time.Second) //nolint:errcheck // hold the socket until the pool cuts it
+			}()
+			p := NewPool(PoolConfig{RequestTimeout: 2 * time.Second})
+			defer p.Close()
+			_, buf, err := echoRoundTrip(t, p, ln.Addr().String(), "x")
+			if buf != nil {
+				putFrame(buf)
+			}
+			if !errors.Is(err, ErrConnClosed) || !strings.Contains(err.Error(), ErrFrameType.Error()) {
+				t.Fatalf("err = %v, want ErrConnClosed caused by ErrFrameType", err)
+			}
+		})
 	}
 }
 
@@ -167,6 +242,54 @@ func TestServiceQueryTimeout(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	if _, err := c.Query("a good query"); err != nil {
 		t.Fatalf("session did not survive the timeout: %v", err)
+	}
+}
+
+// TestServiceStalledQueryDoesNotBlockOthers: one stalled engine call times
+// out on its own stream while queries issued alongside it on the same
+// session are answered — or refused by the engine — each on its own stream,
+// and the stalled query's late answer is dropped without killing the
+// session.
+func TestServiceStalledQueryDoesNotBlockOthers(t *testing.T) {
+	srv, hs := startFlakyDaemon(t, 300*time.Millisecond)
+	c, err := DialService(srv.Addr().String(), hs, ClientConfig{RequestTimeout: 80 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == 0 {
+				if _, err := c.Query("stall this one"); err == nil || !strings.Contains(err.Error(), "timed out") {
+					errCh <- fmt.Errorf("stalled query: err = %v, want timeout", err)
+				}
+				return
+			}
+			if i%4 == 3 {
+				if _, err := c.Query(fmt.Sprintf("refuse %d", i)); !errors.Is(err, ErrEngineRefused) {
+					errCh <- fmt.Errorf("refused query %d: err = %v, want ErrEngineRefused", i, err)
+				}
+				return
+			}
+			results, err := c.Query(fmt.Sprintf("fast %d", i))
+			if err != nil || len(results) != 1 || results[0].Title != "t" {
+				errCh <- fmt.Errorf("fast query %d: results=%v err=%v", i, results, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	time.Sleep(400 * time.Millisecond) // the late answer arrives and is dropped
+	if _, err := c.Query("after the late answer"); err != nil {
+		t.Fatalf("session did not survive the late answer: %v", err)
 	}
 }
 

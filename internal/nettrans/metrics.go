@@ -51,10 +51,7 @@ var (
 
 	mThrottledRecords = telemetry.Default().Counter(
 		"cyclosa_nettrans_throttled_records_total",
-		"Query records refused with a throttled error frame by per-client admission.")
-	mSkippedRecords = telemetry.Default().Counter(
-		"cyclosa_nettrans_skipped_records_total",
-		"Over-quota records whose sequence number was consumed without decryption to keep the channel in sync.")
+		"Over-quota query records shed by per-client admission: sequence number consumed without decryption, refused with a throttled error frame.")
 
 	mServeStage = telemetry.Default().HistogramVec(
 		"cyclosa_nettrans_serve_stage_seconds",

@@ -47,16 +47,6 @@ type PoolConfig struct {
 	// (defaults 50 ms and 5 s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// NoCoalesce disables write coalescing: every frame pays its own flush
-	// (the pre-coalescing behavior, kept for A/B benchmarking).
-	NoCoalesce bool
-	// CoalesceMaxBytes bounds the pending write batch per connection
-	// (default 256 KiB); writers block while the batch is over it.
-	CoalesceMaxBytes int
-	// CoalesceDelay, when > 0, lets an idle-writer flush linger briefly so
-	// concurrent frames can join the batch. Default 0: flush immediately
-	// when the writer is idle, coalesce only under contention.
-	CoalesceDelay time.Duration
 }
 
 func (cfg *PoolConfig) applyDefaults() {
@@ -320,12 +310,7 @@ func (p *Pool) dial(addr string) (*poolConn, error) {
 		mDialError.Inc()
 		return nil, fmt.Errorf("nettrans: dial %s: %w", addr, err)
 	}
-	fc := newFrameConn(nc, p.cfg.MaxFrame, writeOptions{
-		noCoalesce: p.cfg.NoCoalesce,
-		maxBatch:   p.cfg.CoalesceMaxBytes,
-		delay:      p.cfg.CoalesceDelay,
-		stats:      &p.wstats,
-	})
+	fc := newFrameConn(nc, p.cfg.MaxFrame, writeOptions{stats: &p.wstats})
 	id := p.cfg.ID
 	if id == "" {
 		id = nc.LocalAddr().String()

@@ -28,13 +28,11 @@ type ServerConfig struct {
 	// rejects both (data-plane-only server).
 	Membership *Membership
 	// Admission, when non-nil, rate-limits the attested query plane per
-	// client (keyed by hello identity). Over-quota single queries are shed
-	// before decrypt — the record's sequence number is consumed
+	// client (keyed by hello identity). Over-quota queries are shed before
+	// decrypt — the record's sequence number is consumed
 	// (securechan.Session.Skip) so the strict counter-nonce session stays in
 	// sync, but no AEAD or engine work is spent — and refused with a
-	// throttled err frame. Batched queries decrypt first (their routing
-	// stream IDs live inside the sealed record), then the over-quota suffix
-	// is shed per stream.
+	// throttled err frame.
 	Admission *accounting.Limiter
 	// MaxFrame bounds a frame payload (default DefaultMaxFrame).
 	MaxFrame int
@@ -51,15 +49,6 @@ type ServerConfig struct {
 	// DrainTimeout bounds the graceful drain on Close (default 5 s): after
 	// it, in-flight exchanges are abandoned and connections closed hard.
 	DrainTimeout time.Duration
-	// NoCoalesce disables response write coalescing: every frame pays its
-	// own flush (the pre-coalescing behavior, kept for A/B benchmarking).
-	NoCoalesce bool
-	// CoalesceMaxBytes bounds the pending write batch per connection
-	// (default 256 KiB).
-	CoalesceMaxBytes int
-	// CoalesceDelay, when > 0, lets an idle-writer flush linger briefly so
-	// concurrent responses can join the batch (default 0: immediate).
-	CoalesceDelay time.Duration
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -286,12 +275,7 @@ func (s *Server) worker(job func()) {
 
 // serveConn runs one connection: hello exchange, then the frame loop.
 func (s *Server) serveConn(nc net.Conn) {
-	fc := newFrameConn(nc, s.cfg.MaxFrame, writeOptions{
-		noCoalesce: s.cfg.NoCoalesce,
-		maxBatch:   s.cfg.CoalesceMaxBytes,
-		delay:      s.cfg.CoalesceDelay,
-		stats:      &s.wstats,
-	})
+	fc := newFrameConn(nc, s.cfg.MaxFrame, writeOptions{stats: &s.wstats})
 	if !s.register(fc) {
 		fc.Close()
 		return
@@ -380,7 +364,6 @@ func (s *Server) serveConn(nc net.Conn) {
 					s.cfg.Logf("nettrans: %s: throttled query skip: %v", nc.RemoteAddr(), err)
 					return
 				}
-				mSkippedRecords.Inc()
 				mThrottledRecords.Inc()
 				if fc.writeErrFrame(h.stream, errCodeThrottled, "client over rate limit") != nil {
 					return
@@ -399,53 +382,6 @@ func (s *Server) serveConn(nc net.Conn) {
 				// Same drain rule as data frames: refuse, don't cut.
 				if fc.writeErrFrame(h.stream, errCodeUnavailable, "server draining") != nil {
 					return
-				}
-				continue
-			}
-		case frameQueryBatch:
-			if svc == nil || !svc.attested() {
-				putFrame(buf)
-				s.cfg.Logf("nettrans: %s: query batch before attestation", nc.RemoteAddr())
-				return
-			}
-			// Same read-loop decrypt rule as single queries: records open in
-			// arrival order, then the engine work for the whole batch is one
-			// dispatch. A batch cannot be shed before decrypt — its routing
-			// stream IDs ride inside the sealed record — so admission runs
-			// just after: the first AllowN(n) entries proceed, the over-quota
-			// suffix is refused per stream.
-			streams, queries, err := svc.prepareQueryBatch(*buf)
-			putFrame(buf)
-			if err != nil {
-				s.cfg.Logf("nettrans: %s: query batch: %v", nc.RemoteAddr(), err)
-				return
-			}
-			if s.cfg.Admission != nil {
-				admitted := s.cfg.Admission.AllowN(peer, len(streams))
-				mThrottledRecords.Add(uint64(len(streams) - admitted))
-				shedOK := true
-				for _, stream := range streams[admitted:] {
-					if fc.writeErrFrame(stream, errCodeThrottled, "client over rate limit") != nil {
-						shedOK = false
-						break
-					}
-				}
-				if !shedOK {
-					return
-				}
-				streams, queries = streams[:admitted], queries[:admitted]
-				if len(streams) == 0 {
-					continue
-				}
-			}
-			work := func() { svc.answerBatch(streams, queries) }
-			if !s.dispatch(work) {
-				// Refuse each batched query on its own stream — the routing
-				// IDs live inside the record, not the frame header.
-				for _, stream := range streams {
-					if fc.writeErrFrame(stream, errCodeUnavailable, "server draining") != nil {
-						return
-					}
 				}
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,17 +20,6 @@ import (
 // maxServiceQueryLen bounds a query travelling the attested service (same
 // bound as the core wire codec).
 const maxServiceQueryLen = 8 << 10
-
-// maxBatchEntries bounds the queries carried in one query-batch record —
-// small enough that one batch cannot monopolize the dispatch plane, large
-// enough to amortize a seal + flush across a burst.
-const maxBatchEntries = 64
-
-// answerBatchFlushBytes is the accumulation threshold for batched answers:
-// once the plaintext under construction passes it, the partial batch is
-// sealed and flushed so the record stays far under maxRecordLen even with
-// full result pages per entry.
-const answerBatchFlushBytes = maxRecordLen / 2
 
 // Service errors.
 var (
@@ -58,8 +46,7 @@ type RelayService struct {
 }
 
 // serviceConn is the per-connection state of the service: the responder
-// session, the read-loop decrypt scratch, and the answer collector batched
-// engine answers funnel through.
+// session and the read-loop decrypt scratch.
 type serviceConn struct {
 	svc  *RelayService
 	fc   *frameConn
@@ -67,20 +54,6 @@ type serviceConn struct {
 
 	sess  *securechan.Session
 	ptBuf []byte // read-loop owned
-
-	// Answer collector: batched queries answer concurrently (one slow engine
-	// call must not starve co-batched entries), and completed answers queue
-	// under amu; the first completer into an idle queue becomes the leader
-	// and seals the queue into answer-batch records while later completers
-	// only enqueue. abuf holds the encoded entries behind a count
-	// placeholder byte; aends[i] is entry i's end offset (the chunking
-	// boundaries).
-	amu       sync.Mutex
-	abuf      []byte
-	aends     []int
-	aspare    []byte
-	aendspare []int
-	asending  bool
 }
 
 func (svc *RelayService) newConn(fc *frameConn, peer string) *serviceConn {
@@ -173,7 +146,7 @@ func (sc *serviceConn) answer(stream uint64, query string, decNS int64) {
 	mServeEngine.Observe(time.Duration(engNS))
 	sealStart := time.Now()
 	buf := getFrame()
-	pt := appendAnswerEntry((*buf)[:0], stream, results, err)
+	pt := appendAnswer((*buf)[:0], stream, results, err)
 	*buf = pt
 	werr := sc.fc.writeSealedFrame(sc.sess, frameAnswer, stream, pt)
 	sealNS := int64(time.Since(sealStart))
@@ -201,10 +174,9 @@ func (sc *serviceConn) answer(stream uint64, query string, decNS int64) {
 	putFrame(buf)
 }
 
-// appendAnswerEntry encodes one answer — stream(8B) engineErr(str)
-// resultsPage — the shape shared by the answer record body and the
-// answer-batch entry.
-func appendAnswerEntry(pt []byte, stream uint64, results []searchengine.Result, err error) []byte {
+// appendAnswer encodes one answer record body: stream(8B) engineErr(str)
+// resultsPage.
+func appendAnswer(pt []byte, stream uint64, results []searchengine.Result, err error) []byte {
 	pt = binary.BigEndian.AppendUint64(pt, stream)
 	if err != nil {
 		msg := err.Error()
@@ -216,187 +188,6 @@ func appendAnswerEntry(pt []byte, stream uint64, results []searchengine.Result, 
 	}
 	pt = wire.AppendString(pt, "")
 	return searchengine.AppendResults(pt, searchengine.ClampForWire(results))
-}
-
-// prepareQueryBatch opens one query-batch record in the read loop (records
-// decrypt in arrival order) and returns the decoded entries: parallel
-// stream/query slices the server dispatches — after per-stream admission —
-// as one answerBatch call. Queries are copied out of the decrypt scratch
-// before the next record reuses it.
-//
-// Batch record plaintext: count(1B), then count × {stream(8B) query(str)}.
-// The routing stream IDs ride inside the authenticated record instead of
-// the cleartext frame header, so there is no per-entry echo to check — GCM
-// already binds them to the session.
-func (sc *serviceConn) prepareQueryBatch(payload []byte) ([]uint64, []string, error) {
-	decStart := time.Now()
-	pt, err := sc.sess.DecryptAppend(sc.ptBuf[:0], payload)
-	mServeDecrypt.Observe(time.Since(decStart))
-	if err != nil {
-		return nil, nil, fmt.Errorf("query batch decrypt: %w", err)
-	}
-	sc.ptBuf = pt
-	if len(pt) < 1 {
-		return nil, nil, errors.New("query batch record: empty")
-	}
-	count := int(pt[0])
-	if count == 0 || count > maxBatchEntries {
-		return nil, nil, fmt.Errorf("query batch record: %d entries (limit %d)", count, maxBatchEntries)
-	}
-	rest := pt[1:]
-	streams := make([]uint64, 0, count)
-	queries := make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		stream, r, err := wire.ConsumeUint64(rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("query batch record: %w", err)
-		}
-		qb, r, err := wire.ConsumeBytes(r, maxServiceQueryLen)
-		if err != nil {
-			return nil, nil, fmt.Errorf("query batch record: %w", err)
-		}
-		streams = append(streams, stream)
-		queries = append(queries, string(qb))
-		rest = r
-	}
-	if len(rest) != 0 {
-		return nil, nil, errors.New("query batch record: trailing bytes")
-	}
-	return streams, queries, nil
-}
-
-// answerBatch answers every batched query concurrently: each entry runs the
-// engine in its own goroutine, and completed answers funnel through the
-// connection's answer collector, which seals whatever has accumulated into
-// answer-batch records as completions arrive. Co-batched entries therefore
-// never wait on each other's engine calls — one stalled query cannot starve
-// the fast ones that happened to share its batch record — while answers that
-// complete together still share a seal and a (coalesced) flush.
-func (sc *serviceConn) answerBatch(streams []uint64, queries []string) {
-	if len(streams) == 1 {
-		sc.searchAndQueue(streams[0], queries[0])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(streams))
-	for i := range streams {
-		go func(i int) {
-			defer wg.Done()
-			sc.searchAndQueue(streams[i], queries[i])
-		}(i)
-	}
-	// Waiting keeps the dispatch accounting honest: the batch's dispatch
-	// slot stays occupied until every entry answered, so server drain still
-	// covers in-flight batch work.
-	wg.Wait()
-}
-
-// searchAndQueue runs the engine for one batch entry and hands the answer
-// to the collector. The first completer into an idle queue becomes the
-// flush leader; later completers only enqueue — their entries ride the
-// leader's next record.
-func (sc *serviceConn) searchAndQueue(stream uint64, query string) {
-	engStart := time.Now()
-	results, err := sc.svc.Backend.Search(sc.svc.Source, query, time.Now())
-	engNS := int64(time.Since(engStart))
-	mServeEngine.Observe(time.Duration(engNS))
-	outcome, ctr := serveOutcomeOK, mServeOK
-	if err != nil {
-		outcome, ctr = serveOutcomeEngineError, mServeEngineError
-	}
-	ctr.Inc()
-	telemetry.Traces().Record(telemetry.Trace{
-		Op:            "serve",
-		Peer:          sc.peer,
-		Outcome:       outcome,
-		StartUnixNano: engStart.UnixNano(),
-		TotalNS:       engNS,
-		EngineNS:      engNS,
-	})
-	sc.amu.Lock()
-	if len(sc.abuf) == 0 {
-		sc.abuf = append(sc.abuf, 0) // count placeholder
-	}
-	sc.abuf = appendAnswerEntry(sc.abuf, stream, results, err)
-	sc.aends = append(sc.aends, len(sc.abuf))
-	leader := !sc.asending
-	if leader {
-		sc.asending = true
-	}
-	sc.amu.Unlock()
-	if leader {
-		sc.flushAnswers()
-	}
-}
-
-// flushAnswers is the collector's leader loop: repeatedly detach the queued
-// answers and seal them into answer-batch records, until the queue drains
-// or a write fails. Entries that queue while a record is being sealed or
-// flushed ride the next one.
-func (sc *serviceConn) flushAnswers() {
-	for {
-		sc.amu.Lock()
-		if len(sc.aends) == 0 {
-			sc.asending = false
-			sc.amu.Unlock()
-			return
-		}
-		entries, ends := sc.abuf, sc.aends
-		sc.abuf, sc.aends = sc.aspare[:0], sc.aendspare[:0]
-		sc.aspare, sc.aendspare = nil, nil
-		sc.amu.Unlock()
-
-		ok := sc.writeAnswerChunks(entries, ends)
-
-		sc.amu.Lock()
-		sc.aspare, sc.aendspare = entries[:0], ends[:0]
-		if !ok {
-			sc.asending = false
-			sc.amu.Unlock()
-			return
-		}
-		sc.amu.Unlock()
-	}
-}
-
-// writeAnswerChunks seals one detached answer queue into answer-batch
-// records, chunked at maxBatchEntries entries / answerBatchFlushBytes bytes
-// so no record approaches the bound. entries starts with the count
-// placeholder byte; ends[i] is entry i's end offset. Returns false after a
-// write failure (the connection is cut: the read loop must stop feeding the
-// engine).
-func (sc *serviceConn) writeAnswerChunks(entries []byte, ends []int) bool {
-	count := len(ends)
-	if count <= maxBatchEntries && len(entries) <= answerBatchFlushBytes {
-		// Common case: one record, sealed straight from the queue buffer.
-		entries[0] = byte(count)
-		if sc.fc.writeSealedFrame(sc.sess, frameAnswerBatch, 0, entries) != nil {
-			sc.fc.Close()
-			return false
-		}
-		return true
-	}
-	buf := getFrame()
-	defer putFrame(buf)
-	start, off := 0, 1
-	for start < count {
-		// A chunk always takes at least one entry, so an entry bigger than
-		// the flush threshold still ships (alone, far under maxRecordLen).
-		end := start + 1
-		for end < count && end-start < maxBatchEntries && ends[end]-off <= answerBatchFlushBytes {
-			end++
-		}
-		pt := append((*buf)[:0], byte(end-start))
-		pt = append(pt, entries[off:ends[end-1]]...)
-		*buf = pt
-		if sc.fc.writeSealedFrame(sc.sess, frameAnswerBatch, 0, pt) != nil {
-			sc.fc.Close()
-			return false
-		}
-		off = ends[end-1]
-		start = end
-	}
-	return true
 }
 
 // close closes the responder session half. Called on connection teardown —
@@ -421,22 +212,6 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds one query round trip (default 15 s).
 	RequestTimeout time.Duration
-	// QueryBatching enables opportunistic query batching: queries issued
-	// while another caller's batch write is in flight join a shared
-	// query-batch record, amortizing AES-GCM and socket writes across
-	// concurrent callers. A lone query still goes out immediately (as a
-	// one-entry batch), so idle-path latency is unchanged.
-	QueryBatching bool
-	// MaxQueryBatch bounds the queries per batch record (default 32,
-	// capped at the protocol limit of 64).
-	MaxQueryBatch int
-	// NoCoalesce disables frame write coalescing (A/B benchmarking).
-	NoCoalesce bool
-	// CoalesceMaxBytes bounds the pending write batch (default 256 KiB).
-	CoalesceMaxBytes int
-	// CoalesceDelay, when > 0, lets an idle-writer flush linger briefly so
-	// concurrent frames can join the batch (default 0: immediate).
-	CoalesceDelay time.Duration
 }
 
 func (cfg *ClientConfig) applyDefaults() {
@@ -448,12 +223,6 @@ func (cfg *ClientConfig) applyDefaults() {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 15 * time.Second
-	}
-	if cfg.MaxQueryBatch <= 0 {
-		cfg.MaxQueryBatch = 32
-	}
-	if cfg.MaxQueryBatch > maxBatchEntries {
-		cfg.MaxQueryBatch = maxBatchEntries
 	}
 }
 
@@ -468,17 +237,6 @@ type Client struct {
 
 	st streamTable[qResult] // the same multiplexing core the pool uses
 
-	// Opportunistic query batching (ClientConfig.QueryBatching): queries
-	// queue under bmu; the first caller into an idle queue becomes the
-	// batch leader and drains it into sealed query-batch records while
-	// later callers only enqueue and wait for their answers.
-	batching bool
-	maxBatch int
-	bmu      sync.Mutex
-	bqueue   []batchedQuery
-	bspare   []batchedQuery
-	bsending bool
-
 	// timeouts counts consecutive query timeouts; a session whose answer
 	// direction silently died is torn down after maxConsecutiveTimeouts so
 	// the caller redials instead of blackholing forever. Any answered query
@@ -487,15 +245,6 @@ type Client struct {
 
 	ptBuf []byte // reader-goroutine owned
 }
-
-// batchedQuery is one queued entry awaiting the batch leader.
-type batchedQuery struct {
-	stream uint64
-	query  string
-}
-
-// WriteStats snapshots the client connection's write-path counters.
-func (c *Client) WriteStats() WriteStatsSnapshot { return c.fc.wopts.stats.Snapshot() }
 
 // qResult is one answered (or failed) query.
 type qResult struct {
@@ -523,11 +272,7 @@ func dialService(addr string, hs *securechan.Handshaker, cfg ClientConfig) (*Cli
 	if err != nil {
 		return nil, fmt.Errorf("nettrans: dial %s: %w", addr, err)
 	}
-	fc := newFrameConn(nc, cfg.MaxFrame, writeOptions{
-		noCoalesce: cfg.NoCoalesce,
-		maxBatch:   cfg.CoalesceMaxBytes,
-		delay:      cfg.CoalesceDelay,
-	})
+	fc := newFrameConn(nc, cfg.MaxFrame, writeOptions{})
 	id := cfg.ID
 	if id == "" {
 		id = nc.LocalAddr().String()
@@ -596,8 +341,6 @@ func dialService(addr string, hs *securechan.Handshaker, cfg ClientConfig) (*Cli
 		sess:     sess,
 		serverID: serverID,
 		timeout:  cfg.RequestTimeout,
-		batching: cfg.QueryBatching,
-		maxBatch: cfg.MaxQueryBatch,
 	}
 	go c.readLoop()
 	return c, nil
@@ -611,9 +354,7 @@ func (c *Client) PeerMeasurement() string { return c.sess.PeerMeasurement().Stri
 
 // Query submits one query over the attested session and waits for its
 // answer. Safe for concurrent use: queries multiplex over the connection
-// via stream IDs, so many can be in flight at once. With QueryBatching on,
-// concurrent queries share sealed batch records instead of paying one seal
-// and flush each.
+// via stream IDs, so many can be in flight at once.
 func (c *Client) Query(query string) ([]searchengine.Result, error) {
 	if len(query) > maxServiceQueryLen {
 		return nil, fmt.Errorf("nettrans: query %d bytes exceeds %d", len(query), maxServiceQueryLen)
@@ -623,20 +364,16 @@ func (c *Client) Query(query string) ([]searchengine.Result, error) {
 		return nil, err
 	}
 
-	if c.batching {
-		c.enqueueBatched(id, query)
-	} else {
-		buf := getFrame()
-		pt := binary.BigEndian.AppendUint64((*buf)[:0], id)
-		pt = wire.AppendString(pt, query)
-		*buf = pt
-		err = c.fc.writeSealedFrame(c.sess, frameQuery, id, pt)
-		putFrame(buf)
-		if err != nil {
-			c.st.unregister(id)
-			c.fail(fmt.Errorf("nettrans: query write: %w", err))
-			return nil, err
-		}
+	buf := getFrame()
+	pt := binary.BigEndian.AppendUint64((*buf)[:0], id)
+	pt = wire.AppendString(pt, query)
+	*buf = pt
+	err = c.fc.writeSealedFrame(c.sess, frameQuery, id, pt)
+	putFrame(buf)
+	if err != nil {
+		c.st.unregister(id)
+		c.fail(fmt.Errorf("nettrans: query write: %w", err))
+		return nil, err
 	}
 
 	t := getTimer(c.timeout)
@@ -661,73 +398,6 @@ func (c *Client) Query(query string) ([]searchengine.Result, error) {
 			c.fail(fmt.Errorf("nettrans: session stopped answering (%d consecutive timeouts)", maxConsecutiveTimeouts))
 		}
 		return nil, fmt.Errorf("nettrans: query timed out after %s", c.timeout)
-	}
-}
-
-// enqueueBatched queues one registered query for the batch plane. The
-// first caller into an idle queue becomes the leader and drains it; later
-// callers just enqueue (their answers arrive via the read loop like any
-// other). A write failure inside the leader fails the whole client, which
-// fails every registered stream — so enqueue-and-wait is safe even when
-// the caller's entry never reaches the socket.
-func (c *Client) enqueueBatched(id uint64, query string) {
-	c.bmu.Lock()
-	c.bqueue = append(c.bqueue, batchedQuery{stream: id, query: query})
-	leader := !c.bsending
-	if leader {
-		c.bsending = true
-	}
-	c.bmu.Unlock()
-	if leader {
-		c.sendBatches()
-	}
-}
-
-// sendBatches is the batch leader loop: repeatedly detach the queued
-// entries and write them as sealed query-batch records (chunked at
-// maxBatch entries), until the queue drains. Entries that queue while a
-// record is being sealed or flushed ride the next record — that is the
-// whole coalescing win.
-func (c *Client) sendBatches() {
-	for {
-		c.bmu.Lock()
-		if len(c.bqueue) == 0 {
-			c.bsending = false
-			c.bmu.Unlock()
-			return
-		}
-		q := c.bqueue
-		c.bqueue = c.bspare[:0]
-		c.bspare = nil
-		c.bmu.Unlock()
-
-		for start := 0; start < len(q); start += c.maxBatch {
-			end := min(start+c.maxBatch, len(q))
-			chunk := q[start:end]
-			buf := getFrame()
-			pt := append((*buf)[:0], byte(len(chunk)))
-			for _, e := range chunk {
-				pt = binary.BigEndian.AppendUint64(pt, e.stream)
-				pt = wire.AppendString(pt, e.query)
-			}
-			*buf = pt
-			err := c.fc.writeSealedFrame(c.sess, frameQueryBatch, 0, pt)
-			putFrame(buf)
-			if err != nil {
-				// fail closes the stream table: every registered query —
-				// in this chunk, later chunks, and the live queue — gets
-				// the error; no waiter is left hanging.
-				c.bmu.Lock()
-				c.bsending = false
-				c.bmu.Unlock()
-				c.fail(fmt.Errorf("nettrans: query batch write: %w", err))
-				return
-			}
-		}
-
-		c.bmu.Lock()
-		c.bspare = q[:0]
-		c.bmu.Unlock()
 	}
 }
 
@@ -774,18 +444,6 @@ func (c *Client) readLoop() {
 				return
 			}
 			c.st.deliver(h.stream, res)
-		case frameAnswerBatch:
-			pt, err := c.sess.DecryptAppend(c.ptBuf[:0], *buf)
-			putFrame(buf)
-			if err != nil {
-				c.fail(fmt.Errorf("nettrans: answer batch decrypt: %w", err))
-				return
-			}
-			c.ptBuf = pt
-			if err := c.deliverAnswerBatch(pt); err != nil {
-				c.fail(fmt.Errorf("nettrans: bad answer batch record: %w", err))
-				return
-			}
 		case frameErr:
 			code, msg, derr := decodeErrPayload(*buf)
 			// msg aliases buf: build the error before the release.
@@ -825,57 +483,16 @@ func decodeAnswer(pt []byte) (qResult, uint64, error) {
 	if err != nil {
 		return qResult{}, 0, err
 	}
-	res, rest, err := consumeAnswerEntry(rest)
+	msg, rest, err := wire.ConsumeBytes(rest, maxErrMsgLen)
+	if err != nil {
+		return qResult{}, 0, err
+	}
+	results, rest, err := searchengine.DecodeResults(rest)
 	if err != nil {
 		return qResult{}, 0, err
 	}
 	if len(rest) != 0 {
 		return qResult{}, 0, errors.New("trailing bytes")
 	}
-	return res, echo, nil
-}
-
-// consumeAnswerEntry parses one answer body — engineErr(str) resultsPage —
-// and returns the remaining bytes. The results are copied out.
-func consumeAnswerEntry(data []byte) (qResult, []byte, error) {
-	msg, rest, err := wire.ConsumeBytes(data, maxErrMsgLen)
-	if err != nil {
-		return qResult{}, nil, err
-	}
-	results, rest, err := searchengine.DecodeResults(rest)
-	if err != nil {
-		return qResult{}, nil, err
-	}
-	return qResult{results: results, engineErr: string(msg)}, rest, nil
-}
-
-// deliverAnswerBatch parses one answer-batch plaintext — count(1B), then
-// count × {stream(8B) entry} — and routes each entry to its waiter. The
-// in-record stream IDs need no frame-header echo: the record is
-// authenticated, so a relay cannot remap answers without failing GCM.
-func (c *Client) deliverAnswerBatch(pt []byte) error {
-	if len(pt) < 1 {
-		return errors.New("empty")
-	}
-	count := int(pt[0])
-	if count == 0 || count > maxBatchEntries {
-		return fmt.Errorf("%d entries (limit %d)", count, maxBatchEntries)
-	}
-	rest := pt[1:]
-	for i := 0; i < count; i++ {
-		stream, r, err := wire.ConsumeUint64(rest)
-		if err != nil {
-			return err
-		}
-		res, r, err := consumeAnswerEntry(r)
-		if err != nil {
-			return err
-		}
-		c.st.deliver(stream, res)
-		rest = r
-	}
-	if len(rest) != 0 {
-		return errors.New("trailing bytes")
-	}
-	return nil
+	return qResult{results: results, engineErr: string(msg)}, echo, nil
 }
