@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cyclosa/internal/searchengine"
+	"cyclosa/internal/workers"
 )
 
 // Engine is the one-method search-engine seam the stack decorates. It is
@@ -145,8 +146,8 @@ type Stack struct {
 	inner Engine
 	pol   Policy
 
-	sem    chan struct{} // admission gate; slot held until the engine returns
-	workCh chan *call    // hand-off to a lingering watchdog worker
+	sem     chan struct{}        // admission gate; slot held until the engine returns
+	workers *workers.Pool[*call] // lingering watchdog workers running the engine calls
 
 	breaker  breaker
 	tokens   atomic.Int64  // retry budget, millitokens
@@ -177,11 +178,11 @@ const (
 func NewStack(inner Engine, pol Policy) *Stack {
 	p := pol.withDefaults()
 	s := &Stack{
-		inner:  inner,
-		pol:    p,
-		sem:    make(chan struct{}, p.MaxInFlight),
-		workCh: make(chan *call),
+		inner: inner,
+		pol:   p,
+		sem:   make(chan struct{}, p.MaxInFlight),
 	}
+	s.workers = workers.New("engine", s.runCall)
 	s.breaker.init(p)
 	s.tokens.Store(retryTokenCap) // cold start may retry
 	s.rngState.Store(uint64(0x9E3779B97F4A7C15))
@@ -398,22 +399,17 @@ func (s *Stack) attempt(source, query string, now time.Time, wait time.Duration)
 	c := s.getCall()
 	c.source, c.query, c.now = source, query, now
 
-	// Prefer a lingering worker; spawn only when none is waiting.
-	select {
-	case s.workCh <- c:
-	default:
-		go s.worker(c)
-	}
+	s.workers.Go(c)
 
-	t := getTimer(wait)
+	t := workers.GetTimer(wait)
 	select {
 	case <-c.done:
-		putTimer(t)
+		workers.PutTimer(t)
 		results, err := c.results, c.err
 		s.putCall(c)
 		return results, err
 	case <-t.C:
-		putTimer(t)
+		workers.PutTimer(t)
 		if c.state.CompareAndSwap(callLive, callAbandoned) {
 			// The engine is still running (hang or slow reply). Its slot
 			// stays held and the worker recycles the frame on return.
@@ -438,47 +434,4 @@ func (s *Stack) runCall(c *call) {
 	} else {
 		s.putCall(c) // abandoned: nobody will read the frame
 	}
-}
-
-// workerLinger is how long an idle watchdog worker waits for more calls
-// before exiting; steady-state traffic reuses workers instead of spawning.
-const workerLinger = 500 * time.Millisecond
-
-func (s *Stack) worker(c *call) {
-	s.runCall(c)
-	t := getTimer(workerLinger)
-	defer putTimer(t)
-	for {
-		select {
-		case next := <-s.workCh:
-			s.runCall(next)
-			if !t.Stop() {
-				<-t.C
-			}
-			t.Reset(workerLinger)
-		case <-t.C:
-			return
-		}
-	}
-}
-
-// timerPool recycles watchdog timers (same discipline as nettrans' server).
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
 }

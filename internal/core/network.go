@@ -16,6 +16,7 @@ import (
 	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/telemetry"
 	"cyclosa/internal/transport"
+	"cyclosa/internal/workers"
 )
 
 // DefaultClientSendCost is the per-request client-side dispatch cost (the
@@ -118,6 +119,9 @@ type Network struct {
 
 	requestCounter atomic.Uint64
 
+	// paths runs the k+1 forwards of every Search on lingering workers.
+	paths *workers.Pool[pathJob]
+
 	gossipMu   sync.Mutex
 	gossipStop chan struct{}
 	gossipDone chan struct{}
@@ -186,6 +190,7 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 		analyzerFor:      opts.AnalyzerFor,
 		tableSize:        opts.TableSize,
 		bootstrapQueries: opts.BootstrapQueries,
+		paths:            workers.New("path", runPath),
 	}
 	for i := range net.pairShards {
 		net.pairShards[i].m = make(map[pairKey]*pairState)

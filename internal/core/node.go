@@ -508,15 +508,10 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// parallel, and only the real query's path delays the user.
 	res.Latency = time.Duration(k+1) * n.net.clientSendCost
 
-	type outcome struct {
-		real        bool
-		reply       forwardResponse
-		usedRelay   string
-		pathLatency time.Duration
-		err         error
-	}
-	outcomes := make(chan outcome, k+1)
-	var wg sync.WaitGroup
+	// Every path runs on a lingering worker of the network's pool (never
+	// queued behind a busy one) and reports on outcomes, which has room for
+	// all of them.
+	outcomes := make(chan pathOutcome, k+1)
 	fakeIdx := 0
 	for i := 0; i <= k; i++ {
 		q := query
@@ -524,22 +519,20 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 			q = fakes[fakeIdx]
 			fakeIdx++
 		}
-		relay := string(relays[i])
-		isReal := i == realIdx
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Only the real query's page is kept; a fake's response is
-			// validated and dropped without being materialised.
-			reply, usedRelay, pathLatency, err := n.forwardWithRetry(relay, q, now, relays, !isReal)
-			outcomes <- outcome{real: isReal, reply: reply, usedRelay: usedRelay, pathLatency: pathLatency, err: err}
-		}()
+		n.net.paths.Go(pathJob{
+			node:    n,
+			relay:   string(relays[i]),
+			query:   q,
+			now:     now,
+			exclude: relays,
+			real:    i == realIdx,
+			out:     outcomes,
+		})
 	}
-	wg.Wait()
-	close(outcomes)
 
 	var realErr error
-	for o := range outcomes {
+	for i := 0; i <= k; i++ {
+		o := <-outcomes
 		if !o.real {
 			if o.err == nil {
 				n.stats.fakesSent.Add(1)
@@ -566,6 +559,33 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 
 	n.stats.searches.Add(1)
 	return res, nil
+}
+
+// pathJob is one of a search's k+1 paths, handed by value to a path worker.
+type pathJob struct {
+	node         *Node
+	relay, query string
+	now          time.Time
+	exclude      []rps.NodeID
+	real         bool
+	out          chan<- pathOutcome
+}
+
+// pathOutcome is what a path reports back to its Search.
+type pathOutcome struct {
+	real        bool
+	reply       forwardResponse
+	usedRelay   string
+	pathLatency time.Duration
+	err         error
+}
+
+// runPath is the path workers' job function. Only the real query's page is
+// kept; a fake's response is validated and dropped without being
+// materialised.
+func runPath(j pathJob) {
+	reply, usedRelay, pathLatency, err := j.node.forwardWithRetry(j.relay, j.query, j.now, j.exclude, !j.real)
+	j.out <- pathOutcome{real: j.real, reply: reply, usedRelay: usedRelay, pathLatency: pathLatency, err: err}
 }
 
 // forwardWithRetry forwards one query to relay, retrying over replacement

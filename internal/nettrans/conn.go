@@ -14,7 +14,8 @@ import (
 )
 
 // defaultWriteTimeout bounds one flush so a stalled peer cannot wedge the
-// flusher goroutine (and every writer queued behind it) forever.
+// flush leader (and every writer parked on the full batch behind it)
+// forever.
 const defaultWriteTimeout = 30 * time.Second
 
 // coalesceMaxBytes bounds the bytes queued in one pending write batch;
@@ -98,11 +99,16 @@ func (o *writeOptions) applyDefaults() {
 // whole batch in a single write) and one reader-side loop (single goroutine
 // by construction) consuming frames into pooled buffers.
 //
-// Write-path invariant: frames reach the socket in exactly the order they
+// Write-path contract: a write returns when its frame is queued, not when
+// it is on the socket — only the writer that found no flush in progress (the
+// leader) stays to flush. Frames reach the socket in exactly the order they
 // were appended to the batch queue, and appends happen under wmu — so
 // anything serialized by wmu (in particular record encryption in
-// writeSealedFrame) keeps its order on the wire. A flush failure is sticky:
-// it poisons the connection for every queued and future writer.
+// writeSealedFrame) keeps its order on the wire. A writer that has returned
+// cannot be told its frame was lost, so a failed flush closes the
+// connection: the error is sticky for every later writer, and the socket
+// close fails the read side, which is where every owner of a frameConn
+// already tears its streams and sessions down.
 type frameConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -114,10 +120,8 @@ type frameConn struct {
 	// them so writers keep appending while a flush is on the wire.
 	wbuf     []byte
 	wspare   []byte
-	wgen     uint64 // generation of the pending batch (starts at 1)
-	wflushed uint64 // highest generation fully flushed
-	flushing bool   // a leader is running the flush loop
-	werr     error  // sticky write-path failure
+	flushing bool  // a leader is running the flush loop
+	werr     error // sticky write-path failure
 	wopts    writeOptions
 
 	// wArmedAt tracks the armed write deadline for re-arm elision and the
@@ -143,7 +147,6 @@ func newFrameConn(c net.Conn, maxFrame int, wopts writeOptions) *frameConn {
 	fc := &frameConn{
 		c:        c,
 		br:       bufio.NewReaderSize(c, 32<<10),
-		wgen:     1,
 		wopts:    wopts,
 		maxFrame: maxFrame,
 	}
@@ -153,8 +156,8 @@ func newFrameConn(c net.Conn, maxFrame int, wopts writeOptions) *frameConn {
 
 // writeFrame writes one frame whose payload is the concatenation of parts.
 // Parts are copied into the batch queue during the call and never retained.
-// The call returns once the frame is on the socket (or the flush that
-// carried it failed).
+// The call returns once the frame is queued; the flush leader alone returns
+// after the flush, with its error.
 func (fc *frameConn) writeFrame(typ frameType, stream uint64, parts ...[]byte) error {
 	total := 0
 	for _, p := range parts {
@@ -219,7 +222,7 @@ func (fc *frameConn) waitWritable(hint int) error {
 		if len(fc.wbuf) == 0 || len(fc.wbuf)+hint <= coalesceMaxBytes {
 			return nil
 		}
-		// Backpressure: the batch is full; wait for the flusher.
+		// Backpressure: the batch is full; wait for the leader to detach it.
 		fc.wcond.Wait()
 	}
 	return fc.werr
@@ -227,35 +230,24 @@ func (fc *frameConn) waitWritable(hint int) error {
 
 // commitFrame finishes a write after the frame bytes were appended under
 // wmu: the first writer into an idle queue becomes the flush leader and
-// drains the queue; everyone else waits for the flush that carries their
-// generation. Called with wmu held; always unlocks it.
+// drains the queue; everyone else is done — the leader in progress carries
+// their frame. Called with wmu held; always unlocks it.
 func (fc *frameConn) commitFrame() error {
 	fc.wopts.stats.frames.Add(1)
 	mFramesWritten.Inc()
-	gen := fc.wgen
 	if fc.flushing {
-		// A leader is active: it will pick this batch up after the flush in
-		// flight. Wait for our generation (or the sticky failure).
-		for fc.wflushed < gen && fc.werr == nil {
-			fc.wcond.Wait()
-		}
-		var err error
-		if fc.wflushed < gen {
-			err = fc.werr
-		}
 		fc.wmu.Unlock()
-		return err
+		return nil
 	}
 	fc.flushing = true
-	return fc.flushLoop(gen)
+	return fc.flushLoop()
 }
 
 // flushLoop is the leader side of the group commit: repeatedly detach the
 // pending batch and write it in one call, until the queue is empty or a
-// flush fails. Called with wmu held; returns the outcome of the batch
-// carrying the leader's own frame (ownGen) and always unlocks wmu.
-func (fc *frameConn) flushLoop(ownGen uint64) error {
-	var ownErr error
+// flush fails. A failure poisons the connection and closes the socket (see
+// the frameConn contract). Called with wmu held; always unlocks it.
+func (fc *frameConn) flushLoop() error {
 	for {
 		// Cooperative linger: yield before detaching so writers that are
 		// runnable right now join this batch instead of paying their own
@@ -273,10 +265,11 @@ func (fc *frameConn) flushLoop(ownGen uint64) error {
 			}
 		}
 		batch := fc.wbuf
-		gen := fc.wgen
 		fc.wbuf = fc.wspare[:0]
 		fc.wspare = nil
-		fc.wgen++
+		// The pending batch is empty again: writers parked on the byte bound
+		// fill it while this one is on the wire.
+		fc.wcond.Broadcast()
 		fc.wmu.Unlock()
 
 		err := fc.flushBytes(batch)
@@ -284,28 +277,23 @@ func (fc *frameConn) flushLoop(ownGen uint64) error {
 		fc.wmu.Lock()
 		fc.wspare = batch[:0]
 		if err != nil {
-			if gen <= ownGen {
-				ownErr = err
-			}
 			fc.werr = err
 			fc.flushing = false
 			fc.wcond.Broadcast()
 			fc.wmu.Unlock()
-			return ownErr
+			fc.c.Close() //nolint:errcheck // the flush error is the one reported
+			return err
 		}
-		fc.wflushed = gen
-		if len(fc.wbuf) == 0 || fc.werr != nil {
+		if len(fc.wbuf) == 0 {
 			// Going idle: disarm the write deadline so the stale one cannot
 			// fire mid-write after an idle gap (the write-side mirror of the
 			// read path's deadline-free disarm). Done before handing off the
 			// flusher role so no new leader can race the disarm.
 			fc.disarmWriteDeadline()
 			fc.flushing = false
-			fc.wcond.Broadcast()
 			fc.wmu.Unlock()
-			return ownErr
+			return nil
 		}
-		fc.wcond.Broadcast()
 	}
 }
 

@@ -118,7 +118,10 @@ func TestConcurrentWritersFrameIntegrity(t *testing.T) {
 // ~100 KiB frames against a peer that is not reading must block in
 // waitWritable once the batch passes coalesceMaxBytes (the queue does not
 // grow with the number of writers), resume when the peer drains, and
-// deliver every frame intact and in per-writer order.
+// deliver every frame intact and in per-writer order. It starts with the
+// double buffer's reason to exist: a writer parked on the full batch gets
+// into the next one as soon as the leader detaches, while that flush is
+// still blocked on the peer.
 func TestWriteBatchByteBound(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -133,6 +136,78 @@ func TestWriteBatchByteBound(t *testing.T) {
 		binary.BigEndian.PutUint32(p, uint32(seq))
 		return p
 	}
+	waitFlushes := func(n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); stats.Snapshot().Flushes < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d flushes started, want %d", stats.Snapshot().Flushes, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	pendingBytes := func() int {
+		wc.wmu.Lock()
+		defer wc.wmu.Unlock()
+		return len(wc.wbuf)
+	}
+	readIntact := func(stream uint64, writer, seq int) {
+		t.Helper()
+		h, buf, err := rc.readFrame(5 * time.Second)
+		if err != nil {
+			t.Fatalf("read stream %d: %v", stream, err)
+		}
+		if h.stream != stream || !bytes.Equal(*buf, mkPayload(writer, seq)) {
+			t.Fatalf("got stream %d, want stream %d intact", h.stream, stream)
+		}
+		putFrame(buf)
+	}
+
+	// Overlap: the leader's first flush (frame 101) is stuck on the pipe; 102
+	// and 103 queue behind it and return; 104 does not fit and parks.
+	leader := make(chan error, 1)
+	go func() { leader <- wc.writeFrame(frameData, 101, mkPayload(10, 1)) }()
+	waitFlushes(1)
+	for stream := uint64(102); stream <= 103; stream++ {
+		if err := wc.writeFrame(frameData, stream, mkPayload(10, int(stream-100))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- wc.writeFrame(frameData, 104, mkPayload(10, 4)) }()
+	select {
+	case err := <-parked:
+		t.Fatalf("a third 100 KiB frame joined a %d-byte batch (err %v)", pendingBytes(), err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := stats.Snapshot().Frames; got != 3 {
+		t.Fatalf("%d frames queued with one parked, want 3", got)
+	}
+	// Let exactly the first flush through. The leader detaches 102+103 and
+	// blocks again — nobody reads — and that detach must admit 104.
+	readIntact(101, 10, 1)
+	waitFlushes(2)
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked writer still waiting after the detach: filling does not overlap flushing")
+	}
+	if got := stats.Snapshot().Flushes; got != 2 {
+		t.Fatalf("%d flushes by the time the parked writer got in, want 2 (the second still blocked)", got)
+	}
+	if pending := pendingBytes(); pending > coalesceMaxBytes {
+		t.Fatalf("pending batch %d bytes exceeds the %d bound", pending, coalesceMaxBytes)
+	}
+	for seq := 2; seq <= 4; seq++ {
+		readIntact(uint64(100+seq), 10, seq)
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	flushed, queued := stats.Snapshot().Flushes, stats.Snapshot().Frames
+
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -152,22 +227,13 @@ func TestWriteBatchByteBound(t *testing.T) {
 	// Two frames fit under the bound and a third does not: the stuck batch
 	// and the one pending behind it hold at most two frames each, and the
 	// other writers must be parked outside the queue, not appended to it.
-	deadline := time.Now().Add(5 * time.Second)
-	for stats.Snapshot().Flushes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no flush started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFlushes(flushed + 1)
 	time.Sleep(50 * time.Millisecond) // let every writer reach the queue or the bound
-	wc.wmu.Lock()
-	pending := len(wc.wbuf)
-	wc.wmu.Unlock()
-	if pending > coalesceMaxBytes {
+	if pending := pendingBytes(); pending > coalesceMaxBytes {
 		t.Fatalf("pending batch %d bytes exceeds the %d bound", pending, coalesceMaxBytes)
 	}
-	if queued := stats.Snapshot().Frames; queued > 4 {
-		t.Fatalf("%d frames queued against a stalled peer, want at most 4 (2 on the wire, 2 pending)", queued)
+	if got := stats.Snapshot().Frames - queued; got > 4 {
+		t.Fatalf("%d frames queued against a stalled peer, want at most 4 (2 on the wire, 2 pending)", got)
 	}
 
 	// Drain: every blocked writer resumes and every frame arrives whole.

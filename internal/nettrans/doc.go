@@ -56,12 +56,26 @@
 // write. Before detaching a batch the leader briefly yields the processor
 // so writers that are already runnable can join it — without that
 // cooperative linger, coalescing never engages on transports whose writes
-// do not block (loopback TCP). A lone writer still flushes immediately; a
-// flush failure is sticky and poisons every queued and future write; the
-// write deadline is disarmed when the queue goes idle. The pending batch is
-// bounded at 256 KiB: writers beyond it block until the flusher drains.
-// WriteStats exposes flushes/frames/bytes — frames-per-flush is the
-// contention proxy BENCH_net.json reports.
+// do not block (loopback TCP). A lone writer still flushes immediately; the
+// write deadline is disarmed when the queue goes idle.
+//
+// The contract: writeFrame returns when the frame is queued; a failed flush
+// closes the connection. Only the leader stays for the flush — a writer
+// that found one in progress appends its frame and returns, because what it
+// does next (a round trip parks on its stream's channel, a server worker
+// goes back to its pool) does not depend on the bytes having left. Such a
+// writer cannot be handed an error later, so the leader of a failed flush
+// poisons the connection for every later writer and closes the socket, and
+// the read side does the rest: the pool's read loop fails every pending
+// stream with ErrConnClosed at once, a service client fails its queries and
+// closes its session half, a server connection unregisters and releases its
+// responder session.
+//
+// The pending batch is bounded at 256 KiB: writers beyond it block until
+// the leader detaches the batch (not until that batch is flushed — the next
+// one fills while the previous is on the wire). WriteStats exposes
+// flushes/frames/bytes — frames-per-flush is the contention proxy
+// BENCH_net.json reports.
 //
 // # Components
 //

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cyclosa/internal/workers"
 )
 
 // Pool errors. Everything a Pool returns signals the peer is unreachable in
@@ -129,29 +131,6 @@ type poolConn struct {
 // maxConsecutiveTimeouts retires a connection that stopped answering.
 const maxConsecutiveTimeouts = 3
 
-// timerPool recycles the per-exchange wait timers (RoundTrip, Query,
-// backpressure) so the hot path doesn't start a fresh runtime timer per
-// exchange. A timer is stopped and drained before going back.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
 // NewPool builds a pool.
 func NewPool(cfg PoolConfig) *Pool {
 	cfg.applyDefaults()
@@ -177,13 +156,16 @@ func (p *Pool) RoundTrip(addr string, typ frameType, parts ...[]byte) (header, *
 	pc.lastUse.Store(time.Now().UnixNano())
 
 	if err := pc.fc.writeFrame(typ, stream, parts...); err != nil {
+		// Only the flush leader (or a writer the poisoned connection turned
+		// away) sees the write error; the streams whose frames were queued
+		// behind it learn that the connection is gone.
 		pc.st.unregister(stream)
-		p.connFailed(addr, pc, fmt.Errorf("nettrans: write to %s: %w", addr, err))
+		p.connFailed(addr, pc, fmt.Errorf("%w: %s: write: %v", ErrConnClosed, addr, err))
 		return header{}, nil, fmt.Errorf("nettrans: write to %s: %w", addr, err)
 	}
 
-	t := getTimer(p.cfg.RequestTimeout)
-	defer putTimer(t)
+	t := workers.GetTimer(p.cfg.RequestTimeout)
+	defer workers.PutTimer(t)
 	select {
 	case res := <-ch:
 		pc.lastUse.Store(time.Now().UnixNano())
@@ -224,12 +206,12 @@ func (p *Pool) claimStream(addr string) (*poolConn, uint64, chan callResult, err
 		select {
 		case pc.sem <- struct{}{}:
 		default:
-			t := getTimer(p.cfg.RequestTimeout)
+			t := workers.GetTimer(p.cfg.RequestTimeout)
 			select {
 			case pc.sem <- struct{}{}:
-				putTimer(t)
+				workers.PutTimer(t)
 			case <-t.C:
-				putTimer(t)
+				workers.PutTimer(t)
 				return nil, 0, nil, fmt.Errorf("%w: %s", ErrPipeFull, addr)
 			}
 		}
@@ -325,6 +307,12 @@ func (p *Pool) dial(addr string) (*poolConn, error) {
 		mDialError.Inc()
 		return nil, fmt.Errorf("nettrans: hello from %s: %w", addr, err)
 	}
+	mDialOK.Inc()
+	return p.adopt(fc, addr), nil
+}
+
+// adopt wraps a connection that has exchanged hellos and starts its reader.
+func (p *Pool) adopt(fc *frameConn, addr string) *poolConn {
 	pc := &poolConn{
 		fc:   fc,
 		addr: addr,
@@ -332,9 +320,8 @@ func (p *Pool) dial(addr string) (*poolConn, error) {
 		sem:  make(chan struct{}, p.cfg.MaxPending),
 	}
 	pc.lastUse.Store(time.Now().UnixNano())
-	mDialOK.Inc()
 	go pc.readLoop()
-	return pc, nil
+	return pc
 }
 
 // connFailed tears down a connection after a transport error so the next

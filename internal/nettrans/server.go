@@ -10,6 +10,7 @@ import (
 	"cyclosa/internal/accounting"
 	"cyclosa/internal/core"
 	"cyclosa/internal/transport"
+	"cyclosa/internal/workers"
 )
 
 // ServerConfig configures a Server.
@@ -84,11 +85,10 @@ type Server struct {
 	sem      chan struct{}
 	inflight sync.WaitGroup
 
-	// workCh hands dispatched exchanges to lingering workers, so a steady
-	// request rate reuses a small set of goroutines instead of spawning one
-	// per exchange; workersStop (closed on Close) reaps idle workers.
-	workCh      chan func()
-	workersStop chan struct{}
+	// workers run the dispatched exchanges, so a steady request rate reuses
+	// a small set of goroutines instead of spawning one per exchange; Close
+	// stops them.
+	workers *workers.Pool[func()]
 
 	mu     sync.Mutex
 	conns  map[*frameConn]struct{}
@@ -98,21 +98,17 @@ type Server struct {
 	loopDone chan struct{} // closed when the accept loop exits
 }
 
-// workerLinger is how long an idle dispatch worker waits for more work
-// before exiting.
-const workerLinger = 500 * time.Millisecond
-
 // NewServer builds a server; call Start (or Listen + Serve) to run it.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.applyDefaults()
-	return &Server{
-		cfg:         cfg,
-		sem:         make(chan struct{}, cfg.MaxInFlight),
-		workCh:      make(chan func()),
-		workersStop: make(chan struct{}),
-		conns:       make(map[*frameConn]struct{}),
-		loopDone:    make(chan struct{}),
+	s := &Server{
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		conns:    make(map[*frameConn]struct{}),
+		loopDone: make(chan struct{}),
 	}
+	s.workers = workers.New("dispatch", s.runDispatched)
+	return s
 }
 
 // WriteStats snapshots the server's aggregated write-path counters.
@@ -223,9 +219,8 @@ func (s *Server) unregister(fc *frameConn) {
 // dispatch runs work on a bounded worker slot. It returns false when the
 // server is draining (the work is not run). Acquiring the slot blocks the
 // calling read loop — bounded in-flight work is the backpressure. The work
-// is handed to an idle lingering worker when one is waiting; a fresh
-// goroutine is spawned only when none is (and it lingers afterwards), so a
-// steady request rate pays the goroutine start cost once, not per exchange.
+// runs on a lingering worker (see package workers), so a steady request
+// rate pays the goroutine start cost once, not per exchange.
 func (s *Server) dispatch(work func()) bool {
 	s.sem <- struct{}{}
 	s.mu.Lock()
@@ -236,41 +231,18 @@ func (s *Server) dispatch(work func()) bool {
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
-	job := func() {
-		defer func() {
-			<-s.sem
-			s.inflight.Done()
-		}()
-		work()
-	}
-	select {
-	case s.workCh <- job:
-	default:
-		go s.worker(job)
-	}
+	s.workers.Go(work)
 	return true
 }
 
-// worker runs one job, then lingers on the work channel so the next
-// dispatch can reuse this goroutine instead of starting a new one.
-func (s *Server) worker(job func()) {
-	job()
-	t := getTimer(workerLinger)
-	defer putTimer(t)
-	for {
-		select {
-		case j := <-s.workCh:
-			j()
-			if !t.Stop() {
-				<-t.C
-			}
-			t.Reset(workerLinger)
-		case <-t.C:
-			return
-		case <-s.workersStop:
-			return
-		}
-	}
+// runDispatched is the dispatch workers' job function: run the exchange,
+// then give back the slot dispatch took for it.
+func (s *Server) runDispatched(work func()) {
+	defer func() {
+		<-s.sem
+		s.inflight.Done()
+	}()
+	work()
 }
 
 // serveConn runs one connection: hello exchange, then the frame loop.
@@ -486,9 +458,10 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // handleData serves one conduit exchange: decode, deliver, respond. It owns
-// buf and releases it. Any response-write failure closes the connection:
-// bufio's write errors are sticky, so a peer that stopped reading would
-// otherwise keep feeding us work whose answers all silently vanish.
+// buf and releases it. Any response-write failure closes the connection (a
+// failed flush already has; this covers a response that could not even be
+// queued), so a peer that stopped reading cannot keep feeding us work whose
+// answers all silently vanish.
 func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
 	defer putFrame(buf)
 	nowNano, from, to, record, err := decodeDataPayload(*buf)
@@ -511,9 +484,10 @@ func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
 	}
 	meta := getFrame()
 	*meta = appendRespMeta((*meta)[:0], int64(injected), len(resp))
-	// The response record is written out before this exchange returns; the
-	// conduit contract keeps it valid until the pair's next delivery, which
-	// cannot start until the requester has read this frame.
+	// The response record is copied into the write batch before this
+	// exchange returns; the conduit contract keeps it valid until the pair's
+	// next delivery, which cannot start until the requester has read this
+	// frame.
 	if fc.writeFrame(frameResp, h.stream, *meta, resp) != nil {
 		fc.Close()
 	}
@@ -539,7 +513,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	// Reap idle dispatch workers; ones mid-job finish it (inflight below).
-	close(s.workersStop)
+	s.workers.Stop()
 	if ln != nil {
 		ln.Close()
 	}

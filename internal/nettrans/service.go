@@ -15,6 +15,7 @@ import (
 	"cyclosa/internal/securechan"
 	"cyclosa/internal/telemetry"
 	"cyclosa/internal/wire"
+	"cyclosa/internal/workers"
 )
 
 // maxServiceQueryLen bounds a query travelling the attested service (same
@@ -167,8 +168,9 @@ func (sc *serviceConn) answer(stream uint64, query string, decNS int64) {
 		SealNS:        sealNS,
 	})
 	if werr != nil {
-		// Sticky write failure (peer stopped reading, deadline tripped):
-		// cut the connection so the read loop stops feeding the engine.
+		// The answer could not be queued (poisoned connection, closed
+		// session) or its flush failed: cut the connection so the read loop
+		// stops feeding the engine.
 		sc.fc.Close()
 	}
 	putFrame(buf)
@@ -376,8 +378,8 @@ func (c *Client) Query(query string) ([]searchengine.Result, error) {
 		return nil, err
 	}
 
-	t := getTimer(c.timeout)
-	defer putTimer(t)
+	t := workers.GetTimer(c.timeout)
+	defer workers.PutTimer(t)
 	select {
 	case res := <-ch:
 		if res.err != nil {

@@ -26,6 +26,17 @@ type testDaemon struct {
 
 func startTestDaemon(t *testing.T, secret string) *testDaemon {
 	t.Helper()
+	d := newTestDaemon(t, secret)
+	if err := d.srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// newTestDaemon builds the daemon without starting it, for tests that get
+// between its listener and its connections.
+func newTestDaemon(t *testing.T, secret string) *testDaemon {
+	t.Helper()
 	d := &testDaemon{ias: enclave.NewIAS(), secret: []byte(secret)}
 	d.verifier = enclave.NewVerifier(d.ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
 
@@ -42,9 +53,6 @@ func startTestDaemon(t *testing.T, secret string) *testDaemon {
 		ID:      "daemon-under-test",
 		Service: &RelayService{Handshaker: hs, Backend: engine, Source: "daemon-under-test"},
 	})
-	if err := d.srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { d.srv.Close() })
 	return d
 }
