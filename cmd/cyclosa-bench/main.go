@@ -34,8 +34,8 @@
 // rate exceeds its seeded bound or the WAN view-quality invariants break.
 // -json emits BENCH_privacy.json with history carried forward.
 //
-// The accounting experiment overloads the attested query plane at twice
-// each client's admitted rate and reports admitted vs throttled, then
+// The accounting experiment has hosted client nodes forward to one hosted
+// relay at twice each client's admitted rate and reports admitted vs throttled, then
 // re-measures the forward hot path to show the per-client token buckets
 // and the net-commit stats seam keep it allocation-flat; the process exits
 // non-zero if throttling never fired, the offered load never reached 2x

@@ -1,44 +1,56 @@
-// Command cyclosa-node is the networked deployment: a long-running relay
-// daemon serving many concurrent clients over the internal/nettrans frame
-// protocol, discovering and attesting other daemons through gossip, and a
-// client that attests it and multiplexes queries over one attested session.
+// Command cyclosa-node is the networked deployment of the paper's protocol:
+// every process hosts one core.Node — enclave, past-query table, sensitivity
+// analyzer, relay — joins the gossip overlay, attests the peers it discovers
+// and forwards to them over the internal/nettrans frame protocol.
 //
 // Usage:
 //
-//	cyclosa-node -mode node -listen :7844                     # seed daemon
-//	cyclosa-node -mode node -listen :7845 -bootstrap host:7844
+//	cyclosa-node -mode node -listen :7844 -id a                     # seed daemon
+//	cyclosa-node -mode node -listen :7845 -id b -bootstrap host:7844
 //	cyclosa-node -mode node -listen :7844 -ops-addr 127.0.0.1:7890  # + HTTP ops surface
 //	cyclosa-node -mode client -connect host:7844 -query "terms"
 //	cyclosa-node -mode client -connect host:7844 -n 100 -concurrency 8
-//	cyclosa-node -mode view -connect host:7844                # view introspection
-//	cyclosa-node -mode demo                                   # daemon + client in one process
+//	cyclosa-node -mode view -connect host:7844                      # view introspection
+//	cyclosa-node -mode demo                                         # three daemons + client in one process
 //	cyclosa-node -mode node -engine-timeout 500ms -engine-retries 1 \
 //	             -engine-breaker-threshold 0.5 -engine-max-inflight 32
 //
-// The daemon serves the attested query service: each connection runs one
-// remote-attestation handshake, then any number of in-flight queries
-// multiplex over the session as frame streams. It drains gracefully on
-// SIGINT/SIGTERM (stop accepting, finish in-flight exchanges, close).
+// A daemon (-mode node) is a relay other nodes sample: it answers attest
+// frames (one attested session per client, owned by the client's connection)
+// and data frames (one sealed forward each: decrypt in the enclave, record
+// the query in the table, submit it to the engine, seal the page). It drains
+// gracefully on SIGINT/SIGTERM (stop accepting, finish in-flight exchanges,
+// close).
 //
-// Membership is dynamic: -bootstrap names seed daemons only. The daemon
-// joins by exchanging its partial view with the seeds (gossip frames), then
-// keeps gossiping every -gossip-interval; peers discovered through the
-// overlay are re-attested as they enter the view and cached in the
-// attestation directory. No static peer list exists anywhere — a daemon
-// started with only a seed address discovers, attests and serves the whole
-// overlay. If every -bootstrap seed is unreachable the daemon exits
-// non-zero instead of serving an empty view. `-mode view` dials a daemon
-// and prints its live view and directory (id, address, age, attestation).
+// The client (-mode client) is the paper's browser extension: the same node,
+// listening on an ephemeral port and bootstrapped from -connect. It waits
+// (bounded) for the peers it discovers to be attested, then runs -n searches,
+// -concurrency at a time, through core.Node.Search — sensitivity assessment,
+// adaptive k, k fakes drawn from its table, k+1 distinct attested relays,
+// response filtering (Fig 4) — and prints each search's k, real relay and
+// latency. Its analyzer is the WordNet detector over the default sensitive
+// topics plus linkability against its own history, kmax 7; its table starts
+// from a trending-queries batch (§V-D).
 //
-// The client issues -n queries over ONE attested session using -concurrency
-// worker goroutines — the stream-multiplexing path, not n serial
-// connections — and reports throughput and latency. A query the daemon sheds
-// as over the per-client rate (-client-qps/-client-burst) is retried on the
-// same session after a bounded backoff, and counted in the report.
+// Membership is dynamic: -bootstrap (and the client's -connect) names seed
+// daemons only. A node joins by exchanging its partial view with the seeds
+// (gossip frames), then keeps gossiping every -gossip-interval; a peer
+// entering the view is taken through the attested key exchange — the same
+// pair handshake a forward to it would run, so the session it leaves is the
+// one forwards use — and only then resolves as a relay. No static peer list
+// exists anywhere. If every seed is unreachable the node exits non-zero
+// instead of serving an empty view. `-mode view` dials a daemon and prints
+// its live view and directory (id, address, age, attestation).
+//
+// -client-qps/-client-burst guard the forwards a daemon relays: each client
+// identity gets a token bucket, and a forward over quota is shed before it
+// is decrypted. The client sees core.ErrRelayThrottled, sends the query
+// through a different relay, and when every relay sheds it backs off and
+// repeats the search.
 //
 // Separate processes must share the -ias-secret flag: it stands in for
 // Intel's platform provisioning, letting every side reconstruct the
-// attestation roots. The daemon answers from its local simulated search
+// attestation roots. A relay answers from its local simulated search
 // engine; in a production deployment this is the TLS connection to the real
 // engine originating inside the enclave. The engine sits behind the
 // internal/backend resilience stack (deadline, retries, circuit breaker,
@@ -49,7 +61,7 @@
 // -ops-addr starts the HTTP operations surface (internal/telemetry):
 // Prometheus metrics at /metrics, liveness and readiness probes at /healthz
 // and /readyz, the live membership view as JSON at /view (no attested TCP
-// hop), the recent query-lifecycle trace ring at /debug/traces, and pprof
+// hop), the recent forward-lifecycle trace ring at /debug/traces, and pprof
 // under /debug/pprof/. An unbindable -ops-addr is rejected at start-up with
 // usage, like every other invalid flag.
 package main
@@ -60,6 +72,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"os/signal"
@@ -78,8 +91,9 @@ import (
 	"cyclosa/internal/queries"
 	"cyclosa/internal/rps"
 	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
+	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/telemetry"
+	"cyclosa/internal/wordnet"
 )
 
 func main() {
@@ -95,29 +109,34 @@ func main() {
 func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("cyclosa-node", flag.ContinueOnError)
 	var (
-		mode        = fs.String("mode", "demo", "node|client|view|demo (relay = deprecated alias of node)")
+		mode        = fs.String("mode", "demo", "node|client|view|demo")
 		listen      = fs.String("listen", "127.0.0.1:7844", "daemon listen address")
-		connect     = fs.String("connect", "127.0.0.1:7844", "client/view target address")
+		connect     = fs.String("connect", "127.0.0.1:7844", "client: seed daemon to join through; view: target address")
 		query       = fs.String("query", "", "client query (default: topical samples)")
-		n           = fs.Int("n", 1, "client: number of queries to issue over one attested session")
-		concurrency = fs.Int("concurrency", 4, "client: concurrent in-flight queries (capped at -n)")
-		seed        = fs.Int64("seed", 1, "seed for the daemon's simulated engine and sample queries")
-		id          = fs.String("id", "cyclosa-node", "daemon identity announced to clients and gossiped in views")
+		n           = fs.Int("n", 1, "client: number of protected searches to run")
+		concurrency = fs.Int("concurrency", 4, "client: concurrent searches (capped at -n)")
+		seed        = fs.Int64("seed", 1, "seed for the simulated engine, the table bootstrap and the sample queries")
+		id          = fs.String("id", "cyclosa-node", "node identity announced to peers and gossiped in views (client default: a random client-… name)")
 		bootstrap   = fs.String("bootstrap", "", "comma-separated seed daemon addresses; the daemon joins the overlay through them (exits non-zero if none is reachable)")
 		advertise   = fs.String("advertise", "", "address gossiped to peers (default: the bound listen address)")
 		gossipEvery = fs.Duration("gossip-interval", time.Second, "gossip round period")
 		iasSecret   = fs.String("ias-secret", "cyclosa-demo", "shared attestation provisioning secret")
 		opsAddr     = fs.String("ops-addr", "", "daemon: HTTP ops listener serving /metrics, /healthz, /readyz, /view, /debug/traces and /debug/pprof (empty disables; node and demo modes)")
 
-		engineTimeout  = fs.Duration("engine-timeout", 800*time.Millisecond, "daemon: total per-query engine budget (attempts, backoffs and retries all inside it)")
-		engineRetries  = fs.Int("engine-retries", 2, "daemon: max engine retries per query (0 disables retrying)")
-		engineBreaker  = fs.Float64("engine-breaker-threshold", 0.5, "daemon: engine failure rate in (0, 1] that opens the circuit breaker")
-		engineInflight = fs.Int("engine-max-inflight", 64, "daemon: concurrent engine calls admitted before shedding with engine-overloaded")
+		engineTimeout  = fs.Duration("engine-timeout", 800*time.Millisecond, "total per-query engine budget (attempts, backoffs and retries all inside it)")
+		engineRetries  = fs.Int("engine-retries", 2, "max engine retries per query (0 disables retrying)")
+		engineBreaker  = fs.Float64("engine-breaker-threshold", 0.5, "engine failure rate in (0, 1] that opens the circuit breaker")
+		engineInflight = fs.Int("engine-max-inflight", 64, "concurrent engine calls admitted before shedding with engine-overloaded")
 
-		clientQPS   = fs.Float64("client-qps", 25, "daemon: per-client admitted query rate (token-bucket refill, must be positive and finite)")
-		clientBurst = fs.Int("client-burst", 50, "daemon: per-client token-bucket burst capacity (must be positive)")
+		clientQPS   = fs.Float64("client-qps", 25, "per-client admitted rate of relayed forwards (token-bucket refill, must be positive and finite)")
+		clientBurst = fs.Int("client-burst", 50, "per-client token-bucket burst capacity (must be positive)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	usage := func(err error) error {
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
 		return err
 	}
 
@@ -131,80 +150,109 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		MaxInFlight:      *engineInflight,
 	}
 	if err := engine.Validate(); err != nil {
-		fs.SetOutput(os.Stderr)
-		fs.Usage()
-		return err
+		return usage(err)
 	}
 	// Same convention for the admission quota: a daemon that silently ran
-	// unthrottled (or with a zero quota) would be an operator trap.
-	admission, err := accounting.NewLimiter(accounting.LimiterConfig{QPS: *clientQPS, Burst: *clientBurst})
-	if err != nil {
-		fs.SetOutput(os.Stderr)
-		fs.Usage()
-		return err
+	// unthrottled (or with a zero quota) would be an operator trap. Every
+	// node gets its own limiter — the quota is per relay.
+	quota := accounting.LimiterConfig{QPS: *clientQPS, Burst: *clientBurst}
+	if _, err := accounting.NewLimiter(quota); err != nil {
+		return usage(err)
 	}
 	// Bind the ops listener here, not inside the daemon: an unbindable
 	// -ops-addr (occupied port, bad syntax) must exit non-zero with usage at
 	// start-up, exactly like the engine and admission flags, rather than
 	// surfacing minutes later as a silently missing metrics endpoint.
 	var opsLn net.Listener
-	if *opsAddr != "" && (*mode == "node" || *mode == "relay" || *mode == "demo") {
-		opsLn, err = net.Listen("tcp", *opsAddr)
-		if err != nil {
-			fs.SetOutput(os.Stderr)
-			fs.Usage()
-			return fmt.Errorf("ops-addr: %w", err)
+	if *opsAddr != "" && (*mode == "node" || *mode == "demo") {
+		var err error
+		if opsLn, err = net.Listen("tcp", *opsAddr); err != nil {
+			return usage(fmt.Errorf("ops-addr: %w", err))
 		}
 	}
 
 	env := newAttestationEnv(*iasSecret)
-	switch *mode {
-	case "node", "relay": // relay kept as a deprecated alias
-		return runNode(env, nodeConfig{
-			listen:      *listen,
-			id:          *id,
+	nodeCfg := func(id, listen string, bootstrap []string) nodeConfig {
+		lim, _ := accounting.NewLimiter(quota) // validated above
+		return nodeConfig{
+			listen:      listen,
+			id:          id,
 			seed:        *seed,
-			bootstrap:   splitPeers(*bootstrap),
-			advertise:   *advertise,
+			bootstrap:   bootstrap,
 			gossipEvery: *gossipEvery,
 			engine:      engine,
-			admission:   admission,
-			opsLn:       opsLn,
-		}, ready, stop)
+			admission:   lim,
+		}
+	}
+	client := func(seedAddr string) error {
+		// The client's identity keys its admission bucket and its sessions at
+		// every relay, so two clients must never share one by accident.
+		cid := fmt.Sprintf("client-%08x", rand.Uint32())
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "id" {
+				cid = *id
+			}
+		})
+		return runClient(env, nodeCfg(cid, "127.0.0.1:0", []string{seedAddr}), *query, *n, *concurrency)
+	}
+
+	switch *mode {
+	case "node":
+		cfg := nodeCfg(*id, *listen, splitPeers(*bootstrap))
+		cfg.advertise = *advertise
+		cfg.opsLn = opsLn
+		return runNode(env, cfg, ready, stop)
 	case "client":
-		return runClient(env, *connect, *query, *n, *concurrency, *seed)
+		return client(*connect)
 	case "view":
 		return runView(os.Stdout, *connect)
 	case "demo":
-		readyCh := make(chan string, 1)
+		// Three daemons joined through the first, then the client: enough
+		// relays for a sensitive query to leave with k = 2 fakes.
 		stopCh := make(chan struct{})
-		errCh := make(chan error, 1)
-		go func() {
-			errCh <- runNode(env, nodeConfig{listen: "127.0.0.1:0", id: *id, seed: *seed, engine: engine, admission: admission, opsLn: opsLn}, readyCh, stopCh)
-		}()
-		select {
-		case addr := <-readyCh:
-			cerr := runClient(env, addr, *query, *n, *concurrency, *seed)
-			close(stopCh)
-			if err := <-errCh; cerr == nil && err != nil {
+		errCh := make(chan error, demoDaemons)
+		var seedAddr string
+		for i := 0; i < demoDaemons; i++ {
+			cfg := nodeCfg(fmt.Sprintf("%s-%d", *id, i), "127.0.0.1:0", nil)
+			if i == 0 {
+				cfg.opsLn = opsLn
+			} else {
+				cfg.bootstrap = []string{seedAddr}
+			}
+			readyCh := make(chan string, 1)
+			go func() { errCh <- runNode(env, cfg, readyCh, stopCh) }()
+			select {
+			case addr := <-readyCh:
+				if i == 0 {
+					seedAddr = addr
+				}
+			case err := <-errCh:
+				close(stopCh)
 				return err
+			case <-time.After(10 * time.Second):
+				close(stopCh)
+				return fmt.Errorf("daemon %d did not start", i)
 			}
-			if cerr != nil {
-				return cerr
-			}
-			fmt.Println("demo: success")
-			return nil
-		case err := <-errCh:
-			return err
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("daemon did not start")
 		}
+		cerr := client(seedAddr)
+		close(stopCh)
+		for i := 0; i < demoDaemons; i++ {
+			if err := <-errCh; cerr == nil {
+				cerr = err
+			}
+		}
+		if cerr != nil {
+			return cerr
+		}
+		fmt.Println("demo: success")
+		return nil
 	default:
-		fs.SetOutput(os.Stderr)
-		fs.Usage()
-		return fmt.Errorf("unknown mode %q (want node|client|view|demo)", *mode)
+		return usage(fmt.Errorf("unknown mode %q (want node|client|view|demo)", *mode))
 	}
 }
+
+// demoDaemons is the number of relays -mode demo starts.
+const demoDaemons = 3
 
 func splitPeers(s string) []string {
 	if s == "" {
@@ -237,7 +285,7 @@ func newAttestationEnv(secret string) *attestationEnv {
 	}
 }
 
-// nodeConfig parametrizes one daemon.
+// nodeConfig parametrizes one hosted node.
 type nodeConfig struct {
 	listen      string
 	id          string
@@ -246,8 +294,8 @@ type nodeConfig struct {
 	advertise   string
 	gossipEvery time.Duration
 	engine      backend.Policy
-	// admission is the per-client token-bucket limiter enforced at the
-	// service edge, before decrypt and dispatch (nil = unthrottled, only
+	// admission is the per-client token-bucket limiter enforced on relayed
+	// forwards, before decrypt and dispatch (nil = unthrottled, only
 	// reachable from tests — the flag path always builds one).
 	admission *accounting.Limiter
 	// opsLn is the pre-bound HTTP ops listener (nil disables the ops
@@ -260,100 +308,170 @@ type nodeConfig struct {
 	drainHook func(stage string)
 }
 
-// runNode runs the long-running relay daemon until a signal (or stop
-// closes), then drains gracefully. With bootstrap seeds configured the
-// daemon joins the gossip overlay through them — and fails hard when none
-// is reachable, because a relay with an empty view is useless and the
-// operator should know immediately.
-func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-chan struct{}) error {
+// The protection constants of a hosted node: the paper's kmax, and the size
+// of the trending-queries batch its fake-query table starts from (§V-D).
+const (
+	kMax           = sensitivity.DefaultKMax
+	tableBootstrap = 32
+)
+
+// host is one hosted node and the planes around it: the membership overlay
+// that samples and attests its relays, the pooled conduit its forwards leave
+// through, and the server its peers reach it on.
+type host struct {
+	id         string
+	node       *core.Node
+	engine     *searchengine.Engine
+	stack      *backend.Stack
+	ledger     *accounting.Ledger
+	membership *nettrans.Membership
+	pool       *nettrans.Pool
+	srv        *nettrans.Server
+	addr       net.Addr
+	serveErr   chan error
+}
+
+// startHost builds the node and binds and serves its server; join then
+// enters the overlay.
+func startHost(platform *enclave.Platform, verifier *enclave.Verifier, cfg nodeConfig, logf func(string, ...any)) (*host, error) {
 	if cfg.gossipEvery <= 0 {
 		cfg.gossipEvery = time.Second
 	}
-	encl := env.relay.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, env.verifier)
-	if err != nil {
-		return err
-	}
+	h := &host{id: cfg.id, ledger: accounting.NewLedger(cfg.id), serveErr: make(chan error, 1)}
+
 	uni := queries.NewUniverse(queries.UniverseConfig{Seed: cfg.seed})
-	engine := searchengine.New(uni, searchengine.Config{Seed: cfg.seed})
 	// The engine answers from behind the full resilience stack: deadline,
 	// retries, breaker, admission gate — so a browned-out engine degrades
-	// this daemon's answers instead of wedging its connections.
-	stack := backend.NewStack(engine, cfg.engine)
+	// this relay's answers instead of wedging its connections.
+	h.engine = searchengine.New(uni, searchengine.Config{Seed: cfg.seed})
+	h.stack = backend.NewStack(h.engine, cfg.engine)
 
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "node: "+format+"\n", args...)
-	}
+	// One pool carries gossip, attestation and forwards: a peer is one
+	// connection, and the sessions attested on it are the ones forwards use.
+	h.pool = nettrans.NewPool(nettrans.PoolConfig{ID: cfg.id, DialTimeout: 3 * time.Second, RequestTimeout: 5 * time.Second})
+
 	// The attestation directory's verifier: every peer entering the view is
-	// dialed and taken through the full remote-attestation handshake; its
-	// measurement is cached as directory evidence. DialService wraps
-	// verification failures in ErrAttestRejected, which the membership layer
-	// turns into a blacklist entry (transport failures only evict).
+	// taken through the node's own pair handshake at the address it
+	// gossiped. A peer that refuses the exchange, fails verification, or —
+	// gossiping someone else's identity — hosts no such node is rejected
+	// (blacklisted); an unreachable one is merely evicted.
 	attest := func(peerID, addr string) (string, error) {
-		pc, err := nettrans.DialService(addr, hs, nettrans.ClientConfig{ID: cfg.id, DialTimeout: 3 * time.Second})
-		if err != nil {
+		via := nettrans.NewTCPConduit(nettrans.ConduitConfig{
+			Resolve: nettrans.StaticResolver(map[string]string{peerID: addr}),
+			Pool:    h.pool,
+		})
+		m, err := h.node.AttestRelay(peerID, via)
+		switch {
+		case err == nil:
+			return m.String(), nil
+		case errors.Is(err, core.ErrRelayUnavailable):
 			return "", err
 		}
-		defer pc.Close()
-		// Bind the gossiped identity to the dialed endpoint: a daemon that
-		// gossips someone else's ID with its own address must not get that
-		// ID's directory entry pointed at it. An identity mismatch is a
-		// verification failure (blacklist), not mere unreachability.
-		if pc.ServerID() != peerID {
-			return "", fmt.Errorf("%w: %s claims identity %q, gossiped as %q",
-				nettrans.ErrAttestRejected, addr, pc.ServerID(), peerID)
-		}
-		return pc.PeerMeasurement(), nil
+		return "", fmt.Errorf("%w: %w", nettrans.ErrAttestRejected, err)
 	}
-	// The misbehavior ledger gossips per-node evidence over the accounting
-	// frame, so a blacklist verdict reached here convinces the rest of the
-	// overlay without a coordinator.
-	ledger := accounting.NewLedger(cfg.id)
-	// srv is assigned below, before any goroutine serves traffic; the
-	// closure lets view snapshots sample the server's write-path counters
-	// even though the server is built after the membership plane.
-	var srv *nettrans.Server
 	memCfg := nettrans.MembershipConfig{
-		Self:       rps.Descriptor{ID: rps.NodeID(cfg.id)},
-		Bootstrap:  cfg.bootstrap,
-		Interval:   cfg.gossipEvery,
-		Attest:     attest,
-		PoolConfig: nettrans.PoolConfig{ID: cfg.id, DialTimeout: 3 * time.Second, RequestTimeout: 5 * time.Second},
-		Logf:       logf,
-		Ledger:     ledger,
+		Self:      rps.Descriptor{ID: rps.NodeID(cfg.id)},
+		Bootstrap: cfg.bootstrap,
+		Interval:  cfg.gossipEvery,
+		Attest:    attest,
+		Pool:      h.pool,
+		Logf:      logf,
+		// The misbehavior ledger gossips per-node evidence over the
+		// accounting frame, so a blacklist verdict reached here — every
+		// relay the node's searches blacklist lands in it through the
+		// overlay's OnBlacklist hook — convinces the rest of the overlay
+		// without a coordinator.
+		Ledger: h.ledger,
 		// Surface the stack's counters in every view snapshot so `-mode
 		// view` shows brownout state (shed, retries, breaker) live.
-		BackendStats: stack.Stats,
-		WriteStats: func() nettrans.WriteStatsSnapshot {
-			if srv == nil {
-				return nettrans.WriteStatsSnapshot{}
-			}
-			return srv.WriteStats()
-		},
+		BackendStats: h.stack.Stats,
+		// srv is assigned below, before anything serves a snapshot.
+		WriteStats: func() nettrans.WriteStatsSnapshot { return h.srv.WriteStats() },
 	}
 	if cfg.admission != nil {
 		memCfg.AdmissionStats = cfg.admission.Stats
 	}
-	membership := nettrans.NewMembership(memCfg)
-	defer membership.Stop()
+	h.membership = nettrans.NewMembership(memCfg)
 
-	srv = nettrans.NewServer(nettrans.ServerConfig{
+	db := wordnet.Build(uni, wordnet.BuildConfig{Seed: cfg.seed})
+	analyzer := sensitivity.NewAnalyzer(
+		sensitivity.NewWordNetDetector(db, queries.DefaultSensitiveTopics),
+		sensitivity.NewLinkability(0), kMax)
+	link := nettrans.NewTCPConduit(nettrans.ConduitConfig{Resolve: h.membership.Resolve, Pool: h.pool})
+	var err error
+	h.node, err = core.NewHostedNode(core.NodeOptions{ID: cfg.id, Analyzer: analyzer, Seed: cfg.seed},
+		platform, verifier, h.membership.Node(), h.stack, link)
+	if err != nil {
+		h.pool.Close()
+		return nil, err
+	}
+	h.node.BootstrapTable(queries.NewTrendingSource(uni, cfg.seed).Batch(tableBootstrap))
+
+	h.srv = nettrans.NewServer(nettrans.ServerConfig{
 		ID:         cfg.id,
-		Service:    &nettrans.RelayService{Handshaker: hs, Backend: stack, Source: cfg.id},
-		Membership: membership,
+		Handler:    h.node.Local(),
+		Membership: h.membership,
 		Admission:  cfg.admission,
 		Logf:       logf,
 	})
-	addr, err := srv.Listen(cfg.listen)
-	if err != nil {
-		return err
+	if h.addr, err = h.srv.Listen(cfg.listen); err != nil {
+		h.pool.Close()
+		return nil, err
 	}
 	adv := cfg.advertise
 	if adv == "" {
-		adv = addr.String()
+		adv = h.addr.String()
 	}
-	membership.SetAdvertise(adv)
-	fmt.Printf("node %s: listening on %s, advertising %s (enclave %s)\n", cfg.id, addr, adv, encl.Measurement())
+	h.membership.SetAdvertise(adv)
+	fmt.Printf("node %s: listening on %s, advertising %s (enclave %s)\n", cfg.id, h.addr, adv, h.node.Enclave().Measurement())
+	go func() { h.serveErr <- h.srv.Serve() }()
+	return h, nil
+}
+
+// join enters the overlay through the bootstrap seeds and starts gossiping.
+// With seeds configured and none reachable it fails — exit non-zero with a
+// clear message instead of serving an empty view that every client would
+// mistake for a healthy daemon.
+func (h *host) join(seeds []string) error {
+	if err := h.membership.Bootstrap(); err != nil {
+		return fmt.Errorf("join failed, no bootstrap seed reachable (tried %s): %w", strings.Join(seeds, ", "), err)
+	}
+	if len(seeds) > 0 {
+		fmt.Printf("node %s: joined overlay via %s\n", h.id, strings.Join(seeds, ", "))
+	}
+	h.membership.Start()
+	return nil
+}
+
+// drain stops gossip, closes the frame listener and waits out the goaway
+// drain, then releases the pool.
+func (h *host) drain() error {
+	h.membership.Stop()
+	err := h.srv.Close()
+	h.pool.Close()
+	return err
+}
+
+// runNode runs the long-running relay daemon until a signal (or stop
+// closes), then drains gracefully.
+func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-chan struct{}) error {
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "node: "+format+"\n", args...)
+	}
+	// Catch shutdown signals before the bootstrap: unreachable seeds cost
+	// dial timeouts, and a SIGTERM in that window must still reach the
+	// graceful drain below rather than killing the process outright.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	h, err := startHost(env.relay, env.verifier, cfg, logf)
+	if err != nil {
+		if cfg.opsLn != nil {
+			cfg.opsLn.Close()
+		}
+		return err
+	}
 
 	// The ops surface pairs the process-wide registry (hot-path counters
 	// and histograms from core/nettrans) with an instance registry of
@@ -364,11 +482,11 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	var ops *telemetry.OpsServer
 	if cfg.opsLn != nil {
 		inst := telemetry.NewRegistry()
-		registerNodeMetrics(inst, stack, cfg.admission, ledger, membership, srv)
+		registerNodeMetrics(inst, h.stack, cfg.admission, h.ledger, h.membership, h.srv)
 		ops = telemetry.NewOpsServer(telemetry.OpsConfig{
 			Registries: []*telemetry.Registry{telemetry.Default(), inst},
 			Traces:     telemetry.Traces(),
-			View:       func() (any, error) { return membership.Snapshot(), nil },
+			View:       func() (any, error) { return h.membership.Snapshot(), nil },
 			Ready:      readyFlag.Load,
 			Logf:       logf,
 		})
@@ -378,50 +496,21 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 				logf("ops server: %v", err)
 			}
 		}()
-		// Idempotent backstop for early-error returns (e.g. bootstrap
-		// failure): the graceful drain below shuts the server down first,
-		// making this a no-op.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = ops.Shutdown(ctx)
-			cancel()
-		}()
 		fmt.Printf("node %s: ops surface on http://%s (/metrics /healthz /readyz /view /debug/traces /debug/pprof)\n", cfg.id, opsLn.Addr())
 	}
 
-	// Catch shutdown signals before the bootstrap: unreachable seeds cost
-	// dial timeouts, and a SIGTERM in that window must still reach the
-	// graceful drain below rather than killing the process outright.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve() }()
-	defer srv.Close()
-
-	// Join the overlay. With seeds configured and none reachable this is
-	// fatal — exit non-zero with a clear message instead of serving an
-	// empty view that every client would mistake for a healthy daemon.
-	if err := membership.Bootstrap(); err != nil {
-		return fmt.Errorf("join failed, no bootstrap seed reachable (tried %s): %w",
-			strings.Join(cfg.bootstrap, ", "), err)
-	}
-	if len(cfg.bootstrap) > 0 {
-		fmt.Printf("node %s: joined overlay via %s\n", cfg.id, strings.Join(cfg.bootstrap, ", "))
-	}
-	membership.Start()
-	readyFlag.Store(true)
-	if ready != nil {
-		ready <- addr.String()
-	}
-
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		fmt.Printf("node %s: %s, draining\n", cfg.id, s)
-	case <-stop:
+	// A failed join skips the serving phase and goes straight to the drain.
+	if err = h.join(cfg.bootstrap); err == nil {
+		readyFlag.Store(true)
+		if ready != nil {
+			ready <- h.addr.String()
+		}
+		select {
+		case err = <-h.serveErr:
+		case s := <-sig:
+			fmt.Printf("node %s: %s, draining\n", cfg.id, s)
+		case <-stop:
+		}
 	}
 	// Drain order: flip readiness (load balancers stop routing), stop
 	// gossip, close the frame listener and wait out the goaway drain —
@@ -430,8 +519,10 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 	// sample of this daemon reflects its final state instead of a dropped
 	// connection.
 	readyFlag.Store(false)
-	membership.Stop()
-	srvErr := srv.Close()
+	srvErr := h.drain()
+	if err == nil {
+		err = srvErr
+	}
 	if cfg.drainHook != nil {
 		cfg.drainHook("frame-drained")
 	}
@@ -439,11 +530,11 @@ func runNode(env *attestationEnv, cfg nodeConfig, ready chan<- string, stop <-ch
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		opsErr := ops.Shutdown(ctx)
 		cancel()
-		if srvErr == nil {
-			srvErr = opsErr
+		if err == nil {
+			err = opsErr
 		}
 	}
-	return srvErr
+	return err
 }
 
 // runView dials a daemon's introspection endpoint and renders its live view
@@ -500,63 +591,85 @@ func runView(w io.Writer, addr string) error {
 	return nil
 }
 
-// Bounds on waiting out the daemon's per-client admission: a throttled
-// query is retried up to throttleRetries times, sleeping 25 ms doubling to a
-// 2 s cap in between (about 5 s in all) before the error is surfaced.
+// Bounds on the client's waits. attestWait covers the gossip rounds and key
+// exchanges between joining and having relays to sample. A search whose real
+// query every relay shed as over quota is repeated up to throttleRetries
+// times, sleeping 25 ms doubling to a 2 s cap in between (about 5 s in all)
+// before the error is surfaced.
 const (
+	attestWait          = 10 * time.Second
 	throttleRetries     = 8
 	throttleBackoffBase = 25 * time.Millisecond
 	throttleBackoffMax  = 2 * time.Second
 )
 
-// backoffClient retries queries the daemon sheds with ErrClientThrottled.
-// All workers share one identity, hence one token bucket, so the client
-// backs off as a whole: queries run under the read lock, and the worker
-// that was throttled takes the write lock while it waits and retries —
-// pausing the others instead of letting them burn the refill.
-type backoffClient struct {
-	c         *nettrans.Client
-	gate      sync.RWMutex
-	throttled atomic.Int64 // shed attempts, each followed by a retry
+// awaitRelays blocks until every peer in the view is attested (the overlay
+// has told the client all it is going to, for now) and there is at least
+// one, or attestWait is over — then any attested peer will do. A view
+// emptied by failed attestations ends the wait at once.
+func awaitRelays(m *nettrans.Membership) (int, error) {
+	deadline := time.Now().Add(attestWait)
+	for {
+		snap := m.Snapshot()
+		attested := 0
+		for _, p := range snap.Peers {
+			if p.Attested {
+				attested++
+			}
+		}
+		late := time.Now().After(deadline)
+		switch {
+		case attested > 0 && (attested == len(snap.Peers) || late):
+			return attested, nil
+		case len(snap.Peers) == 0 && len(snap.Blacklisted) > 0:
+			return 0, fmt.Errorf("no relay left: %s failed attestation", strings.Join(snap.Blacklisted, ", "))
+		case late:
+			return 0, fmt.Errorf("no attested relay after %v (%d peer(s) in view)", attestWait, len(snap.Peers))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
-func (b *backoffClient) query(q string) ([]searchengine.Result, error) {
-	b.gate.RLock()
-	results, err := b.c.Query(q)
-	b.gate.RUnlock()
-	if !errors.Is(err, accounting.ErrClientThrottled) {
-		return results, err
-	}
-	b.gate.Lock()
-	defer b.gate.Unlock()
+// search is one protected search, repeated with backoff while every relay
+// the real query reached shed it as over quota; throttled counts the repeats.
+// This is the one place that waits: the protocol's own answer to a throttle
+// is a different relay at once (core's forwardWithRetry), which cannot help
+// when all of them are over quota — only the buckets refilling can, and a
+// -n run far above the burst (TestClientRidesOutThrottling fails without
+// this loop) has to outlast that.
+func search(node *core.Node, q string, throttled *atomic.Int64) (*core.SearchResult, error) {
+	res, err := node.Search(q, time.Now())
 	wait := throttleBackoffBase
-	for try := 0; try < throttleRetries && errors.Is(err, accounting.ErrClientThrottled); try++ {
-		b.throttled.Add(1)
+	for try := 0; try < throttleRetries && errors.Is(err, core.ErrRelayThrottled); try++ {
+		throttled.Add(1)
 		time.Sleep(wait)
 		wait = min(2*wait, throttleBackoffMax)
-		results, err = b.c.Query(q)
+		res, err = node.Search(q, time.Now())
 	}
-	return results, err
+	return res, err
 }
 
-// runClient attests the daemon and issues n queries over the single
-// session, concurrency at a time.
-func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed int64) error {
-	encl := env.client.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, env.verifier)
+// runClient hosts the client's node, waits for attested relays and runs n
+// protected searches, concurrency at a time.
+func runClient(env *attestationEnv, cfg nodeConfig, query string, n, concurrency int) error {
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "client: "+format+"\n", args...)
+	}
+	h, err := startHost(env.client, env.verifier, cfg, logf)
 	if err != nil {
 		return err
 	}
-	c, err := nettrans.DialService(addr, hs, nettrans.ClientConfig{ID: "cyclosa-client"})
-	if err != nil {
-		return fmt.Errorf("attested dial: %w", err)
+	defer h.drain()
+	if err := h.join(cfg.bootstrap); err != nil {
+		return err
 	}
-	defer c.Close()
-	fmt.Printf("client: attested %s (relay enclave %s)\n", c.ServerID(), c.PeerMeasurement())
-	bc := &backoffClient{c: c}
+	relays, err := awaitRelays(h.membership)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("client %s: %d attested relay(s)\n", h.id, relays)
 
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: seed})
-	sample := sampleQueries(uni)
+	sample := sampleQueries(queries.NewUniverse(queries.UniverseConfig{Seed: cfg.seed}))
 	queryFor := func(i int) string {
 		if query != "" {
 			return query
@@ -564,12 +677,18 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 		return sample[i%len(sample)]
 	}
 
+	var throttled atomic.Int64
 	if n <= 1 {
-		results, err := bc.query(queryFor(0))
+		start := time.Now()
+		res, err := search(h.node, queryFor(0), &throttled)
 		if err != nil {
 			return err
 		}
-		printResults(queryFor(0), results)
+		fmt.Printf("client: k=%d fakes, real query relayed by %s, %v\n", res.K, res.RealRelay, time.Since(start).Round(time.Microsecond))
+		if res.EngineError != nil {
+			return fmt.Errorf("engine refused %q: %w", queryFor(0), res.EngineError)
+		}
+		printResults(queryFor(0), res.Results)
 		return nil
 	}
 
@@ -583,6 +702,7 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 		next      atomic.Int64
 		answered  atomic.Int64
 		refused   atomic.Int64
+		sumK      atomic.Int64
 		firstErr  error
 		errOnce   sync.Once
 		latencies = make([]time.Duration, n)
@@ -599,16 +719,17 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 					return
 				}
 				qStart := time.Now()
-				_, err := bc.query(queryFor(i))
+				res, err := search(h.node, queryFor(i), &throttled)
 				latencies[i] = time.Since(qStart)
-				switch {
-				case err == nil:
-					answered.Add(1)
-				case isEngineRefusal(err):
-					refused.Add(1) // the engine said no; the transport worked
-				default:
+				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return
+				}
+				sumK.Add(int64(res.K))
+				if res.EngineError != nil {
+					refused.Add(1) // the engine said no; the protocol worked
+				} else {
+					answered.Add(1)
 				}
 			}
 		}()
@@ -620,24 +741,22 @@ func runClient(env *attestationEnv, addr, query string, n, concurrency int, seed
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	fmt.Printf("client: %d queries over one attested session (%d in flight): %d answered, %d engine-refused, %d throttled and retried in %v\n",
-		n, concurrency, answered.Load(), refused.Load(), bc.throttled.Load(), elapsed.Round(time.Millisecond))
-	fmt.Printf("client: %.0f req/s, p50 %v, p99 %v\n",
+	st := h.node.Stats()
+	fmt.Printf("client: %d searches (%d in flight): %d answered, %d engine-refused, %d throttled and repeated in %v\n",
+		n, concurrency, answered.Load(), refused.Load(), throttled.Load(), elapsed.Round(time.Millisecond))
+	fmt.Printf("client: mean k %.2f (%d fakes sent), %d relay(s) blacklisted, %.0f searches/s, p50 %v, p99 %v\n",
+		float64(sumK.Load())/float64(n), st.FakesSent, st.Blacklisted,
 		float64(n)/elapsed.Seconds(),
 		latencies[n/2].Round(time.Microsecond),
 		latencies[n*99/100].Round(time.Microsecond))
 	return nil
 }
 
-func isEngineRefusal(err error) bool {
-	return errors.Is(err, nettrans.ErrEngineRefused)
-}
-
 // sampleQueries derives a deterministic topical query pool from the
-// universe.
+// universe, the sensitive topics first: the first sample gets k = kmax.
 func sampleQueries(uni *queries.Universe) []string {
 	var out []string
-	for _, name := range uni.TopicNames() {
+	for _, name := range append(uni.SensitiveTopicNames(), uni.TopicNames()...) {
 		topic := uni.Topic(name)
 		if len(topic.Terms) >= 2 {
 			out = append(out, topic.Terms[0]+" "+topic.Terms[1])

@@ -2,15 +2,20 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"cyclosa/internal/accounting"
 	"cyclosa/internal/nettrans"
+	"cyclosa/internal/queries"
 )
 
 // testLimiter builds an admission limiter for in-process daemons, failing
@@ -52,18 +57,65 @@ func startNode(t *testing.T, env *attestationEnv, cfg nodeConfig) string {
 	}
 }
 
-// TestDemoMode runs the full TCP path: daemon, attested handshake, query,
-// response.
-func TestDemoMode(t *testing.T) {
-	if err := run([]string{"-mode", "demo", "-seed", "3"}, nil, nil); err != nil {
+// clientCfg is the client's node configuration for in-process runs: an
+// ephemeral port, joined through seedAddr, gossiping fast.
+func clientCfg(id, seedAddr string, seed int64) nodeConfig {
+	return nodeConfig{listen: "127.0.0.1:0", id: id, seed: seed, bootstrap: []string{seedAddr}, gossipEvery: 20 * time.Millisecond}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	out := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	ferr := fn()
+	os.Stdout = orig
+	w.Close()
+	return <-out, ferr
+}
+
+// TestDemoMode runs the full TCP path — three daemons, the client's node,
+// gossip discovery, attested pairs — and sees the paper's protocol at work:
+// the first sample query is sensitive, so it leaves with k > 0 fakes.
+func TestDemoMode(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "demo", "-seed", "3", "-gossip-interval", "20ms"}, nil, nil)
+	})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`client: k=(\d+) fakes, real query relayed by (\S+),`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("demo did not print the search's protection:\n%s", out)
+	}
+	if k, _ := strconv.Atoi(m[1]); k < 1 || k > demoDaemons-1 {
+		t.Fatalf("demo search left with k=%d fakes, want 1..%d", k, demoDaemons-1)
+	}
+	if !strings.HasPrefix(m[2], "cyclosa-node-") {
+		t.Fatalf("real query relayed by %q, want one of the daemons", m[2])
+	}
+	if !strings.Contains(out, "demo: success") {
+		t.Fatalf("demo did not report success:\n%s", out)
 	}
 }
 
-// TestDemoModeMultiplexed runs the demo with many queries over one session.
+// TestDemoModeMultiplexed runs the demo with many concurrent searches.
 func TestDemoModeMultiplexed(t *testing.T) {
-	if err := run([]string{"-mode", "demo", "-seed", "3", "-n", "40", "-concurrency", "8"}, nil, nil); err != nil {
-		t.Fatal(err)
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "demo", "-seed", "3", "-n", "40", "-concurrency", "8", "-gossip-interval", "20ms"}, nil, nil)
+	})
+	if err != nil || !strings.Contains(out, "40 answered") {
+		t.Fatalf("err %v, output:\n%s", err, out)
 	}
 }
 
@@ -79,25 +131,25 @@ func TestUnknownMode(t *testing.T) {
 	}
 }
 
-// TestClientManyQueriesOneSession exercises stream multiplexing against an
-// in-process daemon: -n queries, -concurrency in flight, one attested
-// session.
+// TestClientManyQueriesOneSession runs -n searches, -concurrency in flight,
+// from one client node against an in-process daemon: with one relay known
+// every search is one forward, all over the pair's one attested session.
 func TestClientManyQueriesOneSession(t *testing.T) {
 	env := newAttestationEnv("test-secret")
 	addr := startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: "test-node", seed: 3})
-	if err := runClient(env, addr, "", 60, 6, 3); err != nil {
+	if err := runClient(env, clientCfg("client", addr, 3), "", 60, 6); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestClientRidesOutThrottling drives -n well above the daemon's burst:
-// the shed queries must be retried on the same session until every one is
+// the searches whose forward was shed must be repeated until every one is
 // answered, instead of the first throttle failing the run.
 func TestClientRidesOutThrottling(t *testing.T) {
 	env := newAttestationEnv("test-secret")
 	lim := testLimiter(t, 200, 5)
 	addr := startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: "throttling-node", seed: 3, admission: lim})
-	if err := runClient(env, addr, "", 40, 8, 3); err != nil {
+	if err := runClient(env, clientCfg("client", addr, 3), "", 40, 8); err != nil {
 		t.Fatal(err)
 	}
 	if st := lim.Stats(); st.Admitted != 40 || st.Throttled == 0 {
@@ -106,19 +158,124 @@ func TestClientRidesOutThrottling(t *testing.T) {
 }
 
 // TestMismatchedIASSecret verifies that a client provisioned with a
-// different attestation secret is rejected by the daemon.
+// different attestation secret is rejected by the daemon: it never gets a
+// relay, and the daemon serves it nothing.
 func TestMismatchedIASSecret(t *testing.T) {
 	envNode := newAttestationEnv("secret-a")
 	envClient := newAttestationEnv("secret-b")
-	addr := startNode(t, envNode, nodeConfig{listen: "127.0.0.1:0", id: "node-a", seed: 1})
-	if err := runClient(envClient, addr, "query", 1, 1, 1); err == nil {
-		t.Fatal("mismatched attestation roots should fail the handshake")
+	lim := testLimiter(t, 200, 50)
+	addr := startNode(t, envNode, nodeConfig{listen: "127.0.0.1:0", id: "node-a", seed: 1, admission: lim})
+	err := runClient(envClient, clientCfg("client", addr, 1), "query", 1, 1)
+	if err == nil || !strings.Contains(err.Error(), "failed attestation") {
+		t.Fatalf("err = %v, want the client left without a relay by the failed attestation", err)
+	}
+	if st := lim.Stats(); st.Admitted != 0 {
+		t.Fatalf("daemon admitted %d forwards from a client it refused to attest", st.Admitted)
+	}
+}
+
+// TestQueryLeavesThroughDistinctDaemons is ROADMAP item 1's acceptance, on
+// what the binary runs: one sensitive user query leaves the client through
+// k+1 distinct daemons — the real query through one, k fakes drawn from the
+// client's table through the others, never through the client itself — and
+// comes back as the engine's page for it.
+func TestQueryLeavesThroughDistinctDaemons(t *testing.T) {
+	const seed = 3
+	env := newAttestationEnv("fanout-secret")
+	logf := func(string, ...any) {}
+	daemons := make([]*host, 4)
+	for i := range daemons {
+		cfg := nodeConfig{listen: "127.0.0.1:0", id: fmt.Sprintf("daemon-%d", i), seed: seed, gossipEvery: 20 * time.Millisecond}
+		if i > 0 {
+			cfg.bootstrap = []string{daemons[0].addr.String()}
+		}
+		h, err := startHost(env.relay, env.verifier, cfg, logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.drain() })
+		if err := h.join(cfg.bootstrap); err != nil {
+			t.Fatal(err)
+		}
+		daemons[i] = h
+	}
+	c, err := startHost(env.client, env.verifier, clientCfg("the-user", daemons[0].addr.String(), seed), logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.drain() })
+	if err := c.join([]string{daemons[0].addr.String()}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for relays, _ := awaitRelays(c.membership); relays < len(daemons); relays, _ = awaitRelays(c.membership) {
+		if time.Now().After(deadline) {
+			t.Fatalf("client attested %d of %d daemons", relays, len(daemons))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	uni := queries.NewUniverse(queries.UniverseConfig{Seed: seed})
+	query := sampleQueries(uni)[0] // a sensitive topic's terms: k = kmax, capped by the relays known
+	res, err := c.node.Search(query, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K < 1 || res.K > len(daemons)-1 {
+		t.Fatalf("k = %d, want 1..%d", res.K, len(daemons)-1)
+	}
+	if !res.Assessment.SemanticSensitive {
+		t.Fatalf("assessment %+v: the sample query should be sensitive", res.Assessment)
+	}
+
+	table := make(map[string]bool)
+	for _, q := range queries.NewTrendingSource(uni, seed).Batch(tableBootstrap) {
+		table[q] = true
+	}
+	var real, fakes int
+	for _, d := range daemons {
+		obs := d.engine.Observations()
+		switch {
+		case len(obs) > 1:
+			t.Fatalf("%s saw %d queries of one search, want its relays distinct", d.id, len(obs))
+		case len(obs) == 0:
+			continue
+		case obs[0].Source != d.id:
+			t.Fatalf("%s submitted a query as %q: the engine must see the relay, not the user", d.id, obs[0].Source)
+		case obs[0].Query == query:
+			real++
+			if res.RealRelay != d.id {
+				t.Fatalf("real query seen at %s, search says %s relayed it", d.id, res.RealRelay)
+			}
+			want := d.engine.DirectResults(query)
+			if len(res.Results) != len(want) || len(want) == 0 || res.Results[0].DocID != want[0].DocID {
+				t.Fatalf("result page %v, want the engine's %v", res.Results, want)
+			}
+		case table[obs[0].Query]:
+			fakes++
+		default:
+			t.Fatalf("%s saw %q: neither the user's query nor a string of the client's table", d.id, obs[0].Query)
+		}
+	}
+	if real != 1 || fakes != res.K {
+		t.Fatalf("engines saw %d real and %d fake queries, want 1 and k = %d", real, fakes, res.K)
+	}
+	if n := len(c.engine.Observations()); n != 0 || res.RealRelay == c.id {
+		t.Fatalf("the client's own engine saw %d queries (real relay %q): a node must not relay for itself", n, res.RealRelay)
+	}
+	if st := c.node.Stats(); st.FakesSent != uint64(res.K) || st.Blacklisted != 0 {
+		t.Fatalf("client stats %+v, want %d fakes sent and nobody blacklisted", st, res.K)
+	}
+	// A blacklisting by a search is ledger evidence that gossips; none here.
+	if v := c.ledger.Values(); len(v) != 0 {
+		t.Fatalf("client ledger %v after a clean search", v)
 	}
 }
 
 // TestBootstrapDiscovery: two daemons started with only -bootstrap <seed>
 // discover each other through gossip, attest each other's enclaves into
-// their directories, and both serve relayed queries — no static peer list.
+// their directories, and both relay a client's searches — no static peer
+// list.
 func TestBootstrapDiscovery(t *testing.T) {
 	env := newAttestationEnv("peer-secret")
 	addrA := startNode(t, env, nodeConfig{listen: "127.0.0.1:0", id: "node-a", seed: 1, gossipEvery: 20 * time.Millisecond,
@@ -150,11 +307,12 @@ func TestBootstrapDiscovery(t *testing.T) {
 		t.Fatal("daemons never discovered and attested each other through gossip")
 	}
 
-	// Both daemons serve clients after the join.
-	if err := runClient(env, addrA, "travel plans", 1, 1, 1); err != nil {
+	// Both daemons admit a client into the overlay after the join, and it
+	// searches through them.
+	if err := runClient(env, clientCfg("client-1", addrA, 1), "travel plans", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := runClient(env, addrB, "travel plans", 1, 1, 1); err != nil {
+	if err := runClient(env, clientCfg("client-2", addrB, 1), "travel plans", 4, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -290,7 +448,7 @@ func TestOpsSurface(t *testing.T) {
 	})
 	// Traffic first, so the hot-path counters and the trace ring have
 	// something to show.
-	if err := runClient(env, addr, "travel plans", 8, 2, 3); err != nil {
+	if err := runClient(env, clientCfg("client", addr, 3), "travel plans", 8, 2); err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + opsLn.Addr().String()
@@ -307,8 +465,10 @@ func TestOpsSurface(t *testing.T) {
 		// nettrans frame path (process-wide hot-path registry)
 		"cyclosa_nettrans_frames_read_total",
 		"cyclosa_nettrans_frames_written_total",
-		"cyclosa_nettrans_serve_stage_seconds_bucket",
-		"cyclosa_nettrans_serve_queries_total",
+		// the protocol's forward stages: client side and, as "engine", the
+		// relay side of a hop
+		"cyclosa_core_forward_stage_seconds_bucket",
+		"cyclosa_core_forward_outcomes_total",
 		// backend resilience stack (instance registry, scrape-time sampled)
 		"cyclosa_backend_calls_total",
 		"cyclosa_backend_retry_budget_tokens",
@@ -338,8 +498,8 @@ func TestOpsSurface(t *testing.T) {
 	}
 
 	if code, body := httpGet(t, base+"/debug/traces"); code != http.StatusOK ||
-		!strings.Contains(body, `"serve"`) {
-		t.Fatalf("/debug/traces = %d, want serve-op traces after queries:\n%s", code, body)
+		!strings.Contains(body, `"forward"`) {
+		t.Fatalf("/debug/traces = %d, want forward-op traces after searches:\n%s", code, body)
 	}
 }
 

@@ -161,11 +161,14 @@
 // (simnet.ChaosOptions.Transport): the chaos suite passes with deliveries
 // flowing over loopback sockets.
 //
-// cmd/cyclosa-node turns this into a deployment: a long-running relay
-// daemon (-mode node) serving many concurrent clients, each over one
-// attested securechan session multiplexing queries as frame streams, with
-// graceful SIGTERM drain; and a client (-mode client -n N) issuing N
-// queries over a single session. Membership is decentralized: a daemon
+// cmd/cyclosa-node turns this into a deployment, and every process of it
+// hosts one core.Node (core.NewHostedNode) whose relays are the other
+// processes: a long-running daemon (-mode node) relaying for many
+// concurrent clients, each pair over its own attested securechan session,
+// with graceful SIGTERM drain; and a client (-mode client -n N) — the
+// paper's browser extension — running N protected searches, each fanned
+// out as the real query plus k fakes over k+1 distinct daemons.
+// Membership is decentralized: a daemon
 // started with only -bootstrap seed addresses joins the gossip overlay
 // (nettrans.Membership over gossip frames), discovers every other daemon
 // through rps view exchanges, re-attests peers as they enter its view

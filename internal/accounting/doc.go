@@ -5,13 +5,14 @@
 // It provides three independent primitives, each wired into a different
 // layer of the stack:
 //
-//   - Limiter: a sharded token-bucket per-client rate limiter, enforced at
-//     the nettrans service edge *before* any enclave work (decrypt,
-//     dispatch) is spent on a request. X-Search's measurements show an SGX
-//     proxy's throughput ceiling is set at the admission edge, so shedding
-//     must happen before the expensive path, not after. Over-quota
-//     requests fail with ErrClientThrottled, which rides the existing
-//     error-frame path back to the client as a typed error.
+//   - Limiter: a sharded token-bucket per-client rate limiter, enforced by
+//     a nettrans.Server in front of its data frames, *before* any enclave
+//     work (decrypt, dispatch) is spent on a forward. X-Search's
+//     measurements show an SGX proxy's throughput ceiling is set at the
+//     admission edge, so shedding must happen before the expensive path,
+//     not after. Allow fails an over-quota request with ErrClientThrottled;
+//     the server refuses the frame with its throttled code, which reaches
+//     the forwarding client as the typed core.ErrRelayThrottled.
 //
 //   - Counter / Handle: a thresholded net-commit accumulator for hot-path
 //     statistics. Each owning goroutine (e.g. a per-peer relay session)

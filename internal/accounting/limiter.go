@@ -10,12 +10,12 @@ import (
 )
 
 // ErrClientThrottled is returned by Limiter.Allow when a client is over its
-// per-client rate. It is a sentinel so callers (and the nettrans error-frame
-// codec) can match it with errors.Is without allocating per rejection.
+// per-client rate. It is a sentinel so callers can match it with errors.Is
+// without allocating per rejection.
 var ErrClientThrottled = errors.New("accounting: client throttled")
 
 // limiterShards is the fixed shard count of a Limiter. Sixteen shards keep
-// lock contention negligible at the service edge (admission is one short
+// lock contention negligible at the admission edge (admission is one short
 // critical section per request) without bloating the zero-value footprint.
 const limiterShards = 16
 

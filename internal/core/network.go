@@ -95,6 +95,11 @@ type Network struct {
 	clientSendCost time.Duration
 	pairSeed       maphash.Seed
 	conduit        transport.Conduit
+	// attestor is a hosted node's conduit (NewHostedNode), which carries the
+	// attested key exchange to relays outside this process; nil in a
+	// NewNetwork, where every reachable relay is a member, attested in
+	// process, and a relay that left the member set is simply unavailable.
+	attestor transport.Attestor
 
 	// members is the copy-on-write node set: forwards read it lock-free,
 	// Join/Leave (serialized by joinMu) swap in a new copy. The zero-cost
@@ -176,28 +181,17 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(EnclaveName, EnclaveVersion))
 	rpsNet := rps.NewNetwork(opts.Nodes, opts.RPSConfig, opts.Seed)
 
-	net := &Network{
-		dead:             make(map[string]struct{}),
-		engine:           opts.Backend,
-		engineFor:        opts.BackendFor,
-		model:            opts.LatencyModel,
-		ias:              ias,
-		verifier:         verifier,
-		rpsNet:           rpsNet,
-		clientSendCost:   opts.ClientSendCost,
-		pairSeed:         maphash.MakeSeed(),
-		seed:             opts.Seed,
-		analyzerFor:      opts.AnalyzerFor,
-		tableSize:        opts.TableSize,
-		bootstrapQueries: opts.BootstrapQueries,
-		paths:            workers.New("path", runPath),
-	}
-	for i := range net.pairShards {
-		net.pairShards[i].m = make(map[pairKey]*pairState)
-	}
+	net := newNetwork(opts.Backend, opts.LatencyModel, verifier, opts.ClientSendCost)
+	net.engineFor = opts.BackendFor
+	net.ias = ias
+	net.rpsNet = rpsNet
+	net.seed = opts.Seed
+	net.analyzerFor = opts.AnalyzerFor
+	net.tableSize = opts.TableSize
+	net.bootstrapQueries = opts.BootstrapQueries
 	net.conduit = directConduit{net}
 	if opts.Conduit != nil {
-		net.conduit = opts.Conduit(directConduit{net})
+		net.conduit = opts.Conduit(net.conduit)
 	}
 
 	members := &memberSet{nodes: make(map[string]*Node, opts.Nodes)}
@@ -214,6 +208,43 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 
 	rpsNet.Run(opts.GossipRounds)
 	return net, nil
+}
+
+// newNetwork builds the part of a Network that does not depend on who its
+// members are: session shards, liveness, the path workers.
+func newNetwork(engine Backend, model *transport.Model, verifier *enclave.Verifier, clientSendCost time.Duration) *Network {
+	net := &Network{
+		dead:           make(map[string]struct{}),
+		engine:         engine,
+		model:          model,
+		verifier:       verifier,
+		clientSendCost: clientSendCost,
+		pairSeed:       maphash.MakeSeed(),
+		paths:          workers.New("path", runPath),
+	}
+	for i := range net.pairShards {
+		net.pairShards[i].m = make(map[pairKey]*pairState)
+	}
+	return net
+}
+
+// NewHostedNode builds the node one process hosts in a networked deployment:
+// a daemon, or the client that is the paper's browser extension. It is the
+// node NewNetwork builds — same enclave, table, Search — in a network of
+// which it is the only member, so every relay peers samples lives in another
+// process and is attested and reached through link (a nettrans.TCPConduit
+// over the membership directory). Serve the node to its peers by handing
+// Local to the process's server.
+func NewHostedNode(opts NodeOptions, platform *enclave.Platform, verifier *enclave.Verifier, peers *rps.Node, be Backend, link transport.Conduit) (*Node, error) {
+	net := newNetwork(be, transport.DefaultModel(opts.Seed), verifier, DefaultClientSendCost)
+	net.conduit = link
+	net.attestor, _ = link.(transport.Attestor)
+	node, err := newNode(opts, platform, verifier, peers, be, net)
+	if err != nil {
+		return nil, err
+	}
+	net.members.Store(&memberSet{nodes: map[string]*Node{opts.ID: node}, order: []string{opts.ID}})
+	return node, nil
 }
 
 // buildNode creates one protocol node (platform, enclave, handshaker,
@@ -467,6 +498,69 @@ func (d directConduit) Deliver(from, to string, payload []byte, now time.Time) (
 	return resp, 0, err
 }
 
+var _ transport.Attestor = directConduit{}
+
+// Attest is the responder half of the attested key exchange for a client in
+// another process: verify its offer, install the relay's session half and
+// answer with the relay's own offer. (Two members of one network never come
+// here; ensurePairLocked attests them without marshalling anything.)
+func (d directConduit) Attest(from, to string, offer []byte) ([]byte, error) {
+	relay := d.net.members.Load().nodes[to]
+	if relay == nil {
+		// Not unavailability: whoever sent the client here (a daemon
+		// gossiping someone else's ID) fails the attestation.
+		return nil, fmt.Errorf("core: no relay %s here", to)
+	}
+	peer, err := securechan.UnmarshalHandshakeMsg(offer)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := marshalOffer(relay.handshaker)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := relay.handshaker.Establish(peer, false)
+	if err != nil {
+		return nil, err
+	}
+	relay.admitSession(from, sess)
+	return reply, nil
+}
+
+// marshalOffer produces one side's handshake offer in wire form.
+func marshalOffer(h *securechan.Handshaker) ([]byte, error) {
+	offer, err := h.Offer()
+	if err != nil {
+		return nil, err
+	}
+	return offer.Marshal()
+}
+
+// SkipRecord consumes the sequence number of a record the server's
+// admission shed, without opening it, so the pair stays in step (see
+// securechan.Session.Skip). No ecall: the point is to spend nothing.
+func (d directConduit) SkipRecord(from, to string, record []byte) error {
+	relay := d.net.members.Load().nodes[to]
+	if relay == nil {
+		return fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, to)
+	}
+	relay.state.mu.RLock()
+	rs := relay.state.sessions[from]
+	relay.state.mu.RUnlock()
+	if rs == nil {
+		return fmt.Errorf("%w with %s", ErrNoSession, from)
+	}
+	return rs.sess.Skip(record)
+}
+
+// DropSession closes the relay's session half with from: the server calls it
+// when the connection the session was attested on goes away.
+func (d directConduit) DropSession(from, to string) {
+	if relay := d.net.members.Load().nodes[to]; relay != nil {
+		relay.dropSession(from)
+	}
+}
+
 // forward delivers one encrypted forward request from client to relay and
 // returns the decoded response plus the sampled path latency:
 // WAN out + relay processing + engine RTT (inside backend) + WAN back.
@@ -544,12 +638,14 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	if !net.Alive(relayID) {
 		return forwardResponse{}, 0, ErrRelayUnavailable
 	}
+	// A relay that is not a member lives in another process; it is attested
+	// and reached through the conduit, if the conduit can do that.
 	relay := net.members.Load().nodes[relayID]
-	if relay == nil {
+	if relay == nil && net.attestor == nil {
 		return forwardResponse{}, 0, fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, relayID)
 	}
 
-	ps := net.pairEntry(client.id, relay.id)
+	ps := net.pairEntry(client.id, relayID)
 	// The secure channel enforces strictly increasing record sequence
 	// numbers, so the encrypt → relay → decrypt exchange of one pair is a
 	// critical section; distinct pairs proceed in parallel. Attestation
@@ -566,7 +662,7 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	if net.members.Load().nodes[relayID] != relay {
 		return forwardResponse{}, 0, ErrRelayUnavailable
 	}
-	if err := net.ensurePairLocked(ps, client, relay); err != nil {
+	if err := net.ensurePairLocked(ps, client, relay, relayID); err != nil {
 		return forwardResponse{}, 0, err
 	}
 
@@ -609,10 +705,15 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 	tm.deliverNS = int64(time.Since(delStart))
 	latency += injected
 	if err != nil {
+		if errors.Is(err, ErrRelayThrottled) {
+			// Shed by the relay's admission before decrypt: it consumed the
+			// record's sequence number as we did, so the pair is in step.
+			return forwardResponse{}, latency, err
+		}
 		// The request record consumed a send sequence number but its receipt
 		// is unconfirmed: the pair may be desynchronized either way.
 		net.breakPair(ps, client, relay)
-		if errors.Is(err, ErrRelayUnavailable) {
+		if errors.Is(err, ErrRelayUnavailable) || errors.Is(err, ErrNoSession) {
 			return forwardResponse{}, latency, err
 		}
 		return forwardResponse{}, latency, fmt.Errorf("%w: relay %s: %v", ErrRelayMisbehaved, relayID, err)
@@ -652,13 +753,17 @@ func (net *Network) forwardExchange(client *Node, relayID, query string, now tim
 // re-attest from scratch instead. Both halves are closed so per-session
 // observers (the simnet nonce checker) can release their bookkeeping.
 // Caller holds ps.mu, which also serializes this with any use of either
-// half: both are only ever touched inside the pair's critical section.
+// half: both are only ever touched inside the pair's critical section. A
+// relay in another process (relay nil) is out of reach: it replaces its half
+// on the re-attestation, or drops it with the connection.
 func (net *Network) breakPair(ps *pairState, client, relay *Node) {
 	if ps.client != nil {
 		ps.client.Close()
 	}
 	ps.client = nil
-	relay.dropSession(client.id)
+	if relay != nil {
+		relay.dropSession(client.id)
+	}
 }
 
 // pairShardFor hashes a pair key onto its shard.
@@ -701,18 +806,22 @@ func (net *Network) pair(client *Node, relay *Node) (*pairState, error) {
 	ps := net.pairEntry(client.id, relay.id)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if err := net.ensurePairLocked(ps, client, relay); err != nil {
+	if err := net.ensurePairLocked(ps, client, relay, relay.id); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
 // ensurePairLocked runs the attestation handshake if the pair has no live
-// session (first use, or after breakPair discarded a desynchronized one).
-// Caller holds ps.mu.
-func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node) error {
+// session (first use, or after breakPair discarded a desynchronized one):
+// in process with a member, over the conduit with a relay that is none
+// (relay nil). Caller holds ps.mu.
+func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node, relayID string) error {
 	if ps.client != nil {
 		return nil
+	}
+	if relay == nil {
+		return attestRemoteLocked(ps, client, relayID, net.attestor)
 	}
 	cs, rs, err := securechan.EstablishPair(client.handshaker, relay.handshaker)
 	if err != nil {
@@ -720,6 +829,32 @@ func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node) error {
 	}
 	ps.client = cs
 	relay.admitSession(client.id, rs)
+	return nil
+}
+
+// attestRemoteLocked is the initiator half of the attested key exchange with
+// a relay in another process: our offer out through via, the relay's offer
+// back, verified. A relay that cannot be reached is unavailable; one that
+// refuses our offer or fails verification misbehaved. Caller holds ps.mu.
+func attestRemoteLocked(ps *pairState, client *Node, relayID string, via transport.Attestor) error {
+	offer, err := marshalOffer(client.handshaker)
+	if err != nil {
+		return fmt.Errorf("attested session %s->%s: %w", client.id, relayID, err)
+	}
+	reply, err := via.Attest(client.id, relayID, offer)
+	if err != nil {
+		if errors.Is(err, ErrRelayUnavailable) {
+			return err
+		}
+		return fmt.Errorf("%w: attesting %s: %w", ErrRelayMisbehaved, relayID, err)
+	}
+	peer, err := securechan.UnmarshalHandshakeMsg(reply)
+	if err == nil {
+		ps.client, err = client.handshaker.Establish(peer, true)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: attesting %s: %w", ErrRelayMisbehaved, relayID, err)
+	}
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/securechan"
 	"cyclosa/internal/sensitivity"
+	"cyclosa/internal/transport"
 )
 
 // EnclaveName and EnclaveVersion define the measured code identity of the
@@ -56,6 +57,24 @@ var (
 	// ErrSelfRelay rejects a node relaying its own query, which would show
 	// the requester's identity to the engine.
 	ErrSelfRelay = errors.New("core: node cannot relay its own query")
+	// ErrRelayThrottled marks a forward an honest relay's per-client
+	// admission shed before opening it. Both ends consumed the record's
+	// sequence number, so the pair stays attested; the relay is not
+	// blacklisted and pays no timeout — the query goes to a different relay,
+	// as after an engine failure.
+	ErrRelayThrottled = errors.New("core: relay throttled the forward")
+	// ErrNoSession is a relay's answer to a record from a client it holds no
+	// session for: the connection the session was attested on is gone, or
+	// the relay restarted. The client discards its half and re-attests.
+	ErrNoSession = errors.New("core: relay holds no session")
+	// ErrRelayUnresolved marks a sampled relay the transport has no attested
+	// address for (yet) — its attestation is in flight, or it left the
+	// directory — or that still holds this identity's session on another
+	// connection (one just dropped, or a squatter's). It is unavailability
+	// (errors.Is ErrRelayUnavailable holds) that says nothing against the
+	// relay, so the retry layer skips it like a self-sample instead of
+	// blacklisting it.
+	ErrRelayUnresolved = errors.New("core: relay not resolvable")
 )
 
 // NodeStats counts a node's activity.
@@ -255,7 +274,7 @@ func (n *Node) registerECalls() {
 		rs := n.state.sessions[string(from)]
 		n.state.mu.RUnlock()
 		if rs == nil {
-			return nil, fmt.Errorf("forward: no session with %s", from)
+			return nil, fmt.Errorf("forward: %w with %s", ErrNoSession, from)
 		}
 
 		pb := getBuf()
@@ -393,6 +412,28 @@ func (n *Node) BackendStats() (stats backend.Stats, ok bool) {
 // BootstrapTable fills the past-query table (Google-Trends bootstrap, §V-D).
 func (n *Node) BootstrapTable(queries []string) {
 	n.state.table.AddAll(queries)
+}
+
+// Local returns the conduit that ends at this node: what the process's
+// server hands inbound data and attest frames to (it is also a
+// transport.Attestor).
+func (n *Node) Local() transport.Conduit { return directConduit{n.net} }
+
+// AttestRelay runs a fresh attested key exchange with a relay in another
+// process through via and returns the relay enclave's measurement. The
+// membership directory calls it for every peer entering the view — via then
+// reaches the address the peer gossiped, which the node's own link will not
+// resolve until this succeeds — and the session it leaves behind is the one
+// the node's forwards to that relay use.
+func (n *Node) AttestRelay(relayID string, via transport.Attestor) (enclave.Measurement, error) {
+	ps := n.net.pairEntry(n.id, relayID)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	n.net.breakPair(ps, n, nil)
+	if err := attestRemoteLocked(ps, n, relayID, via); err != nil {
+		return enclave.Measurement{}, err
+	}
+	return ps.client.PeerMeasurement(), nil
 }
 
 // admitSession installs a responder-side session (called by the network
@@ -544,7 +585,7 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		res.RealRelay = o.usedRelay
 		switch {
 		case o.err != nil:
-			realErr = fmt.Errorf("%w: %v", ErrRelayFailed, o.err)
+			realErr = fmt.Errorf("%w: %w", ErrRelayFailed, o.err)
 		case o.reply.EngineError != "":
 			// Classify from the wire string so callers can errors.Is against
 			// the backend taxonomy (overloaded / timeout / breaker-open).
@@ -600,6 +641,11 @@ func runPath(j pathJob) {
 // simply retried through a different relay whose engine may be healthy. If
 // every attempt ends in engine failure the last engine reply is returned
 // (no transport error occurred; the caller surfaces EngineError).
+// A relay that sheds the forward as over its per-client quota is treated the
+// same way (nothing charged, different relay), except that it leaves no
+// reply to fall back on. A relay in another process that lost its session
+// half is re-attested and tried once more before it counts as misbehaving;
+// one the transport cannot resolve yet is skipped like a self-sample.
 // Retry bookkeeping (the tried set, replacement sampling) is built lazily
 // on the first failure, so the common all-relays-healthy path does no extra
 // work. discardPage is passed to every attempt's forward.
@@ -610,6 +656,7 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 	var lastErr error
 	var engineReply forwardResponse
 	engineRelay := ""
+	reattested := false
 	for attempt := 0; attempt < 3; attempt++ {
 		reply, lat, err := n.net.forward(n, current, query, now, discardPage)
 		total += lat
@@ -625,16 +672,25 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 			n.stats.engineFailed.Add(1)
 			engineReply, engineRelay = reply, current
 			lastErr = nil
-		case errors.Is(err, ErrRelayMisbehaved):
+		case errors.Is(err, ErrRelayThrottled):
+			// Over quota at an honest relay: charge nothing, move on.
+		case errors.Is(err, ErrNoSession) && !reattested:
+			// The forward discarded our half; the same relay gets one more
+			// forward, which re-attests first.
+			reattested = true
+			attempt--
+			continue
+		case errors.Is(err, ErrRelayMisbehaved), errors.Is(err, ErrNoSession):
 			n.stats.misbehaved.Add(1)
 			n.peers.Blacklist(rps.NodeID(current))
 			n.stats.blacklisted.Add(1)
 			forwardBlacklists.Inc()
-		case errors.Is(err, ErrSelfRelay):
-			// Re-sample without blacklisting (the node is not its own enemy)
-			// and without consuming an attempt: no forward was issued, so the
-			// search keeps its full retry budget. At most one iteration can
-			// land here — replacements below never sample the node itself.
+		case errors.Is(err, ErrSelfRelay), errors.Is(err, ErrRelayUnresolved):
+			// Re-sample without blacklisting (the node is not its own enemy,
+			// and an unattested peer has done nothing) and without consuming
+			// an attempt: no forward was issued, so the search keeps its full
+			// retry budget. Replacements below never sample the node itself,
+			// and each skipped peer joins tried, so this ends.
 			attempt--
 		case errors.Is(err, ErrRelayUnavailable):
 			// Unresponsive relay: pay the timeout, blacklist, pick another.
@@ -666,6 +722,9 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 				// No replacement relay, but a relay did answer: degrade to
 				// its engine-failure reply instead of claiming no peers.
 				return engineReply, engineRelay, total, nil
+			}
+			if errors.Is(lastErr, ErrRelayThrottled) {
+				return forwardResponse{}, current, total, lastErr
 			}
 			return forwardResponse{}, current, total, ErrNoPeers
 		}

@@ -10,14 +10,15 @@ import (
 	"cyclosa/internal/core"
 	"cyclosa/internal/enclave"
 	"cyclosa/internal/nettrans"
-	"cyclosa/internal/securechan"
+	"cyclosa/internal/rps"
 )
 
 // AccountingBenchOptions configures the admission-control benchmark behind
-// cyclosa-bench's -exp accounting: closed-loop clients drive the attested
-// service plane well past their per-client rate, measuring what the
-// token-bucket edge admits, what it sheds, and that the forward hot path
-// kept its allocation budget with the accounting seam in place. Tracked PR
+// cyclosa-bench's -exp accounting: closed-loop clients forward to one hosted
+// relay well past their per-client rate, measuring what the token-bucket
+// edge in front of its data frames admits, what it sheds, and that the
+// forward hot path kept its allocation budget with the accounting seam in
+// place. Tracked PR
 // over PR in BENCH_accounting.json.
 type AccountingBenchOptions struct {
 	// Seed drives platform and network randomness.
@@ -85,11 +86,11 @@ type AccountingBenchHistoryEntry struct {
 }
 
 // RunAccountingBench measures the admission edge end to end: Clients
-// closed-loop clients, each over its own attested session, hammer one
-// throttled relay service for Duration; every query either completes or
-// fails with the typed accounting.ErrClientThrottled. A second phase
-// re-measures the bare forward hot path to prove the per-session
-// accounting seam kept the allocation budget.
+// closed-loop clients — hosted nodes, each with its own identity, pool and
+// attested pair — forward to one throttled hosted relay for Duration; every
+// forward either completes or fails with the typed core.ErrRelayThrottled.
+// A second phase re-measures the bare forward hot path to prove the
+// per-session accounting seam kept the allocation budget.
 func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, error) {
 	if opts.ClientQPS <= 0 {
 		opts.ClientQPS = 50
@@ -107,46 +108,51 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 		opts.HotPathIterations = 20000
 	}
 
+	const relayID = "accounting-bench"
 	ias := enclave.NewIAS()
 	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	relayPlat := enclave.NewDeterministicPlatform("accounting-bench-relay", []byte("accountingbench"), ias)
-	hsRelay, err := securechan.NewHandshaker(relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		return nil, err
+	// host builds one hosted node whose only peer is the relay; resolve is
+	// filled in once the relay's server is bound.
+	var relayAddr string
+	resolve := func(string) (string, bool) { return relayAddr, true }
+	host := func(id string) (*core.Node, *nettrans.TCPConduit, error) {
+		link := nettrans.NewTCPConduit(nettrans.ConduitConfig{
+			Resolve:    resolve,
+			PoolConfig: nettrans.PoolConfig{ID: id, RequestTimeout: 30 * time.Second},
+		})
+		node, err := core.NewHostedNode(core.NodeOptions{ID: id, Seed: opts.Seed},
+			enclave.NewDeterministicPlatform("accounting-bench-"+id, []byte("accountingbench"), ias), verifier,
+			rps.NewNode(rps.NodeID(id), []rps.NodeID{relayID}, rps.Config{Seed: opts.Seed}), core.NullBackend{}, link)
+		return node, link, err
 	}
+
 	lim, err := accounting.NewLimiter(accounting.LimiterConfig{QPS: opts.ClientQPS, Burst: opts.Burst})
 	if err != nil {
 		return nil, err
 	}
-	srv := nettrans.NewServer(nettrans.ServerConfig{
-		ID:        "accounting-bench",
-		Service:   &nettrans.RelayService{Handshaker: hsRelay, Backend: core.NullBackend{}, Source: "accounting-bench"},
-		Admission: lim,
-	})
+	relay, relayLink, err := host(relayID)
+	if err != nil {
+		return nil, err
+	}
+	defer relayLink.Close()
+	srv := nettrans.NewServer(nettrans.ServerConfig{ID: relayID, Handler: relay.Local(), Admission: lim})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	defer srv.Close()
+	relayAddr = srv.Addr().String()
 
-	clients := make([]*nettrans.Client, opts.Clients)
+	clients := make([]*core.Node, opts.Clients)
 	for i := range clients {
-		plat := enclave.NewDeterministicPlatform(fmt.Sprintf("accounting-bench-client-%d", i), []byte("accountingbench"), ias)
-		hs, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
+		c, link, err := host(fmt.Sprintf("bench-client-%d", i))
 		if err != nil {
 			return nil, err
 		}
-		c, err := nettrans.DialService(srv.Addr().String(), hs, nettrans.ClientConfig{
-			ID:             fmt.Sprintf("bench-client-%d", i),
-			RequestTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("client %d dial: %w", i, err)
-		}
-		defer c.Close()
+		defer link.Close()
 		clients[i] = c
-		// One warmup query per client so attestation and scratch growth
+		// One warmup forward per client so attestation and scratch growth
 		// are not charged to the window (it also spends one token).
-		if _, err := c.Query("accounting warmup"); err != nil {
+		if _, err := c.Search("accounting warmup", time.Now()); err != nil {
 			return nil, fmt.Errorf("client %d warmup: %w", i, err)
 		}
 	}
@@ -159,15 +165,16 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	deadline := start.Add(opts.Duration)
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c *nettrans.Client) {
+		go func(i int, c *core.Node) {
 			defer wg.Done()
 			var adm, thr uint64
 			for time.Now().Before(deadline) {
-				_, err := c.Query("accounting probe")
+				// No analyzer and a one-peer view: a search is one forward.
+				_, err := c.Search("accounting probe", time.Now())
 				switch {
 				case err == nil:
 					adm++
-				case errors.Is(err, accounting.ErrClientThrottled):
+				case errors.Is(err, core.ErrRelayThrottled):
 					thr++
 				default:
 					errCh <- fmt.Errorf("client %d: %w", i, err)
@@ -195,7 +202,7 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	st := lim.Stats()
 	offered := admitted + throttled
 	return &AccountingBenchResult{
-		Benchmark:              "Per-client admission edge (token bucket at the attested service plane)",
+		Benchmark:              "Per-client admission edge (token bucket in front of a hosted relay's data frames)",
 		ClientQPS:              opts.ClientQPS,
 		Burst:                  opts.Burst,
 		Clients:                opts.Clients,

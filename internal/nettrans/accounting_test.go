@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,11 +11,7 @@ import (
 
 	"cyclosa/internal/accounting"
 	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
-	"cyclosa/internal/queries"
 	"cyclosa/internal/rps"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
 )
 
 // admissionClock is a hand-cranked clock so token refill is deterministic
@@ -36,116 +33,145 @@ func (c *admissionClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// startThrottledDaemon is startTestDaemon with an admission limiter on a
-// fake clock wired into the service edge.
-func startThrottledDaemon(t *testing.T, qps float64, burst int) (*testDaemon, *accounting.Limiter, *admissionClock) {
+// throttledRelay hosts a relay whose admission limiter runs on a fake clock,
+// and a client whose only peer it is.
+func throttledRelay(t *testing.T, qps float64, burst int) (relay, client *hostedNode, lim *accounting.Limiter, clk *admissionClock) {
 	t.Helper()
-	d := &testDaemon{ias: enclave.NewIAS(), secret: []byte("throttle-secret")}
-	d.verifier = enclave.NewVerifier(d.ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-
-	relayPlat := enclave.NewDeterministicPlatform("relay-platform", d.secret, d.ias)
-	encl := relayPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion})
-	hs, err := securechan.NewHandshaker(encl, d.verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 7})
-	engine := searchengine.New(uni, searchengine.Config{Seed: 7})
-
-	clk := &admissionClock{t: time.Unix(1_700_000_000, 0)}
+	clk = &admissionClock{t: time.Unix(1_700_000_000, 0)}
 	lim, err := accounting.NewLimiter(accounting.LimiterConfig{QPS: qps, Burst: burst, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.srv = NewServer(ServerConfig{
-		ID:        "throttled-daemon",
-		Service:   &RelayService{Handshaker: hs, Backend: engine, Source: "throttled-daemon"},
-		Admission: lim,
-	})
-	if err := d.srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.srv.Close() })
-	return d, lim, clk
+	w := newHostedWorld(t, "throttle-secret")
+	relay = w.host("throttled-relay", nil, hostedOpts{admission: lim})
+	client = w.host("client", []string{"throttled-relay"}, hostedOpts{})
+	return relay, client, lim, clk
 }
 
-// TestAdmissionThrottlesAndSessionSurvives proves the tentpole admission
-// semantics end to end: over-quota queries fail with the typed
-// ErrClientThrottled, the connection and attested session survive the shed
-// (the skipped records advanced the receive counter), and once the bucket
-// refills the same session serves queries again.
+// TestAdmissionThrottlesAndSessionSurvives proves the admission semantics
+// end to end on the data-frame edge: over-quota forwards fail with the typed
+// core.ErrRelayThrottled and cost the relay no decrypt (no forward ecall),
+// the pair survives the shed (the skipped records advanced the receive
+// counter), nobody is blacklisted, and once the bucket refills the same
+// session serves forwards again.
 func TestAdmissionThrottlesAndSessionSurvives(t *testing.T) {
-	d, lim, clk := startThrottledDaemon(t, 2, 2)
-	c := d.dial(t)
+	closes := countCloses(t)
+	relay, c, lim, clk := throttledRelay(t, 2, 2)
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Query("throttle probe"); err != nil {
-			t.Fatalf("query %d within burst: %v", i, err)
+		c.search(t, "throttle probe")
+	}
+	ecalls := relay.node.Enclave().Stats().ECalls
+	for i := 0; i < 3; i++ {
+		_, err := c.node.Search("over quota", time.Now())
+		if !errors.Is(err, core.ErrRelayThrottled) {
+			t.Fatalf("over-quota forward %d: err = %v, want ErrRelayThrottled", i, err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		_, err := c.Query("over quota")
-		if !errors.Is(err, accounting.ErrClientThrottled) {
-			t.Fatalf("over-quota query %d: err = %v, want ErrClientThrottled", i, err)
-		}
+	if got := relay.node.Enclave().Stats().ECalls; got != ecalls {
+		t.Fatalf("%d ecalls for 3 shed forwards, want none: shedding must precede decrypt", got-ecalls)
 	}
 
 	// One second at 2 qps refills two tokens; the same session — whose
 	// receive counter the shed records advanced via Skip — must now decrypt
 	// and answer normally.
 	clk.Advance(time.Second)
-	if _, err := c.Query("after refill"); err != nil {
-		t.Fatalf("query after refill on same session: %v", err)
-	}
+	c.search(t, "after refill")
 
-	st := lim.Stats()
-	if st.Admitted != 3 || st.Throttled != 3 {
+	if st := lim.Stats(); st.Admitted != 3 || st.Throttled != 3 {
 		t.Fatalf("limiter stats = %+v, want 3 admitted / 3 throttled", st)
+	}
+	if st := c.node.Stats(); st.Blacklisted != 0 || st.Misbehaved != 0 || closes.Load() != 0 {
+		t.Fatalf("client stats %+v, %d sessions closed: throttling must break no pair and blacklist nobody", st, closes.Load())
 	}
 }
 
-// TestAdmissionShedsConcurrentQueries races 8 queries on one session into
-// a burst of 3: exactly 3 are admitted and 5 shed with the typed error —
-// each shed record skipped before decrypt while admitted ones decrypt around
-// it, so the session's receive counter must stay in step — and after a
-// refill the same session answers again.
+// TestAdmissionShedsConcurrentQueries races 8 forwards of one client into a
+// burst of 3: exactly 3 are admitted and 5 shed with the typed error — each
+// shed record skipped unopened while admitted ones decrypt around it, so the
+// pair's counters must stay in step — and after a refill the same session
+// answers again.
 func TestAdmissionShedsConcurrentQueries(t *testing.T) {
-	d, lim, clk := startThrottledDaemon(t, 1, 3)
-	c := d.dial(t)
+	closes := countCloses(t)
+	_, c, lim, clk := throttledRelay(t, 1, 3)
 
 	const total = 8
 	var wg sync.WaitGroup
 	var admitted, throttled int
 	var mu sync.Mutex
 	for i := 0; i < total; i++ {
+		i := i
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, err := c.Query(fmt.Sprintf("concurrent %d", i))
+			_, err := c.node.Search(fmt.Sprintf("concurrent %d", i), time.Now())
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
 				admitted++
-			case errors.Is(err, accounting.ErrClientThrottled):
+			case errors.Is(err, core.ErrRelayThrottled):
 				throttled++
 			default:
-				t.Errorf("query %d: unexpected error %v", i, err)
+				t.Errorf("forward %d: unexpected error %v", i, err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if admitted != 3 || throttled != 5 {
 		t.Fatalf("admitted %d / throttled %d, want 3 / 5", admitted, throttled)
 	}
-	st := lim.Stats()
-	if st.Admitted != 3 || st.Throttled != 5 {
+	if st := lim.Stats(); st.Admitted != 3 || st.Throttled != 5 {
 		t.Fatalf("limiter stats = %+v, want 3 admitted / 5 throttled", st)
 	}
 
 	clk.Advance(time.Second)
-	if _, err := c.Query("after refill"); err != nil {
-		t.Fatalf("query after refill on same session: %v", err)
+	c.search(t, "after refill")
+	if st := c.node.Stats(); st.Blacklisted != 0 || st.Misbehaved != 0 || closes.Load() != 0 {
+		t.Fatalf("client stats %+v, %d sessions closed: throttling must break no pair and blacklist nobody", st, closes.Load())
+	}
+}
+
+// TestForeignConnectionCannotMoveSession: shedding skips a record's sequence
+// number without checking any AEAD tag, so only the connection a session was
+// attested on may have its frames admitted or shed. Connections that merely
+// name the victim in their data frames — under their own hello identity or
+// under the victim's — are refused without touching the victim's session or
+// its tokens, and learn nothing about the sequence number it expects; the
+// victim's next forward is served on the session it had.
+func TestForeignConnectionCannotMoveSession(t *testing.T) {
+	closes := countCloses(t)
+	relay, c, lim, _ := throttledRelay(t, 1, 2)
+	c.search(t, "the victim's first forward") // the relay now expects seq 1
+
+	for _, hello := range []string{"mallory", "client"} {
+		pool := NewPool(PoolConfig{ID: hello, RequestTimeout: 2 * time.Second})
+		defer pool.Close()
+		for i := 0; i < 4; i++ { // past the burst either way
+			record := binary.BigEndian.AppendUint64(nil, 1)
+			record = append(record, "no key, no tag"...)
+			meta := appendDataMeta(nil, 1, "client", "throttled-relay", len(record))
+			h, buf, err := pool.RoundTrip(relay.srv.Addr().String(), frameData, meta, record)
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", hello, i, err)
+			}
+			code, msg, derr := decodeErrPayload(*buf)
+			if h.typ != frameErr || derr != nil || code != errCodeNoSession || strings.Contains(string(msg), "seq") {
+				t.Fatalf("%s frame %d answered with type %d code %d %q (%v), want a bare no-session err frame", hello, i, h.typ, code, msg, derr)
+			}
+			putFrame(buf)
+		}
+	}
+	if st := lim.Stats(); st.Admitted != 1 || st.Throttled != 0 {
+		t.Fatalf("limiter stats = %+v: foreign frames spent the victim's tokens or were shed against its session", st)
+	}
+
+	c.search(t, "the victim's next forward")
+	if st := c.node.Stats(); st.Blacklisted != 0 || st.Misbehaved != 0 || closes.Load() != 0 {
+		t.Fatalf("client stats %+v, %d sessions closed: the victim's pair was moved from another connection", st, closes.Load())
+	}
+	if st := relay.node.Stats(); st.Relayed != 2 {
+		t.Fatalf("relay served %d forwards, want the victim's 2", st.Relayed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -46,7 +47,10 @@ type pairKey struct{ from, to string }
 // buffer needs no lock of its own.
 type pairBuf struct{ buf []byte }
 
-var _ transport.Conduit = (*TCPConduit)(nil)
+var (
+	_ transport.Conduit  = (*TCPConduit)(nil)
+	_ transport.Attestor = (*TCPConduit)(nil)
+)
 
 // NewTCPConduit builds a conduit over the given resolver.
 func NewTCPConduit(cfg ConduitConfig) *TCPConduit {
@@ -71,24 +75,83 @@ func NewTCPConduit(cfg ConduitConfig) *TCPConduit {
 // counters (flushes, frames, bytes — the coalescing contention proxy).
 func (t *TCPConduit) WriteStats() WriteStatsSnapshot { return t.pool.WriteStats() }
 
-// Deliver implements transport.Conduit: one data frame out, one resp (or
-// err) frame back. Transport-level failures — unresolvable peer, dial
-// failure, backoff window, saturated pipe, timeout, connection cut — are
-// reported as core.ErrRelayUnavailable so the retry layer blacklists the
-// peer exactly as it would an unresponsive simulated one; a served err
-// frame with a non-unavailable code surfaces as a plain error, which the
-// protocol classifies as relay misbehavior.
-func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
+// roundTrip sends one request frame to relay to and returns its answer.
+// Transport-level failures — dial failure, backoff window, saturated pipe,
+// timeout, connection cut — are reported as core.ErrRelayUnavailable so the
+// retry layer blacklists the peer exactly as it would an unresponsive
+// simulated one; a relay with no address is core.ErrRelayUnresolved on top,
+// which spares it the blacklist.
+func (t *TCPConduit) roundTrip(to string, typ frameType, parts ...[]byte) (header, *[]byte, error) {
 	addr, ok := t.resolve(to)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: nettrans: no address for relay %s", core.ErrRelayUnavailable, to)
+		return header{}, nil, fmt.Errorf("%w: %w: nettrans: no address for relay %s", core.ErrRelayUnavailable, core.ErrRelayUnresolved, to)
 	}
+	h, buf, err := t.pool.RoundTrip(addr, typ, parts...)
+	if err != nil {
+		return header{}, nil, fmt.Errorf("%w: %w", core.ErrRelayUnavailable, err)
+	}
+	return h, buf, nil
+}
+
+// errFrame turns a served err frame into the error the protocol acts on (see
+// the errCode constants); any other code surfaces as a plain error, which
+// the protocol classifies as relay misbehavior.
+func errFrame(to string, payload []byte) error {
+	code, msg, err := decodeErrPayload(payload)
+	switch {
+	case err != nil:
+		return fmt.Errorf("nettrans: bad err frame from %s: %w", to, err)
+	case code == errCodeUnavailable:
+		return fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrRelayUnavailable, to, msg)
+	case code == errCodeThrottled:
+		return fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrRelayThrottled, to, msg)
+	case code == errCodeNoSession:
+		return fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrNoSession, to, msg)
+	case code == errCodeBusy:
+		return fmt.Errorf("%w: %w: nettrans: relay %s: %s", core.ErrRelayUnavailable, core.ErrRelayUnresolved, to, msg)
+	}
+	return fmt.Errorf("nettrans: relay %s rejected exchange: %s", to, msg)
+}
+
+// Attest implements transport.Attestor: one attest frame carrying from, to
+// and the offer out on the pooled connection, the relay's offer back. The
+// session the relay installs belongs to that connection. A relay that
+// refuses the offer — or answers with something that is not one — fails
+// with ErrAttestRejected.
+func (t *TCPConduit) Attest(from, to string, offer []byte) ([]byte, error) {
+	req := getFrame()
+	*req = appendAttestPayload((*req)[:0], from, to, offer)
+	h, buf, err := t.roundTrip(to, frameAttest, *req)
+	putFrame(req)
+	if err != nil {
+		return nil, err
+	}
+	defer putFrame(buf)
+
+	switch {
+	case h.typ == frameErr:
+		err := errFrame(to, *buf)
+		if !errors.Is(err, core.ErrRelayUnavailable) {
+			err = fmt.Errorf("%w: %w", ErrAttestRejected, err)
+		}
+		return nil, err
+	case h.typ != frameAttest:
+		return nil, fmt.Errorf("%w: unexpected frame type %d from %s", ErrAttestRejected, h.typ, to)
+	case len(*buf) > maxHandshakeLen:
+		return nil, fmt.Errorf("%w: %s answered with a %d-byte offer (limit %d)", ErrAttestRejected, to, len(*buf), maxHandshakeLen)
+	}
+	return append([]byte(nil), *buf...), nil
+}
+
+// Deliver implements transport.Conduit: one data frame out, one resp (or
+// err) frame back.
+func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
 	meta := getFrame()
 	*meta = appendDataMeta((*meta)[:0], now.UnixNano(), from, to, len(payload))
-	h, buf, err := t.pool.RoundTrip(addr, frameData, *meta, payload)
+	h, buf, err := t.roundTrip(to, frameData, *meta, payload)
 	putFrame(meta)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", core.ErrRelayUnavailable, err)
+		return nil, 0, err
 	}
 	defer putFrame(buf)
 
@@ -102,14 +165,7 @@ func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]
 		pb.buf = append(pb.buf[:0], record...)
 		return pb.buf, time.Duration(injectedNano), nil
 	case frameErr:
-		code, msg, err := decodeErrPayload(*buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("nettrans: bad err frame from %s: %w", to, err)
-		}
-		if code == errCodeUnavailable {
-			return nil, 0, fmt.Errorf("%w: nettrans: relay %s: %s", core.ErrRelayUnavailable, to, msg)
-		}
-		return nil, 0, fmt.Errorf("nettrans: relay %s rejected exchange: %s", to, msg)
+		return nil, 0, errFrame(to, *buf)
 	default:
 		return nil, 0, fmt.Errorf("nettrans: unexpected frame type %d from %s", h.typ, to)
 	}

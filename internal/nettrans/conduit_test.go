@@ -121,6 +121,42 @@ func TestTCPNetworkForwardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPDepartedMemberStaysUnavailable: an in-process network over TCP
+// attests members in process only, although its conduit could carry the key
+// exchange. A relay that left the member set is unavailable (timeout path) —
+// never sent an attest frame that could only be refused, which would read as
+// misbehaviour and shift what seeded churn runs report.
+func TestTCPDepartedMemberStaysUnavailable(t *testing.T) {
+	var stack *tcpStack
+	netw, err := core.NewNetwork(core.NetworkOptions{
+		Nodes:   3,
+		Seed:    5,
+		Backend: core.NullBackend{},
+		Conduit: func(direct transport.Conduit) transport.Conduit {
+			stack = startTCPStack(t, 1, direct)
+			return stack.tcp
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := netw.NodeIDs()
+	stack.assign(ids)
+	client, gone := netw.Node(ids[0]), ids[1]
+	if err := netw.RelayRoundTrip(client, gone, "while a member", time.Unix(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	netw.Leave(gone)
+	frames := stack.tcp.WriteStats().Frames
+	err = netw.RelayRoundTrip(client, gone, "after it left", time.Unix(0, 2))
+	if !errors.Is(err, core.ErrRelayUnavailable) || errors.Is(err, core.ErrRelayMisbehaved) {
+		t.Fatalf("forward to a departed member: err = %v, want plain unavailability", err)
+	}
+	if got := stack.tcp.WriteStats().Frames; got != frames {
+		t.Fatalf("%d frames sent towards a departed member, want none", got-frames)
+	}
+}
+
 // TestTCPLoopbackClientsTimesRelays runs N client goroutines forwarding
 // through every other node, with the overlay spread over M servers — the
 // N x M loopback integration matrix, meant for the race detector.

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cyclosa/internal/securechan"
 )
 
 // defaultWriteTimeout bounds one flush so a stalled peer cannot wedge the
@@ -102,13 +100,11 @@ func (o *writeOptions) applyDefaults() {
 // Write-path contract: a write returns when its frame is queued, not when
 // it is on the socket — only the writer that found no flush in progress (the
 // leader) stays to flush. Frames reach the socket in exactly the order they
-// were appended to the batch queue, and appends happen under wmu — so
-// anything serialized by wmu (in particular record encryption in
-// writeSealedFrame) keeps its order on the wire. A writer that has returned
-// cannot be told its frame was lost, so a failed flush closes the
-// connection: the error is sticky for every later writer, and the socket
-// close fails the read side, which is where every owner of a frameConn
-// already tears its streams and sessions down.
+// were appended to the batch queue, and appends happen under wmu. A writer
+// that has returned cannot be told its frame was lost, so a failed flush
+// closes the connection: the error is sticky for every later writer, and
+// the socket close fails the read side, which is where every owner of a
+// frameConn already tears its streams and sessions down.
 type frameConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -177,39 +173,6 @@ func (fc *frameConn) writeFrame(typ frameType, stream uint64, parts ...[]byte) e
 	for _, p := range parts {
 		fc.wbuf = append(fc.wbuf, p...)
 	}
-	return fc.commitFrame()
-}
-
-// writeSealedFrame encrypts plaintext on sess and queues it as one frame.
-// Encryption happens under the batch lock, so the record sequence order on
-// the session equals the frame order on the socket — the in-order delivery
-// the channel's counter nonces require, even with many streams in flight.
-// The ciphertext is encrypted directly into the batch buffer (a header
-// placeholder is patched once the record length is known), so the sealed
-// path adds no extra copy over the plain one.
-func (fc *frameConn) writeSealedFrame(sess *securechan.Session, typ frameType, stream uint64, plaintext []byte) error {
-	fc.wmu.Lock()
-	if err := fc.waitWritable(len(plaintext)); err != nil {
-		fc.wmu.Unlock()
-		return err
-	}
-	hdrOff := len(fc.wbuf)
-	var hdr [headerSize]byte
-	fc.wbuf = append(fc.wbuf, hdr[:]...)
-	out, err := sess.EncryptAppend(fc.wbuf, plaintext)
-	if err != nil {
-		fc.wbuf = fc.wbuf[:hdrOff]
-		fc.wmu.Unlock()
-		return err
-	}
-	recLen := len(out) - hdrOff - headerSize
-	if recLen > fc.maxFrame {
-		fc.wbuf = fc.wbuf[:hdrOff]
-		fc.wmu.Unlock()
-		return fmt.Errorf("%w: %d > %d", ErrFrameOversize, recLen, fc.maxFrame)
-	}
-	fc.wbuf = out
-	putHeader((*[headerSize]byte)(fc.wbuf[hdrOff:hdrOff+headerSize]), typ, stream, recLen)
 	return fc.commitFrame()
 }
 

@@ -27,17 +27,18 @@
 //	data   := nowNano(8B) from(str) to(str) record(bytes)   — conduit request
 //	resp   := injectedNano(8B) record(bytes)                — conduit response
 //	err    := code(1B) msg(str)                             — failed exchange
-//	attest := handshake offer (JSON)         — service session establishment
-//	query  := encrypted record               — service query (session AEAD)
-//	answer := encrypted record               — service answer (session AEAD)
+//	attest := from(str) to(str) offer(bytes) out, offer back — pair key exchange
 //	goaway := (empty)                        — server draining, stop opening streams
 //	gossip := view buffer (rps wire format)  — membership exchange, both directions
 //	view   := (empty) out, JSON ViewSnapshot back           — introspection
 //	accounting := ledger state (PN-counter wire format)     — ledger exchange, both directions
 //
-// The type byte numbers them 1–10 in the order above and 13 for accounting.
-// Numbers 11 and 12 are retired and reserved: they carried a query-batch
-// record pair, are never reused, and are refused like an unknown type.
+// The type byte numbers them 1–5 in the order above, then 8, 9, 10 and 13
+// (accounting). Numbers 6, 7, 11 and 12 are retired and reserved: they
+// carried a single-hop relay service's query/answer records and query-batch
+// pair, are never reused, and are refused like an unknown type. An attest
+// offer is a marshalled securechan.HandshakeMsg, bounded at 64 KiB both
+// ways: it is parsed before its sender is verified.
 //
 // A gossip frame's payload is an rps view buffer
 // (`ver | count | {id | addr | age}*`, see internal/rps/wire.go): the
@@ -67,9 +68,8 @@
 // writer cannot be handed an error later, so the leader of a failed flush
 // poisons the connection for every later writer and closes the socket, and
 // the read side does the rest: the pool's read loop fails every pending
-// stream with ErrConnClosed at once, a service client fails its queries and
-// closes its session half, a server connection unregisters and releases its
-// responder session.
+// stream with ErrConnClosed at once, a server connection unregisters and
+// drops the sessions attested on it.
 //
 // The pending batch is bounded at 256 KiB: writers beyond it block until
 // the leader detaches the batch (not until that batch is flushed — the next
@@ -100,16 +100,24 @@
 // the whole chaos catalog plus invariant checkers over real sockets; see
 // simnet.ChaosOptions.Transport.
 //
-// RelayService and Client form the attested query service used by the
-// cyclosa-node daemon: an attested securechan session is established over
-// attest frames, then many concurrent queries multiplex over the single
-// session as query/answer frames. Record encryption order equals socket
-// write order (both happen under the connection write lock) and decryption
-// happens in the reader goroutine in arrival order, which is what the
-// channel's strict record sequence numbers require; concurrency lives
-// between the two, in the engine dispatch. Connection teardown closes the
-// session half on each side, so a dropped TCP connection never leaks nonce
-// state into a reconnect: the next connection re-attests from scratch.
+// # Attested sessions
+//
+// The protocol's sessions live in internal/core: a client's half in its
+// pair state, a relay's half in its enclave. Two members of one in-process
+// core.Network exchange keys without touching this package
+// (securechan.EstablishPair; set-up time and simnet's seeded fault streams
+// depend on that). Between processes the exchange crosses the wire once per
+// pair, as an attest frame: TCPConduit is a transport.Attestor, and a Server
+// whose Handler is one too (a hosted core.Node's local conduit) routes the
+// frame to it. The session the Handler installs belongs to the connection
+// the frame arrived on: only that connection may re-attest the pair (in the
+// name it said hello under; anyone else gets the busy code and skips the
+// relay) and its teardown drops the session, so a dropped connection leaks
+// no nonce state into a reconnect — a data frame on the new one gets the
+// no-session code and the client re-attests. ServerConfig.Admission charges
+// a data frame to the hello identity, and admits or sheds it only on the
+// connection that owns its pair; binding that identity to the attested key
+// is future work.
 //
 // # Membership: the gossip control plane
 //
@@ -120,7 +128,7 @@
 // failures — ErrAttestRejected — blacklist the peer, transport failures
 // merely evict it with re-entry allowed) and resolves node IDs to verified
 // addresses for the data plane (Membership.Resolve plugs straight into
-// ConduitConfig.Resolve). Bootstrap joins through seed addresses only and
+// ConduitConfig.Resolve, Membership.Node into core.NewHostedNode). Bootstrap joins through seed addresses only and
 // fails with ErrNoSeed when none answers; a view emptied by failures
 // re-bootstraps from the same seeds. Blacklisted peers are
 // gossip-suppressed end to end: never re-admitted on merge, never

@@ -24,13 +24,14 @@ const (
 type frameType uint8
 
 const (
-	frameHello  frameType = 1
-	frameData   frameType = 2
-	frameResp   frameType = 3
-	frameErr    frameType = 4
+	frameHello frameType = 1
+	frameData  frameType = 2
+	frameResp  frameType = 3
+	frameErr   frameType = 4
+	// frameAttest carries the attested key exchange of one (client, relay)
+	// pair: from, to and the client's handshake offer out, the relay's offer
+	// back on the same stream.
 	frameAttest frameType = 5
-	frameQuery  frameType = 6
-	frameAnswer frameType = 7
 	frameGoaway frameType = 8
 	// frameGossip carries one membership view-exchange buffer (rps view wire
 	// format) in each direction: the initiator's buffer out, the passive
@@ -55,20 +56,12 @@ const (
 	frameTypeMax = frameAccounting
 )
 
-// Types 11 and 12 carried the query-batch records of PR 6. They are retired:
-// reserved, never reused, and refused like any unknown type, so a peer that
-// still sends one loses the connection rather than being misparsed.
-const (
-	frameRetiredFirst frameType = 11
-	frameRetiredLast  frameType = 12
-)
-
 // maxGossipLen bounds a gossip or view frame payload: a view buffer is
 // ViewSize/2 small descriptors, and a snapshot a few hundred bytes per peer.
 const maxGossipLen = 256 << 10
 
-// maxRecordLen bounds the encrypted record carried inside a data/resp/query/
-// answer frame — the securechan record bound.
+// maxRecordLen bounds the encrypted record carried inside a data or resp
+// frame — the securechan record bound.
 const maxRecordLen = 1 << 20
 
 // DefaultMaxFrame is the default frame payload limit: the 1 MiB encrypted
@@ -81,7 +74,9 @@ const maxNodeIDLen = 1 << 10
 // maxErrMsgLen bounds an error message inside an err frame.
 const maxErrMsgLen = 4 << 10
 
-// maxHandshakeLen bounds an attestation handshake message.
+// maxHandshakeLen bounds a marshalled handshake offer, in either direction
+// of an attest exchange: it is parsed (JSON) before anything about the peer
+// is verified, so it must not be allowed the whole frame limit.
 const maxHandshakeLen = 64 << 10
 
 // Frame protocol errors.
@@ -118,8 +113,12 @@ func parseHeader(src *[headerSize]byte, maxFrame int) (header, error) {
 	if src[2] != ProtoVersion {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameVersion, src[2])
 	}
+	// 6 and 7 (the query/answer records of the single-hop relay service) and
+	// 11 and 12 (its query-batch pair) are retired: reserved, never reused,
+	// and refused like any unknown type, so a peer that still sends one loses
+	// the connection rather than being misparsed.
 	typ := frameType(src[3])
-	if typ == 0 || typ > frameTypeMax || (typ >= frameRetiredFirst && typ <= frameRetiredLast) {
+	if typ == 0 || typ > frameTypeMax || typ == 6 || typ == 7 || typ == 11 || typ == 12 {
 		return header{}, fmt.Errorf("%w: %d", ErrFrameType, src[3])
 	}
 	h := header{
@@ -196,22 +195,30 @@ func decodeDataPayload(data []byte) (nowNano int64, from, to, record []byte, err
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
+	from, to, record, err = decodePairPayload(data, maxRecordLen)
+	return int64(now), from, to, record, err
+}
+
+// decodePairPayload decodes what a data frame (after its timestamp) and an
+// attest frame have in common — from(str) to(str) body(bytes), nothing after
+// it — refusing a body beyond maxBody. All three alias data.
+func decodePairPayload(data []byte, maxBody uint64) (from, to, body []byte, err error) {
 	from, data, err = wire.ConsumeBytes(data, maxNodeIDLen)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	to, data, err = wire.ConsumeBytes(data, maxNodeIDLen)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	record, data, err = wire.ConsumeBytes(data, maxRecordLen)
+	body, data, err = wire.ConsumeBytes(data, maxBody)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(data) != 0 {
-		return 0, nil, nil, nil, errors.New("nettrans: trailing bytes after data frame")
+		return nil, nil, nil, errors.New("nettrans: trailing bytes after frame payload")
 	}
-	return int64(now), from, to, record, nil
+	return from, to, body, nil
 }
 
 // appendRespMeta encodes the resp frame fields that precede the record:
@@ -237,16 +244,34 @@ func decodeRespPayload(data []byte) (injectedNano int64, record []byte, err erro
 	return int64(inj), record, nil
 }
 
-// Err frame failure codes. Unavailable maps to core.ErrRelayUnavailable at
-// the conduit boundary (retry with a replacement relay, timeout charged);
-// throttled maps to accounting.ErrClientThrottled at the service client
-// (the caller is over its per-client rate — back off, don't redial);
-// everything else is classified as relay misbehavior (blacklist, no
-// timeout).
+// appendAttestPayload encodes an attest request payload: from(str) to(str)
+// offer(bytes).
+func appendAttestPayload(dst []byte, from, to string, offer []byte) []byte {
+	dst = wire.AppendString(dst, from)
+	dst = wire.AppendString(dst, to)
+	return wire.AppendBytes(dst, offer)
+}
+
+// decodeAttestPayload decodes an attest request payload, refusing an offer
+// beyond maxHandshakeLen. from, to and offer alias data.
+func decodeAttestPayload(data []byte) (from, to, offer []byte, err error) {
+	return decodePairPayload(data, maxHandshakeLen)
+}
+
+// Err frame failure codes, and what the conduit turns each into: unavailable
+// is core.ErrRelayUnavailable (retry with a replacement relay, timeout
+// charged); throttled is core.ErrRelayThrottled (the relay's per-client
+// admission shed the record unopened — pair intact, nobody blacklisted);
+// noSession is core.ErrNoSession (the relay holds no session for the sender —
+// re-attest); busy is core.ErrRelayUnresolved (a live connection already owns
+// the sender's session — skip the relay, nothing charged, nobody blacklisted);
+// everything else is relay misbehavior (blacklist, no timeout).
 const (
 	errCodeUnavailable = 1
 	errCodeRejected    = 2
 	errCodeThrottled   = 3
+	errCodeNoSession   = 4
+	errCodeBusy        = 5
 )
 
 // appendErrPayload encodes an err frame payload: code(1B) msg(str).

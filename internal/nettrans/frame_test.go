@@ -65,14 +65,19 @@ func TestFrameHeaderRejectsHostileInput(t *testing.T) {
 }
 
 // TestFrameHeaderTypeTable pins which type bytes parseHeader lets through:
-// 11 and 12 (the retired query-batch pair) are refused like 0 and anything
-// past the last known type, while 13 keeps its number.
+// 6 and 7 (the retired query/answer pair) and 11 and 12 (the retired
+// query-batch pair) are refused like 0 and anything past the last known
+// type, while their neighbours and 13 keep their numbers.
 func TestFrameHeaderTypeTable(t *testing.T) {
 	for _, tc := range []struct {
 		typ     byte
 		refused bool
 	}{
 		{0, true},
+		{byte(frameAttest), false},
+		{6, true},
+		{7, true},
+		{byte(frameGoaway), false},
 		{byte(frameView), false},
 		{11, true},
 		{12, true},
@@ -90,8 +95,9 @@ func TestFrameHeaderTypeTable(t *testing.T) {
 			t.Errorf("type %d: header %+v err %v, want accepted", tc.typ, h, err)
 		}
 	}
-	if frameAccounting != 13 || ProtoVersion != 1 {
-		t.Fatalf("frameAccounting = %d, ProtoVersion = %d: wire numbers moved", frameAccounting, ProtoVersion)
+	if frameAttest != 5 || frameGoaway != 8 || frameAccounting != 13 || ProtoVersion != 1 {
+		t.Fatalf("frameAttest = %d, frameGoaway = %d, frameAccounting = %d, ProtoVersion = %d: wire numbers moved",
+			frameAttest, frameGoaway, frameAccounting, ProtoVersion)
 	}
 }
 
@@ -125,6 +131,12 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	if err != nil || code != errCodeUnavailable || string(msg) != "gone fishing" {
 		t.Fatalf("err round trip: code=%d msg=%q err=%v", code, msg, err)
 	}
+
+	offer := []byte(`{"publicKey":"AAAA","quote":null}`)
+	from, to, got, err := decodeAttestPayload(appendAttestPayload(nil, "client-1", "relay-2", offer))
+	if err != nil || string(from) != "client-1" || string(to) != "relay-2" || !bytes.Equal(got, offer) {
+		t.Fatalf("attest round trip: from=%q to=%q offer=%q err=%v", from, to, got, err)
+	}
 }
 
 // TestPayloadCodecsRejectTruncation feeds every proper prefix of each valid
@@ -152,6 +164,13 @@ func TestPayloadCodecsRejectTruncation(t *testing.T) {
 			t.Fatalf("truncated err frame (%d bytes) accepted", n)
 		}
 	}
+
+	attest := appendAttestPayload(nil, "client-1", "relay-2", record)
+	for n := 0; n < len(attest); n++ {
+		if _, _, _, err := decodeAttestPayload(attest[:n]); err == nil {
+			t.Fatalf("truncated attest frame (%d/%d bytes) accepted", n, len(attest))
+		}
+	}
 }
 
 func TestPayloadCodecsRejectTrailingGarbage(t *testing.T) {
@@ -168,6 +187,10 @@ func TestPayloadCodecsRejectTrailingGarbage(t *testing.T) {
 	resp = append(resp, 0xFF)
 	if _, _, err := decodeRespPayload(resp); err == nil {
 		t.Fatal("resp frame with trailing garbage accepted")
+	}
+
+	if _, _, _, err := decodeAttestPayload(append(appendAttestPayload(nil, "a", "b", record), 0xFF)); err == nil {
+		t.Fatal("attest frame with trailing garbage accepted")
 	}
 }
 

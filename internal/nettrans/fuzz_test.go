@@ -2,30 +2,35 @@ package nettrans
 
 import (
 	"bytes"
-	"errors"
+	"reflect"
 	"testing"
 
-	"cyclosa/internal/searchengine"
+	"cyclosa/internal/enclave"
+	"cyclosa/internal/securechan"
 )
 
 // FuzzFramePayloads hammers every decoder that faces the socket — the frame
-// header and the hello/data/resp/err payloads, plus the answer record body
-// the client parses after decrypt — with arbitrary bytes: none may panic,
-// and whatever one accepts must re-encode to bytes that decode to the same
-// values. Seeded with the payloads frame_test.go's round-trip cases encode.
+// header and the hello/data/resp/err/attest payloads, plus the handshake
+// offer an attest frame carries, parsed before its sender is verified — with
+// arbitrary bytes: none may panic, and whatever one accepts must re-encode
+// to bytes that decode to the same values. Seeded with the payloads
+// frame_test.go's round-trip cases encode.
 func FuzzFramePayloads(f *testing.F) {
 	record := []byte("sealed-record-bytes")
 	var hdr [headerSize]byte
 	putHeader(&hdr, frameData, 0xDEADBEEFCAFE, 12345)
-	page := []searchengine.Result{{DocID: 5, URL: "https://x", Title: "t", Terms: []string{"a", "b"}, Score: 1.5}}
+	offer, err := (&securechan.HandshakeMsg{PublicKey: []byte("thirty-two-byte-x25519-publickey"), Quote: &enclave.Quote{PlatformID: "sgx-7"}}).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add(hdr[:])
 	f.Add(appendHelloPayload(nil, "node-7"))
 	f.Add(append(appendDataMeta(nil, 42, "client-1", "relay-2", len(record)), record...))
 	f.Add(append(appendRespMeta(nil, 1234, len(record)), record...))
 	f.Add(appendErrPayload(nil, errCodeUnavailable, "gone fishing"))
-	f.Add(appendAnswer(nil, 9, page, nil))
-	f.Add(appendAnswer(nil, 9, nil, errors.New("engine said no")))
+	f.Add(appendAttestPayload(nil, "client-1", "relay-2", offer))
+	f.Add(offer)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= headerSize {
@@ -63,17 +68,20 @@ func FuzzFramePayloads(f *testing.F) {
 				t.Fatalf("err re-encode mismatch: %v", err)
 			}
 		}
-		if res, echo, err := decodeAnswer(data); err == nil {
-			// The encoder sends either an engine error or a page, never both;
-			// a hostile record carrying both re-encodes to the error alone.
-			var engineErr error
-			wantResults := len(res.results)
-			if res.engineErr != "" {
-				engineErr, wantResults = errors.New(res.engineErr), 0
+		if from, to, offer, err := decodeAttestPayload(data); err == nil {
+			from2, to2, offer2, err := decodeAttestPayload(appendAttestPayload(nil, string(from), string(to), offer))
+			if err != nil || !bytes.Equal(from2, from) || !bytes.Equal(to2, to) || !bytes.Equal(offer2, offer) {
+				t.Fatalf("attest re-encode mismatch: %v", err)
 			}
-			res2, echo2, err := decodeAnswer(appendAnswer(nil, echo, res.results, engineErr))
-			if err != nil || echo2 != echo || res2.engineErr != res.engineErr || len(res2.results) != wantResults {
-				t.Fatalf("answer re-encode mismatch: %+v -> %+v (%v)", res, res2, err)
+		}
+		if msg, err := securechan.UnmarshalHandshakeMsg(data); err == nil {
+			raw, err := msg.Marshal()
+			if err != nil {
+				t.Fatalf("accepted handshake message does not marshal: %v", err)
+			}
+			msg2, err := securechan.UnmarshalHandshakeMsg(raw)
+			if err != nil || !reflect.DeepEqual(msg2, msg) {
+				t.Fatalf("handshake re-encode mismatch: %+v -> %+v (%v)", msg, msg2, err)
 			}
 		}
 	})

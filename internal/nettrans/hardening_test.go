@@ -5,15 +5,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"cyclosa/internal/backend"
-	"cyclosa/internal/core"
-	"cyclosa/internal/enclave"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
 )
 
 func TestHelloPayloadRejectsHostileInput(t *testing.T) {
@@ -43,11 +36,12 @@ func TestErrPayloadTruncatesOversizedMessage(t *testing.T) {
 	}
 }
 
-// TestRetiredFrameTypesCutConnection: frame types 11 and 12 (the retired
+// TestRetiredFrameTypesCutConnection: frame types 6 and 7 (the retired
+// query/answer pair of the single-hop service) and 11 and 12 (its
 // query-batch pair) are refused with ErrFrameType at the header on both
 // connection roles, and the connection is cut.
 func TestRetiredFrameTypesCutConnection(t *testing.T) {
-	for _, typ := range []frameType{11, 12} {
+	for _, typ := range []frameType{6, 7, 11, 12} {
 		t.Run(fmt.Sprintf("server/0x%02X", byte(typ)), func(t *testing.T) {
 			refused := make(chan error, 1)
 			srv := startEchoServer(t, ServerConfig{Logf: func(_ string, args ...any) {
@@ -115,215 +109,72 @@ func TestRetiredFrameTypesCutConnection(t *testing.T) {
 	}
 }
 
-// flakyBackend fails queries containing "refuse" and stalls on "stall".
-type flakyBackend struct{ stall time.Duration }
-
-func (b flakyBackend) Search(_, query string, _ time.Time) ([]searchengine.Result, error) {
-	if strings.Contains(query, "refuse") {
-		return nil, searchengine.ErrRateLimited
-	}
-	if strings.Contains(query, "stall") && b.stall > 0 {
-		time.Sleep(b.stall)
-	}
-	return []searchengine.Result{{Title: "t", URL: "https://x"}}, nil
+// bloatedHost is a session host whose key-exchange reply is as large as the
+// test wants.
+type bloatedHost struct {
+	echoConduit
+	reply int
 }
 
-// startFlakyDaemon serves the attested service over the flaky backend.
-func startFlakyDaemon(t *testing.T, stall time.Duration) (*Server, *securechan.Handshaker) {
-	t.Helper()
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	plat := enclave.NewDeterministicPlatform("flaky-relay", []byte("flaky"), ias)
-	hsRelay, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ServerConfig{
-		ID:      "flaky-daemon",
-		Service: &RelayService{Handshaker: hsRelay, Backend: flakyBackend{stall: stall}, Source: "flaky-daemon"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+func (b bloatedHost) Attest(_, _ string, _ []byte) ([]byte, error) { return make([]byte, b.reply), nil }
+func (bloatedHost) SkipRecord(_, _ string, _ []byte) error         { return nil }
+func (bloatedHost) DropSession(_, _ string)                        {}
 
-	clientPlat := enclave.NewDeterministicPlatform("flaky-client", []byte("flaky"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
+// TestAttestHandshakeBound pins maxHandshakeLen on both directions of an
+// attest exchange at 64 KiB ± 1: an unauthenticated peer's offer is parsed
+// before anything about it is verified, so it may not use the frame limit,
+// and neither may what a server answers. Every refusal is an err frame on a
+// connection that stays up.
+func TestAttestHandshakeBound(t *testing.T) {
+	if maxHandshakeLen != 64<<10 {
+		t.Fatalf("maxHandshakeLen = %d, want 64 KiB", maxHandshakeLen)
 	}
-	return srv, hsClient
-}
+	for _, tc := range []struct {
+		name         string
+		offer, reply int
+		refused      bool
+	}{
+		{"offer one under", maxHandshakeLen - 1, 8, false},
+		{"offer at the bound", maxHandshakeLen, 8, false},
+		{"offer one over", maxHandshakeLen + 1, 8, true},
+		{"reply one under", 8, maxHandshakeLen - 1, false},
+		{"reply at the bound", 8, maxHandshakeLen, false},
+		{"reply one over", 8, maxHandshakeLen + 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startEchoServer(t, ServerConfig{Handler: bloatedHost{reply: tc.reply}})
+			p := NewPool(PoolConfig{ID: "prober", RequestTimeout: 2 * time.Second})
+			defer p.Close()
+			dials := mDialOK.Value()
 
-// TestServiceEngineRefusalSurfacesCleanly: a backend refusal travels back
-// as ErrEngineRefused — the transport worked, the engine said no — and the
-// session keeps serving.
-func TestServiceEngineRefusalSurfacesCleanly(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.PeerMeasurement() == "" {
-		t.Fatal("no attested measurement")
-	}
-
-	if _, err := c.Query("please refuse this"); !errors.Is(err, ErrEngineRefused) {
-		t.Fatalf("err = %v, want ErrEngineRefused", err)
-	}
-	results, err := c.Query("a good query")
-	if err != nil || len(results) != 1 {
-		t.Fatalf("session did not survive the refusal: results=%v err=%v", results, err)
-	}
-}
-
-// TestServiceEngineClassSurvivesWire: when the daemon's backend is the
-// resilience stack, the typed failure class (here a watchdog timeout)
-// travels the attested wire inside the engineErr string and the client
-// recovers it — callers can errors.Is both ErrEngineRefused and the
-// backend taxonomy sentinel.
-func TestServiceEngineClassSurvivesWire(t *testing.T) {
-	ias := enclave.NewIAS()
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode(core.EnclaveName, core.EnclaveVersion))
-	plat := enclave.NewDeterministicPlatform("stack-relay", []byte("stack"), ias)
-	hsRelay, err := securechan.NewHandshaker(plat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack := backend.NewStack(flakyBackend{stall: 300 * time.Millisecond}, backend.Policy{
-		Timeout:    30 * time.Millisecond,
-		MaxRetries: -1, // clamped to 0: the timeout must surface, not retry
-	})
-	srv := NewServer(ServerConfig{
-		ID:      "stack-daemon",
-		Service: &RelayService{Handshaker: hsRelay, Backend: stack, Source: "stack-daemon"},
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	clientPlat := enclave.NewDeterministicPlatform("stack-client", []byte("stack"), ias)
-	hsClient, err := securechan.NewHandshaker(clientPlat.New(enclave.Config{Name: core.EnclaveName, Version: core.EnclaveVersion}), verifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialService(srv.Addr().String(), hsClient, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_, qerr := c.Query("stall me")
-	if !errors.Is(qerr, ErrEngineRefused) {
-		t.Fatalf("err = %v, want ErrEngineRefused", qerr)
-	}
-	if !errors.Is(qerr, backend.ErrEngineTimeout) {
-		t.Fatalf("err = %v lost the taxonomy class, want backend.ErrEngineTimeout", qerr)
-	}
-}
-
-// TestServiceQueryTimeout: a stalled engine times the query out without
-// poisoning the stream table.
-func TestServiceQueryTimeout(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 400*time.Millisecond)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{RequestTimeout: 60 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Query("stall here"); err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	// The late answer arrives, is decrypted in order and dropped; the
-	// session then still answers fresh queries.
-	time.Sleep(500 * time.Millisecond)
-	if _, err := c.Query("a good query"); err != nil {
-		t.Fatalf("session did not survive the timeout: %v", err)
-	}
-}
-
-// TestServiceStalledQueryDoesNotBlockOthers: one stalled engine call times
-// out on its own stream while queries issued alongside it on the same
-// session are answered — or refused by the engine — each on its own stream,
-// and the stalled query's late answer is dropped without killing the
-// session.
-func TestServiceStalledQueryDoesNotBlockOthers(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 300*time.Millisecond)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{RequestTimeout: 80 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i == 0 {
-				if _, err := c.Query("stall this one"); err == nil || !strings.Contains(err.Error(), "timed out") {
-					errCh <- fmt.Errorf("stalled query: err = %v, want timeout", err)
-				}
-				return
+			offer := make([]byte, tc.offer)
+			_, _, _, derr := decodeAttestPayload(appendAttestPayload(nil, "prober", "relay", offer))
+			if over := tc.offer > maxHandshakeLen; (derr != nil) != over {
+				t.Fatalf("decoding a %d-byte offer: err = %v", tc.offer, derr)
 			}
-			if i%4 == 3 {
-				if _, err := c.Query(fmt.Sprintf("refuse %d", i)); !errors.Is(err, ErrEngineRefused) {
-					errCh <- fmt.Errorf("refused query %d: err = %v, want ErrEngineRefused", i, err)
-				}
-				return
+			h, buf, err := p.RoundTrip(srv.Addr().String(), frameAttest, appendAttestPayload(nil, "prober", "relay", offer))
+			if err != nil {
+				t.Fatalf("round trip: %v", err)
 			}
-			results, err := c.Query(fmt.Sprintf("fast %d", i))
-			if err != nil || len(results) != 1 || results[0].Title != "t" {
-				errCh <- fmt.Errorf("fast query %d: results=%v err=%v", i, results, err)
+			putFrame(buf)
+			if want := map[bool]frameType{true: frameErr, false: frameAttest}[tc.refused]; h.typ != want {
+				t.Fatalf("answer frame type %d, want %d", h.typ, want)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	time.Sleep(400 * time.Millisecond) // the late answer arrives and is dropped
-	if _, err := c.Query("after the late answer"); err != nil {
-		t.Fatalf("session did not survive the late answer: %v", err)
-	}
-}
 
-// TestServiceSessionOutlivesDialTimeout is the stale-deadline regression:
-// the dial/hello/attest phase arms an absolute read deadline, and net.Conn
-// deadlines persist until changed — a session idle past DialTimeout used to
-// die of the leftover timeout. Both ends must survive an idle gap longer
-// than every handshake deadline.
-func TestServiceSessionOutlivesDialTimeout(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{DialTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query("before the idle gap"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(900 * time.Millisecond) // well past DialTimeout
-	if _, err := c.Query("after the idle gap"); err != nil {
-		t.Fatalf("session died of a stale dial deadline: %v", err)
-	}
-}
-
-// TestServiceOversizeQueryRejectedClientSide: the bound is enforced before
-// anything is encrypted or sent.
-func TestServiceOversizeQueryRejectedClientSide(t *testing.T) {
-	srv, hs := startFlakyDaemon(t, 0)
-	c, err := DialService(srv.Addr().String(), hs, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query(strings.Repeat("q", maxServiceQueryLen+1)); err == nil {
-		t.Fatal("oversize query accepted")
+			// The conduit enforces the same bound on what it sends and accepts.
+			tcp := NewTCPConduit(ConduitConfig{Resolve: StaticResolver(map[string]string{"relay": srv.Addr().String()}), Pool: p})
+			reply, err := tcp.Attest("prober", "relay", offer)
+			switch {
+			case tc.refused && err == nil:
+				t.Fatal("conduit let an oversize handshake message through")
+			case tc.refused && tc.reply > maxHandshakeLen && !errors.Is(err, ErrAttestRejected):
+				t.Fatalf("oversize reply: err = %v, want ErrAttestRejected", err)
+			case !tc.refused && (err != nil || len(reply) != tc.reply):
+				t.Fatalf("in-bound exchange: %d-byte reply, err %v", len(reply), err)
+			}
+			if got := mDialOK.Value() - dials; got != 1 {
+				t.Fatalf("%d dials: a refused handshake must not cost the connection", got)
+			}
+		})
 	}
 }

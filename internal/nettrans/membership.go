@@ -29,8 +29,6 @@ var (
 	// ErrGossipSuppressed refuses a gossip exchange from a blacklisted peer:
 	// the node neither merges its buffer nor hands it view information.
 	ErrGossipSuppressed = errors.New("nettrans: peer is blacklisted, gossip suppressed")
-	// ErrMembershipClosed reports use after Stop.
-	ErrMembershipClosed = errors.New("nettrans: membership stopped")
 )
 
 // AttestFunc verifies the enclave of the peer daemon at addr and returns
@@ -216,9 +214,6 @@ func (m *Membership) SetAdvertise(addr string) {
 	m.node.SetAddr(addr)
 }
 
-// ID returns the membership identity.
-func (m *Membership) ID() string { return string(m.cfg.Self.ID) }
-
 // Node exposes the underlying rps node (relay sampling, tests).
 func (m *Membership) Node() *rps.Node { return m.node }
 
@@ -358,15 +353,21 @@ func (m *Membership) exchangeLedger(addr string) error {
 		}
 		m.applyThresholds(changed)
 		return nil
-	case frameErr:
-		_, msg, derr := decodeErrPayload(*buf)
-		if derr != nil {
-			return fmt.Errorf("accounting exchange rejected by %s", addr)
-		}
-		return fmt.Errorf("accounting exchange rejected by %s: %s", addr, msg)
 	default:
-		return fmt.Errorf("unexpected frame type %d in accounting reply", h.typ)
+		return refusal("accounting exchange", addr, h, *buf)
 	}
+}
+
+// refusal renders what a membership exchange got back instead of its reply:
+// an err frame, or a frame of a type that answers nothing.
+func refusal(what, addr string, h header, payload []byte) error {
+	if h.typ != frameErr {
+		return fmt.Errorf("nettrans: unexpected frame type %d answering %s", h.typ, what)
+	}
+	if _, msg, err := decodeErrPayload(payload); err == nil {
+		return fmt.Errorf("nettrans: %s rejected by %s: %s", what, addr, msg)
+	}
+	return fmt.Errorf("nettrans: %s rejected by %s", what, addr)
 }
 
 // HandleAccounting is the passive half, called by the server read loop for
@@ -447,14 +448,8 @@ func (m *Membership) exchangeWith(addr string) error {
 		}
 		m.node.CompleteExchange(reply)
 		return nil
-	case frameErr:
-		_, msg, derr := decodeErrPayload(*buf)
-		if derr != nil {
-			return fmt.Errorf("gossip rejected by %s", addr)
-		}
-		return fmt.Errorf("gossip rejected by %s: %s", addr, msg)
 	default:
-		return fmt.Errorf("unexpected frame type %d in gossip reply", h.typ)
+		return refusal("gossip", addr, h, *buf)
 	}
 }
 
@@ -694,13 +689,7 @@ func FetchView(addr string, cfg PoolConfig) (*ViewSnapshot, error) {
 			return nil, fmt.Errorf("nettrans: bad view snapshot from %s: %w", addr, err)
 		}
 		return &snap, nil
-	case frameErr:
-		_, msg, derr := decodeErrPayload(*buf)
-		if derr != nil {
-			return nil, fmt.Errorf("nettrans: view refused by %s", addr)
-		}
-		return nil, fmt.Errorf("nettrans: view refused by %s: %s", addr, msg)
 	default:
-		return nil, fmt.Errorf("nettrans: unexpected frame type %d in view reply", h.typ)
+		return nil, refusal("view", addr, h, *buf)
 	}
 }

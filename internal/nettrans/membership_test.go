@@ -264,8 +264,8 @@ func TestFetchView(t *testing.T) {
 // TestMembershipStopIdempotent: Stop twice, and Round after Stop, are safe.
 func TestMembershipStopIdempotent(t *testing.T) {
 	m, _ := startMemberDaemon(t, "node-a", nil, nil)
-	if m.ID() != "node-a" || m.Node() == nil {
-		t.Fatalf("identity accessors: %q, %v", m.ID(), m.Node())
+	if m.Node() == nil || m.Node().ID() != "node-a" {
+		t.Fatalf("overlay node accessor: %v", m.Node())
 	}
 	m.Start()
 	m.Stop()

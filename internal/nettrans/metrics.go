@@ -8,16 +8,10 @@ import (
 	"cyclosa/internal/telemetry"
 )
 
-// Serve outcome names, pre-interned for zero-alloc trace records.
-const (
-	serveOutcomeOK          = "ok"
-	serveOutcomeEngineError = "engine_error"
-)
-
 var (
 	mDials = telemetry.Default().CounterVec(
 		"cyclosa_nettrans_dials_total",
-		"Outbound connection attempts (pool and client) by result.",
+		"Outbound connection attempts by result.",
 		"result")
 	mDialOK    = mDials.With("ok")
 	mDialError = mDials.With("error")
@@ -47,24 +41,9 @@ var (
 
 	mStreamsInFlight = telemetry.Default().Gauge(
 		"cyclosa_nettrans_streams_in_flight",
-		"Request streams awaiting a response across all clients and pools.")
+		"Request streams awaiting a response across all pools.")
 
 	mThrottledRecords = telemetry.Default().Counter(
 		"cyclosa_nettrans_throttled_records_total",
-		"Over-quota query records shed by per-client admission: sequence number consumed without decryption, refused with a throttled error frame.")
-
-	mServeStage = telemetry.Default().HistogramVec(
-		"cyclosa_nettrans_serve_stage_seconds",
-		"Relay-side serve stages: decrypt (open query record), engine (backend call), seal (encrypt+queue answer).",
-		"stage", telemetry.DefaultLatencyBuckets)
-	mServeDecrypt = mServeStage.With("decrypt")
-	mServeEngine  = mServeStage.With("engine")
-	mServeSeal    = mServeStage.With("seal")
-
-	mServeQueries = telemetry.Default().CounterVec(
-		"cyclosa_nettrans_serve_queries_total",
-		"Queries answered by the relay service, by result.",
-		"result")
-	mServeOK          = mServeQueries.With(serveOutcomeOK)
-	mServeEngineError = mServeQueries.With(serveOutcomeEngineError)
+		"Over-quota data-frame records shed by per-client admission: sequence number consumed without decryption, refused with a throttled error frame.")
 )

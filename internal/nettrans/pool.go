@@ -420,7 +420,7 @@ func (pc *poolConn) readLoop() {
 			return
 		}
 		switch h.typ {
-		case frameResp, frameAnswer, frameErr, frameGossip, frameView, frameAccounting:
+		case frameResp, frameErr, frameAttest, frameGossip, frameView, frameAccounting:
 			if !pc.st.deliver(h.stream, callResult{hdr: h, buf: buf}) {
 				putFrame(buf) // waiter timed out: drop the late answer
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,21 +20,21 @@ type ServerConfig struct {
 	// listen address).
 	ID string
 	// Handler serves the conduit data plane: every data frame becomes one
-	// Deliver call. nil rejects data frames (service-only server).
+	// Deliver call. nil rejects data frames (control-plane-only server). A
+	// Handler that terminates attested sessions (a hosted core.Node's local
+	// conduit) is a transport.Attestor and gets the attest frames too; the
+	// sessions they create belong to the connection they arrived on.
 	Handler transport.Conduit
-	// Service serves the attested query plane (attest/query frames). nil
-	// rejects them (conduit-only server).
-	Service *RelayService
 	// Membership serves the gossip control plane (gossip/view frames): the
 	// passive half of view exchanges and the introspection snapshot. nil
 	// rejects both (data-plane-only server).
 	Membership *Membership
-	// Admission, when non-nil, rate-limits the attested query plane per
-	// client (keyed by hello identity). Over-quota queries are shed before
-	// decrypt — the record's sequence number is consumed
-	// (securechan.Session.Skip) so the strict counter-nonce session stays in
-	// sync, but no AEAD or engine work is spent — and refused with a
-	// throttled err frame.
+	// Admission, when non-nil, rate-limits the data plane per client (keyed
+	// by hello identity) before a data frame is dispatched; a session's
+	// frames count only on the connection it was attested on. An over-quota
+	// record is shed unopened — its sequence number is consumed through the
+	// Handler (securechan.Session.Skip) so the session stays in sync, but no
+	// AEAD, enclave or engine work is spent — and refused as throttled.
 	Admission *accounting.Limiter
 	// MaxFrame bounds a frame payload (default DefaultMaxFrame).
 	MaxFrame int
@@ -75,10 +76,21 @@ func (cfg *ServerConfig) applyDefaults() {
 	}
 }
 
+// sessionHost is what a Handler that terminates attested sessions offers
+// beyond Deliver (core's direct conduit does): the responder half of the
+// key exchange, the no-decrypt sequence skip admission sheds with, and the
+// teardown of a session whose connection went away.
+type sessionHost interface {
+	transport.Attestor
+	SkipRecord(from, to string, record []byte) error
+	DropSession(from, to string)
+}
+
 // Server accepts frame-protocol connections and serves the conduit data
-// plane and/or the attested query service over them.
+// plane and the membership control plane over them.
 type Server struct {
 	cfg    ServerConfig
+	host   sessionHost // cfg.Handler, when it terminates sessions
 	ln     net.Listener
 	wstats WriteStats // aggregated across all connections
 
@@ -90,9 +102,13 @@ type Server struct {
 	// stops them.
 	workers *workers.Pool[func()]
 
-	mu     sync.Mutex
-	conns  map[*frameConn]struct{}
-	closed bool
+	mu    sync.Mutex
+	conns map[*frameConn]struct{}
+	// sessions maps each attested (from, to) pair to the connection that
+	// owns its session: only that connection may re-attest the pair, and its
+	// teardown drops the session.
+	sessions map[pairKey]*frameConn
+	closed   bool
 
 	serving  bool          // Serve entered; Close only waits on the loop then
 	loopDone chan struct{} // closed when the accept loop exits
@@ -105,8 +121,10 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		conns:    make(map[*frameConn]struct{}),
+		sessions: make(map[pairKey]*frameConn),
 		loopDone: make(chan struct{}),
 	}
+	s.host, _ = cfg.Handler.(sessionHost)
 	s.workers = workers.New("dispatch", s.runDispatched)
 	return s
 }
@@ -252,16 +270,14 @@ func (s *Server) serveConn(nc net.Conn) {
 		fc.Close()
 		return
 	}
-	var svc *serviceConn
+	var owned []pairKey // pairs attested on this connection
 	defer func() {
 		s.unregister(fc)
 		fc.Close()
-		if svc != nil {
-			// A dropped connection must not leak session state: closing the
-			// responder half here (the dialer closes its own) makes the next
-			// connection re-attest with fresh nonce counters.
-			svc.close()
-		}
+		// A dropped connection must not leak session state: closing the
+		// responder halves here makes the next connection re-attest with
+		// fresh nonce counters.
+		s.dropSessions(owned)
 	}()
 
 	peer, err := fc.expectHello(s.cfg.HelloTimeout)
@@ -284,170 +300,42 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		switch h.typ {
 		case frameData:
-			if s.cfg.Handler == nil {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no data-plane handler") != nil {
-					return
-				}
-				continue
-			}
-			if !s.dispatch(func() { s.handleData(fc, h, buf) }) {
+			// Admission precedes dispatch and decrypt: an over-quota record
+			// costs a sequence-number skip, nothing else.
+			code, msg := s.admitData(peer, owned, *buf)
+			if code == 0 && !s.dispatch(func() { s.handleData(fc, h, buf) }) {
 				// Draining: refuse the new exchange but keep the connection
 				// open — answers already dispatched on it must still flush;
 				// Close cuts the socket once the drain completes.
+				code, msg = errCodeUnavailable, "server draining"
+			}
+			if code != 0 {
 				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeUnavailable, "server draining") != nil {
+				if fc.writeErrFrame(h.stream, code, msg) != nil {
 					return
 				}
-				continue
 			}
 		case frameAttest:
-			if s.cfg.Service == nil {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no attested service") != nil {
-					return
-				}
-				continue
-			}
-			if svc == nil {
-				svc = s.cfg.Service.newConn(fc, peer)
-			}
-			err := svc.handleAttest(h, *buf)
+			// A key exchange is two signature checks and an ECDH; it runs
+			// inline, like the control-plane frames.
+			err := s.handleAttest(fc, peer, h.stream, *buf, &owned)
 			putFrame(buf)
 			if err != nil {
-				s.cfg.Logf("nettrans: %s: attest: %v", nc.RemoteAddr(), err)
 				return
 			}
-		case frameQuery:
-			if svc == nil || !svc.attested() {
-				putFrame(buf)
-				s.cfg.Logf("nettrans: %s: query before attestation", nc.RemoteAddr())
-				return
-			}
-			// Admission precedes decrypt: an over-quota record must cost no
-			// AEAD work, only a sequence-number skip to keep the strict
-			// counter-nonce session in sync.
-			if s.cfg.Admission != nil && s.cfg.Admission.Allow(peer) != nil {
-				err := svc.skipRecord(*buf)
-				putFrame(buf)
-				if err != nil {
-					// A bad sequence prefix means the session is broken either
-					// way; cut, exactly as a failed decrypt would.
-					s.cfg.Logf("nettrans: %s: throttled query skip: %v", nc.RemoteAddr(), err)
-					return
-				}
-				mThrottledRecords.Inc()
-				if fc.writeErrFrame(h.stream, errCodeThrottled, "client over rate limit") != nil {
-					return
-				}
-				continue
-			}
-			// Decrypt in the read loop — records must be opened in arrival
-			// order — then dispatch the engine work.
-			work, err := svc.prepareQuery(h, *buf)
+		case frameGossip, frameAccounting, frameView:
+			// The passive half of a membership exchange is a few map merges
+			// (or one snapshot); it runs inline rather than occupying a
+			// dispatch slot.
+			err := s.serveControl(fc, h, *buf, peer)
 			putFrame(buf)
 			if err != nil {
-				s.cfg.Logf("nettrans: %s: query: %v", nc.RemoteAddr(), err)
-				return
-			}
-			if !s.dispatch(work) {
-				// Same drain rule as data frames: refuse, don't cut.
-				if fc.writeErrFrame(h.stream, errCodeUnavailable, "server draining") != nil {
-					return
-				}
-				continue
-			}
-		case frameGossip:
-			// The passive half of a view exchange is a few map merges; it
-			// runs inline rather than occupying a dispatch slot.
-			if len(*buf) > maxGossipLen {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "gossip payload exceeds limit") != nil {
-					return
-				}
-				continue
-			}
-			if s.cfg.Membership == nil {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no membership plane") != nil {
-					return
-				}
-				continue
-			}
-			reply := getFrame()
-			out, gerr := s.cfg.Membership.HandleGossip(peer, *buf, (*reply)[:0])
-			putFrame(buf)
-			if gerr != nil {
-				putFrame(reply)
-				s.cfg.Logf("nettrans: %s: gossip: %v", nc.RemoteAddr(), gerr)
-				if fc.writeErrFrame(h.stream, errCodeRejected, gerr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			*reply = out
-			werr := fc.writeFrame(frameGossip, h.stream, out)
-			putFrame(reply)
-			if werr != nil {
-				return
-			}
-		case frameAccounting:
-			// The passive half of a misbehavior-ledger exchange: merge the
-			// initiator's PN-counter state, reply with ours. A few map
-			// merges, so it runs inline like gossip.
-			if len(*buf) > maxGossipLen {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "accounting payload exceeds limit") != nil {
-					return
-				}
-				continue
-			}
-			if s.cfg.Membership == nil {
-				putFrame(buf)
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no membership plane") != nil {
-					return
-				}
-				continue
-			}
-			reply := getFrame()
-			out, aerr := s.cfg.Membership.HandleAccounting(peer, *buf, (*reply)[:0])
-			putFrame(buf)
-			if aerr != nil {
-				putFrame(reply)
-				s.cfg.Logf("nettrans: %s: accounting: %v", nc.RemoteAddr(), aerr)
-				if fc.writeErrFrame(h.stream, errCodeRejected, aerr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			*reply = out
-			werr := fc.writeFrame(frameAccounting, h.stream, out)
-			putFrame(reply)
-			if werr != nil {
-				return
-			}
-		case frameView:
-			putFrame(buf)
-			if s.cfg.Membership == nil {
-				if fc.writeErrFrame(h.stream, errCodeRejected, "no membership plane") != nil {
-					return
-				}
-				continue
-			}
-			snap, merr := s.cfg.Membership.marshalSnapshot()
-			if merr != nil {
-				if fc.writeErrFrame(h.stream, errCodeRejected, merr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			if fc.writeFrame(frameView, h.stream, snap) != nil {
 				return
 			}
 		case frameGoaway, frameHello:
 			putFrame(buf) // tolerated mid-stream; nothing to do
 		default:
-			// resp/answer/err frames travel server -> client only; receiving
+			// resp and err frames travel server -> client only; receiving
 			// one is a protocol violation, so the connection is cut rather
 			// than risking desynchronized framing.
 			putFrame(buf)
@@ -473,11 +361,7 @@ func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
 	}
 	resp, injected, err := s.cfg.Handler.Deliver(string(from), string(to), record, time.Unix(0, nowNano))
 	if err != nil {
-		code := byte(errCodeRejected)
-		if errors.Is(err, core.ErrRelayUnavailable) {
-			code = errCodeUnavailable
-		}
-		if fc.writeErrFrame(h.stream, code, err.Error()) != nil {
+		if fc.writeErrFrame(h.stream, codeFor(err), err.Error()) != nil {
 			fc.Close()
 		}
 		return
@@ -492,6 +376,148 @@ func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
 		fc.Close()
 	}
 	putFrame(meta)
+}
+
+// serveControl answers one membership exchange on the stream it came in on:
+// merge the initiator's view buffer (gossip) or PN-counter state
+// (accounting) and reply with ours, or render the introspection snapshot
+// (view). The error returned is the connection's write error; a refused
+// exchange is an err frame.
+func (s *Server) serveControl(fc *frameConn, h header, payload []byte, peer string) error {
+	m := s.cfg.Membership
+	switch {
+	case m == nil:
+		return fc.writeErrFrame(h.stream, errCodeRejected, "no membership plane")
+	case len(payload) > maxGossipLen:
+		return fc.writeErrFrame(h.stream, errCodeRejected, "membership payload exceeds limit")
+	}
+	reply := getFrame()
+	defer putFrame(reply)
+	var err error
+	switch h.typ {
+	case frameGossip:
+		*reply, err = m.HandleGossip(peer, payload, (*reply)[:0])
+	case frameAccounting:
+		*reply, err = m.HandleAccounting(peer, payload, (*reply)[:0])
+	default:
+		*reply, err = m.marshalSnapshot()
+	}
+	if err != nil {
+		s.cfg.Logf("nettrans: %s: membership frame type %d: %v", fc.c.RemoteAddr(), h.typ, err)
+		return fc.writeErrFrame(h.stream, errCodeRejected, err.Error())
+	}
+	return fc.writeFrame(h.typ, h.stream, *reply)
+}
+
+// codeFor picks the err frame code that tells the requester what to do
+// about a Handler failure (see the errCode constants).
+func codeFor(err error) byte {
+	switch {
+	case errors.Is(err, core.ErrNoSession):
+		return errCodeNoSession
+	case errors.Is(err, core.ErrRelayUnavailable):
+		return errCodeUnavailable
+	}
+	return errCodeRejected
+}
+
+// admitData decides whether a data frame is dispatched (code 0) or refused
+// with an err frame. With a Handler that terminates sessions, an admission-
+// controlled frame must ride a session attested on this connection: from is
+// then the hello identity Allow charges, and no other connection can spend
+// that client's tokens or move its session (the skip below checks no AEAD
+// tag). An over-quota record is refused unopened — the Handler consumes its
+// sequence number, so the session survives the refusal.
+func (s *Server) admitData(peer string, owned []pairKey, payload []byte) (code byte, msg string) {
+	switch {
+	case s.cfg.Handler == nil:
+		return errCodeRejected, "no data-plane handler"
+	case s.cfg.Admission == nil:
+		return 0, ""
+	}
+	_, from, to, record, err := decodeDataPayload(payload)
+	switch {
+	case err != nil:
+		return errCodeRejected, "bad data frame"
+	case s.host != nil && !slices.ContainsFunc(owned, func(k pairKey) bool { return k.from == string(from) && k.to == string(to) }):
+		return errCodeNoSession, "no session attested on this connection"
+	case s.cfg.Admission.Allow(peer) == nil:
+		return 0, ""
+	case s.host != nil:
+		if err := s.host.SkipRecord(string(from), string(to), record); err != nil {
+			// Nothing was consumed; the sender must not believe otherwise
+			// (nor learn which sequence number the session expects).
+			return codeFor(err), "record refused unopened"
+		}
+	}
+	mThrottledRecords.Inc()
+	return errCodeThrottled, "client over rate limit"
+}
+
+// handleAttest serves one attest frame: the Handler verifies the offer and
+// installs its session half, which from then on belongs to this connection
+// (owned lists its pairs). A refusal is an err frame on a connection that
+// stays up; the error returned is the connection's write error.
+func (s *Server) handleAttest(fc *frameConn, peer string, stream uint64, payload []byte, owned *[]pairKey) error {
+	if s.host == nil {
+		return fc.writeErrFrame(stream, errCodeRejected, "no attested handler")
+	}
+	from, to, offer, err := decodeAttestPayload(payload)
+	if err != nil {
+		return fc.writeErrFrame(stream, errCodeRejected, fmt.Sprintf("bad attest frame: %v", err))
+	}
+	if string(from) != peer {
+		// The hello identity is what admission charges and what owns the
+		// session; a connection attests in its own name only.
+		return fc.writeErrFrame(stream, errCodeRejected, fmt.Sprintf("attest for %q on the connection of %q", from, peer))
+	}
+	key := pairKey{peer, string(to)}
+	if !s.claimSession(key, fc) {
+		// Whoever holds the live session keeps it: a second connection
+		// naming the same client cannot replace (and so desynchronise) it.
+		return fc.writeErrFrame(stream, errCodeBusy, "session is live on another connection")
+	}
+	fresh := !slices.Contains(*owned, key)
+	reply, err := s.host.Attest(key.from, key.to, offer)
+	if err == nil && len(reply) > maxHandshakeLen {
+		err = fmt.Errorf("handshake reply %d bytes exceeds %d", len(reply), maxHandshakeLen)
+	}
+	if err != nil {
+		if fresh {
+			s.dropSessions([]pairKey{key})
+		}
+		return fc.writeErrFrame(stream, errCodeRejected, err.Error())
+	}
+	if fresh {
+		*owned = append(*owned, key)
+	}
+	return fc.writeFrame(frameAttest, stream, reply)
+}
+
+// claimSession makes fc the owner of the pair's session unless another live
+// connection is.
+func (s *Server) claimSession(key pairKey, fc *frameConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if owner := s.sessions[key]; owner != nil && owner != fc {
+		return false
+	}
+	s.sessions[key] = fc
+	return true
+}
+
+// dropSessions ends sessions their connection owned: the Handler's halves
+// first, then the claims, or a successor's new session could be the one
+// dropped.
+func (s *Server) dropSessions(keys []pairKey) {
+	for _, key := range keys {
+		s.host.DropSession(key.from, key.to)
+	}
+	s.mu.Lock()
+	for _, key := range keys {
+		delete(s.sessions, key)
+	}
+	s.mu.Unlock()
 }
 
 // Close gracefully drains the server: stop accepting, notify peers with a

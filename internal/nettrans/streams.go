@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// streamTable is the multiplexing core shared by the conduit pool and the
-// service client: it assigns stream IDs to pending calls, routes one result
-// to each waiter, and fails everything on teardown. The concurrency
+// streamTable is the multiplexing core of a pooled connection (one shard of
+// its shardedStreamTable): it assigns stream IDs to pending calls, routes
+// one result to each waiter, and fails everything on teardown. The concurrency
 // invariants live here once — a result is delivered to at most one owner
 // (waiter, late-drop, or teardown), whoever removes the stream from the
 // table first.

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cyclosa/internal/securechan"
 )
 
 // The write contract: writeFrame returns when the frame is queued, so a
@@ -112,12 +110,16 @@ func TestPoolFlushFailureFailsFollowers(t *testing.T) {
 			errs <- err
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); p.WriteStats().Frames < inFlight; {
+	// A frame is counted when it is queued, which for the leader is before
+	// it has entered the flush (it may still be in its linger): wait for the
+	// flush itself, then see that it stays the only one while it is blocked.
+	for deadline := time.Now().Add(5 * time.Second); p.WriteStats().Frames < inFlight || p.WriteStats().Flushes < 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d frames queued", p.WriteStats().Frames, inFlight)
+			t.Fatalf("%d of %d frames queued in %d flushes", p.WriteStats().Frames, inFlight, p.WriteStats().Flushes)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(20 * time.Millisecond)
 	if got := p.WriteStats().Flushes; got != 1 {
 		t.Fatalf("%d flushes with the first one blocked, want 1", got)
 	}
@@ -172,27 +174,20 @@ func (l *cutListener) Accept() (net.Conn, error) {
 }
 
 // TestServerResponseFlushFailureTearsDown: the server side of the contract.
-// When the flush of an answer fails — the client's socket still open and
+// When the flush of a response fails — the client's socket still open and
 // silent — the server closes the connection, its read loop ends, and the
-// per-connection service state (the responder session half) is released;
-// the client sees the connection go, not a query timeout.
+// sessions attested on the connection are released; the client sees the
+// connection go, not a request timeout, and discards its half.
 func TestServerResponseFlushFailureTearsDown(t *testing.T) {
-	var closes atomic.Int64
-	securechan.SetCloseObserver(func(*securechan.Session) { closes.Add(1) })
-	defer securechan.SetCloseObserver(nil)
-
-	d := newTestDaemon(t, "flush-failure-secret")
-	if _, err := d.srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ln := &cutListener{Listener: d.srv.ln, cut: make(chan struct{}), conns: make(chan *cutConn, 1)}
-	d.srv.ln = ln
-	go d.srv.Serve() //nolint:errcheck // ends with the server's Close
-
-	c := d.dial(t)
-	if _, err := c.Query("before the cut"); err != nil {
-		t.Fatal(err)
-	}
+	closes := countCloses(t)
+	ln := &cutListener{cut: make(chan struct{}), conns: make(chan *cutConn, 1)}
+	w := newHostedWorld(t, "flush-failure-secret")
+	relay := w.host("relay", nil, hostedOpts{wrapListener: func(inner net.Listener) net.Listener {
+		ln.Listener = inner
+		return ln
+	}})
+	c := w.host("client", []string{"relay"}, hostedOpts{})
+	c.search(t, "before the cut")
 	cc := <-ln.conns
 
 	close(ln.cut)
@@ -201,7 +196,7 @@ func TestServerResponseFlushFailureTearsDown(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < inFlight; i++ {
 		go func() {
-			_, err := c.Query("answer that cannot be flushed")
+			_, err := c.node.Search("response that cannot be flushed", time.Now())
 			errs <- err
 		}()
 	}
@@ -209,24 +204,24 @@ func TestServerResponseFlushFailureTearsDown(t *testing.T) {
 		select {
 		case err := <-errs:
 			if err == nil {
-				t.Error("query answered over a dead write path")
+				t.Error("forward answered over a dead write path")
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("query %d still waiting %v after the server's flush failed", i, time.Since(start))
+			t.Fatalf("forward %d still waiting %v after the server's flush failed", i, time.Since(start))
 		}
 	}
 	if !cc.closed.Load() {
-		t.Fatal("server kept the connection after a failed answer flush")
+		t.Fatal("server kept the connection after a failed response flush")
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		d.srv.mu.Lock()
-		live := len(d.srv.conns)
-		d.srv.mu.Unlock()
-		if live == 0 && closes.Load() >= 2 {
+		relay.srv.mu.Lock()
+		live, owned := len(relay.srv.conns), len(relay.srv.sessions)
+		relay.srv.mu.Unlock()
+		if live == 0 && owned == 0 && closes.Load() >= 2 {
 			break // connection unregistered, both session halves closed
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d connections registered, %d session halves closed; want 0 and 2", live, closes.Load())
+			t.Fatalf("%d connections registered owning %d sessions, %d session halves closed; want 0, 0 and 2", live, owned, closes.Load())
 		}
 	}
 }

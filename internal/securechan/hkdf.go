@@ -7,12 +7,12 @@
 // counter nonces (replay of a record is rejected because the receiver's
 // counter has moved on).
 //
-// Two layerings are provided:
-//
-//   - Session — message-oriented: encrypt/decrypt individual datagrams, for
-//     the simulated network transport;
-//   - Channel — stream-oriented over a net.Conn with length-prefixed
-//     records, for the real TCP deployment.
+// The package is message-oriented and carries nothing itself: a Handshaker
+// produces and verifies the two HandshakeMsg offers of a key exchange, and
+// the Session they establish seals and opens individual records. Whoever
+// uses it moves the bytes — in process for two members of one core.Network
+// (EstablishPair), as attest and data frames of internal/nettrans between
+// processes.
 package securechan
 
 import (

@@ -3,7 +3,6 @@ package securechan
 import (
 	"bytes"
 	"errors"
-	"net"
 	"testing"
 
 	"cyclosa/internal/enclave"
@@ -241,70 +240,6 @@ func TestHandshakeMsgMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalHandshakeMsg([]byte("{bad")); err == nil {
 		t.Error("bad JSON should fail")
-	}
-}
-
-func TestChannelOverPipe(t *testing.T) {
-	env := newTestEnv(t)
-	ha, hb := env.handshakers(t)
-
-	connA, connB := net.Pipe()
-	type result struct {
-		ch  *Channel
-		err error
-	}
-	acceptDone := make(chan result, 1)
-	go func() {
-		ch, err := Accept(connB, hb)
-		acceptDone <- result{ch, err}
-	}()
-	chA, err := Dial(connA, ha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-acceptDone
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	chB := res.ch
-
-	recvDone := make(chan result, 1)
-	go func() {
-		msg, err := chB.Receive()
-		if err == nil && string(msg) != "query over tcp" {
-			err = errors.New("wrong payload: " + string(msg))
-		}
-		recvDone <- result{nil, err}
-	}()
-	if err := chA.Send([]byte("query over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	if res := <-recvDone; res.err != nil {
-		t.Fatal(res.err)
-	}
-
-	if chA.Session().PeerMeasurement() != env.enclB.Measurement() {
-		t.Error("channel peer measurement wrong")
-	}
-	if err := chA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := chB.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	big := make([]byte, maxRecordSize+1)
-	if err := writeFrame(&buf, big); !errors.Is(err, ErrRecordTooLarge) {
-		t.Errorf("oversize write err = %v", err)
-	}
-	// Craft an oversized header.
-	buf.Reset()
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); !errors.Is(err, ErrRecordTooLarge) {
-		t.Errorf("oversize read err = %v", err)
 	}
 }
 

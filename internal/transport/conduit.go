@@ -22,3 +22,14 @@ import "time"
 type Conduit interface {
 	Deliver(from, to string, payload []byte, now time.Time) (resp []byte, injected time.Duration, err error)
 }
+
+// Attestor is the optional second method of a Conduit that can also carry
+// the attested key exchange: it delivers the marshalled handshake offer of
+// from to the relay to, which verifies it, installs its half of the session
+// and answers with its own marshalled offer. core uses it only for a relay
+// that is not a member of its own in-process network (a member is attested
+// without leaving the process); a conduit that reaches no such relay — the
+// simnet fault layer, test doubles — simply does not implement it.
+type Attestor interface {
+	Attest(from, to string, offer []byte) (reply []byte, err error)
+}
