@@ -1,5 +1,6 @@
 // Command cyclosa-bench regenerates the tables and figures of the paper's
-// evaluation (§VII, §VIII) from the reproduction's experiment drivers.
+// evaluation (§VII, §VIII) from the reproduction's experiment drivers, and
+// emits the property records (BENCH_*.json) CI keeps PR over PR.
 //
 // Usage:
 //
@@ -7,21 +8,22 @@
 //	cyclosa-bench -exp fig5 -users 198 -seed 1
 //	cyclosa-bench -exp fig8c -duration 2s -concurrency 16
 //	cyclosa-bench -exp loadtest -concurrency 32 -duration 2s -workload zipf
-//	cyclosa-bench -exp relay -json BENCH_relay.json
-//	cyclosa-bench -exp net -json BENCH_net.json
-//	cyclosa-bench -exp gossip -json BENCH_gossip.json
 //	cyclosa-bench -exp chaos -seed 7 -workload zipf -chaos-intensity 2
-//	cyclosa-bench -exp backend -json BENCH_backend.json
-//	cyclosa-bench -exp accounting -json BENCH_accounting.json
 //	cyclosa-bench -exp privacy -json BENCH_privacy.json
 //
-// Experiments: table1, crowd, table2, fig5, fig6, fig7, fig8a, fig8b,
-// fig8c, fig8d, loadtest, relay, net, gossip, chaos, backend, accounting,
-// privacy, all (everything except the real-time fig8c, loadtest, relay,
-// net, backend, accounting and the heavyweight privacy sweep unless
-// explicitly requested). The gossip experiment measures the membership
-// control plane: convergence of a seeded overlay, re-convergence under
-// churn, and the blacklist no-re-entry invariant.
+// The experiments are the rows of the table below; -h lists their names,
+// which of them -exp all leaves out (the real-time and the heavyweight ones)
+// and which keep a record that -json writes. How fast a relay or a protected
+// search is is not an experiment here: that is benchmark/run.sh, the one
+// ruler every performance claim is stated in.
+//
+// A recorded experiment's -json file carries the summaries of earlier runs
+// forward as history. An experiment whose result has invariants exits
+// non-zero when one is violated and names the -seed that replays the run.
+//
+// The gossip experiment measures the membership control plane: convergence
+// of a seeded overlay, re-convergence under churn, and the blacklist
+// no-re-entry invariant.
 //
 // The privacy experiment replays trace-driven query streams through the
 // CYCLOSA relay + fake-query path into the SimAttack adversary, sweeping
@@ -30,44 +32,26 @@
 // (five-region latency/loss matrix, heavy-tailed churn) proving the
 // overlay those queries ride on stays healthy. -users, -mean-queries and
 // -queries bound the profile (defaults 60/120/1500; -wan-nodes scales the
-// WAN phase); the process exits non-zero when the k=7 re-identification
-// rate exceeds its seeded bound or the WAN view-quality invariants break.
-// -json emits BENCH_privacy.json with history carried forward.
+// WAN phase); it fails when the k=7 re-identification rate exceeds its
+// seeded bound or the WAN view-quality invariants break.
 //
 // The accounting experiment has hosted client nodes forward to one hosted
-// relay at twice each client's admitted rate and reports admitted vs throttled, then
-// re-measures the forward hot path to show the per-client token buckets
-// and the net-commit stats seam keep it allocation-flat; the process exits
-// non-zero if throttling never fired, the offered load never reached 2x
-// the quota, or the hot path exceeded its alloc budget. -json emits
-// BENCH_accounting.json with history carried forward.
+// relay at far more than each client's admitted rate for -duration and
+// reports admitted vs throttled; it fails if throttling never fired or the
+// offered load never reached 2x the quota.
 //
 // The backend experiment runs the engine-brownout chaos driver: up to 30%
 // of the overlay's backends degrade (errors, hangs, latency spikes) behind
 // the internal/backend resilience stack while a concurrent workload
-// measures availability and tail latency; the process exits non-zero if a
-// brownout invariant (no blacklisting for engine failures, >= 95%
-// availability, full recovery) is violated. -json emits BENCH_backend.json.
+// measures availability and tail latency; it fails if a brownout invariant
+// (no blacklisting for engine failures, >= 95% availability, full recovery)
+// is violated.
 //
 // The chaos experiment drives the internal/simnet fault-injection layer:
 // a seed-derived crash/restart/partition schedule plus per-delivery drops,
 // bit flips, truncations, replays, Byzantine garbage and latency spikes,
-// with the protocol invariant checkers armed; the process exits non-zero
-// if any invariant is violated. Re-running with the same -seed replays the
-// identical fault schedule.
-//
-// The relay experiment measures the single-relay forward hot path (the
-// binary wire codec + pooled-buffer round trip) in a closed loop and can
-// emit the measurement as JSON (-json) for CI perf tracking.
-//
-// The net experiment measures the same forward round trip side by side in
-// process (the direct conduit) and over loopback TCP through the
-// internal/nettrans frame protocol — serially, and with -concurrency
-// clients multiplexed on one group-committed connection ("tcp+coalesce") —
-// with p50/p95 latency, separately reported cold start and warmup, and the
-// frames-per-flush contention proxy. With -json it emits BENCH_net.json,
-// carrying prior summaries forward as history so the throughput trajectory
-// is visible across PRs.
+// with the protocol invariant checkers armed. Re-running with the same
+// -seed replays the identical fault schedule.
 //
 // The loadtest experiment drives the concurrent workload engine
 // (internal/workload) against the full forward path of one relay with a
@@ -93,321 +77,239 @@ func main() {
 	}
 }
 
+// config is the parsed command line plus the world the selected experiments
+// share.
+type config struct {
+	seed        int64
+	users       int
+	mean        int
+	queries     int
+	duration    time.Duration
+	concurrency int
+	workload    string
+	rate        float64
+	jsonOut     string
+	intensity   float64
+	rounds      int
+	wanNodes    int
+	traceFile   string
+	// set names the flags the command line gave, for the experiments whose
+	// own defaults differ from the shared flag defaults.
+	set   map[string]bool
+	world *eval.World
+}
+
+// experiment is one row of the table: everything cyclosa-bench knows about
+// an experiment except what it computes.
+type experiment struct {
+	name string
+	// needsWorld: run reads c.world (universe + LDA training, seconds).
+	needsWorld bool
+	// inAll: part of -exp all. The real-time load experiments and the
+	// heavyweight privacy sweep run only when named.
+	inAll bool
+	// recorded: the result is an eval.Record, which -json writes.
+	recorded bool
+	run      func(c *config) (fmt.Stringer, error)
+}
+
+// text lets an experiment that renders straight to a string be a row.
+type text string
+
+func (t text) String() string { return string(t) }
+
+var experiments = []experiment{
+	{name: "table1", inAll: true, run: func(*config) (fmt.Stringer, error) {
+		return text(eval.RenderTable1()), nil
+	}},
+	{name: "crowd", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunCrowdCampaign(c.world, eval.CrowdOptions{}), nil
+	}},
+	{name: "table2", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunCategorizerAccuracy(c.world, c.queries*10), nil
+	}},
+	{name: "fig7", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunAdaptiveK(c.world, c.queries*10), nil
+	}},
+	{name: "fig5", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunReIdentification(c.world, eval.ReIdentificationOptions{K: 7, MaxQueries: c.queries}), nil
+	}},
+	{name: "fig6", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunAccuracy(c.world, eval.AccuracyOptions{K: 3, MaxQueries: min(c.queries, 300)})
+	}},
+	{name: "fig8a", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunLatency(c.world, eval.LatencyOptions{Queries: min(c.queries, 200), K: 3})
+	}},
+	{name: "fig8b", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunLatencyVsK(c.world, min(c.queries, 200), 32)
+	}},
+	{name: "fig8c", needsWorld: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunThroughput(c.world, eval.ThroughputOptions{Duration: c.duration, Workers: c.concurrency})
+	}},
+	{name: "loadtest", run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunLoadTest(eval.LoadTestOptions{
+			Seed:          c.seed,
+			Concurrency:   c.concurrency,
+			Duration:      c.duration,
+			Workload:      c.workload,
+			Rate:          c.rate,
+			CompareSerial: true,
+			TraceFile:     c.traceFile,
+		})
+	}},
+	{name: "gossip", inAll: true, recorded: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunGossipBench(eval.GossipBenchOptions{Seed: c.seed})
+	}},
+	{name: "fig8d", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunLoadBalancing(c.world, eval.LoadBalancingOptions{})
+	}},
+	{name: "ablation", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunFakeSourceAblation(c.world, 7, c.queries), nil
+	}},
+	{name: "sweep", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunSensitivitySweep(c.world, nil, c.queries)
+	}},
+	{name: "learning", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunLearningAdversary(c.world, 7, c.queries/3, 3), nil
+	}},
+	{name: "churn", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunChurn(c.world, eval.ChurnOptions{})
+	}},
+	{name: "backend", recorded: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunBackendBench(eval.BackendBenchOptions{Seed: c.seed})
+	}},
+	{name: "accounting", recorded: true, run: func(c *config) (fmt.Stringer, error) {
+		return eval.RunAccountingBench(eval.AccountingBenchOptions{Seed: c.seed, Duration: c.duration})
+	}},
+	// The privacy experiment defaults to its own bounded 60-user/1500-query
+	// profile rather than the shared flag defaults; an explicit flag wins.
+	{name: "privacy", recorded: true, run: func(c *config) (fmt.Stringer, error) {
+		o := eval.PrivacyBenchOptions{Seed: c.seed, WANNodes: c.wanNodes}
+		if c.set["users"] {
+			o.Users = c.users
+		}
+		if c.set["mean-queries"] {
+			o.MeanQueries = c.mean
+		}
+		if c.set["queries"] {
+			o.Queries = c.queries
+		}
+		return eval.RunPrivacyBench(o)
+	}},
+	// The chaos experiment defaults to the zipf workload (its point is load
+	// shape under faults); an explicit -workload wins.
+	{name: "chaos", inAll: true, run: func(c *config) (fmt.Stringer, error) {
+		o := eval.ChaosOptions{
+			Seed:      c.seed,
+			Clients:   c.concurrency,
+			Rounds:    c.rounds,
+			Workload:  "zipf",
+			Intensity: c.intensity,
+		}
+		if c.set["workload"] {
+			o.Workload = c.workload
+		}
+		return eval.RunChaos(o)
+	}},
+}
+
+// names joins the names of the rows keep selects, in table order.
+func names(keep func(experiment) bool) string {
+	var out []string
+	for _, e := range experiments {
+		if keep(e) {
+			out = append(out, e.name)
+		}
+	}
+	return strings.Join(out, "|")
+}
+
 func run(args []string) error {
+	c := &config{set: make(map[string]bool)}
+	all := names(func(experiment) bool { return true })
+	notInAll := names(func(e experiment) bool { return !e.inAll })
 	fs := flag.NewFlagSet("cyclosa-bench", flag.ContinueOnError)
-	var (
-		exp         = fs.String("exp", "all", "experiment: table1|crowd|table2|fig5|fig6|fig7|fig8a|fig8b|fig8c|fig8d|ablation|sweep|learning|churn|chaos|backend|accounting|privacy|loadtest|relay|net|gossip|all")
-		seed        = fs.Int64("seed", 1, "random seed")
-		users       = fs.Int("users", 198, "workload users (paper: 198)")
-		mean        = fs.Int("mean-queries", 120, "mean queries per user")
-		queries     = fs.Int("queries", 1000, "max queries per experiment (0 = all)")
-		duration    = fs.Duration("duration", 500*time.Millisecond, "per-rate duration for fig8c / measured window for loadtest")
-		concurrency = fs.Int("concurrency", 8, "concurrent client goroutines for fig8c and loadtest")
-		workloadGen = fs.String("workload", "fixed", "loadtest query workload: fixed|zipf|trace")
-		rate        = fs.Float64("rate", 0, "loadtest open-loop offered rate in req/s (0 = closed loop)")
-		iterations  = fs.Int("iterations", 0, "relay/net experiment iteration count (0 = default)")
-		jsonOut     = fs.String("json", "", "relay/net experiment: also write the result as JSON to this path (e.g. BENCH_relay.json, BENCH_net.json)")
-		intensity   = fs.Float64("chaos-intensity", 1, "chaos experiment: scale on the default fault probabilities")
-		rounds      = fs.Int("chaos-rounds", 8, "chaos experiment: schedule/workload rounds")
-		wanNodes    = fs.Int("wan-nodes", 0, "privacy experiment: WAN churn phase size (0 = default 2000, negative disables)")
-		traceFile   = fs.String("trace", "", "loadtest: replay this query-log file with -workload trace (one query per line, # comments)")
-	)
+	exp := fs.String("exp", "all", "experiment: "+all+"|all (all leaves out "+notInAll+")")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed")
+	fs.IntVar(&c.users, "users", 198, "workload users (paper: 198)")
+	fs.IntVar(&c.mean, "mean-queries", 120, "mean queries per user")
+	fs.IntVar(&c.queries, "queries", 1000, "max queries per experiment (0 = all)")
+	fs.DurationVar(&c.duration, "duration", 500*time.Millisecond, "per-rate duration for fig8c / measured window for loadtest and accounting")
+	fs.IntVar(&c.concurrency, "concurrency", 8, "concurrent client goroutines for fig8c, loadtest and chaos")
+	fs.StringVar(&c.workload, "workload", "fixed", "loadtest and chaos query workload: fixed|zipf|trace (chaos defaults to zipf)")
+	fs.Float64Var(&c.rate, "rate", 0, "loadtest open-loop offered rate in req/s (0 = closed loop)")
+	fs.StringVar(&c.jsonOut, "json", "", "also write the record of "+
+		names(func(e experiment) bool { return e.recorded })+" to this path (e.g. BENCH_gossip.json), history carried forward")
+	fs.Float64Var(&c.intensity, "chaos-intensity", 1, "chaos experiment: scale on the default fault probabilities")
+	fs.IntVar(&c.rounds, "chaos-rounds", 8, "chaos experiment: schedule/workload rounds")
+	fs.IntVar(&c.wanNodes, "wan-nodes", 0, "privacy experiment: WAN churn phase size (0 = default 2000, negative disables)")
+	fs.StringVar(&c.traceFile, "trace", "", "loadtest: replay this query-log file with -workload trace (one query per line, # comments)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
 
-	// The chaos experiment defaults to the zipf workload (its point is load
-	// shape under faults), and the privacy experiment defaults to a bounded
-	// 60-user/1500-query profile rather than the shared flag defaults; an
-	// explicit flag still wins for both.
-	chaosWorkload := "zipf"
-	privacyUsers, privacyMean, privacyQueries := 0, 0, 0
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "workload":
-			chaosWorkload = *workloadGen
-		case "users":
-			privacyUsers = *users
-		case "mean-queries":
-			privacyMean = *mean
-		case "queries":
-			privacyQueries = *queries
-		}
-	})
-
+	// Resolve the name against the table before any work: a typo must not
+	// cost a world build.
 	want := strings.ToLower(*exp)
-	needWorld := want != "table1" && want != "loadtest" && want != "relay" && want != "chaos" && want != "net" && want != "backend" && want != "accounting" && want != "privacy"
+	var selected []experiment
+	needWorld := false
+	for _, e := range experiments {
+		if want == e.name || want == "all" && e.inAll {
+			selected = append(selected, e)
+			needWorld = needWorld || e.needsWorld
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (valid: %s|all)", *exp, all)
+	}
+	if want == "all" {
+		fmt.Printf("skipped in -exp all (real-time or heavyweight; run each with -exp <name>): %s\n", notInAll)
+	}
 
-	var world *eval.World
 	if needWorld {
-		fmt.Fprintf(os.Stderr, "building world (seed=%d users=%d)...\n", *seed, *users)
+		fmt.Fprintf(os.Stderr, "building world (seed=%d users=%d)...\n", c.seed, c.users)
 		var err error
-		world, err = eval.NewWorld(eval.WorldConfig{
-			Seed:               *seed,
-			NumUsers:           *users,
-			MeanQueriesPerUser: *mean,
+		c.world, err = eval.NewWorld(eval.WorldConfig{
+			Seed:               c.seed,
+			NumUsers:           c.users,
+			MeanQueriesPerUser: c.mean,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "world: %s train, %s test\n", world.Train, world.Test)
+		fmt.Fprintf(os.Stderr, "world: %s train, %s test\n", c.world.Train, c.world.Test)
 	}
 
-	type experiment struct {
-		name string
-		run  func() error
-	}
-	experiments := []experiment{
-		{"table1", func() error {
-			fmt.Println(eval.RenderTable1())
-			return nil
-		}},
-		{"crowd", func() error {
-			fmt.Println(eval.RunCrowdCampaign(world, eval.CrowdOptions{}))
-			return nil
-		}},
-		{"table2", func() error {
-			fmt.Println(eval.RunCategorizerAccuracy(world, *queries*10))
-			return nil
-		}},
-		{"fig7", func() error {
-			fmt.Println(eval.RunAdaptiveK(world, *queries*10))
-			return nil
-		}},
-		{"fig5", func() error {
-			fmt.Println(eval.RunReIdentification(world, eval.ReIdentificationOptions{K: 7, MaxQueries: *queries}))
-			return nil
-		}},
-		{"fig6", func() error {
-			r, err := eval.RunAccuracy(world, eval.AccuracyOptions{K: 3, MaxQueries: minInt(*queries, 300)})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"fig8a", func() error {
-			r, err := eval.RunLatency(world, eval.LatencyOptions{Queries: minInt(*queries, 200), K: 3})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"fig8b", func() error {
-			r, err := eval.RunLatencyVsK(world, minInt(*queries, 200), 32)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"fig8c", func() error {
-			r, err := eval.RunThroughput(world, eval.ThroughputOptions{Duration: *duration, Workers: *concurrency})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"loadtest", func() error {
-			r, err := eval.RunLoadTest(eval.LoadTestOptions{
-				Seed:          *seed,
-				Concurrency:   *concurrency,
-				Duration:      *duration,
-				Workload:      *workloadGen,
-				Rate:          *rate,
-				CompareSerial: true,
-				TraceFile:     *traceFile,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"relay", func() error {
-			r, err := eval.RunRelayBench(eval.RelayBenchOptions{Seed: *seed, Iterations: *iterations})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			return nil
-		}},
-		{"net", func() error {
-			r, err := eval.RunNetBench(eval.NetBenchOptions{
-				Seed:        *seed,
-				Iterations:  *iterations,
-				Concurrency: *concurrency,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			return nil
-		}},
-		{"gossip", func() error {
-			r, err := eval.RunGossipBench(eval.GossipBenchOptions{Seed: *seed})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			return nil
-		}},
-		{"fig8d", func() error {
-			r, err := eval.RunLoadBalancing(world, eval.LoadBalancingOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"ablation", func() error {
-			fmt.Println(eval.RunFakeSourceAblation(world, 7, *queries))
-			return nil
-		}},
-		{"sweep", func() error {
-			r, err := eval.RunSensitivitySweep(world, nil, *queries)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"learning", func() error {
-			fmt.Println(eval.RunLearningAdversary(world, 7, *queries/3, 3))
-			return nil
-		}},
-		{"churn", func() error {
-			r, err := eval.RunChurn(world, eval.ChurnOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			return nil
-		}},
-		{"backend", func() error {
-			r, err := eval.RunBackendBench(eval.BackendBenchOptions{Seed: *seed})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			if r.Failed() {
-				return fmt.Errorf("backend: brownout invariants violated (seed %d replays the failure)", *seed)
-			}
-			return nil
-		}},
-		{"accounting", func() error {
-			r, err := eval.RunAccountingBench(eval.AccountingBenchOptions{Seed: *seed, Duration: *duration})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			if r.Failed() {
-				return fmt.Errorf("accounting: admission invariants violated (seed %d replays the failure)", *seed)
-			}
-			return nil
-		}},
-		{"privacy", func() error {
-			r, err := eval.RunPrivacyBench(eval.PrivacyBenchOptions{
-				Seed:        *seed,
-				Users:       privacyUsers,
-				MeanQueries: privacyMean,
-				Queries:     privacyQueries,
-				WANNodes:    *wanNodes,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if *jsonOut != "" {
-				if err := r.WriteJSON(*jsonOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-			if r.Failed() {
-				return fmt.Errorf("privacy: re-identification invariants violated (seed %d replays the failure)", *seed)
-			}
-			return nil
-		}},
-		{"chaos", func() error {
-			r, err := eval.RunChaos(eval.ChaosOptions{
-				Seed:      *seed,
-				Clients:   *concurrency,
-				Rounds:    *rounds,
-				Workload:  chaosWorkload,
-				Intensity: *intensity,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-			if r.Failed() {
-				return fmt.Errorf("chaos: protocol invariants violated (seed %d replays the failure)", *seed)
-			}
-			return nil
-		}},
-	}
-
-	ran := false
-	for _, e := range experiments {
-		if want != "all" && want != e.name {
-			continue
-		}
-		if want == "all" && (e.name == "fig8c" || e.name == "loadtest" || e.name == "relay" || e.name == "net" || e.name == "backend" || e.name == "accounting") {
-			fmt.Printf("%s: skipped in -exp all (real-time load test); run -exp %s explicitly\n", e.name, e.name)
-			continue
-		}
-		if want == "all" && e.name == "privacy" {
-			fmt.Printf("privacy: skipped in -exp all (heavyweight adversarial sweep); run -exp privacy explicitly\n")
-			continue
-		}
+	for _, e := range selected {
 		fmt.Fprintf(os.Stderr, "running %s...\n", e.name)
-		if err := e.run(); err != nil {
+		r, err := e.run(c)
+		if err == nil {
+			err = c.emit(e, r)
+		}
+		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// emit is what happens to every result: it is printed, written through the
+// one record writer when the row is recorded and -json names a file, and
+// turned into the non-zero exit when it has violations — after the write, so
+// a failing run still leaves its record.
+func (c *config) emit(e experiment, r fmt.Stringer) error {
+	fmt.Println(r)
+	if e.recorded && c.jsonOut != "" {
+		if err := eval.WriteRecord(c.jsonOut, r.(eval.Record)); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", c.jsonOut)
 	}
-	return b
+	if v, ok := r.(interface{ Violations() []string }); ok {
+		if bad := v.Violations(); len(bad) > 0 {
+			return fmt.Errorf("invariants violated (seed %d replays the failure): %s", c.seed, strings.Join(bad, "; "))
+		}
+	}
+	return nil
 }

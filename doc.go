@@ -104,13 +104,14 @@
 // append into caller-provided buffers and allocate nothing once those
 // buffers have grown to the working size.
 //
-// To compare before/after, run
+// The micro-benchmarks of this path still run,
 //
 //	go test -run '^$' -bench 'Fig8cRelayThroughput|SecureChannelRoundTrip' -benchmem -benchtime=2s .
-//	go run ./cmd/cyclosa-bench -exp relay -json BENCH_relay.json
 //
-// and diff against the history committed in BENCH_relay.json (CI re-emits
-// the measurement on every push).
+// but what a relay sustains, before and after a change, is measured by the
+// repository's one ruler, on real sockets, bounded and seeded:
+//
+//	bash benchmark/run.sh --workload relay_forward_mux_tcp --seed 1 --seconds 10 --trace 0
 //
 // # Testing & fault model
 //
@@ -173,8 +174,8 @@
 // (nettrans.Membership over gossip frames), discovers every other daemon
 // through rps view exchanges, re-attests peers as they enter its view
 // (the attestation directory) and serves its own view over -mode view
-// introspection — no static peer list anywhere. The net and gossip
-// experiments (cyclosa-bench -exp net / -exp gossip) measure the
-// loopback-TCP round trip and the membership convergence, emitting
-// BENCH_net.json and BENCH_gossip.json.
+// introspection — no static peer list anywhere. The gossip experiment
+// (cyclosa-bench -exp gossip) measures the membership convergence and
+// records it in BENCH_gossip.json; the loopback-TCP round trip is the
+// benchmark's relay_forward_mux_tcp workload.
 package cyclosa

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cyclosa/internal/testutil"
 )
 
 type fakeClock struct {
@@ -159,5 +161,42 @@ func TestLimiterConcurrent(t *testing.T) {
 	st := l.Stats()
 	if st.Admitted+st.Throttled != 8*200 {
 		t.Fatalf("admitted %d + throttled %d != 1600", st.Admitted, st.Throttled)
+	}
+}
+
+// TestLimiterAllowAllocs pins the admission edge's share of the forward hot
+// path: for a client the limiter already tracks, Allow allocates nothing,
+// whether it admits or throttles.
+func TestLimiterAllowAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	const runs = 1000
+	for _, tc := range []struct {
+		name  string
+		burst int
+		want  error
+	}{
+		{"admitted", 2 * runs, nil},
+		{"throttled", 1, ErrClientThrottled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The clock stands still, so the bucket never refills.
+			l, err := NewLimiter(LimiterConfig{QPS: 10, Burst: tc.burst, Now: newFakeClock().Now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Allow("alice"); err != nil {
+				t.Fatal(err)
+			}
+			n := testing.AllocsPerRun(runs, func() {
+				if err := l.Allow("alice"); err != tc.want {
+					t.Fatalf("Allow = %v, want %v", err, tc.want)
+				}
+			})
+			if n > 0 {
+				t.Errorf("Limiter.Allow allocates %.1f times per op on the %s branch, want 0", n, tc.name)
+			}
+		})
 	}
 }

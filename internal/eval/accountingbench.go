@@ -16,10 +16,8 @@ import (
 // AccountingBenchOptions configures the admission-control benchmark behind
 // cyclosa-bench's -exp accounting: closed-loop clients forward to one hosted
 // relay well past their per-client rate, measuring what the token-bucket
-// edge in front of its data frames admits, what it sheds, and that the
-// forward hot path kept its allocation budget with the accounting seam in
-// place. Tracked PR
-// over PR in BENCH_accounting.json.
+// edge in front of its data frames admits and what it sheds. Tracked PR over
+// PR in BENCH_accounting.json.
 type AccountingBenchOptions struct {
 	// Seed drives platform and network randomness.
 	Seed int64
@@ -34,9 +32,6 @@ type AccountingBenchOptions struct {
 	// loops run far faster than any sane per-client rate, so the offered
 	// load is guaranteed to exceed it.
 	Duration time.Duration
-	// HotPathIterations sizes the allocation re-measurement of the relay
-	// forward path (default 20000).
-	HotPathIterations int
 }
 
 // AccountingBenchResult is one measurement of the admission edge.
@@ -64,33 +59,22 @@ type AccountingBenchResult struct {
 	// counters, which must agree with the client-observed split.
 	LimiterAdmitted  uint64 `json:"limiter_admitted"`
 	LimiterThrottled uint64 `json:"limiter_throttled"`
-	// HotPathNsPerOp / HotPathAllocsPerOp re-measure the relay forward
-	// round trip with the accounting seam in place; the PR 2 budget of
-	// 3 allocs/op must still hold.
-	HotPathNsPerOp     float64 `json:"hot_path_ns_per_op"`
-	HotPathAllocsPerOp float64 `json:"hot_path_allocs_per_op"`
-	// GeneratedAt stamps the measurement (RFC 3339).
-	GeneratedAt string `json:"generated_at"`
-	// History carries prior measurements forward, newest first.
-	History []AccountingBenchHistoryEntry `json:"history,omitempty"`
+	Stamp
 }
 
 // AccountingBenchHistoryEntry is one prior BENCH_accounting measurement,
 // carried forward so the file tracks the admission edge across runs.
 type AccountingBenchHistoryEntry struct {
-	GeneratedAt        string  `json:"generated_at"`
-	Admitted           uint64  `json:"admitted"`
-	Throttled          uint64  `json:"throttled"`
-	AdmittedPerSec     float64 `json:"admitted_per_sec"`
-	HotPathAllocsPerOp float64 `json:"hot_path_allocs_per_op"`
+	GeneratedAt    string  `json:"generated_at"`
+	Admitted       uint64  `json:"admitted"`
+	Throttled      uint64  `json:"throttled"`
+	AdmittedPerSec float64 `json:"admitted_per_sec"`
 }
 
 // RunAccountingBench measures the admission edge end to end: Clients
 // closed-loop clients — hosted nodes, each with its own identity, pool and
 // attested pair — forward to one throttled hosted relay for Duration; every
 // forward either completes or fails with the typed core.ErrRelayThrottled.
-// A second phase re-measures the bare forward hot path to prove the
-// per-session accounting seam kept the allocation budget.
 func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, error) {
 	if opts.ClientQPS <= 0 {
 		opts.ClientQPS = 50
@@ -103,9 +87,6 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	}
 	if opts.Duration <= 0 {
 		opts.Duration = 250 * time.Millisecond
-	}
-	if opts.HotPathIterations <= 0 {
-		opts.HotPathIterations = 20000
 	}
 
 	const relayID = "accounting-bench"
@@ -194,11 +175,6 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 	}
 	elapsed := time.Since(start)
 
-	hot, err := RunRelayBench(RelayBenchOptions{Seed: opts.Seed, Iterations: opts.HotPathIterations})
-	if err != nil {
-		return nil, fmt.Errorf("hot-path phase: %w", err)
-	}
-
 	st := lim.Stats()
 	offered := admitted + throttled
 	return &AccountingBenchResult{
@@ -214,47 +190,43 @@ func RunAccountingBench(opts AccountingBenchOptions) (*AccountingBenchResult, er
 		AdmittedPerSec:         float64(admitted) / elapsed.Seconds(),
 		LimiterAdmitted:        st.Admitted,
 		LimiterThrottled:       st.Throttled,
-		HotPathNsPerOp:         hot.NsPerOp,
-		HotPathAllocsPerOp:     hot.AllocsPerOp,
-		GeneratedAt:            time.Now().UTC().Format(time.RFC3339),
 	}, nil
 }
 
-// Failed reports whether the run missed the acceptance bar: the offered
-// load must exceed twice the per-client rate, some of it must actually have
-// been shed with the typed error, and the forward hot path must have kept
-// the 3 allocs/op budget (non-zero exit for cyclosa-bench).
-func (r *AccountingBenchResult) Failed() bool {
-	return r.Throttled == 0 ||
-		r.OfferedPerClientPerSec < 2*r.ClientQPS ||
-		r.HotPathAllocsPerOp > 3
+// Violations lists where the run missed its acceptance bar (non-zero exit
+// for cyclosa-bench): the offered load must exceed twice the per-client rate,
+// and some of it must actually have been shed with the typed error.
+func (r *AccountingBenchResult) Violations() []string {
+	var bad []string
+	if r.Throttled == 0 {
+		bad = append(bad, "nothing was throttled: the admission edge never shed")
+	}
+	if r.OfferedPerClientPerSec < 2*r.ClientQPS {
+		bad = append(bad, fmt.Sprintf("offered %.0f per client per sec, below twice the %.0f qps quota: the closed loop never overloaded the edge",
+			r.OfferedPerClientPerSec, r.ClientQPS))
+	}
+	return bad
 }
 
-// WriteJSON writes the result as indented JSON to path. When path already
-// holds an AccountingBenchResult, its summary is prepended to this result's
-// history so the file accumulates the admission trajectory across runs.
-func (r *AccountingBenchResult) WriteJSON(path string) error {
-	r.History = carryHistory(path, r.History, func(old *AccountingBenchResult) (AccountingBenchHistoryEntry, []AccountingBenchHistoryEntry, bool) {
-		return AccountingBenchHistoryEntry{
-			GeneratedAt:        old.GeneratedAt,
-			Admitted:           old.Admitted,
-			Throttled:          old.Throttled,
-			AdmittedPerSec:     old.AdmittedPerSec,
-			HotPathAllocsPerOp: old.HotPathAllocsPerOp,
-		}, old.History, old.GeneratedAt != ""
-	})
-	return writeIndentedJSON(path, r)
+// Summary is the history entry this run leaves behind.
+func (r *AccountingBenchResult) Summary() any {
+	return AccountingBenchHistoryEntry{
+		GeneratedAt:    r.GeneratedAt,
+		Admitted:       r.Admitted,
+		Throttled:      r.Throttled,
+		AdmittedPerSec: r.AdmittedPerSec,
+	}
 }
 
 // String renders the result for the terminal.
 func (r *AccountingBenchResult) String() string {
 	s := fmt.Sprintf(
-		"Admission edge (%s):\n  %d clients at %.0f qps / burst %d each, %.0fms window\n  offered %d (%.0f per client per sec) -> admitted %d (%.0f/s), throttled %d\n  limiter counters: %d admitted, %d throttled\n  forward hot path: %.0f ns/op, %.2f allocs/op (budget 3)",
+		"Admission edge (%s):\n  %d clients at %.0f qps / burst %d each, %.0fms window\n  offered %d (%.0f per client per sec) -> admitted %d (%.0f/s), throttled %d\n  limiter counters: %d admitted, %d throttled",
 		r.Benchmark, r.Clients, r.ClientQPS, r.Burst, r.DurationMs,
 		r.Offered, r.OfferedPerClientPerSec, r.Admitted, r.AdmittedPerSec, r.Throttled,
-		r.LimiterAdmitted, r.LimiterThrottled, r.HotPathNsPerOp, r.HotPathAllocsPerOp)
-	if r.Failed() {
-		s += "\n  FAIL admission bench missed its acceptance bar"
+		r.LimiterAdmitted, r.LimiterThrottled)
+	for _, v := range r.Violations() {
+		s += "\n  FAIL " + v
 	}
 	return s
 }

@@ -55,12 +55,9 @@ type BackendBenchResult struct {
 	// misbehavior, measured.
 	Misbehaved  uint64 `json:"misbehaved"`
 	Blacklisted uint64 `json:"blacklisted"`
-	// Violations are the run's invariant findings (empty on a clean run).
-	Violations []string `json:"violations,omitempty"`
-	// GeneratedAt stamps the measurement (RFC 3339).
-	GeneratedAt string `json:"generated_at"`
-	// History carries prior measurements forward, newest first.
-	History []BackendBenchHistoryEntry `json:"history,omitempty"`
+	// Findings are the run's invariant violations (empty on a clean run).
+	Findings []string `json:"violations,omitempty"`
+	Stamp
 }
 
 // BackendBenchHistoryEntry is one prior BENCH_backend measurement, carried
@@ -104,8 +101,7 @@ func RunBackendBench(opts BackendBenchOptions) (*BackendBenchResult, error) {
 		InjectedHangs:        r.InjectedHangs,
 		Misbehaved:           r.Misbehaved,
 		Blacklisted:          r.Blacklisted,
-		Violations:           r.Check(),
-		GeneratedAt:          time.Now().UTC().Format(time.RFC3339),
+		Findings:             r.Check(),
 	}
 	if res.Nodes == 0 {
 		res.Nodes = 20
@@ -116,23 +112,18 @@ func RunBackendBench(opts BackendBenchOptions) (*BackendBenchResult, error) {
 	return res, nil
 }
 
-// Failed reports whether the run violated a brownout invariant (non-zero
-// exit for cyclosa-bench).
-func (r *BackendBenchResult) Failed() bool { return len(r.Violations) > 0 }
+// Violations lists the brownout invariants the run broke (non-zero exit for
+// cyclosa-bench).
+func (r *BackendBenchResult) Violations() []string { return r.Findings }
 
-// WriteJSON writes the result as indented JSON to path. When path already
-// holds a BackendBenchResult, its summary is prepended to this result's
-// history so the file accumulates the availability trajectory across runs.
-func (r *BackendBenchResult) WriteJSON(path string) error {
-	r.History = carryHistory(path, r.History, func(old *BackendBenchResult) (BackendBenchHistoryEntry, []BackendBenchHistoryEntry, bool) {
-		return BackendBenchHistoryEntry{
-			GeneratedAt:          old.GeneratedAt,
-			Availability:         old.Availability,
-			RecoveryAvailability: old.RecoveryAvailability,
-			P95Ms:                old.P95Ms,
-		}, old.History, old.GeneratedAt != ""
-	})
-	return writeIndentedJSON(path, r)
+// Summary is the history entry this run leaves behind.
+func (r *BackendBenchResult) Summary() any {
+	return BackendBenchHistoryEntry{
+		GeneratedAt:          r.GeneratedAt,
+		Availability:         r.Availability,
+		RecoveryAvailability: r.RecoveryAvailability,
+		P95Ms:                r.P95Ms,
+	}
 }
 
 // String renders the result for the terminal.
@@ -143,7 +134,7 @@ func (r *BackendBenchResult) String() string {
 		100*r.Availability, 100*r.RecoveryAvailability, r.P50Ms, r.P95Ms,
 		r.Shed, r.Retries, r.Timeouts, r.BreakerOpens, r.BreakerRejected,
 		r.InjectedErrors, r.InjectedHangs, r.Misbehaved, r.Blacklisted)
-	for _, v := range r.Violations {
+	for _, v := range r.Findings {
 		s += "\n  FAIL " + v
 	}
 	return s

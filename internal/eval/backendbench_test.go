@@ -1,19 +1,14 @@
 package eval
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunBackendBench(t *testing.T) {
 	r, err := RunBackendBench(BackendBenchOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Violations) > 0 {
-		t.Fatalf("brownout invariants violated: %v", r.Violations)
+	if bad := r.Violations(); len(bad) > 0 {
+		t.Fatalf("brownout invariants violated: %v", bad)
 	}
 	if r.Searches == 0 || r.Availability <= 0 {
 		t.Fatalf("bench measured nothing: %+v", r)
@@ -24,23 +19,7 @@ func TestRunBackendBench(t *testing.T) {
 	if r.Misbehaved != 0 || r.Blacklisted != 0 {
 		t.Fatalf("engine failures charged to relays: %+v", r)
 	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_backend.json")
-	if err := r.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BackendBenchResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Searches != r.Searches || back.Benchmark == "" {
-		t.Fatalf("JSON round trip mangled the result: %+v", back)
-	}
-	if back.String() == "" {
+	if r.String() == "" {
 		t.Fatal("empty rendering")
 	}
 }

@@ -76,8 +76,8 @@ func RunChaos(opts ChaosOptions) (*ChaosExperimentResult, error) {
 	return &ChaosExperimentResult{Report: report, Opts: opts}, nil
 }
 
-// Failed reports whether any protocol invariant was violated.
-func (r *ChaosExperimentResult) Failed() bool { return len(r.Report.Check()) > 0 }
+// Violations lists the protocol invariants the run broke.
+func (r *ChaosExperimentResult) Violations() []string { return r.Report.Check() }
 
 // String renders the experiment: the fault schedule, the report and the
 // invariant verdicts.

@@ -53,10 +53,7 @@ type GossipBenchResult struct {
 	// checking (blacklist scan, reachability BFS). It tracks the cost of
 	// the verified control plane, not the bare protocol.
 	NsPerRound float64 `json:"ns_per_round"`
-	// GeneratedAt stamps the measurement (RFC 3339).
-	GeneratedAt string `json:"generated_at"`
-	// History carries prior measurements forward, newest first.
-	History []GossipBenchHistoryEntry `json:"history,omitempty"`
+	Stamp
 }
 
 // GossipBenchHistoryEntry is one prior BENCH_gossip measurement, carried
@@ -134,23 +131,17 @@ func RunGossipBench(opts GossipBenchOptions) (*GossipBenchResult, error) {
 		MinInDegree:            clean.MinInDegree,
 		MaxInDegree:            clean.MaxInDegree,
 		NsPerRound:             float64(elapsed.Nanoseconds()) / float64(opts.Rounds),
-		GeneratedAt:            time.Now().UTC().Format(time.RFC3339),
 	}, nil
 }
 
-// WriteJSON writes the result as indented JSON to path. When path already
-// holds a GossipBenchResult, its summary is prepended to this result's
-// history so the file accumulates the convergence trajectory across runs.
-func (r *GossipBenchResult) WriteJSON(path string) error {
-	r.History = carryHistory(path, r.History, func(old *GossipBenchResult) (GossipBenchHistoryEntry, []GossipBenchHistoryEntry, bool) {
-		return GossipBenchHistoryEntry{
-			GeneratedAt:            old.GeneratedAt,
-			ConvergedRounds:        old.ConvergedRounds,
-			ChurnReconvergedRounds: old.ChurnReconvergedRounds,
-			NsPerRound:             old.NsPerRound,
-		}, old.History, old.GeneratedAt != ""
-	})
-	return writeIndentedJSON(path, r)
+// Summary is the history entry this run leaves behind.
+func (r *GossipBenchResult) Summary() any {
+	return GossipBenchHistoryEntry{
+		GeneratedAt:            r.GeneratedAt,
+		ConvergedRounds:        r.ConvergedRounds,
+		ChurnReconvergedRounds: r.ChurnReconvergedRounds,
+		NsPerRound:             r.NsPerRound,
+	}
 }
 
 // String renders the result for the terminal.

@@ -1,11 +1,6 @@
 package eval
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunGossipBench(t *testing.T) {
 	r, err := RunGossipBench(GossipBenchOptions{Seed: 1, Nodes: 48, Seeds: 2, Rounds: 40})
@@ -24,23 +19,7 @@ func TestRunGossipBench(t *testing.T) {
 	if r.MinInDegree <= 0 {
 		t.Fatalf("a node ended unreferenced: %+v", r)
 	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_gossip.json")
-	if err := r.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back GossipBenchResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.ConvergedRounds != r.ConvergedRounds || back.Benchmark == "" {
-		t.Fatalf("JSON round trip mangled the result: %+v", back)
-	}
-	if back.String() == "" {
+	if r.String() == "" {
 		t.Fatal("empty rendering")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"cyclosa/internal/adversary"
 	"cyclosa/internal/simnet"
@@ -129,10 +128,7 @@ type PrivacyBenchResult struct {
 	MinRateAtKZero float64 `json:"min_rate_at_k_zero"`
 	// WAN is the overlay-health phase (omitted when disabled).
 	WAN *PrivacyWANResult `json:"wan,omitempty"`
-	// GeneratedAt stamps the measurement (RFC 3339).
-	GeneratedAt string `json:"generated_at"`
-	// History carries prior measurements forward, newest first.
-	History []PrivacyBenchHistoryEntry `json:"history,omitempty"`
+	Stamp
 }
 
 // PrivacyBenchHistoryEntry is one prior BENCH_privacy measurement: the
@@ -144,16 +140,6 @@ type PrivacyBenchHistoryEntry struct {
 	RateAtKMax     float64 `json:"rate_at_k_max"`
 	RecallAtKMax   float64 `json:"recall_at_k_max"`
 	WANConvergedAt int     `json:"wan_converged_at"`
-}
-
-// at returns the sweep entry for k (nil if the sweep didn't include it).
-func (r *PrivacyBenchResult) at(k int) *PrivacyKResult {
-	for i := range r.Sweep {
-		if r.Sweep[i].K == k {
-			return &r.Sweep[i]
-		}
-	}
-	return nil
 }
 
 // kMin and kMax are the sweep's endpoints.
@@ -198,9 +184,6 @@ func (r *PrivacyBenchResult) Violations() []string {
 	}
 	return bad
 }
-
-// Failed reports whether any privacy invariant was violated.
-func (r *PrivacyBenchResult) Failed() bool { return len(r.Violations()) > 0 }
 
 // RunPrivacyBench builds a bounded world, replays trace-driven query
 // streams through the CYCLOSA relay + fake-query path into SimAttack at
@@ -278,7 +261,6 @@ func RunPrivacyBench(opts PrivacyBenchOptions) (*PrivacyBenchResult, error) {
 		}
 	}
 
-	res.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	return res, nil
 }
 
@@ -354,24 +336,20 @@ func runPrivacySweep(w *World, attack *adversary.SimAttack, pool []string, gen w
 	return kr
 }
 
-// WriteJSON writes the result as indented JSON to path, carrying any prior
-// record's summary forward as history (the trajectory CI tracks).
-func (r *PrivacyBenchResult) WriteJSON(path string) error {
-	r.History = carryHistory(path, r.History, func(old *PrivacyBenchResult) (PrivacyBenchHistoryEntry, []PrivacyBenchHistoryEntry, bool) {
-		entry := PrivacyBenchHistoryEntry{GeneratedAt: old.GeneratedAt}
-		if lo := old.kMin(); lo != nil && lo.K == 0 {
-			entry.RateAtKZero = lo.Rate
-		}
-		if hi := old.kMax(); hi != nil {
-			entry.RateAtKMax = hi.Rate
-			entry.RecallAtKMax = hi.Recall
-		}
-		if old.WAN != nil {
-			entry.WANConvergedAt = old.WAN.ConvergedAt
-		}
-		return entry, old.History, old.GeneratedAt != ""
-	})
-	return writeIndentedJSON(path, r)
+// Summary is the history entry this run leaves behind.
+func (r *PrivacyBenchResult) Summary() any {
+	entry := PrivacyBenchHistoryEntry{GeneratedAt: r.GeneratedAt}
+	if lo := r.kMin(); lo != nil && lo.K == 0 {
+		entry.RateAtKZero = lo.Rate
+	}
+	if hi := r.kMax(); hi != nil {
+		entry.RateAtKMax = hi.Rate
+		entry.RecallAtKMax = hi.Recall
+	}
+	if r.WAN != nil {
+		entry.WANConvergedAt = r.WAN.ConvergedAt
+	}
+	return entry
 }
 
 // String renders the result for the terminal.

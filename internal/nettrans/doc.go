@@ -74,8 +74,9 @@
 // The pending batch is bounded at 256 KiB: writers beyond it block until
 // the leader detaches the batch (not until that batch is flushed — the next
 // one fills while the previous is on the wire). WriteStats exposes
-// flushes/frames/bytes — frames-per-flush is the contention proxy
-// BENCH_net.json reports.
+// flushes/frames/bytes — the benchmark's traced run reports them as
+// nettrans.frames_per_flush (the contention proxy) and
+// nettrans.flushes_per_op.
 //
 // # Components
 //
