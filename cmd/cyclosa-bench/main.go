@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"cyclosa/internal/eval"
+	"cyclosa/internal/simnet"
 )
 
 func main() {
@@ -199,19 +200,45 @@ var experiments = []experiment{
 	// The chaos experiment defaults to the zipf workload (its point is load
 	// shape under faults); an explicit -workload wins.
 	{name: "chaos", inAll: true, run: func(c *config) (fmt.Stringer, error) {
-		o := eval.ChaosOptions{
-			Seed:      c.seed,
-			Clients:   c.concurrency,
-			Rounds:    c.rounds,
-			Workload:  "zipf",
-			Intensity: c.intensity,
+		if c.intensity < 0 {
+			return nil, fmt.Errorf("chaos intensity must be >= 0, got %g", c.intensity)
+		}
+		const nodes, k = 24, 2
+		faults := simnet.DefaultChaosFaults().Scaled(c.intensity)
+		o := simnet.ChaosOptions{
+			Seed:     c.seed,
+			Nodes:    nodes,
+			K:        k,
+			Clients:  c.concurrency,
+			Rounds:   c.rounds,
+			Workload: "zipf",
+			Faults:   &faults,
 		}
 		if c.set["workload"] {
 			o.Workload = c.workload
 		}
-		return eval.RunChaos(o)
+		report, err := simnet.Chaos(o)
+		if err != nil {
+			return nil, err
+		}
+		return chaosRun{report, fmt.Sprintf("Chaos experiment: seed %d, %d nodes, k=%d, %s workload, intensity %.2g\n",
+			c.seed, nodes, k, o.Workload, c.intensity)}, nil
 	}},
 }
+
+// chaosRun is a chaos report under the line naming what ran.
+type chaosRun struct {
+	*simnet.ChaosReport
+	header string
+}
+
+func (r chaosRun) String() string {
+	return r.header + r.ChaosReport.String() +
+		"(replay any failure with the same -seed: schedule, fault streams and workload are all derived from it)\n"
+}
+
+// Violations lists the protocol invariants the run broke.
+func (r chaosRun) Violations() []string { return r.Check() }
 
 // names joins the names of the rows keep selects, in table order.
 func names(keep func(experiment) bool) string {

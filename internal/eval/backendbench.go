@@ -14,20 +14,14 @@ import (
 type BackendBenchOptions struct {
 	// Seed derives the run.
 	Seed int64
-	// Nodes is the overlay size (default 20).
-	Nodes int
-	// Rounds / OpsPerRound size the workload (defaults 6 / 48).
-	Rounds      int
-	OpsPerRound int
-	// BrownoutFraction caps simultaneously browned backends (default 0.3).
-	BrownoutFraction float64
 }
 
 // BackendBenchResult is one measurement of the resilient backend layer.
 type BackendBenchResult struct {
 	// Benchmark names the measured subsystem.
 	Benchmark string `json:"benchmark"`
-	// Nodes and BrownoutFraction echo the configuration.
+	// Nodes and BrownoutFraction are the overlay size and the cap on
+	// simultaneously browned backends the run used.
 	Nodes            int     `json:"nodes"`
 	BrownoutFraction float64 `json:"brownout_fraction"`
 	// Searches / EngineFailed are the measured workload totals.
@@ -72,20 +66,14 @@ type BackendBenchHistoryEntry struct {
 // RunBackendBench runs the backend-brownout chaos experiment and folds its
 // report into the benchmark record.
 func RunBackendBench(opts BackendBenchOptions) (*BackendBenchResult, error) {
-	r, err := simnet.BackendChaos(simnet.BackendChaosOptions{
-		Seed:             opts.Seed,
-		Nodes:            opts.Nodes,
-		Rounds:           opts.Rounds,
-		OpsPerRound:      opts.OpsPerRound,
-		BrownoutFraction: opts.BrownoutFraction,
-	})
+	r, err := simnet.BackendChaos(simnet.BackendChaosOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("backend chaos: %w", err)
 	}
-	res := &BackendBenchResult{
+	return &BackendBenchResult{
 		Benchmark:            "Resilient backend layer under engine brownout",
-		Nodes:                opts.Nodes,
-		BrownoutFraction:     opts.BrownoutFraction,
+		Nodes:                r.Nodes,
+		BrownoutFraction:     r.BrownoutFraction,
 		Searches:             r.Ops + r.ProtoErrors,
 		EngineFailed:         r.EngineFailed,
 		Availability:         r.Availability,
@@ -102,14 +90,7 @@ func RunBackendBench(opts BackendBenchOptions) (*BackendBenchResult, error) {
 		Misbehaved:           r.Misbehaved,
 		Blacklisted:          r.Blacklisted,
 		Findings:             r.Check(),
-	}
-	if res.Nodes == 0 {
-		res.Nodes = 20
-	}
-	if res.BrownoutFraction == 0 {
-		res.BrownoutFraction = 0.3
-	}
-	return res, nil
+	}, nil
 }
 
 // Violations lists the brownout invariants the run broke (non-zero exit for

@@ -20,9 +20,10 @@ type GossipBenchOptions struct {
 	Seeds int
 	// Rounds bounds each run (default 60).
 	Rounds int
-	// DropRate is the per-exchange message loss (default 0.1).
-	DropRate float64
 }
+
+// gossipDropRate is the per-exchange message loss both runs suffer.
+const gossipDropRate = 0.1
 
 // GossipBenchResult is one measurement of the membership control plane.
 type GossipBenchResult struct {
@@ -79,9 +80,6 @@ func RunGossipBench(opts GossipBenchOptions) (*GossipBenchResult, error) {
 	if opts.Rounds <= 0 {
 		opts.Rounds = 60
 	}
-	if opts.DropRate == 0 {
-		opts.DropRate = 0.1
-	}
 
 	start := time.Now()
 	clean, err := simnet.MembershipChurn(simnet.MembershipOptions{
@@ -89,7 +87,7 @@ func RunGossipBench(opts GossipBenchOptions) (*GossipBenchResult, error) {
 		Nodes:    opts.Nodes,
 		Seeds:    opts.Seeds,
 		Rounds:   opts.Rounds,
-		DropRate: opts.DropRate,
+		DropRate: gossipDropRate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
@@ -104,7 +102,7 @@ func RunGossipBench(opts GossipBenchOptions) (*GossipBenchResult, error) {
 		Nodes:       opts.Nodes,
 		Seeds:       opts.Seeds,
 		Rounds:      opts.Rounds * 2,
-		DropRate:    opts.DropRate,
+		DropRate:    gossipDropRate,
 		Joins:       opts.Nodes / 8,
 		Leaves:      opts.Nodes / 8,
 		PartitionAt: opts.Rounds / 2,
@@ -123,7 +121,7 @@ func RunGossipBench(opts GossipBenchOptions) (*GossipBenchResult, error) {
 		Benchmark:              "Gossip membership convergence (seeded bootstrap)",
 		Nodes:                  opts.Nodes,
 		Seeds:                  opts.Seeds,
-		DropRate:               opts.DropRate,
+		DropRate:               gossipDropRate,
 		ConvergedRounds:        clean.ConvergedAt,
 		ChurnReconvergedRounds: churned.ReconvergedAt,
 		ChurnLastDisturbance:   churned.LastDisturbance,

@@ -111,6 +111,14 @@ func (w *hostedWorld) host(id string, peers []string, o hostedOpts) *hostedNode 
 	w.t.Cleanup(func() {
 		h.pool.Close()
 		h.srv.Close()
+		// Close returns once the connections are closed; their goroutines
+		// release the sessions they own a moment later. Wait for that, or a
+		// late session close lands in the next test's countCloses.
+		waitFor(w.t, "the closed server to release its sessions", func() bool {
+			h.srv.mu.Lock()
+			defer h.srv.mu.Unlock()
+			return len(h.srv.conns) == 0 && len(h.srv.sessions) == 0
+		})
 	})
 	return h
 }

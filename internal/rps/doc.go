@@ -14,15 +14,18 @@
 // halves of the exchange as pure functions over descriptor buffers
 // (InitiateExchange / HandleExchange / CompleteExchange, plus FailExchange
 // and Tick for the driver's bookkeeping), and a driver moves the buffers.
-// Three drivers exist:
+// Two drivers exist:
 //
-//   - Network (this package): the deterministic in-process driver used by
-//     core.Network and the evaluation — direct function calls, seeded
-//     randomness, optional message loss (SetDropRate) and dynamic
-//     membership (Add / Remove / Kill).
-//   - simnet.MembershipChurn: the chaos driver — joins, leaves, partitions
-//     and drops from a single seed, with the blacklist re-entry invariant
-//     checked every round.
+//   - Network (this package): the deterministic in-process driver, and the
+//     only in-process round loop — core.Network, the evaluation and the
+//     simnet churn scenarios all run on it. Direct function calls, seeded
+//     randomness, dynamic membership (Add / Remove / Kill), uniform message
+//     loss (SetDropRate) and a per-exchange link closure (SetLink) for loss
+//     with structure: simnet.MembershipChurn's partition and blacklist
+//     refusal, simnet.WANChurn's latency/loss matrix. A seeded network
+//     (NewSeededNetwork) starts every node from the seed set alone, joins
+//     new nodes from it, and merges it back into a view that has emptied —
+//     a daemon's -bootstrap list.
 //   - nettrans.Membership: the production driver — buffers travel as gossip
 //     frames over TCP, and an attestation directory verifies every peer
 //     that enters the view.

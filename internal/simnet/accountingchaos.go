@@ -26,22 +26,23 @@ type AccountingChaosOptions struct {
 	Subjects int
 	// Rounds is the number of event/merge rounds (default 12).
 	Rounds int
-	// EventsPerRound is how many misbehavior observations fire per round
-	// (default 6).
-	EventsPerRound int
-	// MergesPerRound is how many pairwise anti-entropy exchanges fire per
-	// round (default 4). During the partition window pairs are drawn only
-	// within a side.
-	MergesPerRound int
 	// PartitionStart / PartitionEnd bound the partition window in rounds:
 	// rounds in [start, end) run split into two sides. Defaults cover the
 	// middle half of the run.
 	PartitionStart, PartitionEnd int
-	// PardonRate is the probability an event is a pardon (an N-side
-	// decrement) instead of a charge (default 0.15), so the run exercises
-	// both halves of the PN-counter.
-	PardonRate float64
 }
+
+const (
+	// accountingEventsPerRound misbehavior observations and
+	// accountingMergesPerRound pairwise anti-entropy exchanges fire per
+	// round; during the partition window pairs are drawn only within a side.
+	accountingEventsPerRound = 6
+	accountingMergesPerRound = 4
+	// accountingPardonRate is the probability an event is a pardon (an
+	// N-side decrement) instead of a charge, so the run exercises both
+	// halves of the PN-counter.
+	accountingPardonRate = 0.15
+)
 
 // AccountingChaosReport is the outcome of a partition-heal accounting run.
 type AccountingChaosReport struct {
@@ -85,12 +86,6 @@ func AccountingChaos(opts AccountingChaosOptions) (*AccountingChaosReport, error
 	if opts.Rounds <= 0 {
 		opts.Rounds = 12
 	}
-	if opts.EventsPerRound <= 0 {
-		opts.EventsPerRound = 6
-	}
-	if opts.MergesPerRound <= 0 {
-		opts.MergesPerRound = 4
-	}
 	if opts.PartitionStart == 0 && opts.PartitionEnd == 0 {
 		opts.PartitionStart = opts.Rounds / 4
 		opts.PartitionEnd = opts.Rounds * 3 / 4
@@ -98,9 +93,6 @@ func AccountingChaos(opts AccountingChaosOptions) (*AccountingChaosReport, error
 	if opts.PartitionStart < 0 || opts.PartitionEnd > opts.Rounds || opts.PartitionStart >= opts.PartitionEnd {
 		return nil, fmt.Errorf("simnet: accounting chaos partition window [%d, %d) out of range for %d rounds",
 			opts.PartitionStart, opts.PartitionEnd, opts.Rounds)
-	}
-	if opts.PardonRate <= 0 || opts.PardonRate >= 1 {
-		opts.PardonRate = 0.15
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -141,11 +133,11 @@ func AccountingChaos(opts AccountingChaosOptions) (*AccountingChaosReport, error
 	for round := 0; round < opts.Rounds; round++ {
 		partitioned := round >= opts.PartitionStart && round < opts.PartitionEnd
 
-		for e := 0; e < opts.EventsPerRound; e++ {
+		for e := 0; e < accountingEventsPerRound; e++ {
 			r := rng.Intn(opts.Replicas)
 			s := subjects[rng.Intn(len(subjects))]
 			delta := uint64(1 + rng.Intn(3))
-			if rng.Float64() < opts.PardonRate {
+			if rng.Float64() < accountingPardonRate {
 				ledgers[r].Pardon(s, delta)
 				report.Expected[s] -= int64(delta)
 				report.Pardons++
@@ -156,7 +148,7 @@ func AccountingChaos(opts AccountingChaosOptions) (*AccountingChaosReport, error
 			}
 		}
 
-		for m := 0; m < opts.MergesPerRound; m++ {
+		for m := 0; m < accountingMergesPerRound; m++ {
 			a := rng.Intn(opts.Replicas)
 			b := rng.Intn(opts.Replicas)
 			if partitioned {

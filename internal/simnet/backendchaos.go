@@ -1,18 +1,10 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
-
-	"cyclosa/internal/backend"
-	"cyclosa/internal/core"
-	"cyclosa/internal/sensitivity"
-	"cyclosa/internal/transport"
-	"cyclosa/internal/workload"
 )
 
 // BackendChaosOptions configures a backend-brownout chaos run. Unlike Chaos,
@@ -24,74 +16,37 @@ type BackendChaosOptions struct {
 	// Seed derives the network, the brownout schedule, the per-call fault
 	// streams and the workload.
 	Seed int64
-	// Nodes is the overlay size (default 20).
-	Nodes int
-	// K is the protection level, fakes per search (default 2).
-	K int
-	// Clients is the number of concurrent workload clients (default 8).
-	Clients int
-	// Rounds is the number of schedule/workload rounds (default 6).
-	Rounds int
-	// OpsPerRound is the number of searches per round (default 48).
-	OpsPerRound int
-	// StepsPerRound is how many brownout steps fire between rounds
-	// (default 2).
-	StepsPerRound int
-	// BrownoutFraction caps the fraction of simultaneously browned-out
-	// backends (default 0.3, the acceptance scenario's 30%).
-	BrownoutFraction float64
-	// Policy is the resilience stack wrapped around every node's engine.
-	// The zero value selects a test-scale policy (tight timeout, one
-	// retry, small gate, fast breaker) so a run finishes in well under a
-	// second of wall time.
-	Policy *backend.Policy
-	// Brownout is the degraded-engine profile applied while a backend is
-	// browned out. The zero value selects a harsh default: 85% errors,
-	// 2ms latency spikes, 20% hangs of 60ms — well past the stack's
-	// timeout, so hangs surface as watchdog timeouts and gate sheds.
-	Brownout *backend.BrownoutProfile
 }
 
-// testScalePolicy is the default stack policy for chaos runs: small enough
-// that a browned-out relay fails fast and the whole soak stays sub-second.
-func testScalePolicy() backend.Policy {
-	return backend.Policy{
-		Timeout:           25 * time.Millisecond,
-		MaxRetries:        1,
-		RetryBackoff:      time.Millisecond,
-		RetryBudget:       0.2,
-		BreakerThreshold:  0.5,
-		BreakerWindow:     400 * time.Millisecond,
-		BreakerMinSamples: 8,
-		BreakerCooldown:   50 * time.Millisecond,
-		MaxInFlight:       4,
-	}
-}
+const (
+	// backendChaosK is the protection level of a brownout run, fakes per
+	// search; backendChaosRounds its schedule/workload rounds before the
+	// recovery round. Overlay size and searches per round are the harness
+	// defaults.
+	backendChaosK      = 2
+	backendChaosRounds = 6
+	// brownoutFraction caps the fraction of simultaneously browned-out
+	// backends: the acceptance scenario's 30%.
+	brownoutFraction = 0.3
+)
 
-// harshBrownout is the default brownout profile: most calls error, a fifth
-// hang past the stack timeout, and the survivors answer slowly.
-func harshBrownout() backend.BrownoutProfile {
-	return backend.BrownoutProfile{
-		ErrorRate: 0.85,
-		Latency:   2 * time.Millisecond,
-		HangRate:  0.2,
-		Hang:      60 * time.Millisecond,
-	}
-}
-
-// BackendChaosReport is the outcome of a backend-brownout run.
+// BackendChaosReport is the outcome of a backend-brownout run: what the
+// scheduled rounds measured (searchResult; Misbehaved and Blacklisted must
+// stay zero there — engine failure is not relay misbehavior — and
+// InjectedErrs/InjectedHangs prove the brownout actually bit) and the
+// brownout headline.
 type BackendChaosReport struct {
-	// Ops / EngineFailed / ProtoErrors are the measured workload totals:
-	// completed searches, searches that surfaced an engine failure after
-	// exhausting relay re-sampling, and protocol-level failures (which a
-	// pure-brownout run must not produce). Availability counts only fully
-	// answered searches: Ops-minus-EngineFailed over everything issued.
-	Ops, EngineFailed, ProtoErrors uint64
-	Availability                   float64
-	// ShedSurfaced counts searches whose surfaced engine failure was an
-	// overload shed — proof that shedding fails fast all the way up to the
-	// requester as ErrEngineOverloaded.
-	ShedSurfaced uint64
+	searchResult
+	// Nodes and BrownoutFraction are the overlay size and the cap on
+	// simultaneously browned-out backends the run used; MaxBrowned is that
+	// cap in backends.
+	Nodes            int
+	BrownoutFraction float64
+	MaxBrowned       int
+
+	// Availability counts only fully answered searches:
+	// Ops-minus-EngineFailed over everything issued.
+	Availability float64
 
 	// RecoveryOps / RecoveryEngineFailed / RecoveryAvailability measure the
 	// post-heal round: with every backend healthy again (and breaker
@@ -103,257 +58,59 @@ type BackendChaosReport struct {
 	// measured search, engine-failed ones included: browned-out paths must
 	// fail fast, not stall the requester.
 	LatP50, LatP95 time.Duration
-
-	// Schedule is the brownout schedule that ran; MaxBrowned its cap.
-	Schedule   []Step
-	MaxBrowned int
-
-	// Searches, Relayed, Misbehaved, Blacklisted, EngineFailedForwards sum
-	// the node counters. Misbehaved and Blacklisted must stay zero: engine
-	// failure is not relay misbehavior.
-	Searches, Relayed, Misbehaved, Blacklisted, EngineFailedForwards uint64
-
-	// Backend sums every node's decorator-stack counters; InjectedErrs and
-	// InjectedHangs sum the fault injectors' draws (proof the brownout
-	// actually bit).
-	Backend                     backend.Stats
-	InjectedErrs, InjectedHangs uint64
-
-	// ErrClasses counts surfaced engine failures by taxonomy class, plus
-	// any protocol errors; UnknownErrs samples anything outside both.
-	ErrClasses  map[string]uint64
-	UnknownErrs []string
-
-	policy backend.Policy
 }
 
 // BackendChaos runs the engine-brownout experiment: every node's backend is
 // a seeded Faulty engine behind the full resilience stack, a seed-derived
-// schedule browns out up to BrownoutFraction of the backends mid-run, and
+// schedule browns out up to brownoutFraction of the backends mid-run, and
 // the concurrent workload measures what requesters experience. After the
 // scheduled rounds every backend is healed and one recovery round proves
 // the overlay returns to full availability.
 func BackendChaos(opts BackendChaosOptions) (*BackendChaosReport, error) {
-	if opts.Nodes == 0 {
-		opts.Nodes = 20
-	}
-	if opts.Nodes < 4 {
-		return nil, fmt.Errorf("simnet: backend chaos needs >= 4 nodes, got %d", opts.Nodes)
-	}
-	if opts.K == 0 {
-		opts.K = 2
-	}
-	if opts.Clients <= 0 {
-		opts.Clients = 8
-	}
-	if opts.Clients > opts.Nodes {
-		opts.Clients = opts.Nodes
-	}
-	if opts.Rounds <= 0 {
-		opts.Rounds = 6
-	}
-	if opts.OpsPerRound <= 0 {
-		opts.OpsPerRound = 48
-	}
-	if opts.StepsPerRound <= 0 {
-		opts.StepsPerRound = 2
-	}
-	if opts.BrownoutFraction <= 0 || opts.BrownoutFraction > 1 {
-		opts.BrownoutFraction = 0.3
-	}
-	pol := testScalePolicy()
-	if opts.Policy != nil {
-		pol = *opts.Policy
-	}
-	if err := pol.Validate(); err != nil {
-		return nil, fmt.Errorf("simnet: backend chaos policy: %w", err)
-	}
-	profile := harshBrownout()
-	if opts.Brownout != nil {
-		profile = *opts.Brownout
-	}
-
-	// Per-node engines: a seeded fault injector behind the resilience
-	// stack. The injectors are kept by node ID so schedule steps can flip
-	// their brownout profile mid-run.
-	var engMu sync.Mutex
-	faulties := map[string]*backend.Faulty{}
-	net, err := core.NewNetwork(core.NetworkOptions{
-		Nodes:        opts.Nodes,
-		Seed:         opts.Seed,
-		LatencyModel: transport.TestbedModel(opts.Seed),
-		AnalyzerFor: func(string) *sensitivity.Analyzer {
-			return sensitivity.NewAnalyzer(alwaysSensitive{}, nil, opts.K)
-		},
-		BackendFor: func(id string) core.Backend {
-			f := backend.NewFaulty(backend.FaultyConfig{
-				Seed:     opts.Seed ^ int64(len(faulties))<<17,
-				Brownout: profile,
-			})
-			engMu.Lock()
-			faulties[id] = f
-			engMu.Unlock()
-			return backend.NewStack(f, pol)
-		},
-	})
+	h, err := newSearchRun(searchSpec{seed: opts.Seed, k: backendChaosK, engines: true})
 	if err != nil {
-		return nil, fmt.Errorf("simnet: backend chaos network: %w", err)
+		return nil, fmt.Errorf("simnet: backend chaos: %w", err)
 	}
-	ids := net.NodeIDs()
+	defer h.close()
 
-	pool := sentinelPool(256, opts.Seed)
-	for i, id := range ids {
-		net.Node(id).BootstrapTable(pool[(i*8)%128 : (i*8)%128+16])
-	}
-	gen := &zipfPool{pool: pool, seed: opts.Seed}
-
-	maxBrowned := max(1, int(float64(opts.Nodes)*opts.BrownoutFraction))
-	schedule := GenBrownoutSchedule(opts.Seed, ids, BrownoutScheduleConfig{
-		Steps:      opts.Rounds * opts.StepsPerRound,
-		MaxBrowned: maxBrowned,
-	})
 	report := &BackendChaosReport{
-		Schedule:   schedule,
-		MaxBrowned: maxBrowned,
-		ErrClasses: make(map[string]uint64),
-		policy:     pol,
+		Nodes:            len(h.ids),
+		BrownoutFraction: brownoutFraction,
+		MaxBrowned:       max(1, int(float64(len(h.ids))*brownoutFraction)),
 	}
-
-	now := time.Date(2006, 3, 1, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	var latencies []time.Duration
-	var recovery bool
-	op := func(client, seq int, query string) error {
-		id := ids[client%len(ids)]
-		start := time.Now()
-		res, serr := net.Node(id).Search(query, now)
-		if seq < 0 { // warmup, not measured
-			return serr
-		}
-		wall := time.Since(start)
-		mu.Lock()
-		defer mu.Unlock()
-		if recovery {
-			report.RecoveryOps++
-			if serr == nil && res.EngineError != nil {
-				report.RecoveryEngineFailed++
-			}
-			return serr
-		}
-		latencies = append(latencies, wall)
-		switch {
-		case serr != nil:
-			report.ProtoErrors++
-			switch {
-			case errors.Is(serr, core.ErrRelayFailed):
-				report.ErrClasses["relay-failed"]++
-			case errors.Is(serr, core.ErrNoPeers):
-				report.ErrClasses["no-peers"]++
-			default:
-				report.ErrClasses["unknown"]++
-				if len(report.UnknownErrs) < 8 {
-					report.UnknownErrs = append(report.UnknownErrs, serr.Error())
-				}
-			}
-		case res.EngineError != nil:
-			report.Ops++
-			report.EngineFailed++
-			switch {
-			case errors.Is(res.EngineError, backend.ErrEngineOverloaded):
-				report.ErrClasses["engine-overloaded"]++
-				report.ShedSurfaced++
-			case errors.Is(res.EngineError, backend.ErrEngineTimeout):
-				report.ErrClasses["engine-timeout"]++
-			case errors.Is(res.EngineError, backend.ErrEngineUnavailable):
-				report.ErrClasses["engine-unavailable"]++
-			default:
-				report.ErrClasses["engine-other"]++
-			}
-		default:
-			report.Ops++
-		}
-		return serr
-	}
-
-	step := 0
-	for round := 0; round < opts.Rounds; round++ {
-		for i := 0; i < opts.StepsPerRound && step < len(schedule); i++ {
-			s := schedule[step]
-			step++
-			switch s.Kind {
-			case StepBrownout:
-				faulties[s.A].SetBrownout(true)
-			case StepBrownoutHeal:
-				faulties[s.A].SetBrownout(false)
-			}
-		}
-		if _, err := workload.Run(op, workload.Options{
-			Clients:   opts.Clients,
-			Ops:       opts.OpsPerRound,
-			Generator: gen,
-		}); err != nil {
-			return nil, fmt.Errorf("simnet: backend chaos round %d: %w", round, err)
-		}
-		net.Gossip(2)
+	schedule := GenBrownoutSchedule(opts.Seed, h.ids, BrownoutScheduleConfig{
+		Steps:      backendChaosRounds * stepsPerRound,
+		MaxBrowned: report.MaxBrowned,
+	})
+	res, recovery := newSearchResult(), newSearchResult()
+	if err := h.run(schedule, backendChaosRounds, res); err != nil {
+		return nil, fmt.Errorf("simnet: backend chaos: %w", err)
 	}
 
 	// Recovery: heal every backend, let hung calls drain and breaker
 	// cooldowns elapse, then one more round must answer everything.
-	for _, f := range faulties {
+	for _, f := range h.faulties {
 		f.SetBrownout(false)
 	}
-	time.Sleep(pol.BreakerCooldown + profile.Hang + 20*time.Millisecond)
-	recovery = true
-	if _, err := workload.Run(op, workload.Options{
-		Clients:   opts.Clients,
-		Ops:       opts.OpsPerRound,
-		Generator: gen,
-	}); err != nil {
+	time.Sleep(testScalePolicy.BreakerCooldown + harshBrownout.Hang + 20*time.Millisecond)
+	if err := h.round(recovery); err != nil {
 		return nil, fmt.Errorf("simnet: backend chaos recovery round: %w", err)
 	}
+	h.totals(res)
 
-	if total := report.Ops + report.ProtoErrors; total > 0 {
-		report.Availability = float64(report.Ops-report.EngineFailed) / float64(total)
+	report.searchResult = *res
+	if total := res.Ops + res.ProtoErrors; total > 0 {
+		report.Availability = float64(res.Ops-res.EngineFailed) / float64(total)
 	}
+	report.RecoveryOps = recovery.Ops + recovery.ProtoErrors
+	report.RecoveryEngineFailed = recovery.EngineFailed
 	if report.RecoveryOps > 0 {
 		report.RecoveryAvailability = float64(report.RecoveryOps-report.RecoveryEngineFailed) / float64(report.RecoveryOps)
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.LatP50 = percentileDur(latencies, 0.50)
-	report.LatP95 = percentileDur(latencies, 0.95)
-
-	for _, id := range ids {
-		st := net.Node(id).Stats()
-		report.Searches += st.Searches
-		report.Relayed += st.Relayed
-		report.Misbehaved += st.Misbehaved
-		report.Blacklisted += st.Blacklisted
-		report.EngineFailedForwards += st.EngineFailed
-		if bs, ok := net.Node(id).BackendStats(); ok {
-			report.Backend.Calls += bs.Calls
-			report.Backend.Successes += bs.Successes
-			report.Backend.EngineErrors += bs.EngineErrors
-			report.Backend.Shed += bs.Shed
-			report.Backend.Retries += bs.Retries
-			report.Backend.Timeouts += bs.Timeouts
-			report.Backend.BreakerOpens += bs.BreakerOpens
-			report.Backend.BreakerRejected += bs.BreakerRejected
-			report.Backend.BreakerOpenNanos += bs.BreakerOpenNanos
-		}
-		errs, hangs := faulties[id].Injected()
-		report.InjectedErrs += errs
-		report.InjectedHangs += hangs
-	}
+	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
+	report.LatP50 = percentile(res.latencies, 50)
+	report.LatP95 = percentile(res.latencies, 95)
 	return report, nil
-}
-
-// percentileDur reads the p-quantile from an ascending slice.
-func percentileDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // Check verifies the brownout invariants and returns one line per violated
@@ -381,14 +138,11 @@ func (r *BackendChaosReport) Check() []string {
 	if disturbed := r.Backend.EngineErrors + r.Backend.Timeouts + r.Backend.Shed + r.Backend.BreakerRejected; disturbed == 0 {
 		bad = append(bad, "the resilience stack was never exercised: no engine errors, timeouts, sheds or breaker rejections")
 	}
-	if budget := 10 * r.policy.Timeout; r.policy.Timeout > 0 && r.LatP95 > budget {
+	if budget := 10 * testScalePolicy.Timeout; r.LatP95 > budget {
 		bad = append(bad, fmt.Sprintf("p95 search latency %v under brownout, want <= %v (fail fast, don't stall)", r.LatP95, budget))
 	}
 	return bad
 }
-
-// Failed reports whether the run violated any brownout invariant.
-func (r *BackendChaosReport) Failed() bool { return len(r.Check()) > 0 }
 
 // String renders the backend-chaos report.
 func (r *BackendChaosReport) String() string {
@@ -403,28 +157,7 @@ func (r *BackendChaosReport) String() string {
 		r.Backend.Retries, r.Backend.BreakerOpens, r.Backend.BreakerRejected)
 	fmt.Fprintf(&b, "overlay: %d engine-failure re-samples, %d misbehavior charges, %d blacklistings\n",
 		r.EngineFailedForwards, r.Misbehaved, r.Blacklisted)
-	if len(r.ErrClasses) > 0 {
-		classes := make([]string, 0, len(r.ErrClasses))
-		for c := range r.ErrClasses {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		b.WriteString("classes: ")
-		for i, c := range classes {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%s=%d", c, r.ErrClasses[c])
-		}
-		b.WriteByte('\n')
-	}
-	if bad := r.Check(); len(bad) > 0 {
-		b.WriteString("INVARIANT VIOLATIONS:\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  FAIL %s\n", v)
-		}
-	} else {
-		b.WriteString("invariants: all held (no blacklisting for engine failures, graceful degradation, full recovery)\n")
-	}
+	writeVerdict(&b, "classes: ", r.ErrClasses, r.Check(),
+		"no blacklisting for engine failures, graceful degradation, full recovery")
 	return b.String()
 }

@@ -1,18 +1,10 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
-	"cyclosa/internal/core"
-	"cyclosa/internal/sensitivity"
 	"cyclosa/internal/transport"
-	"cyclosa/internal/workload"
 )
 
 // ChaosOptions configures a chaos run.
@@ -22,8 +14,8 @@ type ChaosOptions struct {
 	Seed int64
 	// Nodes is the overlay size (default 20).
 	Nodes int
-	// K is the protection level, fakes per search (default 2; 0 disables
-	// fakes entirely, which also makes a single-client run fully serial).
+	// K is the protection level, fakes per search (0 disables fakes
+	// entirely, which also makes a single-client run fully serial).
 	K int
 	// Clients is the number of concurrent workload clients (default 8);
 	// client c drives node c, so distinct clients never share a node's
@@ -33,20 +25,12 @@ type ChaosOptions struct {
 	Rounds int
 	// OpsPerRound is the number of searches per round (default 48).
 	OpsPerRound int
-	// StepsPerRound is how many schedule steps fire between rounds
-	// (default 2).
-	StepsPerRound int
-	// GossipPerRound is the number of overlay heal rounds between workload
-	// rounds (default 4).
-	GossipPerRound int
 	// Faults are the per-delivery fault probabilities (default: a modest
 	// mix of every catalog entry — see DefaultChaosFaults).
 	Faults *FaultConfig
 	// Workload selects the query stream over the sentinel pool: "zipf"
 	// (default), "trace" (pool replay) or "fixed" (one probe query).
 	Workload string
-	// Schedule bounds node-level damage.
-	Schedule ScheduleConfig
 	// Transport, when non-nil, wraps the network's direct conduit *under*
 	// the fault-injection layer: deliveries flow direct -> Transport ->
 	// Sim. It lets the whole chaos suite — schedule, per-delivery faults,
@@ -71,94 +55,15 @@ func DefaultChaosFaults() FaultConfig {
 }
 
 // ChaosReport is the outcome of a chaos run, carrying everything the
-// invariant assertions need.
+// invariant assertions need: what the run measured (searchResult) and the
+// delivery-fault headline.
 type ChaosReport struct {
-	// Ops / Errors are the workload totals over live clients; Availability
-	// is Ops over both. Ops a crashed node would have issued are counted in
-	// CrashedClientOps instead and excluded from all three.
-	Ops, Errors  uint64
+	searchResult
+	// Errors is ProtoErrors, the failed searches of live clients, and
+	// Availability is Ops over Ops + Errors.
+	Errors       uint64
 	Availability float64
-	// CrashedClientOps counts workload ops skipped because the issuing node
-	// was crashed when the op fired: Sim.Crash models a crashed client as
-	// simply not being driven, so these are neither completed searches nor
-	// protocol failures.
-	CrashedClientOps uint64
-
-	// Sim is the fault-injection accounting.
-	Sim Stats
-	// Schedule is the node-level fault schedule that ran.
-	Schedule []Step
-	// Events is the per-delivery fault log (bounded); EventsOverflow counts
-	// entries past the bound.
-	Events         []Event
-	EventsOverflow uint64
-
-	// Searches, Relayed, Misbehaved, Blacklisted sum the node counters.
-	Searches, Relayed, Misbehaved, Blacklisted uint64
-	// Requests is the network's forward request counter.
-	Requests uint64
-
-	// ErrClasses counts failed searches by protocol error class.
-	ErrClasses map[string]uint64
-	// UnknownErrs samples errors outside the clean protocol classes (a
-	// non-empty list is itself an invariant violation).
-	UnknownErrs []string
-
-	// Queries is the multiset of drawn workload queries, including those
-	// skipped because the issuing node was crashed (determinism anchor: a
-	// fixed seed must reproduce it exactly).
-	Queries map[string]uint64
-
-	// Violations are the continuous checkers' findings, ViolationsOverflow
-	// the count past the bound; WireScans/GateScans/NonceScans prove the
-	// checkers ran.
-	Violations                       []string
-	ViolationsOverflow               uint64
-	WireScans, GateScans, NonceScans uint64
 }
-
-// sentinelPool synthesizes n distinct queries, every one carrying the
-// sentinel, shaped like short web queries.
-func sentinelPool(n int, seed int64) []string {
-	words := []string{
-		"weather", "tickets", "recipe", "train", "hotel", "score", "news",
-		"lyrics", "howto", "cheap", "review", "map", "symptoms", "jobs",
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5e971e1))
-	pool := make([]string, n)
-	for i := range pool {
-		pool[i] = fmt.Sprintf("%s %s %s %d",
-			words[rng.Intn(len(words))], Sentinel, words[rng.Intn(len(words))], i)
-	}
-	return pool
-}
-
-// zipfPool is a workload.Generator drawing from a fixed pool with
-// Zipf-distributed popularity (heavy-tailed, like web search).
-type zipfPool struct {
-	pool []string
-	seed int64
-}
-
-func (g *zipfPool) Stream(client, _ int) workload.Stream {
-	rng := rand.New(rand.NewSource(g.seed + 31 + int64(client)*7919))
-	z := rand.NewZipf(rng, 1.2, 1, uint64(len(g.pool)-1))
-	return streamFunc(func() string { return g.pool[z.Uint64()] })
-}
-
-type streamFunc func() string
-
-func (f streamFunc) Next() string { return f() }
-
-// alwaysSensitive forces k = kmax on every query.
-type alwaysSensitive struct{}
-
-func (alwaysSensitive) IsSensitive([]string) bool { return true }
-
-// errClientCrashed marks a workload op skipped because its issuing node was
-// crashed when the op fired; Chaos counts these in CrashedClientOps and
-// subtracts them from the error totals.
-var errClientCrashed = errors.New("simnet: issuing node crashed, op skipped")
 
 // Chaos runs the full fault-injection experiment: a simnet-wrapped network
 // under a seed-derived node-level schedule plus per-delivery faults, driven
@@ -166,191 +71,44 @@ var errClientCrashed = errors.New("simnet: issuing node crashed, op skipped")
 // The caller asserts on the report (tests via require-style checks,
 // cyclosa-bench by rendering Check's findings).
 func Chaos(opts ChaosOptions) (*ChaosReport, error) {
-	if opts.Nodes == 0 {
-		opts.Nodes = 20
-	}
-	if opts.Nodes < 4 {
-		return nil, fmt.Errorf("simnet: chaos needs >= 4 nodes, got %d", opts.Nodes)
-	}
-	if opts.Clients <= 0 {
-		opts.Clients = 8
-	}
-	if opts.Clients > opts.Nodes {
-		opts.Clients = opts.Nodes
-	}
 	if opts.Rounds <= 0 {
 		opts.Rounds = 8
-	}
-	if opts.OpsPerRound <= 0 {
-		opts.OpsPerRound = 48
-	}
-	if opts.StepsPerRound <= 0 {
-		opts.StepsPerRound = 2
-	}
-	if opts.GossipPerRound <= 0 {
-		opts.GossipPerRound = 4
 	}
 	faults := DefaultChaosFaults()
 	if opts.Faults != nil {
 		faults = *opts.Faults
 	}
-
-	inv := NewInvariants(Sentinel)
-	uninstall := inv.Install()
-	defer uninstall()
-
-	sim := New(Config{Seed: opts.Seed, Faults: faults, Invariants: inv})
-	var analyzerFor func(string) *sensitivity.Analyzer
-	if opts.K > 0 {
-		analyzerFor = func(string) *sensitivity.Analyzer {
-			return sensitivity.NewAnalyzer(alwaysSensitive{}, nil, opts.K)
-		}
-	}
-	conduit := sim.Wrap
-	if opts.Transport != nil {
-		conduit = func(direct transport.Conduit) transport.Conduit {
-			return sim.Wrap(opts.Transport(direct))
-		}
-	}
-	net, err := core.NewNetwork(core.NetworkOptions{
-		Nodes:        opts.Nodes,
-		Seed:         opts.Seed,
-		Backend:      core.NullBackend{},
-		LatencyModel: transport.TestbedModel(opts.Seed),
-		AnalyzerFor:  analyzerFor,
-		Conduit:      conduit,
+	h, err := newSearchRun(searchSpec{
+		seed:        opts.Seed,
+		nodes:       opts.Nodes,
+		clients:     opts.Clients,
+		opsPerRound: opts.OpsPerRound,
+		k:           opts.K,
+		workload:    opts.Workload,
+		faults:      faults,
+		transport:   opts.Transport,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("simnet: chaos network: %w", err)
+		return nil, fmt.Errorf("simnet: chaos: %w", err)
 	}
-	ids := net.NodeIDs()
+	defer h.close()
 
-	// Sentinel-bearing bootstrap: every fake a table can produce is
-	// trackable by the plaintext guard.
-	pool := sentinelPool(256, opts.Seed)
-	for i, id := range ids {
-		net.Node(id).BootstrapTable(pool[(i*8)%128 : (i*8)%128+16])
+	res := newSearchResult()
+	if err := h.run(GenSchedule(opts.Seed, h.ids, ScheduleConfig{}), opts.Rounds, res); err != nil {
+		return nil, fmt.Errorf("simnet: chaos: %w", err)
 	}
-
-	var gen workload.Generator
-	switch opts.Workload {
-	case "", "zipf":
-		gen = &zipfPool{pool: pool, seed: opts.Seed}
-	case "trace":
-		gen = workload.ReplayQueries(pool)
-	case "fixed":
-		gen = workload.Fixed(pool[0])
-	default:
-		return nil, fmt.Errorf("simnet: unknown chaos workload %q (want zipf|trace|fixed)", opts.Workload)
-	}
-
-	schedule := GenSchedule(opts.Seed, ids, opts.Schedule)
-	report := &ChaosReport{
-		Schedule:   schedule,
-		ErrClasses: make(map[string]uint64),
-		Queries:    make(map[string]uint64),
-	}
-
-	now := time.Date(2006, 3, 1, 0, 0, 0, 0, time.UTC)
-	var errMu sync.Mutex
-	op := func(client, seq int, query string) error {
-		id := ids[client%len(ids)]
-		// Warmup invocations carry negative seqs and are discarded by the
-		// engine's counters; keep them out of the report's counters too, or
-		// the Errors -= CrashedClientOps correction below (and the query
-		// multiset) would drift from what the engine measured.
-		measured := seq >= 0
-		if sim.Crashed(id) {
-			// A crashed client is modelled by not driving it (see Sim.Crash):
-			// the node must not originate searches while down. The query still
-			// counts toward the determinism anchor — the crash set is fixed
-			// within a round, so the skip replays with the seed.
-			if measured {
-				errMu.Lock()
-				report.Queries[query]++
-				report.CrashedClientOps++
-				errMu.Unlock()
-			}
-			return errClientCrashed
-		}
-		_, serr := net.Node(id).Search(query, now)
-		if !measured {
-			return serr
-		}
-		errMu.Lock()
-		report.Queries[query]++
-		if serr != nil {
-			switch {
-			case errors.Is(serr, core.ErrRelayFailed):
-				report.ErrClasses["relay-failed"]++
-			case errors.Is(serr, core.ErrNoPeers):
-				report.ErrClasses["no-peers"]++
-			default:
-				report.ErrClasses["unknown"]++
-				if len(report.UnknownErrs) < 8 {
-					report.UnknownErrs = append(report.UnknownErrs, serr.Error())
-				}
-			}
-		}
-		errMu.Unlock()
-		return serr
-	}
-
-	step := 0
-	for round := 0; round < opts.Rounds; round++ {
-		for i := 0; i < opts.StepsPerRound && step < len(schedule); i++ {
-			sim.Apply(schedule[step])
-			step++
-		}
-		res, err := workload.Run(op, workload.Options{
-			Clients:   opts.Clients,
-			Ops:       opts.OpsPerRound,
-			Generator: gen,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("simnet: chaos round %d: %w", round, err)
-		}
-		report.Ops += res.Ops
-		report.Errors += res.Errors
-		net.Gossip(opts.GossipPerRound)
-	}
-
-	// The workload engine counted every measured crashed-client skip as an
-	// error (op returned errClientCrashed), and op counted exactly those
-	// same invocations in CrashedClientOps (warmup ops are excluded on both
-	// sides); pull them back out so Errors and Availability measure only
-	// searches live clients actually issued.
-	report.Errors -= report.CrashedClientOps
+	h.totals(res)
+	report := &ChaosReport{searchResult: *res, Errors: res.ProtoErrors}
 	if total := report.Ops + report.Errors; total > 0 {
 		report.Availability = float64(report.Ops) / float64(total)
 	}
-	report.Sim = sim.Stats()
-	report.Events, report.EventsOverflow = sim.Events()
-	report.Requests = net.RequestCount()
-	for _, id := range ids {
-		st := net.Node(id).Stats()
-		report.Searches += st.Searches
-		report.Relayed += st.Relayed
-		report.Misbehaved += st.Misbehaved
-		report.Blacklisted += st.Blacklisted
-	}
-	report.Violations, report.ViolationsOverflow = inv.Violations()
-	report.WireScans, report.GateScans, report.NonceScans = inv.Scans()
 	return report, nil
 }
 
 // Check verifies the end-of-run invariants and returns one line per
 // violated property (empty means the run upheld the protocol).
 func (r *ChaosReport) Check() []string {
-	var bad []string
-	if len(r.Violations) > 0 || r.ViolationsOverflow > 0 {
-		bad = append(bad, fmt.Sprintf("continuous checkers recorded %d violation(s): %s",
-			uint64(len(r.Violations))+r.ViolationsOverflow, strings.Join(r.Violations, "; ")))
-	}
-	if r.WireScans == 0 || r.GateScans == 0 || r.NonceScans == 0 {
-		bad = append(bad, fmt.Sprintf("a checker never ran (wire=%d gate=%d nonce=%d scans)",
-			r.WireScans, r.GateScans, r.NonceScans))
-	}
+	bad := r.checkCheckers()
 	if r.Misbehaved != r.Sim.ContentFaults() {
 		bad = append(bad, fmt.Sprintf("tamper accounting: %d forged deliveries injected, %d misbehavior rejections observed",
 			r.Sim.ContentFaults(), r.Misbehaved))
@@ -374,9 +132,18 @@ func (r *ChaosReport) Check() []string {
 	return bad
 }
 
-// String renders the chaos report.
+// String renders the chaos report: the schedule that ran, the counts and
+// the invariant verdicts.
 func (r *ChaosReport) String() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "schedule (%d node-level steps): ", len(r.Schedule))
+	for i, s := range r.Schedule {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s.String())
+	}
+	b.WriteByte('\n')
 	fmt.Fprintf(&b, "Chaos: %d searches, %d failed, %d skipped (client crashed) -> availability %.1f%%\n",
 		r.Ops+r.Errors, r.Errors, r.CrashedClientOps, 100*r.Availability)
 	fmt.Fprintf(&b, "conduit: %d attempts, %d delivered\n", r.Sim.Attempts, r.Sim.Delivered)
@@ -384,28 +151,7 @@ func (r *ChaosReport) String() string {
 		r.Sim.Dropped, r.Sim.BitFlipped, r.Sim.Truncated, r.Sim.Replayed,
 		r.Sim.Garbage, r.Sim.Oversized, r.Sim.Spiked, r.Sim.CrashBlocked, r.Sim.PartitionBlocked)
 	fmt.Fprintf(&b, "defense: %d misbehavior rejections, %d blacklistings\n", r.Misbehaved, r.Blacklisted)
-	if len(r.ErrClasses) > 0 {
-		classes := make([]string, 0, len(r.ErrClasses))
-		for c := range r.ErrClasses {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		b.WriteString("errors: ")
-		for i, c := range classes {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%s=%d", c, r.ErrClasses[c])
-		}
-		b.WriteByte('\n')
-	}
-	if bad := r.Check(); len(bad) > 0 {
-		b.WriteString("INVARIANT VIOLATIONS:\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  FAIL %s\n", v)
-		}
-	} else {
-		b.WriteString("invariants: all held (plaintext confinement, nonce uniqueness, tamper rejection, stats consistency, clean failures)\n")
-	}
+	writeVerdict(&b, "errors: ", r.ErrClasses, r.Check(),
+		"plaintext confinement, nonce uniqueness, tamper rejection, stats consistency, clean failures")
 	return b.String()
 }

@@ -50,48 +50,58 @@
 //     nonce is ever reused under a key.
 //   - no self-relay — no delivery may have the same node on both ends.
 //
-// On top of those, ChaosReport.Check verifies the accounting invariants
-// after the run: tampered frames were all rejected (misbehavior observations
-// equal injected content faults), per-node stats match observed traffic
-// (relay counters equal conduit deliveries, the request counter equals
-// delivery attempts), every search either completed or failed with a clean
-// protocol error, and no invariant checker recorded a violation.
+// # How a run is put together
 //
-// # Churned membership
+// Every driver is the same four things, and only the first two differ from
+// one driver to the next:
 //
-// MembershipChurn is the chaos driver of the gossip control plane (the
-// same rps exchange functions nettrans.Membership runs over TCP): an
-// overlay bootstrapped from a small seed set is subjected to message loss,
-// mid-run joins and leaves, a two-way partition window and a
-// gossip-suppressed blacklist event. Two properties are machine-checked
-// every round:
+//   - events — what happens between rounds, a pure function of the seed:
+//     GenSchedule's crash/restart/partition/heal steps, GenBrownoutSchedule's
+//     engine brownouts, MembershipChurn's joins, leaves, partition draw and
+//     blacklist event, GenWANChurn's Pareto sessions and flash crowds;
+//   - a link or fault closure — what one exchange meets: on the forward
+//     path the Sim's per-delivery fault draw, on the gossip plane the
+//     closure given to rps.Network.SetLink (MembershipChurn: two-way
+//     partition and blacklist refusal, over the network's pre-drawn drops;
+//     WANChurn: region partition, then the transport.WANMatrix loss draw
+//     and a round-trip budget);
+//   - the workload — searches from the concurrent engine (workload.Run over
+//     the sentinel pool), or on the gossip plane the round itself;
+//   - invariants — checked every delivery or every round, and summed up by
+//     the report's Check.
 //
-//   - convergence — the view graph becomes (and, after every disturbance,
-//     again becomes) connected: every eligible node reachable from the
-//     first seed by following view edges (MembershipReport.ConvergedAt /
-//     ReconvergedAt);
-//   - no blacklist re-entry — a node blacklisted in round r never reappears
-//     in any blacklisting node's view, even though it keeps gossiping
-//     adversarially and churn continues (MembershipReport.Reentries must
-//     stay empty).
+// Each loop exists once. Search under faults is the unexported harness in
+// harness.go: it builds the network under a Sim with the checkers armed,
+// applies schedule steps of every kind (node and link steps on the Sim,
+// brownout steps on the node's backend.Faulty engine), runs the workload
+// round, classifies each search (answered, clean protocol error, engine
+// failure by taxonomy class) and sums the node, stack and injector
+// counters. Chaos is the harness with delivery faults, null engines and a
+// node-level schedule; ChaosReport.Check adds the accounting invariants
+// (misbehavior observations equal injected content faults, relay counters
+// equal conduit deliveries, the request counter equals delivery attempts,
+// every search completed or failed cleanly). BackendChaos is the harness
+// with faulty engines behind the resilience stack, no delivery faults, a
+// brownout schedule and a recovery round; its Check demands that no engine
+// failure is charged as relay misbehavior and that availability degrades
+// gracefully and recovers fully. A brownout under delivery faults is a
+// definition too (TestComposedFaultsAndBrownout). AccountingChaos drives
+// ledgers, not searches, and stands alone.
 //
-// A node whose view empties under drops re-bootstraps from the seeds,
-// mirroring the daemon's fallback to its -bootstrap list. The run is fully
-// serial and its event log byte-identical under a fixed seed.
-//
-// # Planet-scale WAN churn
-//
-// WANChurn scales the same exchange machinery to 10,000 nodes on the
-// transport.WANMatrix (five regions, empirical inter-region latency and
-// loss, Pareto jitter). Sessions arrive continuously with Pareto
-// lifetimes, flash crowds inject join bursts, and a partition splits the
-// regions mid-run. WANChurnReport.Check asserts the scale-invariant view
-// quality bounds: the convergence fraction (reachable/alive, default
-// 0.999 — under continuous churn the handful of this-round joiners are
-// always still bootstrapping), the in-degree spread (max no more than 12x
-// the mean, bootstrap seeds excluded), and a finite partition-heal time.
-// Like every driver here, the schedule (GenWANChurn) and the run log are
-// pure functions of the seed.
+// A gossip round is rps.Network.Round, the exchange functions
+// nettrans.Membership runs over TCP. MembershipChurn bootstraps an overlay
+// from a small seed set and checks two properties every round: convergence
+// (every eligible node reachable from the first by following view edges —
+// MembershipReport.ConvergedAt / ReconvergedAt) and no blacklist re-entry (a
+// node blacklisted in round r never reappears in a blacklisting node's
+// view, though it keeps gossiping adversarially). WANChurn is that shape at
+// 10,000 nodes on the five-region matrix; WANChurnReport.Check asserts the
+// scale-invariant bounds: the convergence fraction (reachable/alive,
+// default 0.999 — the handful of this-round joiners are always still
+// bootstrapping), the in-degree spread (max no more than 12x the mean,
+// seeds excluded) and a finite partition-heal time. Both runs are serial
+// and their logs byte-identical under a fixed seed: the events draw from
+// the stream the round order is drawn from.
 //
 // # Replaying a failure
 //

@@ -3,7 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"cyclosa/internal/rps"
@@ -40,8 +40,6 @@ type MembershipOptions struct {
 	// adversarially trying to re-enter — and the no-re-entry invariant must
 	// hold anyway.
 	BlacklistAt int
-	// RPS tunes the peer-sampling protocol.
-	RPS rps.Config
 }
 
 // MembershipReport is the outcome of a churned-membership run.
@@ -89,9 +87,14 @@ func (r *MembershipReport) Check() []string {
 	return bad
 }
 
-// MembershipChurn drives the run. It is fully serial and deterministic:
-// node iteration order is sorted then shuffled by the seeded rng, drops are
-// pre-drawn, and the churn schedule is a pure function of the options.
+// MembershipChurn is the run defined as events, a link and bookkeeping over
+// the one round driver, rps.Network: joins, leaves, the partition draw and
+// the blacklist event happen between rounds; the link closure refuses
+// exchanges across the partition and from a blacklisted initiator (loss is
+// the network's pre-drawn drop roll); after every round the no-re-entry
+// invariant and convergence are checked. It is fully serial and
+// deterministic: leave, partition and victim choices come from the same
+// salted driver stream (Seed ^ 0x6d656d62) the round order and drops do.
 func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 	if opts.Nodes == 0 {
 		opts.Nodes = 32
@@ -102,51 +105,21 @@ func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 2
 	}
-	if opts.Seeds > opts.Nodes {
-		opts.Seeds = opts.Nodes
-	}
 	if opts.Rounds <= 0 {
 		opts.Rounds = 40
 	}
-	if opts.PartitionAt < 0 || opts.HealAt < opts.PartitionAt {
-		return nil, fmt.Errorf("simnet: bad partition window [%d, %d)", opts.PartitionAt, opts.HealAt)
-	}
-	if (opts.PartitionAt == 0) != (opts.HealAt == 0) {
-		// Rounds are 1-based: a window with only one bound set would never
-		// assign the split (or never heal it) — reject rather than running a
-		// phantom partition.
-		return nil, fmt.Errorf("simnet: partition window needs both bounds, got [%d, %d)", opts.PartitionAt, opts.HealAt)
+	if err := checkPartitionWindow(opts.PartitionAt, opts.HealAt); err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x6d656d62))
+	net := rps.NewSeededNetwork(opts.Nodes, opts.Seeds, rps.Config{}, opts.Seed, rng)
+	net.SetDropRate(opts.DropRate)
 	report := &MembershipReport{Rounds: opts.Rounds}
-
-	// The overlay under test. born counts every node ever created so
-	// per-node seeds never collide across joins.
-	nodes := make(map[rps.NodeID]*rps.Node, opts.Nodes)
-	born := 0
-	seedIDs := make([]rps.NodeID, opts.Seeds)
-	newNode := func(id rps.NodeID) *rps.Node {
-		cfg := opts.RPS
-		cfg.Seed = opts.Seed + int64(born)*7919
-		born++
-		return rps.NewNode(id, seedIDs, cfg)
-	}
-	for i := 0; i < opts.Seeds; i++ {
-		seedIDs[i] = rps.Name(i)
-	}
-	for i := 0; i < opts.Nodes; i++ {
-		id := rps.Name(i)
-		nodes[id] = newNode(id)
-	}
 
 	// Churn schedule: joins and leaves spread over the middle half.
 	churnRound := func(i, total int) int {
-		span := opts.Rounds / 2
-		if span < 1 {
-			span = 1
-		}
-		return opts.Rounds/4 + (i*span)/total + 1
+		return opts.Rounds/4 + (i*max(opts.Rounds/2, 1))/total + 1
 	}
 	joinAt := make(map[int]int)
 	for i := 0; i < opts.Joins; i++ {
@@ -156,50 +129,37 @@ func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 	for i := 0; i < opts.Leaves; i++ {
 		leaveAt[churnRound(i, opts.Leaves)]++
 	}
-	lastDisturbance := 0
+	lastDisturbance := max(opts.HealAt, opts.BlacklistAt)
 	for r := range joinAt {
 		lastDisturbance = max(lastDisturbance, r)
 	}
 	for r := range leaveAt {
 		lastDisturbance = max(lastDisturbance, r)
 	}
-	lastDisturbance = max(lastDisturbance, opts.HealAt, opts.BlacklistAt)
 	report.LastDisturbance = lastDisturbance
 
-	sortedIDs := func() []rps.NodeID {
-		ids := make([]rps.NodeID, 0, len(nodes))
-		for id := range nodes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
-	}
-
-	isSeed := func(id rps.NodeID) bool {
-		for _, s := range seedIDs {
-			if s == id {
-				return true
-			}
-		}
-		return false
-	}
+	// victim is the blacklisted node, once chosen; it is taken out of the
+	// graph for reachability and in-degree (everyone else has dropped it).
+	var victim []rps.NodeID
 	// nonSeeds picks leave/blacklist candidates. Seeds are excluded by
 	// identity, not by slice position — joined nodes ("joinNNNN") sort
-	// before the seeds ("nodeNNNN"), so slicing sortedIDs() would stop
+	// before the seeds ("nodeNNNN"), so slicing the sorted IDs would stop
 	// protecting the seeds as soon as the first join lands.
-	nonSeeds := func(exclude rps.NodeID) []rps.NodeID {
-		var out []rps.NodeID
-		for _, id := range sortedIDs() {
-			if !isSeed(id) && id != exclude {
-				out = append(out, id)
-			}
-		}
-		return out
+	seedIDs := net.NodeIDs()[:min(opts.Seeds, opts.Nodes)]
+	nonSeeds := func(exclude ...rps.NodeID) []rps.NodeID {
+		return without(net.NodeIDs(), append(exclude, seedIDs...))
 	}
 
-	var victim rps.NodeID
 	partition := make(map[rps.NodeID]int)
-	inPartition := func(r int) bool { return opts.HealAt > 0 && r >= opts.PartitionAt && r < opts.HealAt }
+	partitioned := false
+	net.SetLink(func(from, to rps.NodeID) bool {
+		if partitioned && partition[from] != partition[to] {
+			return false
+		}
+		// Gossip suppression: the passive side refuses a blacklisted
+		// initiator outright — no admission, no view information.
+		return !net.Node(to).IsBlacklisted(from)
+	})
 
 	logf := func(format string, args ...any) {
 		report.Log = append(report.Log, fmt.Sprintf(format, args...))
@@ -209,25 +169,25 @@ func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 		// Membership events first: they model operators and failures acting
 		// between gossip rounds.
 		for i := 0; i < joinAt[r]; i++ {
-			id := rps.NodeID(fmt.Sprintf("join%04d", born))
-			nodes[id] = newNode(id)
+			id := rps.NodeID(fmt.Sprintf("join%04d", opts.Nodes+report.Joins))
+			net.Add(id, nil)
 			report.Joins++
 			logf("round %d: join %s", r, id)
 		}
 		for i := 0; i < leaveAt[r]; i++ {
 			// Leave a deterministic non-seed, non-victim node.
-			leavers := nonSeeds(victim)
+			leavers := nonSeeds(victim...)
 			if len(leavers) == 0 {
 				break
 			}
 			id := leavers[rng.Intn(len(leavers))]
-			delete(nodes, id)
+			net.Remove(id)
 			delete(partition, id)
 			report.Leaves++
 			logf("round %d: leave %s", r, id)
 		}
 		if opts.HealAt > 0 && r == opts.PartitionAt {
-			ids := sortedIDs()
+			ids := net.NodeIDs()
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			for i, id := range ids {
 				partition[id] = i % 2
@@ -239,75 +199,40 @@ func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 			logf("round %d: heal", r)
 		}
 		if opts.BlacklistAt > 0 && r == opts.BlacklistAt {
-			if candidates := nonSeeds(""); len(candidates) > 0 {
-				victim = candidates[rng.Intn(len(candidates))]
-				report.Victim = string(victim)
-				for id, n := range nodes {
-					if id != victim {
-						n.Blacklist(victim)
+			if candidates := nonSeeds(); len(candidates) > 0 {
+				v := candidates[rng.Intn(len(candidates))]
+				victim = []rps.NodeID{v}
+				report.Victim = string(v)
+				for _, id := range net.NodeIDs() {
+					if id != v {
+						net.Node(id).Blacklist(v)
 					}
 				}
-				logf("round %d: blacklist %s", r, victim)
+				logf("round %d: blacklist %s", r, v)
 			} else {
 				logf("round %d: blacklist skipped, no non-seed candidate", r)
 			}
 		}
 
-		// One gossip round: shuffled order and drop rolls pre-drawn from the
-		// driver rng, exchanges delivered as direct function calls.
-		ids := sortedIDs()
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		drops := make([]bool, len(ids))
-		for i := range drops {
-			drops[i] = opts.DropRate > 0 && rng.Float64() < opts.DropRate
-		}
-		partitioned := inPartition(r)
-		for i, id := range ids {
-			node := nodes[id]
-			node.Tick()
-			peerID, ok := node.SelectPeer()
-			if !ok {
-				// Stranded: drops and failures emptied the view. Fall back to
-				// the bootstrap seeds — exactly what a daemon does with its
-				// -bootstrap list — so the node re-enters the overlay instead
-				// of staying isolated forever.
-				var seeds []rps.Descriptor
-				for _, sid := range seedIDs {
-					if sid != id && nodes[sid] != nil {
-						seeds = append(seeds, rps.Descriptor{ID: sid, Age: 0})
-					}
-				}
-				node.Merge(seeds)
-				logf("round %d: %s re-bootstraps", r, id)
-				continue
-			}
-			peer := nodes[peerID]
-			switch {
-			case peer == nil, drops[i]:
-				node.FailExchange(peerID)
-			case partitioned && partition[id] != partition[peerID]:
-				node.FailExchange(peerID)
-			case peer.IsBlacklisted(id):
-				// Gossip suppression: the passive side refuses a blacklisted
-				// initiator outright — no admission, no view information.
-				node.FailExchange(peerID)
-			default:
-				reply := peer.HandleExchange(node.InitiateExchange())
-				node.CompleteExchange(reply)
-			}
+		partitioned = opts.HealAt > 0 && r >= opts.PartitionAt && r < opts.HealAt
+		for _, id := range net.Round() {
+			logf("round %d: %s re-bootstraps", r, id)
 		}
 
 		// Invariants and convergence, every round.
-		for _, id := range sortedIDs() {
-			for _, d := range nodes[id].View() {
-				if nodes[id].IsBlacklisted(d.ID) {
+		ids := net.NodeIDs()
+		for _, id := range ids {
+			node := net.Node(id)
+			for _, d := range node.View() {
+				if node.IsBlacklisted(d.ID) {
 					report.Reentries = append(report.Reentries,
 						fmt.Sprintf("round %d: %s holds blacklisted %s", r, id, d.ID))
 				}
 			}
 		}
-		eligible, reachable := membershipReach(nodes, victim)
-		if reachable == eligible && !partitioned {
+		eligible := without(ids, victim)
+		reachable := net.Reachable(eligible[0], victim...)
+		if reachable == len(eligible) && !partitioned {
 			if report.ConvergedAt == 0 {
 				report.ConvergedAt = r
 			}
@@ -316,77 +241,43 @@ func MembershipChurn(opts MembershipOptions) (*MembershipReport, error) {
 			}
 		}
 		if r == opts.Rounds {
-			report.FinalAlive, report.FinalReachable = eligible, reachable
+			report.FinalAlive, report.FinalReachable = len(eligible), reachable
 		}
 	}
 
-	// Final in-degree spread over eligible nodes.
-	deg := make(map[rps.NodeID]int)
-	for id, n := range nodes {
-		if id == victim {
-			continue
-		}
-		for _, d := range n.View() {
-			if d.ID != victim {
-				deg[d.ID]++
-			}
-		}
-	}
-	first := true
-	for id := range nodes {
-		if id == victim {
-			continue
-		}
-		d := deg[id]
-		if first {
-			report.MinInDegree, report.MaxInDegree = d, d
-			first = false
-			continue
-		}
-		report.MinInDegree = min(report.MinInDegree, d)
-		report.MaxInDegree = max(report.MaxInDegree, d)
-	}
+	report.MinInDegree, report.MaxInDegree, _ = degreeSpread(net.InDegrees(victim...), without(net.NodeIDs(), victim))
 	return report, nil
 }
 
-// membershipReach counts the eligible nodes (everyone but a blacklisted
-// victim) and how many of them the first eligible seed reaches by following
-// view edges.
-func membershipReach(nodes map[rps.NodeID]*rps.Node, victim rps.NodeID) (eligible, reachable int) {
-	ids := make([]rps.NodeID, 0, len(nodes))
-	for id := range nodes {
-		if id != victim {
-			ids = append(ids, id)
-		}
+// checkPartitionWindow validates a [partitionAt, healAt) round window; both
+// zero means no partition.
+func checkPartitionWindow(partitionAt, healAt int) error {
+	if partitionAt < 0 || healAt < partitionAt {
+		return fmt.Errorf("simnet: bad partition window [%d, %d)", partitionAt, healAt)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	eligible = len(ids)
-	if eligible == 0 {
-		return 0, 0
+	if (partitionAt == 0) != (healAt == 0) {
+		// Rounds are 1-based: a window with only one bound set would never
+		// assign the split (or never heal it) — reject rather than running a
+		// phantom partition.
+		return fmt.Errorf("simnet: partition window needs both bounds, got [%d, %d)", partitionAt, healAt)
 	}
-	start := ids[0]
-	seen := map[rps.NodeID]struct{}{start: {}}
-	frontier := []rps.NodeID{start}
-	for len(frontier) > 0 {
-		id := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		n := nodes[id]
-		if n == nil {
-			continue
-		}
-		for _, d := range n.View() {
-			if d.ID == victim {
-				continue
-			}
-			if _, gone := nodes[d.ID]; !gone {
-				continue
-			}
-			if _, ok := seen[d.ID]; ok {
-				continue
-			}
-			seen[d.ID] = struct{}{}
-			frontier = append(frontier, d.ID)
-		}
+	return nil
+}
+
+// without returns a copy of ids minus the excluded ones, order kept.
+func without(ids, exclude []rps.NodeID) []rps.NodeID {
+	return slices.DeleteFunc(slices.Clone(ids), func(id rps.NodeID) bool { return slices.Contains(exclude, id) })
+}
+
+// degreeSpread summarizes the in-degrees of ids: the load-spread check.
+func degreeSpread(deg map[rps.NodeID]int, ids []rps.NodeID) (lo, hi int, mean float64) {
+	if len(ids) == 0 {
+		return 0, 0, 0
 	}
-	return eligible, len(seen)
+	lo, total := deg[ids[0]], 0
+	for _, id := range ids {
+		lo, hi = min(lo, deg[id]), max(hi, deg[id])
+		total += deg[id]
+	}
+	return lo, hi, float64(total) / float64(len(ids))
 }

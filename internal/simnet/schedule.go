@@ -139,22 +139,6 @@ func GenSchedule(seed int64, ids []string, cfg ScheduleConfig) []Step {
 	return steps
 }
 
-// Apply executes one schedule step against the Sim. Backend steps
-// (StepBrownout, StepBrownoutHeal) target engines, not deliveries, and are
-// applied by the backend-chaos driver instead; the Sim ignores them.
-func (s *Sim) Apply(step Step) {
-	switch step.Kind {
-	case StepCrash:
-		s.Crash(step.A)
-	case StepRestart:
-		s.Restart(step.A)
-	case StepPartition:
-		s.Partition(step.A, step.B)
-	case StepHeal:
-		s.Heal(step.A, step.B)
-	}
-}
-
 // BrownoutScheduleConfig tunes backend-brownout schedule generation.
 type BrownoutScheduleConfig struct {
 	// Steps is the schedule length (default 16).

@@ -48,13 +48,28 @@ func (c *FaultConfig) applyDefaults() {
 	// Clamp each probability to [0, 1]: values outside it (an aggressive
 	// -chaos-intensity multiplier, a typo) must skew toward "always fires",
 	// never through implementation-defined float conversions.
-	for _, p := range []*float64{&c.Drop, &c.BitFlip, &c.Truncate, &c.Replay, &c.Garbage, &c.Spike} {
+	for _, p := range c.probabilities() {
 		if *p < 0 || *p != *p { // negative or NaN
 			*p = 0
 		} else if *p > 1 {
 			*p = 1
 		}
 	}
+}
+
+// probabilities lists the six fault probabilities in catalog order.
+func (c *FaultConfig) probabilities() []*float64 {
+	return []*float64{&c.Drop, &c.BitFlip, &c.Truncate, &c.Replay, &c.Garbage, &c.Spike}
+}
+
+// Scaled returns the mix with every probability multiplied by intensity
+// (cyclosa-bench's -chaos-intensity): 0 disables the stochastic faults and
+// leaves only the node-level schedule.
+func (c FaultConfig) Scaled(intensity float64) FaultConfig {
+	for _, p := range c.probabilities() {
+		*p *= intensity
+	}
+	return c
 }
 
 // active reports whether any per-delivery fault can fire.
@@ -234,11 +249,8 @@ func New(cfg Config) *Sim {
 	// faults), rather than later entries silently vanishing behind an
 	// overflowed threshold.
 	acc := 0.0
-	for i, p := range []float64{
-		s.faults.Drop, s.faults.BitFlip, s.faults.Truncate,
-		s.faults.Replay, s.faults.Garbage, s.faults.Spike,
-	} {
-		acc += p
+	for i, p := range s.faults.probabilities() {
+		acc += *p
 		if acc > 1 {
 			acc = 1
 		}
@@ -290,14 +302,6 @@ func (s *Sim) Partition(from, to string) {
 func (s *Sim) Heal(from, to string) {
 	s.liveMu.Lock()
 	delete(s.partition, [2]string{from, to})
-	s.liveMu.Unlock()
-}
-
-// HealAll restarts every crashed node and heals every partition.
-func (s *Sim) HealAll() {
-	s.liveMu.Lock()
-	s.crashed = make(map[string]struct{})
-	s.partition = make(map[[2]string]struct{})
 	s.liveMu.Unlock()
 }
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"cyclosa/internal/rps"
@@ -38,27 +36,17 @@ type WANChurnConfig struct {
 	// ChurnPerRound is the expected joins per round as a fraction of
 	// BaseNodes (default 0.005, i.e. 50/round at N=10k).
 	ChurnPerRound float64
-	// LifetimeShape is the Pareto tail index of session lifetimes in rounds
-	// (default 1.5 — the heavy tail observed in P2P session traces).
-	LifetimeShape float64
-	// LifetimeMin is the Pareto scale: the minimum session length in rounds
-	// (default 2).
-	LifetimeMin float64
 	// FlashCrowds are additional join waves on top of the steady churn.
 	FlashCrowds []FlashCrowd
 }
 
-func (c *WANChurnConfig) applyDefaults() {
-	if c.ChurnPerRound == 0 {
-		c.ChurnPerRound = 0.005
-	}
-	if c.LifetimeShape == 0 {
-		c.LifetimeShape = 1.5
-	}
-	if c.LifetimeMin == 0 {
-		c.LifetimeMin = 2
-	}
-}
+// Session lifetimes are Pareto: L = lifetimeMin · U^(−1/lifetimeShape)
+// rounds. 1.5 is the heavy tail observed in P2P session traces; no session
+// is shorter than two rounds.
+const (
+	lifetimeShape = 1.5
+	lifetimeMin   = 2.0
+)
 
 // WANChurnSchedule is a deterministic churn schedule: JoinsAt[r] sessions
 // are born in round r+1, and LeavesAt[r] lists the session numbers ending
@@ -92,12 +80,14 @@ func (s *WANChurnSchedule) String() string {
 // GenWANChurn draws the heavy-tailed churn schedule. Steady joins are
 // Poisson-ish (a seeded Bernoulli mixture around the configured rate),
 // flash crowds land whole, and every session gets a Pareto lifetime
-// L = LifetimeMin · U^(−1/shape) rounds; the session leaves when its
+// L = lifetimeMin · U^(−1/lifetimeShape) rounds; the session leaves when its
 // lifetime expires within the schedule. The generator salts the seed
 // (seed ^ 0x77616e63), so it shares no stream with GenSchedule,
 // GenBrownoutSchedule or the churn drivers.
 func GenWANChurn(seed int64, cfg WANChurnConfig) WANChurnSchedule {
-	cfg.applyDefaults()
+	if cfg.ChurnPerRound == 0 {
+		cfg.ChurnPerRound = 0.005
+	}
 	if cfg.Rounds <= 0 {
 		return WANChurnSchedule{}
 	}
@@ -112,7 +102,7 @@ func GenWANChurn(seed int64, cfg WANChurnConfig) WANChurnSchedule {
 		for i := 0; i < count; i++ {
 			sched.JoinsAt[r]++
 			// Pareto session lifetime, at least one round.
-			life := int(math.Ceil(cfg.LifetimeMin * math.Pow(1-rng.Float64(), -1/cfg.LifetimeShape)))
+			life := int(math.Ceil(lifetimeMin * math.Pow(1-rng.Float64(), -1/lifetimeShape)))
 			if life < 1 {
 				life = 1
 			}
@@ -147,16 +137,11 @@ type WANChurnOptions struct {
 	Seed int64
 	// Nodes is the stable base population (default 10000).
 	Nodes int
-	// Seeds is the bootstrap seed-set size (default 12).
-	Seeds int
 	// Rounds is the number of gossip rounds driven (default 30).
 	Rounds int
 	// WAN is the latency/loss matrix config; the zero value takes
 	// transport.DefaultWANConfig re-seeded from Seed.
 	WAN transport.WANConfig
-	// RoundBudget is the per-exchange deadline: a sampled round trip above
-	// it counts as a timeout and the exchange fails (default 800ms).
-	RoundBudget time.Duration
 	// Churn is the heavy-tailed churn schedule config (Rounds and BaseNodes
 	// are filled from this struct).
 	Churn WANChurnConfig
@@ -171,9 +156,15 @@ type WANChurnOptions struct {
 	// never hold, and the paper's property is overlay health, not instant
 	// integration.
 	ConvergeFrac float64
-	// RPS tunes the peer-sampling protocol.
-	RPS rps.Config
 }
+
+const (
+	// wanSeeds is the bootstrap seed-set size of a WAN run.
+	wanSeeds = 12
+	// wanRoundBudget is the per-exchange deadline: a sampled round trip
+	// above it counts as a timeout and the exchange fails.
+	wanRoundBudget = 800 * time.Millisecond
+)
 
 // WANChurnReport is the outcome of a planet-scale churn run.
 type WANChurnReport struct {
@@ -241,12 +232,14 @@ func (r *WANChurnReport) Check() []string {
 	return bad
 }
 
-// WANChurn drives a planet-scale churned overlay over the WAN matrix. Like
-// MembershipChurn it is serial and deterministic — node order is sorted
-// then shuffled by the driver rng (salted seed ^ 0x77616e64), per-link WAN
-// draws key off the matrix's own seeded streams — but the per-round view
-// snapshots and the final in-degree scan fan out across workers, so a
-// race-enabled run exercises the rps.Node locking at scale.
+// WANChurn drives a planet-scale churned overlay over the WAN matrix. It is
+// MembershipChurn's shape at scale — events between rounds (the GenWANChurn
+// schedule), a link closure (region partition, then the matrix's loss draw
+// and the round-trip budget, keyed by the link's own delivery index), and
+// convergence bookkeeping — over the same rps.Network rounds, serial and
+// deterministic: node order is drawn from the driver stream (salted
+// Seed ^ 0x77616e64), per-link WAN draws key off the matrix's own seeded
+// streams.
 func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 	if opts.Nodes == 0 {
 		opts.Nodes = 10000
@@ -259,23 +252,11 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 		// own. Growing past it needs a wider namespace, not silent wrapping.
 		return nil, fmt.Errorf("simnet: wan churn base population capped at 10000, got %d", opts.Nodes)
 	}
-	if opts.Seeds <= 0 {
-		opts.Seeds = 12
-	}
-	if opts.Seeds > opts.Nodes {
-		opts.Seeds = opts.Nodes
-	}
 	if opts.Rounds <= 0 {
 		opts.Rounds = 30
 	}
-	if opts.RoundBudget == 0 {
-		opts.RoundBudget = 800 * time.Millisecond
-	}
-	if opts.PartitionAt < 0 || opts.HealAt < opts.PartitionAt {
-		return nil, fmt.Errorf("simnet: bad partition window [%d, %d)", opts.PartitionAt, opts.HealAt)
-	}
-	if (opts.PartitionAt == 0) != (opts.HealAt == 0) {
-		return nil, fmt.Errorf("simnet: partition window needs both bounds, got [%d, %d)", opts.PartitionAt, opts.HealAt)
+	if err := checkPartitionWindow(opts.PartitionAt, opts.HealAt); err != nil {
+		return nil, err
 	}
 	if opts.ConvergeFrac == 0 {
 		opts.ConvergeFrac = 0.999
@@ -300,94 +281,70 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 	sched := GenWANChurn(opts.Seed, opts.Churn)
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x77616e64))
+	net := rps.NewSeededNetwork(opts.Nodes, wanSeeds, rps.Config{}, opts.Seed, rng)
 	report := &WANChurnReport{
 		Rounds:       opts.Rounds,
 		Nodes:        opts.Nodes,
 		ConvergeFrac: opts.ConvergeFrac,
 		RegionCounts: make(map[string]int),
 	}
-
-	nodes := make(map[rps.NodeID]*rps.Node, opts.Nodes)
-	born := 0
-	seedIDs := make([]rps.NodeID, opts.Seeds)
-	newNode := func(id rps.NodeID) *rps.Node {
-		cfg := opts.RPS
-		cfg.Seed = opts.Seed + int64(born)*7919
-		born++
-		return rps.NewNode(id, seedIDs, cfg)
-	}
-	for i := 0; i < opts.Seeds; i++ {
-		seedIDs[i] = rps.Name(i)
-	}
-	for i := 0; i < opts.Nodes; i++ {
-		id := rps.Name(i)
-		nodes[id] = newNode(id)
+	base := net.NodeIDs()
+	for _, id := range base {
 		report.RegionCounts[matrix.RegionName(string(id))]++
 	}
 
-	lastDisturbance := 0
+	lastDisturbance := opts.HealAt
 	for r := range sched.JoinsAt {
 		if sched.JoinsAt[r] > 0 || len(sched.LeavesAt[r]) > 0 {
 			lastDisturbance = max(lastDisturbance, r+1)
 		}
 	}
-	lastDisturbance = max(lastDisturbance, opts.HealAt)
 	report.LastDisturbance = lastDisturbance
 
-	// sortedIDs is recomputed only when membership changes — at N=10k the
-	// sort is the expensive part of a round after the exchanges themselves.
-	var idCache []rps.NodeID
-	dirty := true
-	sortedIDs := func() []rps.NodeID {
-		if dirty {
-			idCache = idCache[:0]
-			for id := range nodes {
-				idCache = append(idCache, id)
-			}
-			sort.Slice(idCache, func(i, j int) bool { return idCache[i] < idCache[j] })
-			dirty = false
-		}
-		return idCache
-	}
-
-	// Region split: group 0 = the first two regions, group 1 = the rest.
-	group := func(id rps.NodeID) int {
-		if matrix.Region(string(id)) < 2 {
-			return 0
-		}
-		return 1
-	}
-	inPartition := func(r int) bool { return opts.HealAt > 0 && r >= opts.PartitionAt && r < opts.HealAt }
-
-	// Per-link delivery indices keying the WAN draws.
+	// The link: a region split (group 0 = the first two regions, group 1 =
+	// the rest) while partitioned, then the WAN's fate for this delivery of
+	// this directed pair.
+	partitioned := false
 	linkIdx := make(map[[2]rps.NodeID]uint64)
-
 	var rtts []time.Duration
+	net.SetLink(func(from, to rps.NodeID) bool {
+		if partitioned && (matrix.Region(string(from)) < 2) != (matrix.Region(string(to)) < 2) {
+			return false
+		}
+		key := [2]rps.NodeID{from, to}
+		idx := linkIdx[key]
+		linkIdx[key] = idx + 1
+		if matrix.Lose(string(from), string(to), idx) {
+			report.Losses++
+			return false
+		}
+		rtt := matrix.RTT(string(from), string(to), idx)
+		if rtt > wanRoundBudget {
+			report.Timeouts++
+			return false
+		}
+		rtts = append(rtts, rtt)
+		return true
+	})
+
 	logf := func(format string, args ...any) {
 		report.Log = append(report.Log, fmt.Sprintf(format, args...))
 	}
 
 	healedAt := 0
-	session := 0
 	for r := 1; r <= opts.Rounds; r++ {
-		joins, leaves := 0, 0
-		for i := 0; i < sched.JoinsAt[r-1]; i++ {
-			id := WANSessionID(session)
-			session++
-			nodes[id] = newNode(id)
+		joins, leaves := sched.JoinsAt[r-1], 0
+		for i := 0; i < joins; i++ {
+			net.Add(WANSessionID(report.Joins), nil)
 			report.Joins++
-			joins++
-			dirty = true
 		}
 		for _, s := range sched.LeavesAt[r-1] {
-			id := WANSessionID(s)
-			if _, ok := nodes[id]; ok {
-				delete(nodes, id)
-				report.Leaves++
+			if id := WANSessionID(s); net.Node(id) != nil {
+				net.Remove(id)
 				leaves++
-				dirty = true
 			}
 		}
+		report.Leaves += leaves
 		if opts.HealAt > 0 && r == opts.PartitionAt {
 			logf("round %d: partition regions {0,1} | rest", r)
 		}
@@ -395,61 +352,14 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 			logf("round %d: heal", r)
 		}
 
-		ids := append([]rps.NodeID(nil), sortedIDs()...)
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		partitioned := inPartition(r)
-		losses, timeouts, rebootstraps := 0, 0, 0
-		for _, id := range ids {
-			node := nodes[id]
-			if node == nil {
-				continue // left earlier this round via another node's view? (cannot happen: leaves precede)
-			}
-			node.Tick()
-			peerID, ok := node.SelectPeer()
-			if !ok {
-				var seeds []rps.Descriptor
-				for _, sid := range seedIDs {
-					if sid != id && nodes[sid] != nil {
-						seeds = append(seeds, rps.Descriptor{ID: sid, Age: 0})
-					}
-				}
-				node.Merge(seeds)
-				rebootstraps++
-				continue
-			}
-			report.Exchanges++
-			peer := nodes[peerID]
-			if peer == nil {
-				node.FailExchange(peerID)
-				continue
-			}
-			if partitioned && group(id) != group(peerID) {
-				node.FailExchange(peerID)
-				continue
-			}
-			key := [2]rps.NodeID{id, peerID}
-			idx := linkIdx[key]
-			linkIdx[key] = idx + 1
-			if matrix.Lose(string(id), string(peerID), idx) {
-				losses++
-				node.FailExchange(peerID)
-				continue
-			}
-			rtt := matrix.RTT(string(id), string(peerID), idx)
-			if rtt > opts.RoundBudget {
-				timeouts++
-				node.FailExchange(peerID)
-				continue
-			}
-			rtts = append(rtts, rtt)
-			reply := peer.HandleExchange(node.InitiateExchange())
-			node.CompleteExchange(reply)
-		}
-		report.Losses += losses
-		report.Timeouts += timeouts
+		partitioned = opts.HealAt > 0 && r >= opts.PartitionAt && r < opts.HealAt
+		ids := net.NodeIDs()
+		losses, timeouts := report.Losses, report.Timeouts
+		rebootstraps := len(net.Round())
 		report.Rebootstraps += rebootstraps
+		report.Exchanges += len(ids) - rebootstraps
 
-		eligible, reachable := wanReach(nodes, sortedIDs())
+		eligible, reachable := len(ids), net.Reachable(ids[0])
 		converged := reachable >= int(math.Ceil(opts.ConvergeFrac*float64(eligible)))
 		if converged && !partitioned {
 			if report.ConvergedAt == 0 {
@@ -463,7 +373,7 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 			}
 		}
 		logf("round %d: join=%d leave=%d alive=%d reachable=%d loss=%d timeout=%d rebootstrap=%d",
-			r, joins, leaves, eligible, reachable, losses, timeouts, rebootstraps)
+			r, joins, leaves, eligible, reachable, report.Losses-losses, report.Timeouts-timeouts, rebootstraps)
 		if r == opts.Rounds {
 			report.FinalAlive, report.FinalReachable = eligible, reachable
 		}
@@ -478,98 +388,11 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 	}
 
 	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-	if n := len(rtts); n > 0 {
-		report.RTTp50 = rtts[n/2]
-		report.RTTp95 = rtts[(n*95)/100]
-	}
+	report.RTTp50, report.RTTp95 = percentile(rtts, 50), percentile(rtts, 95)
 
-	// Final in-degree scan, fanned out over workers: each worker snapshots a
-	// shard of views concurrently (the race-detector payoff at N=10k), then
-	// the shard counts merge deterministically.
-	ids := sortedIDs()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shardDeg := make([]map[rps.NodeID]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			deg := make(map[rps.NodeID]int)
-			for i := w; i < len(ids); i += workers {
-				for _, d := range nodes[ids[i]].View() {
-					deg[d.ID]++
-				}
-			}
-			shardDeg[w] = deg
-		}(w)
-	}
-	wg.Wait()
-	deg := make(map[rps.NodeID]int, len(ids))
-	for _, shard := range shardDeg {
-		for id, d := range shard {
-			deg[id] += d
-		}
-	}
-	isSeed := make(map[rps.NodeID]struct{}, len(seedIDs))
-	for _, sid := range seedIDs {
-		isSeed[sid] = struct{}{}
-	}
-	total, counted, first := 0, 0, true
-	for _, id := range ids {
-		d := deg[id]
-		if _, seed := isSeed[id]; seed {
-			report.SeedMaxInDegree = max(report.SeedMaxInDegree, d)
-			continue
-		}
-		total += d
-		counted++
-		if first {
-			report.MinInDegree, report.MaxInDegree = d, d
-			first = false
-			continue
-		}
-		report.MinInDegree = min(report.MinInDegree, d)
-		report.MaxInDegree = max(report.MaxInDegree, d)
-	}
-	if counted > 0 {
-		report.MeanInDegree = float64(total) / float64(counted)
-	}
+	deg := net.InDegrees()
+	seeds := base[:min(wanSeeds, len(base))]
+	_, report.SeedMaxInDegree, _ = degreeSpread(deg, seeds)
+	report.MinInDegree, report.MaxInDegree, report.MeanInDegree = degreeSpread(deg, without(net.NodeIDs(), seeds))
 	return report, nil
-}
-
-// wanReach counts alive nodes and how many the first node (by sorted order)
-// reaches by following view edges.
-func wanReach(nodes map[rps.NodeID]*rps.Node, ids []rps.NodeID) (eligible, reachable int) {
-	eligible = len(ids)
-	if eligible == 0 {
-		return 0, 0
-	}
-	start := ids[0]
-	seen := map[rps.NodeID]struct{}{start: {}}
-	frontier := []rps.NodeID{start}
-	for len(frontier) > 0 {
-		id := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		n := nodes[id]
-		if n == nil {
-			continue
-		}
-		for _, d := range n.View() {
-			if _, alive := nodes[d.ID]; !alive {
-				continue
-			}
-			if _, ok := seen[d.ID]; ok {
-				continue
-			}
-			seen[d.ID] = struct{}{}
-			frontier = append(frontier, d.ID)
-		}
-	}
-	return eligible, len(seen)
 }
