@@ -49,11 +49,3 @@ var (
 		"cyclosa_core_relay_blacklists_total",
 		"Relays blacklisted by the retry layer for misbehavior or repeated unavailability.")
 )
-
-// forwardTiming carries per-stage durations (nanoseconds) out of the
-// forward exchange; it lives on the caller's stack.
-type forwardTiming struct {
-	encryptNS int64
-	deliverNS int64
-	spliceNS  int64
-}

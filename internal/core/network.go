@@ -95,6 +95,10 @@ type Network struct {
 	clientSendCost time.Duration
 	pairSeed       maphash.Seed
 	conduit        transport.Conduit
+	// submit is the asynchronous form of conduit, the only shape Search
+	// uses: the conduit itself when it implements the seam (TCPConduit), the
+	// path-worker adapter around its Deliver otherwise.
+	submit transport.Submitter
 	// attestor is a hosted node's conduit (NewHostedNode), which carries the
 	// attested key exchange to relays outside this process; nil in a
 	// NewNetwork, where every reachable relay is a member, attested in
@@ -124,7 +128,9 @@ type Network struct {
 
 	requestCounter atomic.Uint64
 
-	// paths runs the k+1 forwards of every Search on lingering workers.
+	// paths runs, on lingering workers, what a Search does not do on its own
+	// goroutine: a blocking conduit's Deliver calls (deliverAdapter), and
+	// the paths that need a handshake or a retry (Node.Search).
 	paths *workers.Pool[pathJob]
 
 	gossipMu   sync.Mutex
@@ -189,10 +195,11 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	net.analyzerFor = opts.AnalyzerFor
 	net.tableSize = opts.TableSize
 	net.bootstrapQueries = opts.BootstrapQueries
-	net.conduit = directConduit{net}
+	var link transport.Conduit = directConduit{net}
 	if opts.Conduit != nil {
-		net.conduit = opts.Conduit(net.conduit)
+		link = opts.Conduit(link)
 	}
+	net.setConduit(link)
 
 	members := &memberSet{nodes: make(map[string]*Node, opts.Nodes)}
 	for i, id := range rpsNet.NodeIDs() {
@@ -228,6 +235,34 @@ func newNetwork(engine Backend, model *transport.Model, verifier *enclave.Verifi
 	return net
 }
 
+// setConduit installs the delivery seam in both its forms.
+func (net *Network) setConduit(link transport.Conduit) {
+	net.conduit = link
+	if native, ok := link.(transport.Submitter); ok {
+		net.submit = native
+	} else {
+		net.submit = deliverAdapter{net}
+	}
+}
+
+// deliverAdapter is the submit seam of a conduit that only has Deliver (the
+// in-process one, simnet's fault layer, the WAN and latency wrappers, the
+// ownership checker): every record's Deliver runs on a path worker, which
+// posts the completion. The response stays where Deliver's contract leaves
+// it — valid until the pair's next delivery, which the pair lock the
+// submitting forward still holds keeps away — so Release has nothing to do.
+type deliverAdapter struct{ net *Network }
+
+var _ transport.Submitter = deliverAdapter{}
+
+func (a deliverAdapter) Submit(from string, now time.Time, batch []transport.Submission, done chan<- transport.Completion) {
+	for _, s := range batch {
+		a.net.paths.Go(pathJob{link: a.net.conduit, from: from, relay: s.To, record: s.Payload, now: now, tag: s.Tag, done: done})
+	}
+}
+
+func (deliverAdapter) Release(transport.Completion) {}
+
 // NewHostedNode builds the node one process hosts in a networked deployment:
 // a daemon, or the client that is the paper's browser extension. It is the
 // node NewNetwork builds — same enclave, table, Search — in a network of
@@ -237,7 +272,7 @@ func newNetwork(engine Backend, model *transport.Model, verifier *enclave.Verifi
 // Local to the process's server.
 func NewHostedNode(opts NodeOptions, platform *enclave.Platform, verifier *enclave.Verifier, peers *rps.Node, be Backend, link transport.Conduit) (*Node, error) {
 	net := newNetwork(be, transport.DefaultModel(opts.Seed), verifier, DefaultClientSendCost)
-	net.conduit = link
+	net.setConduit(link)
 	net.attestor, _ = link.(transport.Attestor)
 	node, err := newNode(opts, platform, verifier, peers, be, net)
 	if err != nil {
@@ -564,6 +599,8 @@ func (d directConduit) DropSession(from, to string) {
 // forward delivers one encrypted forward request from client to relay and
 // returns the decoded response plus the sampled path latency:
 // WAN out + relay processing + engine RTT (inside backend) + WAN back.
+// It is the blocking form of a forward: sealForward, Deliver, openForward —
+// the two halves Search runs k+1 times around one Submit.
 //
 // The exchange is zero-allocation at steady state: request encoding,
 // padding, encryption and response decryption all run in the pair's scratch
@@ -577,37 +614,230 @@ func (d directConduit) DropSession(from, to string) {
 // query's response, a capacity probe): the page then gets the same checks
 // but is not materialised, and the returned Results are nil.
 func (net *Network) forward(client *Node, relayID, query string, now time.Time, discardPage bool) (forwardResponse, time.Duration, error) {
-	start := time.Now()
-	var tm forwardTiming
-	resp, lat, err := net.forwardExchange(client, relayID, query, now, discardPage, &tm)
-	totalNS := int64(time.Since(start))
-	if tm.encryptNS > 0 {
-		stageEncrypt.Observe(time.Duration(tm.encryptNS))
+	var c forwardCall
+	record, err := net.sealForward(client, relayID, query, discardPage, true, time.Now(), &c)
+	if err != nil {
+		net.recordRefused(&c, err)
+		return forwardResponse{}, c.latency, err
 	}
-	if tm.deliverNS > 0 {
-		stageDeliver.Observe(time.Duration(tm.deliverNS))
+	respCT, injected, err := net.conduit.Deliver(client.id, relayID, record, now)
+	return net.openForward(client, &c, transport.Completion{Resp: respCT, Injected: injected, Err: err}, time.Now())
+}
+
+// forwardCall is one forward between its two halves: what sealForward leaves
+// for openForward. From a successful seal to the end of the open the pair
+// lock (ps.mu) is held. The struct lives in its caller's frame or in a
+// search's pooled scratch; neither half retains it.
+type forwardCall struct {
+	ps          *pairState
+	relay       *Node // nil: the relay lives in another process
+	relayID     string
+	requestID   uint64
+	latency     time.Duration // sampled path latency; the answer adds what the link injected
+	discardPage bool
+	// One clock reading per stage boundary: start → (pair lock, session) →
+	// encStart → sealed → (the conduit) → arrived → (the open) → end. Zero
+	// for a boundary the forward never reached. A search chains them across
+	// its paths: one path's sealed is the next one's start, one answer's end
+	// the arrival of an answer that was already waiting.
+	start, encStart, sealed, arrived, end time.Time
+	spliced                               bool // the answer got as far as the AEAD open
+}
+
+// errUnattested is sealForward's refusal to attest inline; it never leaves
+// Search, which moves the path to a worker.
+var errUnattested = errors.New("core: pair has no session")
+
+// sealForward is the first half of a forward: every check that precedes the
+// wire, then the sealed record. On success the pair lock is held, the record
+// sits in the pair's ciphertext scratch and c carries what openForward
+// needs; on failure nothing is held and nothing was sealed. start is the
+// clock reading the caller already has (a search chains one path's sealed
+// reading into the next path's start). With attest false a pair without a
+// session is refused with errUnattested instead of running the handshake on
+// the caller's goroutine.
+func (net *Network) sealForward(client *Node, relayID, query string, discardPage, attest bool, start time.Time, c *forwardCall) ([]byte, error) {
+	*c = forwardCall{relayID: relayID, discardPage: discardPage, start: start}
+	if relayID == client.id {
+		// A node must never relay its own query: the engine would see the
+		// requester's identity, voiding the unlinkability argument (§IV).
+		return nil, ErrSelfRelay
 	}
-	if tm.spliceNS > 0 {
-		stageSplice.Observe(time.Duration(tm.spliceNS))
+	if !net.Alive(relayID) {
+		return nil, ErrRelayUnavailable
+	}
+	// A relay that is not a member lives in another process; it is attested
+	// and reached through the conduit, if the conduit can do that.
+	relay := net.members.Load().nodes[relayID]
+	if relay == nil && net.attestor == nil {
+		return nil, fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, relayID)
+	}
+
+	ps := net.pairEntry(client.id, relayID)
+	// The secure channel enforces strictly increasing record sequence
+	// numbers, so the encrypt → relay → decrypt exchange of one pair is a
+	// critical section; distinct pairs proceed in parallel. Attestation
+	// (first use, or re-attestation after a break) runs under the same
+	// lock acquisition — one lock round trip per forward.
+	ps.mu.Lock()
+	// Re-check membership now that the pair entry is published: if Leave
+	// completed between the snapshot read above and pairEntry, its purge has
+	// already scanned the shard and missed this entry — attesting here would
+	// leak a session nothing ever closes. If instead the relay is still a
+	// member, any later Leave purges this entry (and blocks on ps.mu until
+	// this exchange finishes), so the session is always discarded cleanly.
+	if net.members.Load().nodes[relayID] != relay {
+		ps.mu.Unlock()
+		return nil, ErrRelayUnavailable
+	}
+	if ps.client == nil && !attest {
+		ps.mu.Unlock()
+		return nil, errUnattested
+	}
+	if err := net.ensurePairLocked(ps, client, relay, relayID); err != nil {
+		ps.mu.Unlock()
+		return nil, err
+	}
+
+	c.latency = net.model.Sample(transport.LinkWAN) +
+		net.model.ProcessingCost() +
+		net.model.Sample(transport.LinkEngineRTT) +
+		net.model.ProcessingCost() +
+		net.model.Sample(transport.LinkWAN)
+
+	// Reject oversized queries before allocating a request id: the counter
+	// must equal the conduit delivery attempts (the chaos invariant
+	// requests == attempts), so no id may be consumed on a path that never
+	// reaches the conduit.
+	if len(query) > maxWireQueryLen {
+		ps.mu.Unlock()
+		return nil, fmt.Errorf("%w: query %d bytes", ErrWireOversize, len(query))
+	}
+	c.requestID = net.nextRequestID()
+
+	// Encode in place behind a 4-byte length prefix, then pad to the fixed
+	// request size so a link observer cannot distinguish requests by
+	// length (§IV).
+	c.encStart = time.Now()
+	plain := append(ps.plainBuf[:0], 0, 0, 0, 0)
+	plain = appendRequest(plain, c.requestID, query)
+	binary.BigEndian.PutUint32(plain, uint32(len(plain)-4))
+	plain = appendPadding(plain)
+	ps.plainBuf = plain
+
+	ct, err := ps.client.EncryptAppend(ps.ctBuf[:0], plain)
+	if err != nil {
+		// Unreachable for an open session (sealing cannot fail), and
+		// ensurePairLocked above guarantees one under ps.mu — kept only so a
+		// future securechan change fails loudly rather than silently.
+		ps.mu.Unlock()
+		return nil, fmt.Errorf("client encrypt: %w", err)
+	}
+	ps.ctBuf = ct
+	c.sealed = time.Now()
+	c.ps, c.relay = ps, relay
+	return ct, nil
+}
+
+// openForward is the second half of a forward: it consumes the answer to the
+// record sealForward produced — every check on it, breakPair on every
+// failure but a throttled record — hands the response buffer back to the
+// submit seam, releases the pair lock and records the forward. arrived is the
+// caller's reading of the clock when it took the answer in hand. The returned
+// latency is the sampled path latency plus what the link injected.
+func (net *Network) openForward(client *Node, c *forwardCall, answer transport.Completion, arrived time.Time) (forwardResponse, time.Duration, error) {
+	c.arrived = arrived
+	c.latency += answer.Injected
+	resp, err := net.openLocked(client, c, answer)
+	// The open copied what it keeps into the pair's plaintext scratch.
+	net.submit.Release(answer)
+	c.ps.mu.Unlock()
+	c.end = time.Now()
+	net.recordForward(c, resp, err)
+	return resp, c.latency, err
+}
+
+// openLocked is openForward's checks, under the pair lock sealForward took.
+func (net *Network) openLocked(client *Node, c *forwardCall, answer transport.Completion) (forwardResponse, error) {
+	ps := c.ps
+	if err := answer.Err; err != nil {
+		if errors.Is(err, ErrRelayThrottled) {
+			// Shed by the relay's admission before decrypt: it consumed the
+			// record's sequence number as we did, so the pair is in step.
+			return forwardResponse{}, err
+		}
+		// The request record consumed a send sequence number but its receipt
+		// is unconfirmed: the pair may be desynchronized either way.
+		net.breakPair(ps, client, c.relay)
+		if errors.Is(err, ErrRelayUnavailable) || errors.Is(err, ErrNoSession) {
+			return forwardResponse{}, err
+		}
+		return forwardResponse{}, fmt.Errorf("%w: relay %s: %v", ErrRelayMisbehaved, c.relayID, err)
+	}
+	// The response record is the conduit's (relay-owned scratch, a per-pair
+	// buffer, a pooled frame); decrypting it into our own buffer, inside the
+	// pair critical section, consumes it before anyone can reuse it.
+	c.spliced = true
+	respPlain, err := ps.client.DecryptAppend(ps.plainBuf[:0], answer.Resp)
+	if err != nil {
+		net.breakPair(ps, client, c.relay)
+		return forwardResponse{}, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, c.relayID, err)
+	}
+	ps.plainBuf = respPlain
+	resp, err := decodeResponseWire(respPlain, c.discardPage)
+	if err != nil {
+		net.breakPair(ps, client, c.relay)
+		return forwardResponse{}, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, c.relayID, err)
+	}
+	if resp.RequestID != c.requestID {
+		// A stale page passed off as fresh: the AEAD layer stops byte-level
+		// replay, the echoed identifier stops a relay replaying its own
+		// earlier plaintext (§VI-b).
+		net.breakPair(ps, client, c.relay)
+		return forwardResponse{}, fmt.Errorf("%w: relay %s: response id %d, want %d", ErrRelayMisbehaved, c.relayID, resp.RequestID, c.requestID)
+	}
+	return resp, nil
+}
+
+// recordForward counts one forward attempt, observes the stages it reached
+// and leaves its trace. Stage fields left at zero in the trace show where the
+// exchange died (e.g. misbehaved with encrypt+deliver set failed at splice).
+func (net *Network) recordForward(c *forwardCall, resp forwardResponse, err error) {
+	var encryptNS, deliverNS, spliceNS int64
+	if !c.sealed.IsZero() {
+		encryptNS = int64(c.sealed.Sub(c.encStart))
+		stageEncrypt.Observe(time.Duration(encryptNS))
+	}
+	if !c.arrived.IsZero() {
+		deliverNS = int64(c.arrived.Sub(c.sealed))
+		stageDeliver.Observe(time.Duration(deliverNS))
+	}
+	if c.spliced {
+		spliceNS = int64(c.end.Sub(c.arrived))
+		stageSplice.Observe(time.Duration(spliceNS))
 	}
 	outcome, counter := classifyForward(resp, err)
 	counter.Inc()
 	telemetry.Traces().Record(telemetry.Trace{
 		Op:            "forward",
-		Peer:          relayID,
+		Peer:          c.relayID,
 		Outcome:       outcome,
-		StartUnixNano: start.UnixNano(),
-		TotalNS:       totalNS,
-		EncryptNS:     tm.encryptNS,
-		DeliverNS:     tm.deliverNS,
-		SpliceNS:      tm.spliceNS,
+		StartUnixNano: c.start.UnixNano(),
+		TotalNS:       int64(c.end.Sub(c.start)),
+		EncryptNS:     encryptNS,
+		DeliverNS:     deliverNS,
+		SpliceNS:      spliceNS,
 	})
-	return resp, lat, err
+}
+
+// recordRefused records a forward sealForward refused: it ends here.
+func (net *Network) recordRefused(c *forwardCall, err error) {
+	c.end = time.Now()
+	net.recordForward(c, forwardResponse{}, err)
 }
 
 // classifyForward maps a forward result onto its pre-registered outcome
-// counter. Stage fields left at zero in the trace show where the exchange
-// died (e.g. misbehaved with encrypt+deliver set failed at splice).
+// counter.
 func classifyForward(resp forwardResponse, err error) (string, *telemetry.Counter) {
 	switch {
 	case err == nil && resp.EngineError != "":
@@ -625,124 +855,6 @@ func classifyForward(resp forwardResponse, err error) (string, *telemetry.Counte
 	default:
 		return forwardOutcomeError, cForwardError
 	}
-}
-
-// forwardExchange is the body of forward; tm receives per-stage durations
-// and must point into the caller's frame (it never escapes).
-func (net *Network) forwardExchange(client *Node, relayID, query string, now time.Time, discardPage bool, tm *forwardTiming) (forwardResponse, time.Duration, error) {
-	if relayID == client.id {
-		// A node must never relay its own query: the engine would see the
-		// requester's identity, voiding the unlinkability argument (§IV).
-		return forwardResponse{}, 0, ErrSelfRelay
-	}
-	if !net.Alive(relayID) {
-		return forwardResponse{}, 0, ErrRelayUnavailable
-	}
-	// A relay that is not a member lives in another process; it is attested
-	// and reached through the conduit, if the conduit can do that.
-	relay := net.members.Load().nodes[relayID]
-	if relay == nil && net.attestor == nil {
-		return forwardResponse{}, 0, fmt.Errorf("%w: unknown relay %s", ErrRelayUnavailable, relayID)
-	}
-
-	ps := net.pairEntry(client.id, relayID)
-	// The secure channel enforces strictly increasing record sequence
-	// numbers, so the encrypt → relay → decrypt exchange of one pair is a
-	// critical section; distinct pairs proceed in parallel. Attestation
-	// (first use, or re-attestation after a break) runs under the same
-	// lock acquisition — one lock round trip per forward.
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	// Re-check membership now that the pair entry is published: if Leave
-	// completed between the snapshot read above and pairEntry, its purge has
-	// already scanned the shard and missed this entry — attesting here would
-	// leak a session nothing ever closes. If instead the relay is still a
-	// member, any later Leave purges this entry (and blocks on ps.mu until
-	// this exchange finishes), so the session is always discarded cleanly.
-	if net.members.Load().nodes[relayID] != relay {
-		return forwardResponse{}, 0, ErrRelayUnavailable
-	}
-	if err := net.ensurePairLocked(ps, client, relay, relayID); err != nil {
-		return forwardResponse{}, 0, err
-	}
-
-	latency := net.model.Sample(transport.LinkWAN) +
-		net.model.ProcessingCost() +
-		net.model.Sample(transport.LinkEngineRTT) +
-		net.model.ProcessingCost() +
-		net.model.Sample(transport.LinkWAN)
-
-	// Reject oversized queries before allocating a request id: the counter
-	// must equal the conduit delivery attempts (the chaos invariant
-	// requests == attempts), so no id may be consumed on a path that never
-	// reaches Deliver.
-	if len(query) > maxWireQueryLen {
-		return forwardResponse{}, latency, fmt.Errorf("%w: query %d bytes", ErrWireOversize, len(query))
-	}
-	requestID := net.nextRequestID()
-
-	// Encode in place behind a 4-byte length prefix, then pad to the fixed
-	// request size so a link observer cannot distinguish requests by
-	// length (§IV).
-	encStart := time.Now()
-	plain := append(ps.plainBuf[:0], 0, 0, 0, 0)
-	plain = appendRequest(plain, requestID, query)
-	binary.BigEndian.PutUint32(plain, uint32(len(plain)-4))
-	plain = appendPadding(plain)
-	ps.plainBuf = plain
-
-	ct, err := ps.client.EncryptAppend(ps.ctBuf[:0], plain)
-	tm.encryptNS = int64(time.Since(encStart))
-	if err != nil {
-		// Unreachable for an open session (sealing cannot fail), and
-		// ensurePairLocked above guarantees one under ps.mu — kept only so a
-		// future securechan change fails loudly rather than silently.
-		return forwardResponse{}, latency, fmt.Errorf("client encrypt: %w", err)
-	}
-	ps.ctBuf = ct
-	delStart := time.Now()
-	respCT, injected, err := net.conduit.Deliver(client.id, relayID, ct, now)
-	tm.deliverNS = int64(time.Since(delStart))
-	latency += injected
-	if err != nil {
-		if errors.Is(err, ErrRelayThrottled) {
-			// Shed by the relay's admission before decrypt: it consumed the
-			// record's sequence number as we did, so the pair is in step.
-			return forwardResponse{}, latency, err
-		}
-		// The request record consumed a send sequence number but its receipt
-		// is unconfirmed: the pair may be desynchronized either way.
-		net.breakPair(ps, client, relay)
-		if errors.Is(err, ErrRelayUnavailable) || errors.Is(err, ErrNoSession) {
-			return forwardResponse{}, latency, err
-		}
-		return forwardResponse{}, latency, fmt.Errorf("%w: relay %s: %v", ErrRelayMisbehaved, relayID, err)
-	}
-	// respCT points into relay-owned scratch; decrypting it into our own
-	// buffer (inside the pair critical section) consumes it before the
-	// relay can reuse it.
-	splStart := time.Now()
-	respPlain, err := ps.client.DecryptAppend(ps.plainBuf[:0], respCT)
-	if err != nil {
-		tm.spliceNS = int64(time.Since(splStart))
-		net.breakPair(ps, client, relay)
-		return forwardResponse{}, latency, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, relayID, err)
-	}
-	ps.plainBuf = respPlain
-	resp, err := decodeResponseWire(respPlain, discardPage)
-	tm.spliceNS = int64(time.Since(splStart))
-	if err != nil {
-		net.breakPair(ps, client, relay)
-		return forwardResponse{}, latency, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, relayID, err)
-	}
-	if resp.RequestID != requestID {
-		// A stale page passed off as fresh: the AEAD layer stops byte-level
-		// replay, the echoed identifier stops a relay replaying its own
-		// earlier plaintext (§VI-b).
-		net.breakPair(ps, client, relay)
-		return forwardResponse{}, latency, fmt.Errorf("%w: relay %s: response id %d, want %d", ErrRelayMisbehaved, relayID, resp.RequestID, requestID)
-	}
-	return resp, latency, nil
 }
 
 // breakPair invalidates the attested session between client and relay after

@@ -549,31 +549,90 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// parallel, and only the real query's path delays the user.
 	res.Latency = time.Duration(k+1) * n.net.clientSendCost
 
-	// Every path runs on a lingering worker of the network's pool (never
-	// queued behind a busy one) and reports on outcomes, which has room for
-	// all of them.
-	outcomes := make(chan pathOutcome, k+1)
-	fakeIdx := 0
-	for i := 0; i <= k; i++ {
-		q := query
-		if i != realIdx {
-			q = fakes[fakeIdx]
-			fakeIdx++
+	// The k+1 records are sealed here, one after the other, submitted as one
+	// batch and opened here as their answers arrive (§VI). From its seal to
+	// its open a path holds its pair lock, so a search holds up to k+1 of
+	// them: they are taken in relay-id order, which is what keeps two
+	// searches of this node that share relays from waiting on each other in
+	// a cycle. Path i still goes to relays[i].
+	sc := getSearchScratch(k + 1)
+	defer putSearchScratch(sc)
+	for i := range sc.order {
+		j := i
+		for ; j > 0 && relays[sc.order[j-1]] > relays[i]; j-- {
+			sc.order[j] = sc.order[j-1]
 		}
-		n.net.paths.Go(pathJob{
-			node:    n,
-			relay:   string(relays[i]),
-			query:   q,
-			now:     now,
-			exclude: relays,
-			real:    i == realIdx,
-			out:     outcomes,
-		})
+		sc.order[j] = i
+	}
+	pathQuery := func(i int) string {
+		switch {
+		case i == realIdx:
+			return query
+		case i > realIdx:
+			return fakes[i-1]
+		}
+		return fakes[i]
 	}
 
+	// A path leaves this goroutine for a path worker only when it is slow
+	// anyway: its pair has no session (first contact, or a break) and needs
+	// the handshake, or its forward failed and forwardWithRetry takes over
+	// with the attempts it has left.
+	offload := func(i int, first *forwardOutcome) {
+		n.net.paths.Go(pathJob{node: n, relay: string(relays[i]), query: pathQuery(i), now: now,
+			exclude: relays, real: i == realIdx, first: first, out: sc.outcomes})
+	}
+	owed := 0
+	clock := time.Now()
+	for _, i := range sc.order {
+		c := &sc.calls[i]
+		record, err := n.net.sealForward(n, string(relays[i]), pathQuery(i), i != realIdx, false, clock, c)
+		switch {
+		case err == nil:
+			sc.batch = append(sc.batch, transport.Submission{To: c.relayID, Payload: record, Tag: i})
+			clock = c.sealed
+			continue
+		case err != errUnattested:
+			n.net.recordRefused(c, err)
+			clock = c.end
+			offload(i, &forwardOutcome{lat: c.latency, err: err})
+		default:
+			offload(i, nil)
+		}
+		owed++
+	}
+	if len(sc.batch) > 0 {
+		n.net.submit.Submit(n.id, now, sc.batch, sc.done)
+		owed += len(sc.batch)
+	}
+
+	// An answer that was already waiting when the previous one had been
+	// opened arrived, as far as this goroutine can tell, at that moment: the
+	// clock is read again only after the loop may have slept.
 	var realErr error
-	for i := 0; i <= k; i++ {
-		o := <-outcomes
+	var opened time.Time
+	for ; owed > 0; owed-- {
+		if len(sc.done) == 0 {
+			opened = time.Time{}
+		}
+		var o pathOutcome
+		select {
+		case answer := <-sc.done:
+			i := answer.Tag
+			if opened.IsZero() {
+				opened = time.Now()
+			}
+			reply, lat, err := n.net.openForward(n, &sc.calls[i], answer, opened)
+			opened = sc.calls[i].end
+			if err != nil || reply.EngineError != "" {
+				offload(i, &forwardOutcome{reply: reply, lat: lat, err: err})
+				owed++
+				continue
+			}
+			o = pathOutcome{real: i == realIdx, reply: reply, usedRelay: string(relays[i]), pathLatency: lat}
+		case o = <-sc.outcomes:
+			opened = time.Time{}
+		}
 		if !o.real {
 			if o.err == nil {
 				n.stats.fakesSent.Add(1)
@@ -602,14 +661,70 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	return res, nil
 }
 
-// pathJob is one of a search's k+1 paths, handed by value to a path worker.
+// searchScratch is what one Search needs besides its result: a call slot
+// per path, the locking order, the batch and the two channels its paths
+// report on. Every path reports exactly once, so the channels are empty
+// again when the search ends and the whole scratch is pooled.
+type searchScratch struct {
+	calls []forwardCall
+	order []int
+	batch []transport.Submission
+	// done receives the submit seam's completions, outcomes the paths that
+	// ran on a worker; both have room for all k+1.
+	done     chan transport.Completion
+	outcomes chan pathOutcome
+}
+
+var searchScratchPool sync.Pool
+
+func getSearchScratch(paths int) *searchScratch {
+	sc, _ := searchScratchPool.Get().(*searchScratch)
+	if sc == nil || cap(sc.calls) < paths {
+		sc = &searchScratch{
+			calls:    make([]forwardCall, paths),
+			order:    make([]int, paths),
+			batch:    make([]transport.Submission, 0, paths),
+			done:     make(chan transport.Completion, paths),
+			outcomes: make(chan pathOutcome, paths),
+		}
+	}
+	sc.calls, sc.order = sc.calls[:paths], sc.order[:paths]
+	return sc
+}
+
+func putSearchScratch(sc *searchScratch) {
+	clear(sc.calls) // pair states and nodes are not the pool's to keep alive
+	clear(sc.batch)
+	sc.batch = sc.batch[:0]
+	searchScratchPool.Put(sc)
+}
+
+// pathJob is what a path worker runs, handed over by value. With out set it
+// is one of a search's k+1 paths that left the search goroutine: run
+// forwardWithRetry and report the outcome. With done set it is one record of
+// deliverAdapter: Deliver it through link and post the completion. The job
+// carries everything it needs, so a lingering worker keeps no network alive.
 type pathJob struct {
 	node         *Node
 	relay, query string
 	now          time.Time
 	exclude      []rps.NodeID
 	real         bool
+	first        *forwardOutcome
 	out          chan<- pathOutcome
+
+	link   transport.Conduit
+	from   string
+	record []byte
+	tag    int
+	done   chan<- transport.Completion
+}
+
+// forwardOutcome is the result of one forward attempt.
+type forwardOutcome struct {
+	reply forwardResponse
+	lat   time.Duration
+	err   error
 }
 
 // pathOutcome is what a path reports back to its Search.
@@ -625,7 +740,12 @@ type pathOutcome struct {
 // kept; a fake's response is validated and dropped without being
 // materialised.
 func runPath(j pathJob) {
-	reply, usedRelay, pathLatency, err := j.node.forwardWithRetry(j.relay, j.query, j.now, j.exclude, !j.real)
+	if j.done != nil {
+		resp, injected, err := j.link.Deliver(j.from, j.relay, j.record, j.now)
+		j.done <- transport.Completion{Tag: j.tag, Resp: resp, Injected: injected, Err: err}
+		return
+	}
+	reply, usedRelay, pathLatency, err := j.node.forwardWithRetry(j.relay, j.query, j.now, j.exclude, !j.real, j.first)
 	j.out <- pathOutcome{real: j.real, reply: reply, usedRelay: usedRelay, pathLatency: pathLatency, err: err}
 }
 
@@ -648,8 +768,10 @@ func runPath(j pathJob) {
 // one the transport cannot resolve yet is skipped like a self-sample.
 // Retry bookkeeping (the tried set, replacement sampling) is built lazily
 // on the first failure, so the common all-relays-healthy path does no extra
-// work. discardPage is passed to every attempt's forward.
-func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID, discardPage bool) (forwardResponse, string, time.Duration, error) {
+// work. discardPage is passed to every attempt's forward. first, when
+// non-nil, is the outcome of the first attempt, which the caller (Search)
+// has already made.
+func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID, discardPage bool, first *forwardOutcome) (forwardResponse, string, time.Duration, error) {
 	var total time.Duration
 	var tried map[string]struct{}
 	current := relay
@@ -658,7 +780,15 @@ func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rp
 	engineRelay := ""
 	reattested := false
 	for attempt := 0; attempt < 3; attempt++ {
-		reply, lat, err := n.net.forward(n, current, query, now, discardPage)
+		var reply forwardResponse
+		var lat time.Duration
+		var err error
+		if first != nil {
+			reply, lat, err = first.reply, first.lat, first.err
+			first = nil
+		} else {
+			reply, lat, err = n.net.forward(n, current, query, now, discardPage)
+		}
 		total += lat
 		if err == nil && reply.EngineError == "" {
 			return reply, current, total, nil

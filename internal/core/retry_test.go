@@ -151,7 +151,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 			run: func(t *testing.T) (*Node, string, outcome) {
 				net, ids := retryNet(t, nil)
 				client, relay := net.Node(ids[0]), ids[1]
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				_ = reply
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
@@ -162,7 +162,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				net, ids := retryNet(t, nil)
 				client, relay := net.Node(ids[0]), ids[1]
 				net.Kill(relay)
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -179,7 +179,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				die.net = net
 				client, relay := net.Node(ids[0]), ids[1]
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -196,7 +196,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				for _, id := range ids {
 					exclude = append(exclude, rps.NodeID(id))
 				}
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude, false)
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude, false, nil)
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantErr:        ErrNoPeers,
@@ -211,7 +211,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// The initial "relay" is the node itself: the forward must be
 				// refused (the engine would see the requester) and the retry
 				// must move on without blacklisting the node.
-				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil, false)
+				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil, false, nil)
 				return client, client.id, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved: true,
@@ -229,7 +229,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				die.net = net
 				client := net.Node(ids[0])
-				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil, false)
+				_, used, lat, err := client.forwardWithRetry(client.id, "q", t0, nil, false, nil)
 				return client, client.id, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -246,7 +246,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				})
 				client, relay := net.Node(ids[0]), ids[1]
 				tam.relay = relay
-				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				_, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, latency: lat, err: err}
 			},
 			wantUsedMoved:  true,
@@ -262,7 +262,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// healthy, so the retry completes there — with the honest
 				// first relay neither blacklisted nor charged.
 				fail.set(relay, "engine-unavailable: circuit open")
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			wantUsedMoved:    true,
@@ -276,7 +276,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				for _, id := range ids {
 					fail.set(id, "engine-overloaded: brownout everywhere")
 				}
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			// Three honest relays tried, none blacklisted, no timeout
@@ -297,7 +297,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				}
 				// No replacement exists, but a relay DID answer: the engine
 				// failure is the result, not ErrNoPeers.
-				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude, false)
+				reply, used, lat, err := client.forwardWithRetry(relay, "q", t0, exclude, false, nil)
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err}
 			},
 			wantEngineFailed: 1,
@@ -332,7 +332,7 @@ func TestForwardWithRetryTable(t *testing.T) {
 				// completes. Exactly one blacklist, one engine failure.
 				fail.set(relay, "engine 503")
 				die.killed = map[string]bool{relay: true} // the die wrapper must not touch the engine-failing relay
-				reply, used, lat, err2 := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false)
+				reply, used, lat, err2 := client.forwardWithRetry(relay, "q", t0, []rps.NodeID{rps.NodeID(relay)}, false, nil)
 				return client, relay, outcome{usedRelay: used, engineErr: reply.EngineError, latency: lat, err: err2}
 			},
 			wantUsedMoved:    true,

@@ -12,7 +12,10 @@ import (
 )
 
 // kmaxNet is a 16-node NullBackend deployment whose every search runs at
-// k = 7, i.e. on eight path workers.
+// k = 7. Its conduit only has Deliver, so a warm search's eight deliveries
+// run on eight path workers (deliverAdapter); over a conduit with a native
+// submit seam a warm search uses none, which nettrans pins
+// (TestWarmSearchOneFlushPerConnection).
 func kmaxNet(t *testing.T, seed int64, conduit func(transport.Conduit) transport.Conduit) *Network {
 	t.Helper()
 	net, err := NewNetwork(NetworkOptions{
@@ -57,11 +60,11 @@ func waitPathWorkers(t *testing.T, net *Network, want int, within time.Duration)
 }
 
 // TestSearchReusesPathWorkers: once the pool is warm, 200 searches in a row
-// at k = 7 — 1,600 paths — start no goroutine, and the workers are gone two
-// lingers after the last of them. The warm-up overlaps searches until the
-// pool holds twice the workers one search takes: a sequential search then
-// always finds eight parked, whatever the scheduler does to the eight that
-// have just reported.
+// at k = 7 — 1,600 deliveries through the adapter — start no goroutine, and
+// the workers are gone two lingers after the last of them. The warm-up
+// overlaps searches until the pool holds twice the workers one search takes:
+// a sequential search then always finds eight parked, whatever the scheduler
+// does to the eight that have just reported.
 func TestSearchReusesPathWorkers(t *testing.T) {
 	net := kmaxNet(t, 71, nil)
 	ids := net.NodeIDs()

@@ -24,19 +24,21 @@ type ConduitConfig struct {
 
 // TCPConduit delivers forward records over real TCP connections: it
 // implements transport.Conduit, so a core.Network configured with it runs
-// the unchanged protocol over sockets. Many in-flight exchanges to the same
-// peer multiplex over one pooled connection via frame stream IDs.
+// the unchanged protocol over sockets, and transport.Submitter natively (see
+// Submit), which is the form core.Node.Search uses. Many in-flight exchanges
+// to the same peer multiplex over one pooled connection via frame stream
+// IDs.
 //
 // Ownership contract (see transport.Conduit): the request record is copied
-// to the socket during Deliver and never retained; the response record is
-// copied off the wire into a per-pair buffer, which stays untouched until
-// the same pair's next delivery.
+// into the connection's write batch during the call and never retained. A
+// blocking Deliver copies the response record off the wire into a per-pair
+// buffer of the connection that answered, which stays untouched until the
+// same pair's next delivery; a submitted record's response stays in the
+// pooled frame it was read into until Release.
 type TCPConduit struct {
 	pool      *Pool
 	ownsPool  bool
 	resolve   func(string) (string, bool)
-	pairMu    sync.RWMutex
-	pairBufs  map[pairKey]*pairBuf
 	closeOnce sync.Once
 }
 
@@ -48,8 +50,9 @@ type pairKey struct{ from, to string }
 type pairBuf struct{ buf []byte }
 
 var (
-	_ transport.Conduit  = (*TCPConduit)(nil)
-	_ transport.Attestor = (*TCPConduit)(nil)
+	_ transport.Conduit   = (*TCPConduit)(nil)
+	_ transport.Submitter = (*TCPConduit)(nil)
+	_ transport.Attestor  = (*TCPConduit)(nil)
 )
 
 // NewTCPConduit builds a conduit over the given resolver.
@@ -67,7 +70,6 @@ func NewTCPConduit(cfg ConduitConfig) *TCPConduit {
 		pool:     pool,
 		ownsPool: owns,
 		resolve:  cfg.Resolve,
-		pairBufs: make(map[pairKey]*pairBuf),
 	}
 }
 
@@ -81,16 +83,20 @@ func (t *TCPConduit) WriteStats() WriteStatsSnapshot { return t.pool.WriteStats(
 // retry layer blacklists the peer exactly as it would an unresponsive
 // simulated one; a relay with no address is core.ErrRelayUnresolved on top,
 // which spares it the blacklist.
-func (t *TCPConduit) roundTrip(to string, typ frameType, parts ...[]byte) (header, *[]byte, error) {
+func (t *TCPConduit) roundTrip(to string, typ frameType, parts ...[]byte) (*poolConn, header, *[]byte, error) {
 	addr, ok := t.resolve(to)
 	if !ok {
-		return header{}, nil, fmt.Errorf("%w: %w: nettrans: no address for relay %s", core.ErrRelayUnavailable, core.ErrRelayUnresolved, to)
+		return nil, header{}, nil, errUnresolved(to)
 	}
-	h, buf, err := t.pool.RoundTrip(addr, typ, parts...)
+	pc, h, buf, err := t.pool.roundTrip(addr, typ, parts...)
 	if err != nil {
-		return header{}, nil, fmt.Errorf("%w: %w", core.ErrRelayUnavailable, err)
+		return nil, header{}, nil, fmt.Errorf("%w: %w", core.ErrRelayUnavailable, err)
 	}
-	return h, buf, nil
+	return pc, h, buf, nil
+}
+
+func errUnresolved(to string) error {
+	return fmt.Errorf("%w: %w: nettrans: no address for relay %s", core.ErrRelayUnavailable, core.ErrRelayUnresolved, to)
 }
 
 // errFrame turns a served err frame into the error the protocol acts on (see
@@ -121,7 +127,7 @@ func errFrame(to string, payload []byte) error {
 func (t *TCPConduit) Attest(from, to string, offer []byte) ([]byte, error) {
 	req := getFrame()
 	*req = appendAttestPayload((*req)[:0], from, to, offer)
-	h, buf, err := t.roundTrip(to, frameAttest, *req)
+	_, h, buf, err := t.roundTrip(to, frameAttest, *req)
 	putFrame(req)
 	if err != nil {
 		return nil, err
@@ -148,43 +154,57 @@ func (t *TCPConduit) Attest(from, to string, offer []byte) ([]byte, error) {
 func (t *TCPConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
 	meta := getFrame()
 	*meta = appendDataMeta((*meta)[:0], now.UnixNano(), from, to, len(payload))
-	h, buf, err := t.roundTrip(to, frameData, *meta, payload)
+	pc, h, buf, err := t.roundTrip(to, frameData, *meta, payload)
 	putFrame(meta)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer putFrame(buf)
+	record, injected, err := decodeAnswer(to, h, *buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	pb := pc.respBuf(from, to)
+	pb.buf = append(pb.buf[:0], record...)
+	return pb.buf, injected, nil
+}
 
+// decodeAnswer reads the frame that answered a data frame sent to relay to:
+// the response record (aliasing payload) and the latency the far side
+// injected, or the error the protocol acts on.
+func decodeAnswer(to string, h header, payload []byte) ([]byte, time.Duration, error) {
 	switch h.typ {
 	case frameResp:
-		injectedNano, record, err := decodeRespPayload(*buf)
+		injectedNano, record, err := decodeRespPayload(payload)
 		if err != nil {
 			return nil, 0, fmt.Errorf("nettrans: bad resp frame from %s: %w", to, err)
 		}
-		pb := t.pair(from, to)
-		pb.buf = append(pb.buf[:0], record...)
-		return pb.buf, time.Duration(injectedNano), nil
+		return record, time.Duration(injectedNano), nil
 	case frameErr:
-		return nil, 0, errFrame(to, *buf)
+		return nil, 0, errFrame(to, payload)
 	default:
 		return nil, 0, fmt.Errorf("nettrans: unexpected frame type %d from %s", h.typ, to)
 	}
 }
 
-// pair returns (creating on first use) the response buffer of (from, to).
-func (t *TCPConduit) pair(from, to string) *pairBuf {
+// respBuf returns (creating on first use) the buffer blocking deliveries of
+// (from, to) answered on this connection copy their response into.
+func (pc *poolConn) respBuf(from, to string) *pairBuf {
 	key := pairKey{from, to}
-	t.pairMu.RLock()
-	pb, ok := t.pairBufs[key]
-	t.pairMu.RUnlock()
+	pc.respMu.RLock()
+	pb, ok := pc.respBufs[key]
+	pc.respMu.RUnlock()
 	if ok {
 		return pb
 	}
-	t.pairMu.Lock()
-	defer t.pairMu.Unlock()
-	if pb, ok = t.pairBufs[key]; !ok {
+	pc.respMu.Lock()
+	defer pc.respMu.Unlock()
+	if pb, ok = pc.respBufs[key]; !ok {
+		if pc.respBufs == nil {
+			pc.respBufs = make(map[pairKey]*pairBuf)
+		}
 		pb = &pairBuf{}
-		t.pairBufs[key] = pb
+		pc.respBufs[key] = pb
 	}
 	return pb
 }

@@ -167,13 +167,21 @@ func (fc *frameConn) writeFrame(typ frameType, stream uint64, parts ...[]byte) e
 		fc.wmu.Unlock()
 		return err
 	}
+	fc.appendFrame(typ, stream, total, parts...)
+	return fc.commitFrames(1)
+}
+
+// appendFrame appends one encoded frame, whose payload is the total bytes of
+// parts, to the pending batch. Called with wmu held, after waitWritable; a
+// writer with several frames for this connection appends them all under the
+// one acquisition and commits them together (see TCPConduit.Submit).
+func (fc *frameConn) appendFrame(typ frameType, stream uint64, total int, parts ...[]byte) {
 	var hdr [headerSize]byte
 	putHeader(&hdr, typ, stream, total)
 	fc.wbuf = append(fc.wbuf, hdr[:]...)
 	for _, p := range parts {
 		fc.wbuf = append(fc.wbuf, p...)
 	}
-	return fc.commitFrame()
 }
 
 // waitWritable blocks (wmu held) until the frame may join the pending
@@ -191,13 +199,13 @@ func (fc *frameConn) waitWritable(hint int) error {
 	return fc.werr
 }
 
-// commitFrame finishes a write after the frame bytes were appended under
-// wmu: the first writer into an idle queue becomes the flush leader and
+// commitFrames finishes a write after the bytes of n frames were appended
+// under wmu: the first writer into an idle queue becomes the flush leader and
 // drains the queue; everyone else is done — the leader in progress carries
-// their frame. Called with wmu held; always unlocks it.
-func (fc *frameConn) commitFrame() error {
-	fc.wopts.stats.frames.Add(1)
-	mFramesWritten.Inc()
+// their frames. Called with wmu held; always unlocks it.
+func (fc *frameConn) commitFrames(n int) error {
+	fc.wopts.stats.frames.Add(uint64(n))
+	mFramesWritten.Add(uint64(n))
 	if fc.flushing {
 		fc.wmu.Unlock()
 		return nil

@@ -370,15 +370,16 @@ func TestWriteFrameOversizeDoesNotPoison(t *testing.T) {
 // unique across shards, delivery routes to the right waiter, teardown is
 // exactly-once and fails everything.
 func TestShardedStreamTable(t *testing.T) {
-	st := newShardedStreamTable[int](4)
+	st := newShardedStreamTable(4)
 	type pend struct {
 		id uint64
-		ch chan int
+		ch chan callResult
 	}
 	var ps []pend
 	seen := make(map[uint64]bool)
 	for i := 0; i < 64; i++ {
-		id, ch, err := st.register()
+		ch := make(chan callResult, 1)
+		id, err := st.register(waiter{ch: ch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,15 +393,18 @@ func TestShardedStreamTable(t *testing.T) {
 		t.Fatal("idle with 64 pending streams")
 	}
 	for i, p := range ps[:32] {
-		if !st.deliver(p.id, i) {
+		if !st.deliver(p.id, callResult{hdr: header{length: uint32(i)}}) {
 			t.Fatalf("deliver %d found no waiter", p.id)
 		}
-		if got := <-p.ch; got != i {
+		if got := (<-p.ch).hdr.length; got != uint32(i) {
 			t.Fatalf("stream %d got %d, want %d", p.id, got, i)
 		}
 	}
-	if st.deliver(ps[0].id, 99) {
+	if st.deliver(ps[0].id, callResult{}) {
 		t.Fatal("double delivery accepted")
+	}
+	if due := st.expire(1<<62, nil); len(due) != 0 {
+		t.Fatalf("the timeout sweep claimed %d blocked round trips", len(due))
 	}
 
 	// Concurrent teardown: exactly one closer wins.
@@ -411,7 +415,7 @@ func TestShardedStreamTable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			killed <- st.close(terr, func(e error) int { return -1 })
+			killed <- st.close(terr)
 		}()
 	}
 	wg.Wait()
@@ -426,11 +430,11 @@ func TestShardedStreamTable(t *testing.T) {
 		t.Fatalf("%d closers reported the kill, want exactly 1", wins)
 	}
 	for _, p := range ps[32:] {
-		if got := <-p.ch; got != -1 {
-			t.Fatalf("pending stream %d got %d, want teardown value", p.id, got)
+		if got := <-p.ch; got.err != terr {
+			t.Fatalf("pending stream %d got %v, want the teardown error", p.id, got.err)
 		}
 	}
-	if _, _, err := st.register(); !errors.Is(err, terr) {
+	if _, err := st.register(waiter{ch: make(chan callResult, 1)}); !errors.Is(err, terr) {
 		t.Fatalf("register after close: %v, want %v", err, terr)
 	}
 	if st.alive() {

@@ -71,6 +71,13 @@
 // stream with ErrConnClosed at once, a server connection unregisters and
 // drops the sessions attested on it.
 //
+// A writer with several frames for one connection appends them all under one
+// acquisition of the write lock and commits them together (appendFrame,
+// commitFrames): that is how TCPConduit.Submit puts every record of a search
+// that is bound for one connection into one flush — 8 frames in 2 flushes
+// for a warm k = 7 search over two hosts, where one writeFrame per path used
+// to cost about 4.6.
+//
 // The pending batch is bounded at 256 KiB: writers beyond it block until
 // the leader detaches the batch (not until that batch is flushed — the next
 // one fills while the previous is on the wire). WriteStats exposes
@@ -88,18 +95,53 @@
 //
 // Pool owns the client side: one entry per peer address, dial-on-demand,
 // reconnection with exponential backoff (a peer in backoff fails fast
-// instead of re-dialing on every request), idle reaping, and bounded
-// pending-stream backpressure per connection.
+// instead of re-dialing on every request), idle reaping, the timeout sweep
+// of submitted records, and bounded pending-stream backpressure per
+// connection.
 //
 // TCPConduit implements transport.Conduit over a Pool: Deliver writes the
-// encrypted record as a data frame (copied to the socket during the call,
-// never retained) and copies the response record into a per-pair buffer, so
-// the returned slice stays valid until the next delivery between the same
-// pair — exactly the ownership contract documented on transport.Conduit.
+// encrypted record as a data frame (copied into the write batch during the
+// call, never retained) and copies the response record into a per-pair
+// buffer, so the returned slice stays valid until the next delivery between
+// the same pair — exactly the ownership contract documented on
+// transport.Conduit. Those buffers hang off the pooled connection that
+// answered and go when it is reaped or torn down; the conduit itself keeps
+// nothing per pair.
 // Because the conduit seam composes, internal/simnet can wrap a TCPConduit
 // (core.NetworkOptions.Conduit: first the TCP layer, then sim.Wrap) and run
 // the whole chaos catalog plus invariant checkers over real sockets; see
 // simnet.ChaosOptions.Transport.
+//
+// # Submit: the asynchronous seam
+//
+// TCPConduit also implements transport.Submitter, natively on the stream
+// table: a pending stream's entry is whoever gets its result — the channel
+// of a blocked RoundTrip, or a submitted record (asyncCall). Submit resolves
+// the batch's relays, and for each destination connection takes one
+// pending-stream slot and registers one stream per record, then appends all
+// their data frames in one write-lock acquisition and one commit. The
+// connection's read loop turns each resp or err frame into the record's
+// transport.Completion itself — the same error mapping Deliver applies — and
+// posts it on the submitter's channel; the response record is handed over in
+// the pooled frame it was read into, which Release gives back, so nothing is
+// copied between the socket and the AEAD open.
+//
+// Exactly one completion per record, whoever learns its fate first; the
+// stream table decides, because only the goroutine that removes a stream
+// from it may complete it: the read loop (answered, refused), a teardown
+// (every pending stream of a cut or failed connection fails with
+// ErrConnClosed at once — a failed flush of the batch ends here too), Submit
+// itself for what never reaches the wire (no address, peer in backoff or
+// undialable, ErrPipeFull when the connection already carries MaxPending
+// unanswered streams — Submit never waits for a slot — and a record beyond
+// the frame limit), and the timeout sweep. The sweep is the submitted
+// record's clock: it has no timer and no goroutine of its own, so the pool's
+// janitor, ticking at a quarter of RequestTimeout (or half the idle timeout
+// if that is shorter), fails every submitted record older than
+// RequestTimeout with ErrRequestTimeout — between one and one and a quarter
+// RequestTimeout after Submit — on every connection with a running read
+// loop, a draining predecessor included. Each such timeout counts against
+// the pipe like a RoundTrip's, and the third in a row retires it.
 //
 // # Attested sessions
 //

@@ -2,6 +2,7 @@ package nettrans
 
 import (
 	"bytes"
+	"cyclosa/internal/testutil"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -299,4 +300,40 @@ func TestFramePathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("frame path allocates: %.1f allocs/op, want 0", allocs)
 	}
+
+	if testutil.RaceEnabled {
+		return // race instrumentation adds allocations to what follows
+	}
+
+	// The same frames through the sockets: one blocking exchange over a warm
+	// connection, both ends in this process. What is left is the stream's
+	// result channel at the client and the two id strings the server hands
+	// its Handler; the data frame reaches its dispatch worker by value, not
+	// in a closure.
+	srv := startEchoServer(t, ServerConfig{Handler: loopbackConduit{}})
+	tcp := NewTCPConduit(ConduitConfig{Resolve: StaticResolver(map[string]string{"relay-03": srv.Addr().String()})})
+	defer tcp.Close()
+	exchange := func() {
+		if _, _, err := tcp.Deliver("client-17", "relay-03", record, time.Unix(0, 1700000000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		exchange()
+	}
+	allocs = testing.AllocsPerRun(1000, exchange)
+	t.Logf("one exchange over a warm connection: %.1f allocs", allocs)
+	if allocs > exchangeAllocBudget {
+		t.Fatalf("one exchange over a warm connection allocates %.1f times, budget %d", allocs, exchangeAllocBudget)
+	}
+}
+
+// exchangeAllocBudget bounds a whole blocking exchange, client and server.
+const exchangeAllocBudget = 4
+
+// loopbackConduit answers every record with itself, allocating nothing.
+type loopbackConduit struct{}
+
+func (loopbackConduit) Deliver(_, _ string, payload []byte, _ time.Time) ([]byte, time.Duration, error) {
+	return payload, 0, nil
 }

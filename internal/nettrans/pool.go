@@ -82,8 +82,12 @@ type Pool struct {
 	cfg    PoolConfig
 	wstats WriteStats // aggregated across all of the pool's connections
 
-	mu     sync.Mutex
-	peers  map[string]*peerState
+	mu    sync.Mutex
+	peers map[string]*peerState
+	// conns is every connection whose read loop is running: the peers'
+	// current ones plus predecessors still draining after a goaway. The
+	// janitor sweeps them all; Close closes them all.
+	conns  map[*poolConn]struct{}
 	closed bool
 
 	janitorOnce sync.Once
@@ -115,7 +119,7 @@ type poolConn struct {
 	fc   *frameConn
 	addr string
 
-	st       *shardedStreamTable[callResult]
+	st       *shardedStreamTable
 	draining atomic.Bool // peer sent goaway: no new streams
 
 	sem     chan struct{} // MaxPending backpressure
@@ -126,6 +130,12 @@ type poolConn struct {
 	// errors the read loop; without this, such a pipe would blackhole its
 	// peer forever — conn() retires it once the count passes the threshold.
 	timeouts atomic.Int32
+
+	// respBufs holds, per (client, relay) pair, the buffer a blocking
+	// Deliver answered on this connection copies its response record into
+	// (see TCPConduit.Deliver). They go when the connection does.
+	respMu   sync.RWMutex
+	respBufs map[pairKey]*pairBuf
 }
 
 // maxConsecutiveTimeouts retires a connection that stopped answering.
@@ -137,6 +147,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	return &Pool{
 		cfg:         cfg,
 		peers:       make(map[string]*peerState),
+		conns:       make(map[*poolConn]struct{}),
 		janitorStop: make(chan struct{}),
 	}
 }
@@ -148,9 +159,16 @@ func (p *Pool) WriteStats() WriteStatsSnapshot { return p.wstats.Snapshot() }
 // peer's connection and waits for the response frame on the same stream.
 // The returned buffer is pooled and owned by the caller until putFrame.
 func (p *Pool) RoundTrip(addr string, typ frameType, parts ...[]byte) (header, *[]byte, error) {
+	_, h, buf, err := p.roundTrip(addr, typ, parts...)
+	return h, buf, err
+}
+
+// roundTrip is RoundTrip, also naming the connection that carried the
+// exchange.
+func (p *Pool) roundTrip(addr string, typ frameType, parts ...[]byte) (*poolConn, header, *[]byte, error) {
 	pc, stream, ch, err := p.claimStream(addr)
 	if err != nil {
-		return header{}, nil, err
+		return nil, header{}, nil, err
 	}
 	defer func() { <-pc.sem }()
 	pc.lastUse.Store(time.Now().UnixNano())
@@ -161,7 +179,7 @@ func (p *Pool) RoundTrip(addr string, typ frameType, parts ...[]byte) (header, *
 		// behind it learn that the connection is gone.
 		pc.st.unregister(stream)
 		p.connFailed(addr, pc, fmt.Errorf("%w: %s: write: %v", ErrConnClosed, addr, err))
-		return header{}, nil, fmt.Errorf("nettrans: write to %s: %w", addr, err)
+		return nil, header{}, nil, fmt.Errorf("nettrans: write to %s: %w", addr, err)
 	}
 
 	t := workers.GetTimer(p.cfg.RequestTimeout)
@@ -172,20 +190,20 @@ func (p *Pool) RoundTrip(addr string, typ frameType, parts ...[]byte) (header, *
 		if res.err == nil {
 			pc.timeouts.Store(0)
 		}
-		return res.hdr, res.buf, res.err
+		return pc, res.hdr, res.buf, res.err
 	case <-t.C:
 		// The stream may still be answered later; unregister so the reader
 		// drops the late response instead of blocking on a dead waiter.
-		if pc.st.unregister(stream) == nil {
+		if _, ours := pc.st.unregister(stream); !ours {
 			// The reader (or teardown) already delivered concurrently: drain.
 			res := <-ch
 			if res.buf != nil {
 				putFrame(res.buf)
 			}
-			return header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
+			return nil, header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
 		}
 		pc.timeouts.Add(1)
-		return header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
+		return nil, header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
 	}
 }
 
@@ -216,7 +234,8 @@ func (p *Pool) claimStream(addr string) (*poolConn, uint64, chan callResult, err
 			}
 		}
 
-		stream, ch, err := pc.st.register()
+		ch := make(chan callResult, 1) // room for the one result: delivery never blocks the reader
+		stream, err := pc.st.register(waiter{ch: ch})
 		if err == nil {
 			return pc, stream, ch, nil
 		}
@@ -240,11 +259,7 @@ func (p *Pool) conn(addr string) (*poolConn, error) {
 		p.peers[addr] = ps
 	}
 	p.mu.Unlock()
-	p.janitorOnce.Do(func() {
-		if p.cfg.IdleTimeout > 0 {
-			go p.janitor()
-		}
-	})
+	p.janitorOnce.Do(func() { go p.janitor() })
 
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -316,11 +331,23 @@ func (p *Pool) adopt(fc *frameConn, addr string) *poolConn {
 	pc := &poolConn{
 		fc:   fc,
 		addr: addr,
-		st:   newShardedStreamTable[callResult](defaultStreamShards()),
+		st:   newShardedStreamTable(defaultStreamShards()),
 		sem:  make(chan struct{}, p.cfg.MaxPending),
 	}
 	pc.lastUse.Store(time.Now().UnixNano())
-	go pc.readLoop()
+	p.mu.Lock()
+	p.conns[pc] = struct{}{}
+	closed := p.closed
+	p.mu.Unlock()
+	go func() {
+		pc.readLoop() // returns with the connection closed and nothing pending
+		p.mu.Lock()
+		delete(p.conns, pc)
+		p.mu.Unlock()
+	}()
+	if closed {
+		pc.close(ErrPoolClosed) // dialled while Close ran: Close did not see it
+	}
 	return pc
 }
 
@@ -340,12 +367,21 @@ func (p *Pool) connFailed(addr string, pc *poolConn, err error) {
 	}
 }
 
-// janitor reaps idle connections.
+// janitor reaps idle connections and fails the submitted records nobody
+// answered within RequestTimeout (a blocked RoundTrip times itself out; a
+// submitted record has no goroutine or timer of its own, so this sweep is
+// its clock: it completes between one and one and a quarter RequestTimeout
+// after it was submitted).
 func (p *Pool) janitor() {
-	interval := p.cfg.IdleTimeout / 2
+	interval := p.cfg.RequestTimeout / 4
+	if idle := p.cfg.IdleTimeout / 2; idle > 0 && idle < interval {
+		interval = idle
+	}
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
+	var conns []*poolConn
+	var due []*asyncCall
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -354,21 +390,34 @@ func (p *Pool) janitor() {
 			return
 		case <-ticker.C:
 		}
-		cutoff := time.Now().Add(-p.cfg.IdleTimeout).UnixNano()
+		now := time.Now()
+		cutoff := now.Add(-p.cfg.IdleTimeout).UnixNano()
 		p.mu.Lock()
 		peers := make([]*peerState, 0, len(p.peers))
 		for _, ps := range p.peers {
 			peers = append(peers, ps)
 		}
+		conns = conns[:0]
+		for pc := range p.conns {
+			conns = append(conns, pc)
+		}
 		p.mu.Unlock()
 		for _, ps := range peers {
 			ps.mu.Lock()
-			if pc := ps.conn; pc != nil && pc.alive() && pc.idle() && pc.lastUse.Load() < cutoff {
+			if pc := ps.conn; pc != nil && p.cfg.IdleTimeout > 0 && pc.alive() && pc.idle() && pc.lastUse.Load() < cutoff {
 				pc.close(ErrConnClosed)
 				ps.conn = nil
 			}
 			ps.mu.Unlock()
 		}
+		for _, pc := range conns {
+			due = pc.st.expire(now.UnixNano(), due[:0])
+			for _, a := range due {
+				pc.timeouts.Add(1)
+				a.complete(callResult{err: fmt.Errorf("%w: %s", ErrRequestTimeout, pc.addr)})
+			}
+		}
+		clear(conns) // the scratch must not keep a reaped connection alive
 	}
 }
 
@@ -384,15 +433,19 @@ func (p *Pool) Close() error {
 	for _, ps := range p.peers {
 		peers = append(peers, ps)
 	}
+	conns := make([]*poolConn, 0, len(p.conns))
+	for pc := range p.conns {
+		conns = append(conns, pc)
+	}
 	p.mu.Unlock()
 	close(p.janitorStop)
 	for _, ps := range peers {
 		ps.mu.Lock()
-		if ps.conn != nil {
-			ps.conn.close(ErrPoolClosed)
-			ps.conn = nil
-		}
+		ps.conn = nil
 		ps.mu.Unlock()
+	}
+	for _, pc := range conns {
+		pc.close(ErrPoolClosed)
 	}
 	return nil
 }
@@ -406,7 +459,7 @@ func (pc *poolConn) idle() bool { return pc.st.idle() }
 
 // close marks the connection dead and fails every pending stream.
 func (pc *poolConn) close(err error) {
-	if pc.st.close(err, func(e error) callResult { return callResult{err: e} }) {
+	if pc.st.close(err) {
 		pc.fc.Close()
 	}
 }

@@ -100,7 +100,7 @@ type Server struct {
 	// workers run the dispatched exchanges, so a steady request rate reuses
 	// a small set of goroutines instead of spawning one per exchange; Close
 	// stops them.
-	workers *workers.Pool[func()]
+	workers *workers.Pool[dataJob]
 
 	mu    sync.Mutex
 	conns map[*frameConn]struct{}
@@ -234,12 +234,20 @@ func (s *Server) unregister(fc *frameConn) {
 	s.mu.Unlock()
 }
 
-// dispatch runs work on a bounded worker slot. It returns false when the
-// server is draining (the work is not run). Acquiring the slot blocks the
-// calling read loop — bounded in-flight work is the backpressure. The work
-// runs on a lingering worker (see package workers), so a steady request
-// rate pays the goroutine start cost once, not per exchange.
-func (s *Server) dispatch(work func()) bool {
+// dataJob is one data frame on its way to handleData, handed to a dispatch
+// worker by value (no closure per frame).
+type dataJob struct {
+	fc  *frameConn
+	h   header
+	buf *[]byte
+}
+
+// dispatch runs one exchange on a bounded worker slot. It returns false when
+// the server is draining (the exchange is not run). Acquiring the slot blocks
+// the calling read loop — bounded in-flight work is the backpressure. The
+// exchange runs on a lingering worker (see package workers), so a steady
+// request rate pays the goroutine start cost once, not per exchange.
+func (s *Server) dispatch(job dataJob) bool {
 	s.sem <- struct{}{}
 	s.mu.Lock()
 	if s.closed {
@@ -249,18 +257,18 @@ func (s *Server) dispatch(work func()) bool {
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
-	s.workers.Go(work)
+	s.workers.Go(job)
 	return true
 }
 
 // runDispatched is the dispatch workers' job function: run the exchange,
 // then give back the slot dispatch took for it.
-func (s *Server) runDispatched(work func()) {
+func (s *Server) runDispatched(job dataJob) {
 	defer func() {
 		<-s.sem
 		s.inflight.Done()
 	}()
-	work()
+	s.handleData(job.fc, job.h, job.buf)
 }
 
 // serveConn runs one connection: hello exchange, then the frame loop.
@@ -303,7 +311,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// Admission precedes dispatch and decrypt: an over-quota record
 			// costs a sequence-number skip, nothing else.
 			code, msg := s.admitData(peer, owned, *buf)
-			if code == 0 && !s.dispatch(func() { s.handleData(fc, h, buf) }) {
+			if code == 0 && !s.dispatch(dataJob{fc, h, buf}) {
 				// Draining: refuse the new exchange but keep the connection
 				// open — answers already dispatched on it must still flush;
 				// Close cuts the socket once the drain completes.

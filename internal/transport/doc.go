@@ -38,4 +38,26 @@
 // returned response is valid only until the next delivery between the same
 // pair and must be consumed before then. Use the checker in tests of every
 // new Conduit implementation — it caught real aliasing bugs in the TCP one.
+//
+// # The submit seam
+//
+// Deliver blocks for the round trip, so a caller with k+1 records to send
+// needs k+1 goroutines. Submitter is the asynchronous form of the same
+// boundary: one client's batch of sealed records in, exactly one Completion
+// per record out on a channel the caller supplies. core.Node.Search uses
+// nothing else — it seals its k+1 records itself, submits once, and opens the
+// answers as they arrive; a conduit that only has Deliver is adapted in core
+// by running each Deliver on a worker goroutine.
+//
+// The rules (documented on Submitter): exactly once — answered, refused, cut
+// by a teardown, timed out or failed before the wire, every record completes
+// once and only once, which is what lets a caller pool and reuse its channel;
+// never blocking — the caller guarantees the channel has room for every
+// completion it is owed, so the goroutine that learns an outcome (a
+// connection's read loop) can post it and go on; and buffer ownership — a
+// record's payload may be read until its completion is posted, and a
+// completion's response belongs to its receiver until it hands the
+// Completion back through Release, once, error or not. That response does not
+// depend on the pair's next delivery: nettrans.TCPConduit hands it over in
+// the pooled frame it was read into, with no copy.
 package transport
