@@ -1,43 +1,33 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (Table I, §VII-C crowd campaign, Table II, Fig 5-8d), plus hot-path
-// micro-benchmarks and the ablations listed in DESIGN.md §4.
+// Reproduction benchmarks: one per table, figure and ablation of the paper
+// (Table I, §VII-C crowd campaign, Table II, Fig 5–8d, the fake-source, EPC,
+// adaptive-k, churn and learning-adversary ablations). Each reports the
+// reproduced quantities via b.ReportMetric and fails when the claim the
+// paper draws from them does not hold, so
 //
-// Reproduced quantities are attached to each benchmark via b.ReportMetric,
-// so `go test -bench=. -benchmem` prints both the harness cost and the
-// experimental values (rates, medians, per-node loads).
+//	go test -run '^$' -bench . -benchtime 1x .
+//
+// prints the paper's numbers next to ours and is itself a check. Nothing
+// here is a stopwatch: the ns/op column measures the experiment driver, not
+// the system. How fast a relay or a protected search is, layer by layer, is
+// benchmark/run.sh.
 package cyclosa_test
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"cyclosa"
-	"cyclosa/internal/adversary"
-	"cyclosa/internal/baselines/goopir"
-	"cyclosa/internal/baselines/tmn"
-	"cyclosa/internal/baselines/xsearch"
-	"cyclosa/internal/core"
 	"cyclosa/internal/enclave"
 	"cyclosa/internal/eval"
-	"cyclosa/internal/lda"
-	"cyclosa/internal/queries"
-	"cyclosa/internal/rps"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/securechan"
-	"cyclosa/internal/textproc"
-	"cyclosa/internal/transport"
 )
 
 // benchWorld is shared across benchmarks (building it is expensive).
 var (
-	benchOnce  sync.Once
-	benchW     *eval.World
-	benchWErr  error
-	benchStart = time.Date(2006, 3, 1, 0, 0, 0, 0, time.UTC)
+	benchOnce sync.Once
+	benchW    *eval.World
+	benchWErr error
 )
 
 func getBenchWorld(b *testing.B) *eval.World {
@@ -59,6 +49,15 @@ func getBenchWorld(b *testing.B) *eval.World {
 	return benchW
 }
 
+// claim fails the benchmark when a reproduced quantity contradicts the
+// paper.
+func claim(b *testing.B, holds bool, format string, args ...any) {
+	b.Helper()
+	if !holds {
+		b.Errorf("claim does not reproduce: "+format, args...)
+	}
+}
+
 // --- Tables ---------------------------------------------------------------
 
 // BenchmarkTable1PropertyMatrix regenerates Table I.
@@ -68,6 +67,9 @@ func BenchmarkTable1PropertyMatrix(b *testing.B) {
 			b.Fatal("empty table")
 		}
 	}
+	c := eval.PropertyMatrix()[eval.MechCyclosa]
+	claim(b, c.Unlinkability && c.Indistinguishability && c.Accuracy && c.Scalability,
+		"CYCLOSA must provide all four properties, got %+v", c)
 }
 
 // BenchmarkCrowdCampaign regenerates the §VII-C sensitivity statistic.
@@ -79,6 +81,7 @@ func BenchmarkCrowdCampaign(b *testing.B) {
 		frac = eval.RunCrowdCampaign(w, eval.CrowdOptions{Queries: 2000}).SensitiveFraction
 	}
 	b.ReportMetric(100*frac, "%sensitive")
+	claim(b, frac > 0.06 && frac < 0.35, "sensitive fraction %.3f, paper 0.1574", frac)
 }
 
 // BenchmarkTable2Categorizer regenerates Table II.
@@ -89,11 +92,16 @@ func BenchmarkTable2Categorizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = eval.RunCategorizerAccuracy(w, 2000)
 	}
+	precision := map[eval.DetectorKind]float64{}
 	for _, row := range res.Rows {
 		kind := strings.ReplaceAll(row.Kind.String(), " ", "")
 		b.ReportMetric(row.Precision, fmt.Sprintf("precision[%s]", kind))
 		b.ReportMetric(row.Recall, fmt.Sprintf("recall[%s]", kind))
+		precision[row.Kind] = row.Precision
 	}
+	claim(b, precision[eval.DetectorCombined] >= precision[eval.DetectorWordNet],
+		"WordNet + LDA precision %.2f below WordNet alone %.2f",
+		precision[eval.DetectorCombined], precision[eval.DetectorWordNet])
 }
 
 // --- Figures --------------------------------------------------------------
@@ -109,6 +117,9 @@ func BenchmarkFig5ReIdentification(b *testing.B) {
 	for _, m := range eval.AllMechanisms {
 		b.ReportMetric(100*res.Rates[m], fmt.Sprintf("%%reid[%s]", m))
 	}
+	cyc, tor := res.Rates[eval.MechCyclosa], res.Rates[eval.MechTOR]
+	claim(b, cyc <= res.Rates[eval.MechXSearch], "CYCLOSA %.3f re-identifies more than X-SEARCH %.3f", cyc, res.Rates[eval.MechXSearch])
+	claim(b, cyc < tor/3, "CYCLOSA %.3f not well below TOR %.3f (paper: 4%% vs 36%%)", cyc, tor)
 }
 
 // BenchmarkFig6Accuracy regenerates the Fig 6 accuracy comparison.
@@ -125,6 +136,10 @@ func BenchmarkFig6Accuracy(b *testing.B) {
 	}
 	for _, row := range res.Rows {
 		b.ReportMetric(row.Completeness, fmt.Sprintf("completeness[%s]", row.Mechanism))
+		if row.Mechanism == eval.MechCyclosa {
+			claim(b, row.Correctness > 0.999 && row.Completeness > 0.999,
+				"CYCLOSA accuracy %.3f/%.3f, want exact results", row.Correctness, row.Completeness)
+		}
 	}
 }
 
@@ -139,6 +154,8 @@ func BenchmarkFig7AdaptiveK(b *testing.B) {
 	b.ReportMetric(res.MeanK(), "mean-k")
 	b.ReportMetric(100*res.FractionAt(0), "%k=0")
 	b.ReportMetric(100*res.FractionAt(res.KMax), "%k=max")
+	claim(b, res.FractionAt(0) > 0.05 && res.FractionAt(res.KMax) > 0.05,
+		"no mass at k=0 (%.3f) or no jump at kmax (%.3f)", res.FractionAt(0), res.FractionAt(res.KMax))
 }
 
 // BenchmarkFig8aLatency regenerates the Fig 8a latency comparison.
@@ -153,9 +170,13 @@ func BenchmarkFig8aLatency(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	median := map[string]time.Duration{}
 	for _, s := range res.Series {
+		median[s.Label] = s.Median()
 		b.ReportMetric(s.Median().Seconds(), fmt.Sprintf("median-s[%s]", s.Label))
 	}
+	claim(b, median["Direct"] < median["CYCLOSA"] && median["CYCLOSA"] < median["TOR"]/10,
+		"medians Direct %v, CYCLOSA %v, TOR %v: want Direct < CYCLOSA ≪ TOR", median["Direct"], median["CYCLOSA"], median["TOR"])
 }
 
 // BenchmarkFig8bLatencyVsK regenerates the Fig 8b k-sweep.
@@ -173,90 +194,8 @@ func BenchmarkFig8bLatencyVsK(b *testing.B) {
 	for _, s := range res.Series {
 		b.ReportMetric(s.Median().Seconds(), fmt.Sprintf("median-s[%s]", s.Label))
 	}
-}
-
-// BenchmarkFig8cRelayThroughput measures the single-relay capacity of both
-// systems (the Fig 8c experiment). The benchmark drives the relays directly
-// in a closed loop; achieved req/s is the figure's y-axis inverse.
-func BenchmarkFig8cRelayThroughput(b *testing.B) {
-	w := getBenchWorld(b)
-	// Expose the raw single-relay hot path to the benchmark loop.
-	handler, err := newRelayHotPath(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := handler(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// The closed-loop rate sweep runs once, after the timed loop, so its
-	// metrics survive (ResetTimer would delete user-reported metrics).
-	res, err := eval.RunThroughput(w, eval.ThroughputOptions{
-		Rates:    []float64{5000, 20000, 40000},
-		Duration: 150 * time.Millisecond,
-		Workers:  8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(eval.Saturation(res.Cyclosa), "cyclosa-sat-req/s")
-	b.ReportMetric(eval.Saturation(res.XSearch), "xsearch-sat-req/s")
-}
-
-func newRelayHotPath(w *eval.World) (func() error, error) {
-	net, err := core.NewNetwork(core.NetworkOptions{
-		Nodes:   2,
-		Seed:    7001,
-		Backend: core.NullBackend{},
-	})
-	if err != nil {
-		return nil, err
-	}
-	net.BootstrapFromTrending(w.Uni, 8, 7001)
-	ids := net.NodeIDs()
-	client, relay := net.Node(ids[0]), ids[1]
-	return func() error {
-		return net.RelayRoundTrip(client, relay, "hot path probe", benchStart)
-	}, nil
-}
-
-// BenchmarkFig8cXSearchProxyHotPath measures the X-SEARCH proxy's
-// per-request work (channel decrypt, OR-group obfuscation, proxy-side
-// filtering of a result page, response encrypt), the counterpart of
-// BenchmarkFig8cRelayThroughput's CYCLOSA round trip (which additionally
-// includes the client-side crypto and the fixed 512-byte request padding).
-// Modern many-core hardware pushes both saturation knees far past the
-// paper's 30-40k req/s, so the Fig 8c comparison does not reproduce its
-// absolute knees here; the scalability story the paper builds on it — one
-// proxy machine for all users versus one relay per user — is reproduced by
-// Fig 8d instead.
-func BenchmarkFig8cXSearchProxyHotPath(b *testing.B) {
-	w := getBenchWorld(b)
-	ias := enclave.NewIAS()
-	platform, err := enclave.NewPlatform("bench-xsearch", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proxy := xsearch.NewProxy(platform, core.NullBackend{}, transport.NewModel(1, nil, 0), 3, 7002)
-	pool := make([]string, 0, 500)
-	for _, q := range w.Train.Queries[:500] {
-		pool = append(pool, q.Text)
-	}
-	proxy.Bootstrap(pool)
-	harness, err := xsearch.NewLoadHarness(proxy, ias, 1, w.Uni)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := harness.Handle(0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	k0, k7 := res.Series[0].Median(), res.Series[len(res.Series)-1].Median()
+	claim(b, k0 < k7 && k7 < 2*time.Second, "median k=0 %v, k=7 %v: want growth with k, k=7 near the paper's 1.226s", k0, k7)
 }
 
 // BenchmarkFig8dLoadBalancing regenerates the Fig 8d simulation.
@@ -273,204 +212,12 @@ func BenchmarkFig8dLoadBalancing(b *testing.B) {
 	}
 	b.ReportMetric(res.XSearchHourlyInduced(), "xsearch-req/h")
 	b.ReportMetric(res.CyclosaMaxPerNodeHourly(), "cyclosa-max-req/h/node")
+	claim(b, res.XSearchHourlyInduced() > res.EngineLimitPerHour && res.CyclosaRejected == 0,
+		"X-SEARCH induces %.0f req/h against a %.0f limit, CYCLOSA lost %d queries: want the proxy over the limit and no CYCLOSA loss",
+		res.XSearchHourlyInduced(), res.EngineLimitPerHour, res.CyclosaRejected)
 }
 
-// --- Hot-path micro-benchmarks ---------------------------------------------
-
-// BenchmarkSecureChannelRoundTrip measures one encrypt+decrypt on an
-// established attested session (the per-message crypto cost of §V-F).
-func BenchmarkSecureChannelRoundTrip(b *testing.B) {
-	ias := enclave.NewIAS()
-	pa, err := enclave.NewPlatform("bench-a", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pb, err := enclave.NewPlatform("bench-b", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := enclave.Config{Name: "bench", Version: 1}
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode("bench", 1))
-	ha, err := securechan.NewHandshaker(pa.New(cfg), verifier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hb, err := securechan.NewHandshaker(pb.New(cfg), verifier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sa, sb, err := securechan.EstablishPair(ha, hb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := []byte("GET /search?q=private+web+search+with+sgx")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct, err := sa.Encrypt(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sb.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSecureChannelRoundTripAppend measures the same exchange through
-// the in-place EncryptAppend/DecryptAppend APIs with reused buffers — the
-// zero-allocation form the forward hot path uses.
-func BenchmarkSecureChannelRoundTripAppend(b *testing.B) {
-	ias := enclave.NewIAS()
-	pa, err := enclave.NewPlatform("bench-aa", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pb, err := enclave.NewPlatform("bench-ab", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := enclave.Config{Name: "bench", Version: 1}
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode("bench", 1))
-	ha, err := securechan.NewHandshaker(pa.New(cfg), verifier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hb, err := securechan.NewHandshaker(pb.New(cfg), verifier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sa, sb, err := securechan.EstablishPair(ha, hb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := []byte("GET /search?q=private+web+search+with+sgx")
-	ctBuf := make([]byte, 0, len(msg)+64)
-	ptBuf := make([]byte, 0, len(msg)+64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct, err := sa.EncryptAppend(ctBuf[:0], msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sb.DecryptAppend(ptBuf[:0], ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAttestedHandshake measures the full quote + verify + ECDH
-// handshake (the session-establishment cost of §V-D).
-func BenchmarkAttestedHandshake(b *testing.B) {
-	ias := enclave.NewIAS()
-	pa, err := enclave.NewPlatform("bench-hs-a", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pb, err := enclave.NewPlatform("bench-hs-b", ias)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := enclave.Config{Name: "bench", Version: 1}
-	verifier := enclave.NewVerifier(ias, enclave.MeasureCode("bench", 1))
-	ea, eb := pa.New(cfg), pb.New(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ha, err := securechan.NewHandshaker(ea, verifier)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hb, err := securechan.NewHandshaker(eb, verifier)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := securechan.EstablishPair(ha, hb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimAttackIdentify measures one re-identification attempt against
-// the full profile set.
-func BenchmarkSimAttackIdentify(b *testing.B) {
-	w := getBenchWorld(b)
-	attack := adversary.New(w.Train, adversary.Config{})
-	query := w.Test.Queries[0].Text
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attack.Identify(query)
-	}
-}
-
-// BenchmarkSensitivityAssess measures one full sensitivity assessment
-// (semantic + linkability) with a realistic history.
-func BenchmarkSensitivityAssess(b *testing.B) {
-	w := getBenchWorld(b)
-	user := w.Test.Users()[0]
-	analyzer := w.NewAnalyzerForUser(user, eval.DetectorCombined)
-	query := w.Test.Queries[0].Text
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analyzer.Assess(query)
-	}
-}
-
-// BenchmarkEngineSearch measures one ranked query against the synthetic
-// index.
-func BenchmarkEngineSearch(b *testing.B) {
-	w := getBenchWorld(b)
-	engine := w.FreshEngine(searchengine.Config{RateLimitPerHour: -1})
-	q := w.Uni.Topic("travel").Terms[0] + " " + w.Uni.Topic("travel").Terms[1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Search("bench", q, benchStart); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRPSRound measures one gossip round on a 100-node overlay.
-func BenchmarkRPSRound(b *testing.B) {
-	net := rps.NewNetwork(100, rps.Config{ViewSize: 16}, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Round()
-	}
-}
-
-// BenchmarkLDATraining measures a small LDA training run (the offline
-// model-building cost of §V-F).
-func BenchmarkLDATraining(b *testing.B) {
-	w := getBenchWorld(b)
-	docs := queries.GenerateCorpus(w.Uni, "sex", queries.CorpusConfig{Seed: 2, Documents: 200})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lda.Train(docs, lda.Config{Topics: 8, Iterations: 20, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPublicAPISearch measures one end-to-end protected search through
-// the public API (crypto + relay + engine, simulated latencies not slept).
-func BenchmarkPublicAPISearch(b *testing.B) {
-	net, err := cyclosa.New(cyclosa.Config{Nodes: 8, Seed: 9, DisableAdaptiveProtection: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	uni := net.Universe()
-	q := uni.Topic("music").Terms[0]
-	node := net.Node(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := node.SearchAt(q, benchStart); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §4) ----------------------------------------------
+// --- Ablations --------------------------------------------------------------
 
 // BenchmarkAblationFakeSource compares re-identification of CYCLOSA-style
 // individual queries when fakes come from replayed past queries (the
@@ -478,58 +225,23 @@ func BenchmarkPublicAPISearch(b *testing.B) {
 // choice §IV argues for.
 func BenchmarkAblationFakeSource(b *testing.B) {
 	w := getBenchWorld(b)
-	attack := adversary.New(w.Train, adversary.Config{})
-	sample := w.TestSample(200)
-	const k = 7
-
-	pool := make([]string, 0, w.Train.Len())
-	for _, q := range w.Train.Queries {
-		pool = append(pool, q.Text)
-	}
-	feed := tmn.NewRSSFeed(w.Uni, 31)
-	dict := goopir.NewDictionary(w.Uni)
-
-	sources := []struct {
-		name string
-		next func(i int, real string) string
-	}{
-		{"past-queries", func(i int, real string) string { return pool[(i*2654435761)%len(pool)] }},
-		{"rss", func(i int, real string) string { return feed.Headline() }},
-		{"dictionary", func(i int, real string) string {
-			return dict.FakeQuery(rand.New(rand.NewSource(int64(i))), len(textproc.Tokenize(real)))
-		}},
-	}
-	for _, src := range sources {
-		rate := fakeSourceRate(attack, sample, k, src.next)
-		b.ReportMetric(100*rate, fmt.Sprintf("%%reid[%s]", src.name))
-	}
+	var res *eval.FakeSourceResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fakeSourceRate(attack, sample[:40], k, sources[0].next)
+		res = eval.RunFakeSourceAblation(w, 7, 200)
 	}
+	for name, rate := range res.Rates {
+		b.ReportMetric(100*rate, fmt.Sprintf("%%reid[%s]", name))
+	}
+	past := res.Misattributions["past-queries"]
+	claim(b, past > res.Misattributions["rss"] && past > res.Misattributions["dictionary"],
+		"past-query fakes misattributed %.3f, rss %.3f, dictionary %.3f: want past queries to confuse the adversary most",
+		past, res.Misattributions["rss"], res.Misattributions["dictionary"])
 }
 
-func fakeSourceRate(attack *adversary.SimAttack, sample []queries.Query, k int, next func(int, string) string) float64 {
-	attempts, successes := 0, 0
-	for qi, q := range sample {
-		attempts++
-		if user, ok := attack.Identify(q.Text); ok && user == q.User {
-			successes++
-		}
-		for i := 0; i < k; i++ {
-			fake := next(qi*k+i, q.Text)
-			attempts++
-			if user, ok := attack.Identify(fake); ok && user == q.User {
-				successes++
-			}
-		}
-	}
-	return float64(successes) / float64(attempts)
-}
-
-// BenchmarkAblationEPCPaging shows the SGX paging cliff: relay table access
-// cost inside versus beyond the EPC limit (why the paper keeps the enclave
-// at 1.7 MB).
+// BenchmarkAblationEPCPaging shows the SGX paging cliff of the EPC model:
+// relay table access cost inside versus beyond the EPC limit (why the paper
+// keeps the enclave at 1.7 MB).
 func BenchmarkAblationEPCPaging(b *testing.B) {
 	small := enclave.NewEPC(64 << 20)
 	small.Alloc(1 << 20) // 1.7 MB-style enclave: fits
@@ -537,16 +249,13 @@ func BenchmarkAblationEPCPaging(b *testing.B) {
 	over.Alloc(96 << 20) // oversubscribed enclave
 
 	var inLimit, paged time.Duration
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < b.N; i++ {
 		inLimit += small.Touch(64 << 10)
 		paged += over.Touch(64 << 10)
 	}
-	b.ReportMetric(float64(inLimit.Nanoseconds())/1000, "ns-touch-fit")
-	b.ReportMetric(float64(paged.Nanoseconds())/1000, "ns-touch-paged")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		over.Touch(64 << 10)
-	}
+	b.ReportMetric(float64(inLimit.Nanoseconds())/float64(b.N), "ns-touch-fit")
+	b.ReportMetric(float64(paged.Nanoseconds())/float64(b.N), "ns-touch-paged")
+	claim(b, paged > inLimit, "modelled paged access %v not above in-limit access %v", paged, inLimit)
 }
 
 // BenchmarkAblationAdaptiveVsFixed quantifies the traffic saved by adaptive
@@ -562,6 +271,7 @@ func BenchmarkAblationAdaptiveVsFixed(b *testing.B) {
 	b.ReportMetric(res.MeanK(), "adaptive-mean-k")
 	b.ReportMetric(fixed, "fixed-k")
 	b.ReportMetric(100*(1-res.MeanK()/fixed), "%traffic-saved")
+	claim(b, res.MeanK() < fixed, "adaptive mean k %.2f saves nothing against fixed k %.0f", res.MeanK(), fixed)
 }
 
 // BenchmarkAblationChurn measures availability under overlay churn.
@@ -578,8 +288,10 @@ func BenchmarkAblationChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(100*res.Points[0].Availability, "%avail-healthy")
-	b.ReportMetric(100*res.Points[len(res.Points)-1].Availability, "%avail-churn25")
+	healthy, churned := res.Points[0].Availability, res.Points[len(res.Points)-1].Availability
+	b.ReportMetric(100*healthy, "%avail-healthy")
+	b.ReportMetric(100*churned, "%avail-churn25")
+	claim(b, healthy == 1 && churned > 0.9, "availability %.3f healthy, %.3f with 25%% dead: want no single point of failure", healthy, churned)
 }
 
 // BenchmarkAblationLearningAdversary measures the extended threat model: an
@@ -593,19 +305,5 @@ func BenchmarkAblationLearningAdversary(b *testing.B) {
 	}
 	b.ReportMetric(res.FinalGap(), "tor/cyclosa-gap")
 	b.ReportMetric(100*res.CyclosaRates[len(res.CyclosaRates)-1], "%reid-final[CYCLOSA]")
-}
-
-// BenchmarkAblationSensitivityDetectors compares the per-query cost of the
-// three categorizer variants.
-func BenchmarkAblationSensitivityDetectors(b *testing.B) {
-	w := getBenchWorld(b)
-	terms := textproc.Tokenize(w.Test.Queries[0].Text)
-	for _, kind := range []eval.DetectorKind{eval.DetectorWordNet, eval.DetectorLDA, eval.DetectorCombined} {
-		det := w.NewDetector(kind)
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				det.IsSensitive(terms)
-			}
-		})
-	}
+	claim(b, res.FinalGap() > 1, "a learning adversary re-identifies CYCLOSA as well as TOR (gap %.2f)", res.FinalGap())
 }

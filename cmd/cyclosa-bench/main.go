@@ -6,16 +6,16 @@
 //
 //	cyclosa-bench -exp all
 //	cyclosa-bench -exp fig5 -users 198 -seed 1
-//	cyclosa-bench -exp fig8c -duration 2s -concurrency 16
-//	cyclosa-bench -exp loadtest -concurrency 32 -duration 2s -workload zipf
 //	cyclosa-bench -exp chaos -seed 7 -workload zipf -chaos-intensity 2
 //	cyclosa-bench -exp privacy -json BENCH_privacy.json
 //
 // The experiments are the rows of the table below; -h lists their names,
 // which of them -exp all leaves out (the real-time and the heavyweight ones)
 // and which keep a record that -json writes. How fast a relay or a protected
-// search is is not an experiment here: that is benchmark/run.sh, the one
-// ruler every performance claim is stated in.
+// search is is not an experiment here: speed is benchmark/run.sh, the one
+// ruler every performance claim is stated in. The latency figures (fig8a,
+// fig8b) sum calibrated link-model samples rather than timing anything, and
+// fig8d counts requests.
 //
 // A recorded experiment's -json file carries the summaries of earlier runs
 // forward as history. An experiment whose result has invariants exits
@@ -52,12 +52,6 @@
 // bit flips, truncations, replays, Byzantine garbage and latency spikes,
 // with the protocol invariant checkers armed. Re-running with the same
 // -seed replays the identical fault schedule.
-//
-// The loadtest experiment drives the concurrent workload engine
-// (internal/workload) against the full forward path of one relay with a
-// null backend: -concurrency client goroutines, a fixed | zipf | trace
-// query workload, closed loop by default or open loop at -rate req/s. It
-// also measures a single-client serial baseline and reports the speedup.
 package main
 
 import (
@@ -88,12 +82,10 @@ type config struct {
 	duration    time.Duration
 	concurrency int
 	workload    string
-	rate        float64
 	jsonOut     string
 	intensity   float64
 	rounds      int
 	wanNodes    int
-	traceFile   string
 	// set names the flags the command line gave, for the experiments whose
 	// own defaults differ from the shared flag defaults.
 	set   map[string]bool
@@ -106,8 +98,8 @@ type experiment struct {
 	name string
 	// needsWorld: run reads c.world (universe + LDA training, seconds).
 	needsWorld bool
-	// inAll: part of -exp all. The real-time load experiments and the
-	// heavyweight privacy sweep run only when named.
+	// inAll: part of -exp all. The real-time experiments (backend,
+	// accounting) and the heavyweight privacy sweep run only when named.
 	inAll bool
 	// recorded: the result is an eval.Record, which -json writes.
 	recorded bool
@@ -143,20 +135,6 @@ var experiments = []experiment{
 	}},
 	{name: "fig8b", needsWorld: true, inAll: true, run: func(c *config) (fmt.Stringer, error) {
 		return eval.RunLatencyVsK(c.world, min(c.queries, 200), 32)
-	}},
-	{name: "fig8c", needsWorld: true, run: func(c *config) (fmt.Stringer, error) {
-		return eval.RunThroughput(c.world, eval.ThroughputOptions{Duration: c.duration, Workers: c.concurrency})
-	}},
-	{name: "loadtest", run: func(c *config) (fmt.Stringer, error) {
-		return eval.RunLoadTest(eval.LoadTestOptions{
-			Seed:          c.seed,
-			Concurrency:   c.concurrency,
-			Duration:      c.duration,
-			Workload:      c.workload,
-			Rate:          c.rate,
-			CompareSerial: true,
-			TraceFile:     c.traceFile,
-		})
 	}},
 	{name: "gossip", inAll: true, recorded: true, run: func(c *config) (fmt.Stringer, error) {
 		return eval.RunGossipBench(eval.GossipBenchOptions{Seed: c.seed})
@@ -197,8 +175,6 @@ var experiments = []experiment{
 		}
 		return eval.RunPrivacyBench(o)
 	}},
-	// The chaos experiment defaults to the zipf workload (its point is load
-	// shape under faults); an explicit -workload wins.
 	{name: "chaos", inAll: true, run: func(c *config) (fmt.Stringer, error) {
 		if c.intensity < 0 {
 			return nil, fmt.Errorf("chaos intensity must be >= 0, got %g", c.intensity)
@@ -211,11 +187,8 @@ var experiments = []experiment{
 			K:        k,
 			Clients:  c.concurrency,
 			Rounds:   c.rounds,
-			Workload: "zipf",
+			Workload: c.workload,
 			Faults:   &faults,
-		}
-		if c.set["workload"] {
-			o.Workload = c.workload
 		}
 		report, err := simnet.Chaos(o)
 		if err != nil {
@@ -261,16 +234,14 @@ func run(args []string) error {
 	fs.IntVar(&c.users, "users", 198, "workload users (paper: 198)")
 	fs.IntVar(&c.mean, "mean-queries", 120, "mean queries per user")
 	fs.IntVar(&c.queries, "queries", 1000, "max queries per experiment (0 = all)")
-	fs.DurationVar(&c.duration, "duration", 500*time.Millisecond, "per-rate duration for fig8c / measured window for loadtest and accounting")
-	fs.IntVar(&c.concurrency, "concurrency", 8, "concurrent client goroutines for fig8c, loadtest and chaos")
-	fs.StringVar(&c.workload, "workload", "fixed", "loadtest and chaos query workload: fixed|zipf|trace (chaos defaults to zipf)")
-	fs.Float64Var(&c.rate, "rate", 0, "loadtest open-loop offered rate in req/s (0 = closed loop)")
+	fs.DurationVar(&c.duration, "duration", 500*time.Millisecond, "accounting experiment: how long the clients offer load")
+	fs.IntVar(&c.concurrency, "concurrency", 8, "chaos experiment: concurrent client goroutines")
+	fs.StringVar(&c.workload, "workload", "zipf", "chaos experiment: query workload, fixed|zipf|trace")
 	fs.StringVar(&c.jsonOut, "json", "", "also write the record of "+
 		names(func(e experiment) bool { return e.recorded })+" to this path (e.g. BENCH_gossip.json), history carried forward")
 	fs.Float64Var(&c.intensity, "chaos-intensity", 1, "chaos experiment: scale on the default fault probabilities")
 	fs.IntVar(&c.rounds, "chaos-rounds", 8, "chaos experiment: schedule/workload rounds")
 	fs.IntVar(&c.wanNodes, "wan-nodes", 0, "privacy experiment: WAN churn phase size (0 = default 2000, negative disables)")
-	fs.StringVar(&c.traceFile, "trace", "", "loadtest: replay this query-log file with -workload trace (one query per line, # comments)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

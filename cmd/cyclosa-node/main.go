@@ -78,7 +78,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -92,8 +91,10 @@ import (
 	"cyclosa/internal/rps"
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/sensitivity"
+	"cyclosa/internal/stats"
 	"cyclosa/internal/telemetry"
 	"cyclosa/internal/wordnet"
+	"cyclosa/internal/workload"
 )
 
 func main() {
@@ -669,86 +670,65 @@ func runClient(env *attestationEnv, cfg nodeConfig, query string, n, concurrency
 	}
 	fmt.Printf("client %s: %d attested relay(s)\n", h.id, relays)
 
-	sample := sampleQueries(queries.NewUniverse(queries.UniverseConfig{Seed: cfg.seed}))
-	queryFor := func(i int) string {
-		if query != "" {
-			return query
-		}
-		return sample[i%len(sample)]
+	// Search i asks the i-th sample query, or -query every time.
+	gen := workload.ReplayQueries(sampleQueries(queries.NewUniverse(queries.UniverseConfig{Seed: cfg.seed})))
+	if query != "" {
+		gen = workload.Fixed(query)
 	}
 
 	var throttled atomic.Int64
 	if n <= 1 {
+		q := gen.Stream(0, 1).Next()
 		start := time.Now()
-		res, err := search(h.node, queryFor(0), &throttled)
+		res, err := search(h.node, q, &throttled)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("client: k=%d fakes, real query relayed by %s, %v\n", res.K, res.RealRelay, time.Since(start).Round(time.Microsecond))
 		if res.EngineError != nil {
-			return fmt.Errorf("engine refused %q: %w", queryFor(0), res.EngineError)
+			return fmt.Errorf("engine refused %q: %w", q, res.EngineError)
 		}
-		printResults(queryFor(0), res.Results)
+		printResults(q, res.Results)
 		return nil
 	}
 
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if concurrency > n {
-		concurrency = n
-	}
+	concurrency = min(max(concurrency, 1), n)
 	var (
-		next      atomic.Int64
-		answered  atomic.Int64
-		refused   atomic.Int64
-		sumK      atomic.Int64
-		firstErr  error
-		errOnce   sync.Once
-		latencies = make([]time.Duration, n)
-		wg        sync.WaitGroup
+		answered, refused, sumK atomic.Int64
+		latencies               = make([]time.Duration, n)
 	)
 	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				qStart := time.Now()
-				res, err := search(h.node, queryFor(i), &throttled)
-				latencies[i] = time.Since(qStart)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				sumK.Add(int64(res.K))
-				if res.EngineError != nil {
-					refused.Add(1) // the engine said no; the protocol worked
-				} else {
-					answered.Add(1)
-				}
-			}
-		}()
+	run, err := workload.Run(func(_, seq int, q string) error {
+		qStart := time.Now()
+		res, err := search(h.node, q, &throttled)
+		latencies[seq] = time.Since(qStart)
+		if err != nil {
+			return err
+		}
+		sumK.Add(int64(res.K))
+		if res.EngineError != nil {
+			refused.Add(1) // the engine said no; the protocol worked
+		} else {
+			answered.Add(1)
+		}
+		return nil
+	}, workload.Options{Clients: concurrency, Ops: n, Generator: gen, FailFast: true})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
-	if firstErr != nil {
-		return fmt.Errorf("after %d answered: %w", answered.Load(), firstErr)
+	if run.FirstErr != nil {
+		return fmt.Errorf("after %d answered: %w", answered.Load(), run.FirstErr)
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	st := h.node.Stats()
 	fmt.Printf("client: %d searches (%d in flight): %d answered, %d engine-refused, %d throttled and repeated in %v\n",
 		n, concurrency, answered.Load(), refused.Load(), throttled.Load(), elapsed.Round(time.Millisecond))
 	fmt.Printf("client: mean k %.2f (%d fakes sent), %d relay(s) blacklisted, %.0f searches/s, p50 %v, p99 %v\n",
 		float64(sumK.Load())/float64(n), st.FakesSent, st.Blacklisted,
 		float64(n)/elapsed.Seconds(),
-		latencies[n/2].Round(time.Microsecond),
-		latencies[n*99/100].Round(time.Microsecond))
+		stats.Percentile(latencies, 50).Round(time.Microsecond),
+		stats.Percentile(latencies, 99).Round(time.Microsecond))
 	return nil
 }
 

@@ -38,7 +38,9 @@
 //
 // The evaluation harness that regenerates every table and figure of the
 // paper lives in internal/eval and is driven by cmd/cyclosa-bench and the
-// root benchmark suite (bench_test.go).
+// root benchmark suite (bench_test.go), whose benchmarks each report a
+// reproduced quantity and fail when the paper's claim about it does not
+// hold.
 //
 // # Concurrency model
 //
@@ -64,14 +66,13 @@
 //     number of distinct pairs proceed in parallel — the AES-GCM work,
 //     which dominates the relay hot path, runs on all cores.
 //
-// Load is generated by internal/workload: open- and closed-loop engines
-// drive N client goroutines with fixed, Zipf-popularity or trace-replay
-// query streams, each client drawing from its own deterministic stream so
-// an operation-bound run issues the same multiset of queries regardless of
-// scheduling (the property the race-proof determinism tests in
-// internal/core assert). Figure reproduction (Fig 8a–8c) and the
-// cyclosa-bench loadtest experiment run on top of this engine; see
-// cmd/cyclosa-bench's -concurrency, -duration and -workload flags.
+// Concurrent searches are driven by internal/workload: N client goroutines
+// spend a fixed operation budget on fixed, Zipf-popularity or trace-replay
+// query streams, each client drawing from its own deterministic stream so a
+// run issues the same multiset of queries regardless of scheduling (the
+// property the race-proof determinism tests in internal/core assert). The
+// package counts outcomes and holds no clock; the Fig 8a/8b replays, the
+// churn ablation and the simnet soaks run on it.
 //
 // # Performance
 //
@@ -104,11 +105,8 @@
 // append into caller-provided buffers and allocate nothing once those
 // buffers have grown to the working size.
 //
-// The micro-benchmarks of this path still run,
-//
-//	go test -run '^$' -bench 'Fig8cRelayThroughput|SecureChannelRoundTrip' -benchmem -benchtime=2s .
-//
-// but what a relay sustains, before and after a change, is measured by the
+// Allocation budgets of this path are pinned by AllocsPerRun tests; what a
+// relay sustains, before and after a change, is measured by the
 // repository's one ruler, on real sockets, bounded and seeded:
 //
 //	bash benchmark/run.sh --workload relay_forward_mux_tcp --seed 1 --seconds 10 --trace 0

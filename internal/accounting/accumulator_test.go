@@ -124,12 +124,14 @@ func TestCounterConcurrentExactness(t *testing.T) {
 	}
 }
 
-func BenchmarkHandleAdd(b *testing.B) {
+// TestHandleAddAllocs: a relay charges its per-session handle on every
+// forward it serves, committing to the shared counter once per threshold;
+// neither the buffered add nor the commit may allocate.
+func TestHandleAddAllocs(t *testing.T) {
 	c := NewCounter()
 	h := c.Handle(DefaultCommitThreshold)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Add(1)
+	defer h.Close()
+	if n := testing.AllocsPerRun(4*DefaultCommitThreshold, func() { h.Add(1) }); n > 0 {
+		t.Errorf("Handle.Add allocates %.2f times per op, want 0", n)
 	}
-	h.Close()
 }

@@ -274,9 +274,6 @@ func TestXSearchProxy(t *testing.T) {
 	if !strings.Contains(obfuscated, searchengine.ORSeparator) {
 		t.Error("not OR-joined")
 	}
-	if got := proxy.HandleRaw(q); !strings.Contains(got, q) {
-		t.Error("HandleRaw lost the query")
-	}
 	// Enclave gate: the proxy enclave exists and tracks EPC usage.
 	if proxy.Enclave().Stats().EPCUsed == 0 {
 		t.Error("proxy table not charged to EPC")

@@ -8,8 +8,7 @@
 // Differences from CYCLOSA that the evaluation measures: the OR group makes
 // accuracy imperfect (Fig 6) and leaks the group structure to the adversary
 // (Fig 5: pick the real disjunct, then identify); the single proxy identity
-// concentrates all traffic onto one engine source (Fig 8d) and the single
-// machine saturates under load (Fig 8c).
+// concentrates all traffic onto one engine source (Fig 8d).
 package xsearch
 
 import (
@@ -64,7 +63,7 @@ func NewProxy(platform *enclave.Platform, backend Backend, model *transport.Mode
 }
 
 // Enclave exposes the proxy enclave (for attestation in deployments and for
-// the EPC ablation benchmarks).
+// its EPC accounting).
 func (p *Proxy) Enclave() *enclave.Enclave { return p.encl }
 
 // Bootstrap seeds the past-query table.
@@ -115,11 +114,4 @@ func (p *Proxy) Search(user, query string, now time.Time) ([]searchengine.Result
 		return nil, latency, fmt.Errorf("xsearch proxy: %w", err)
 	}
 	return searchengine.FilterByTerms(merged, textproc.Tokenize(query)), latency, nil
-}
-
-// HandleRaw is the relay-capacity path used by the throughput benchmark
-// (Fig 8c): obfuscation and filtering without the engine round trip.
-func (p *Proxy) HandleRaw(query string) string {
-	obfuscated, _, _ := p.Obfuscate(query)
-	return obfuscated
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"cyclosa/internal/core"
 	"cyclosa/internal/enclave"
-	"cyclosa/internal/queries"
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/transport"
 )
@@ -100,34 +98,5 @@ func TestSearchUsesProxyIdentityAndFilters(t *testing.T) {
 	}
 	if latency < 0 {
 		t.Fatalf("latency = %v, want >= 0", latency)
-	}
-}
-
-func TestLoadHarnessRoundTrips(t *testing.T) {
-	ias := enclave.NewIAS()
-	platform, err := enclave.NewPlatform("xsearch-harness-test", ias)
-	if err != nil {
-		t.Fatalf("platform: %v", err)
-	}
-	proxy := NewProxy(platform, core.NullBackend{}, transport.NewModel(1, nil, 0), 3, 29)
-	proxy.Bootstrap([]string{"past one", "past two", "past three", "past four"})
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 3})
-
-	h, err := NewLoadHarness(proxy, ias, 2, uni)
-	if err != nil {
-		t.Fatalf("NewLoadHarness: %v", err)
-	}
-	// The secure channels enforce strictly increasing sequence numbers, so
-	// repeated and interleaved worker calls must all succeed in order.
-	workers := []int{0, 1, 0, 0, 1, 3 /* wraps onto worker 1 */}
-	for _, worker := range workers {
-		if err := h.Handle(worker); err != nil {
-			t.Fatalf("Handle(%d): %v", worker, err)
-		}
-	}
-	// Every handled request records its (decrypted) query in the proxy's
-	// past-query table — the full hot path ran, not just the crypto.
-	if got, want := proxy.TableLen(), 4+len(workers); got != want {
-		t.Fatalf("table length after %d handles = %d, want %d", len(workers), got, want)
 	}
 }

@@ -274,19 +274,6 @@ func TestForwardAllocsOnRealPage(t *testing.T) {
 	}
 }
 
-// BenchmarkWireRequestCodec measures one request encode+decode through the
-// binary codec (the per-crossing serialization cost that replaced JSON).
-func BenchmarkWireRequestCodec(b *testing.B) {
-	dst := make([]byte, 0, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dst = appendRequest(dst[:0], uint64(i), "private web search with sgx")
-		if _, _, err := decodeRequestWire(dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- fuzzing ----------------------------------------------------------------
 
 // FuzzWireRequest proves the request encoding round-trips for arbitrary

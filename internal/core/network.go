@@ -971,9 +971,9 @@ func attestRemoteLocked(ps *pairState, client *Node, relayID string, via transpo
 }
 
 // RelayRoundTrip performs one full forward round trip (client encrypt →
-// relay ecall: decrypt, record, backend, encrypt → client decrypt) for
-// capacity benchmarking (Fig 8c). The sampled network latency is discarded;
-// the caller measures wall time.
+// relay ecall: decrypt, record, backend, encrypt → client decrypt): the
+// operation of the ruler's relay workload (benchmark/). The sampled network
+// latency is discarded; the caller measures wall time.
 func (net *Network) RelayRoundTrip(client *Node, relayID, query string, now time.Time) error {
 	_, _, err := net.forward(client, relayID, query, now, true)
 	return err

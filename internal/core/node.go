@@ -31,8 +31,8 @@ type Backend interface {
 	Search(source, query string, now time.Time) ([]searchengine.Result, error)
 }
 
-// NullBackend answers every query instantly with no results; it backs the
-// relay-throughput benchmark (Fig 8c submits no queries to the engine).
+// NullBackend answers every query instantly with no results: a relay
+// measured or soaked without an engine behind it.
 type NullBackend struct{}
 
 var _ Backend = NullBackend{}

@@ -118,7 +118,7 @@ func RunChurn(w *World, opts ChurnOptions) (*ChurnResult, error) {
 		}
 
 		var latMu sync.Mutex
-		var latencies []float64
+		var latencies []time.Duration
 		run, err := workload.Run(
 			func(client, _ int, query string) error {
 				node := net.Node(survivors[client%len(survivors)])
@@ -127,7 +127,7 @@ func RunChurn(w *World, opts ChurnOptions) (*ChurnResult, error) {
 					return serr
 				}
 				latMu.Lock()
-				latencies = append(latencies, sr.Latency.Seconds())
+				latencies = append(latencies, sr.Latency)
 				latMu.Unlock()
 				return nil
 			},
@@ -147,7 +147,7 @@ func RunChurn(w *World, opts ChurnOptions) (*ChurnResult, error) {
 		res.Points = append(res.Points, ChurnPoint{
 			FailedFraction: frac,
 			Availability:   float64(run.Ops) / float64(run.Ops+run.Errors),
-			MedianLatency:  time.Duration(stats.Median(latencies) * float64(time.Second)),
+			MedianLatency:  stats.Percentile(latencies, 50),
 			Blacklisted:    blacklisted,
 		})
 	}

@@ -335,35 +335,6 @@ func TestFig8bLatencyGrowsWithK(t *testing.T) {
 	}
 }
 
-func TestFig8cThroughputSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time load test")
-	}
-	w := getWorld(t)
-	r, err := RunThroughput(w, ThroughputOptions{
-		Rates:    []float64{500, 2000},
-		Duration: 120 * time.Millisecond,
-		Workers:  4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Cyclosa) != 2 || len(r.XSearch) != 2 {
-		t.Fatalf("points = %d/%d", len(r.Cyclosa), len(r.XSearch))
-	}
-	for _, p := range append(append([]ThroughputPoint{}, r.Cyclosa...), r.XSearch...) {
-		if p.AchievedRate <= 0 {
-			t.Errorf("no throughput at offered %v", p.OfferedRate)
-		}
-	}
-	if !strings.Contains(r.String(), "Throughput") {
-		t.Error("render broken")
-	}
-	if Saturation(r.Cyclosa) <= 0 {
-		t.Error("saturation detection broken")
-	}
-}
-
 func TestFig8dLoadBalancing(t *testing.T) {
 	w := getWorld(t)
 	r, err := RunLoadBalancing(w, LoadBalancingOptions{

@@ -24,10 +24,7 @@ type LatencySeries struct {
 }
 
 // Median returns the series median.
-func (s *LatencySeries) Median() time.Duration {
-	secs := stats.DurationsToSeconds(s.Latencies)
-	return time.Duration(stats.Median(secs) * float64(time.Second))
-}
+func (s *LatencySeries) Median() time.Duration { return stats.Percentile(s.Latencies, 50) }
 
 // CDFPoints renders up to n CDF points in seconds.
 func (s *LatencySeries) CDFPoints(n int) []stats.Point {
@@ -253,16 +250,8 @@ func (r *LatencyVsKResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 8b: Impact of k on CYCLOSA latency (%d queries per k)\n", r.Queries)
 	for _, s := range r.Series {
-		max := time.Duration(0)
-		for _, l := range s.Latencies {
-			if l > max {
-				max = l
-			}
-		}
-		fmt.Fprintf(&b, "%-5s median %s  p99 %s  max %s\n", s.Label,
-			stats.FormatDuration(s.Median()),
-			stats.FormatDuration(time.Duration(stats.Percentile(stats.DurationsToSeconds(s.Latencies), 99)*float64(time.Second))),
-			stats.FormatDuration(max))
+		sum := stats.Summarize(stats.DurationsToSeconds(s.Latencies))
+		fmt.Fprintf(&b, "%-5s median %.3fs  p99 %.3fs  max %.3fs\n", s.Label, sum.Median, sum.P99, sum.Max)
 	}
 	b.WriteString("(paper: k=7 median 1.226s, worst case < 1.5s)\n")
 	return b.String()

@@ -229,9 +229,6 @@ func (r *AccountingChaosReport) Check() []string {
 	return bad
 }
 
-// Failed reports whether any invariant was violated.
-func (r *AccountingChaosReport) Failed() bool { return len(r.Check()) > 0 }
-
 // String renders the accounting chaos report.
 func (r *AccountingChaosReport) String() string {
 	var b strings.Builder
@@ -252,10 +249,6 @@ func (r *AccountingChaosReport) String() string {
 		fmt.Fprintf(&b, "%s=%d", s, r.Expected[s])
 	}
 	b.WriteByte('\n')
-	if len(r.Divergences) == 0 {
-		b.WriteString("convergence: exact on every replica\n")
-	} else {
-		fmt.Fprintf(&b, "convergence: FAILED (%d divergences)\n", len(r.Divergences))
-	}
+	writeVerdict(&b, "", nil, r.Check(), "exact convergence on every replica, no double-apply")
 	return b.String()
 }

@@ -55,8 +55,8 @@ func TestAccountingChaosExercisesBothSides(t *testing.T) {
 		t.Errorf("schedule gaps: %d partitioned merges, %d duplicates",
 			report.PartitionedMerges, report.DuplicateMerges)
 	}
-	if report.Failed() {
-		t.Fatalf("run failed:\n%s", report)
+	if bad := report.Check(); len(bad) > 0 {
+		t.Fatalf("run failed: %v\n%s", bad, report)
 	}
 }
 

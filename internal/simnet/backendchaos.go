@@ -2,9 +2,10 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
+
+	"cyclosa/internal/stats"
 )
 
 // BackendChaosOptions configures a backend-brownout chaos run. Unlike Chaos,
@@ -107,9 +108,8 @@ func BackendChaos(opts BackendChaosOptions) (*BackendChaosReport, error) {
 	if report.RecoveryOps > 0 {
 		report.RecoveryAvailability = float64(report.RecoveryOps-report.RecoveryEngineFailed) / float64(report.RecoveryOps)
 	}
-	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
-	report.LatP50 = percentile(res.latencies, 50)
-	report.LatP95 = percentile(res.latencies, 95)
+	report.LatP50 = stats.Percentile(res.latencies, 50)
+	report.LatP95 = stats.Percentile(res.latencies, 95)
 	return report, nil
 }
 

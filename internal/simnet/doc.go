@@ -65,7 +65,7 @@
 //     partition and blacklist refusal, over the network's pre-drawn drops;
 //     WANChurn: region partition, then the transport.WANMatrix loss draw
 //     and a round-trip budget);
-//   - the workload — searches from the concurrent engine (workload.Run over
+//   - the workload — searches from the count-bound driver (workload.Run over
 //     the sentinel pool), or on the gossip plane the round itself;
 //   - invariants — checked every delivery or every round, and summed up by
 //     the report's Check.
@@ -86,7 +86,8 @@
 // failure is charged as relay misbehavior and that availability degrades
 // gracefully and recovers fully. A brownout under delivery faults is a
 // definition too (TestComposedFaultsAndBrownout). AccountingChaos drives
-// ledgers, not searches, and stands alone.
+// ledgers, not searches: its loop stands alone, and only its report ends
+// in the shared verdict.
 //
 // A gossip round is rps.Network.Round, the exchange functions
 // nettrans.Membership runs over TCP. MembershipChurn bootstraps an overlay

@@ -428,14 +428,6 @@ func (r *searchResult) checkCheckers() []string {
 	return bad
 }
 
-// percentile reads the pct-th percentile from an ascending slice.
-func percentile(sorted []time.Duration, pct int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[len(sorted)*pct/100]
-}
-
 // writeVerdict is the tail of a report: the error classes, then either the
 // violated invariants or the line naming the ones that held.
 func writeVerdict(b *strings.Builder, label string, classes map[string]uint64, bad []string, held string) {

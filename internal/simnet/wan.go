@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"cyclosa/internal/rps"
+	"cyclosa/internal/stats"
 	"cyclosa/internal/transport"
 )
 
@@ -387,8 +387,7 @@ func WANChurn(opts WANChurnOptions) (*WANChurnReport, error) {
 		}
 	}
 
-	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-	report.RTTp50, report.RTTp95 = percentile(rtts, 50), percentile(rtts, 95)
+	report.RTTp50, report.RTTp95 = stats.Percentile(rtts, 50), stats.Percentile(rtts, 95)
 
 	deg := net.InDegrees()
 	seeds := base[:min(wanSeeds, len(base))]

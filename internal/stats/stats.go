@@ -1,12 +1,16 @@
 // Package stats provides the descriptive-statistics helpers used by the
-// evaluation harness: empirical CDFs, percentiles, summaries and simple
-// fixed-width table/series rendering so that each experiment can print the
-// same rows and series as the corresponding table or figure in the paper.
+// evaluation harness: empirical CDFs, one nearest-rank percentile,
+// summaries and simple fixed-width table/series rendering so that each
+// experiment can print the same rows and series as the corresponding table
+// or figure in the paper. It holds no histogram: the one histogram type is
+// telemetry.Histogram, which the daemon exports.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -50,43 +54,35 @@ func Summarize(xs []float64) Summary {
 		Min:    sorted[0],
 		Max:    sorted[len(sorted)-1],
 		Mean:   mean,
-		Median: percentileSorted(sorted, 50),
-		P90:    percentileSorted(sorted, 90),
-		P99:    percentileSorted(sorted, 99),
+		Median: sorted[nearestRank(len(sorted), 0.5)],
+		P90:    sorted[nearestRank(len(sorted), 0.9)],
+		P99:    sorted[nearestRank(len(sorted), 0.99)],
 		StdDev: math.Sqrt(variance),
 	}
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
-func Percentile(xs []float64, p float64) float64 {
+// Percentile returns the p-th percentile (0..100) of xs by the nearest-rank
+// method: the smallest sample value with at least p% of the sample at or
+// below it. p <= 0 gives the minimum, p >= 100 the maximum and an empty
+// sample the zero value; xs is not modified. It is the one percentile of
+// the evaluation: CDF.Quantile, Summarize and the simnet reports all read
+// ranks this way.
+func Percentile[T cmp.Ordered](xs []T, p float64) T {
 	if len(xs) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	return sorted[nearestRank(len(sorted), p/100)]
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+// nearestRank is the index of the q-quantile (0..1) in n ascending samples.
+// A tiny epsilon keeps a q computed as i/n on rank i despite floating-point
+// error.
+func nearestRank(n int, q float64) int {
+	i := int(math.Ceil(q*float64(n)-1e-9)) - 1
+	return min(max(i, 0), n-1)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
@@ -131,27 +127,13 @@ func (c *CDF) At(x float64) float64 {
 }
 
 // Quantile returns the smallest sample value v with P(X <= v) >= q, for
-// q in (0, 1]. q <= 0 returns the minimum.
+// q in (0, 1]: the nearest-rank quantile, as Percentile. q <= 0 returns the
+// minimum.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	// Subtract a tiny epsilon so that q values computed as idx/n round back
-	// to the same rank despite floating-point error.
-	idx := int(math.Ceil(q*float64(len(c.sorted))-1e-9)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
+	return c.sorted[nearestRank(len(c.sorted), q)]
 }
 
 // Points returns up to n evenly spaced (value, cumulative fraction) points,

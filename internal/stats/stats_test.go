@@ -38,24 +38,42 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+// TestPercentile pins the nearest-rank definition: the value at rank
+// ceil(p/100 * n), never an interpolation between two samples.
 func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
+	xs := []float64{40, 10, 30, 20}
 	tests := []struct {
 		p    float64
 		want float64
 	}{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5}, {-5, 10}, {150, 40},
+		{0, 10}, {100, 40}, {50, 20}, {51, 30}, {25, 10}, {26, 20}, {75, 30}, {-5, 10}, {150, 40},
 	}
 	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); !almostEqual(got, tt.want) {
+		if got := Percentile(xs, tt.p); got != tt.want {
 			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
-	if Percentile(nil, 50) != 0 {
+	if xs[0] != 40 {
+		t.Error("Percentile sorted its argument in place")
+	}
+	if Percentile([]float64(nil), 50) != 0 {
 		t.Error("Percentile(nil) != 0")
 	}
 	if Percentile([]float64{7}, 50) != 7 {
 		t.Error("single-element percentile wrong")
+	}
+	// Any ordered type, with the same ranks: the simnet reports take
+	// durations.
+	durs := []time.Duration{4 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
+	if got := Percentile(durs, 95); got != 4*time.Second {
+		t.Errorf("Percentile(durations, 95) = %v, want 4s", got)
+	}
+	// The CDF reads the same rank.
+	c := NewCDF(xs)
+	for _, tt := range tests {
+		if got := c.Quantile(tt.p / 100); got != tt.want {
+			t.Errorf("CDF.Quantile(%v) = %v, want %v (Percentile's rank)", tt.p/100, got, tt.want)
+		}
 	}
 }
 
@@ -68,6 +86,9 @@ func TestMeanMedian(t *testing.T) {
 	}
 	if !almostEqual(Median([]float64{5, 1, 3}), 3) {
 		t.Error("Median wrong")
+	}
+	if got := Median([]float64{4, 1, 3, 2}); got != 2 {
+		t.Errorf("Median of an even sample = %v, want the lower middle 2 (nearest rank)", got)
 	}
 }
 

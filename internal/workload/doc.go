@@ -1,30 +1,19 @@
-// Package workload is the concurrent load-generation engine of the
-// reproduction: it drives N client goroutines against an operation (most
-// often a forward through a core.Network) and aggregates latency and
-// throughput without adding shared state to the measured hot path.
+// Package workload drives N client goroutines through a fixed number of
+// operations (most often a Search on a core.Network node) and counts what
+// succeeded and what failed, without adding shared state to the path under
+// test.
 //
-// Two loop disciplines are supported, matching the two ways the paper
-// exercises the system:
-//
-//   - closed loop (Options.Rate == 0): every client issues its next request
-//     as soon as the previous one completes — the discipline of the
-//     cyclosa-bench loadtest default and of figure replay, where the goal
-//     is to saturate the path;
-//   - open loop (Options.Rate > 0): clients issue requests on a fixed
-//     aggregate schedule regardless of completions, the discipline of an
-//     offered-rate sweep like the Fig 8c capacity curve, where the
-//     interesting signal is how far the achieved rate falls behind the
-//     offer.
+// Every run is closed loop and count-bound: client c of n performs
+// operations c, c+n, c+2n, ... back to back until the budget is spent. Its
+// users are the figure replays, the simnet fault soaks, the race-proof
+// determinism hammers in core and cyclosa-node's -n client. There is no
+// clock in the package: an Op that wants its own latency times itself, and
+// how fast a path is, as a claim, is measured by benchmark/run.sh.
 //
 // Queries come from a Generator: a fixed probe, a round-robin list, a
 // Zipf-popularity stream over a queries.Universe vocabulary (web search
-// popularity is heavy-tailed), or a trace replay over a queries.Log. Each
-// client draws from its own deterministic stream, so a run with a fixed
-// operation budget issues exactly the same multiset of queries regardless
-// of goroutine interleaving — this is what the race-proof determinism tests
-// in core assert.
-//
-// Latencies are recorded per client and merged after the run (histograms
-// via internal/stats), so the engine itself contends on nothing while the
-// clock is running.
+// popularity is heavy-tailed), or a trace replay over a queries.Log or a
+// parsed query-log file (ParseTrace). Each client draws from its own
+// deterministic stream, so a run issues exactly the same multiset of
+// queries regardless of goroutine interleaving.
 package workload

@@ -3,12 +3,8 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"cyclosa/internal/stats"
 )
 
 // Op is one unit of load: issue query as the given client. seq is a
@@ -22,25 +18,15 @@ type Op func(client, seq int, query string) error
 type Options struct {
 	// Clients is the number of concurrent client goroutines (default 1).
 	Clients int
-	// Duration stops the run after a wall-clock budget. Ignored when Ops is
-	// set. Default 1 s when both are zero.
-	Duration time.Duration
-	// Ops stops the run after a fixed total operation count, split across
-	// clients (client c performs ceil((Ops-c)/Clients) ops). An ops-bound
-	// run issues a scheduling-independent multiset of queries — use it
-	// whenever determinism matters more than a precise time budget.
+	// Ops is the total operation count, split across clients (client c
+	// performs ceil((Ops-c)/Clients) ops), so a run issues a
+	// scheduling-independent multiset of queries.
 	Ops int
-	// Rate is the aggregate open-loop target rate in ops/s; 0 runs closed
-	// loop (each client issues back-to-back).
-	Rate float64
 	// Generator supplies queries (default Fixed("workload capacity probe")).
 	Generator Generator
-	// Warmup operations per client are issued before the clock starts and
-	// excluded from the results (session establishment, cache warmup).
-	Warmup int
 	// FailFast stops every client after the first op error (the error is
 	// still counted). Use for runs whose result is meaningless once any
-	// operation fails — figure replays, not load tests.
+	// operation fails, such as figure replays.
 	FailFast bool
 }
 
@@ -60,16 +46,6 @@ type Result struct {
 	Ops uint64
 	// Errors is the total number of failed operations.
 	Errors uint64
-	// Elapsed is the measured wall time of the run (excluding warmup).
-	Elapsed time.Duration
-	// Throughput is successful ops per second of wall time.
-	Throughput float64
-	// Latency summarizes per-op wall latencies in seconds, derived from
-	// Hist (quantiles are bucket-interpolated; N/Min/Max/Mean/StdDev are
-	// exact), so long runs stay bounded in memory.
-	Latency stats.Summary
-	// Hist is the merged latency histogram in seconds.
-	Hist *stats.Histogram
 	// PerClient holds each client's counts.
 	PerClient []ClientResult
 	// FirstErr is the first op error observed (in completion order), nil
@@ -78,119 +54,44 @@ type Result struct {
 	FirstErr error
 }
 
-// Run drives op with the configured workload and returns the aggregated
-// result. It returns an error only for unusable options; op failures are
-// counted, not propagated (a load test keeps going when requests fail).
+// Run drives op through opts.Ops operations and returns the counts. It
+// returns an error only for unusable options; op failures are counted, not
+// propagated.
 func Run(op Op, opts Options) (*Result, error) {
 	if op == nil {
 		return nil, errors.New("workload: nil op")
 	}
-	if opts.Clients <= 0 {
-		opts.Clients = 1
-	}
 	if opts.Ops < 0 {
 		return nil, fmt.Errorf("workload: negative ops %d", opts.Ops)
 	}
-	if opts.Ops == 0 && opts.Duration == 0 {
-		opts.Duration = time.Second
+	if opts.Clients <= 0 {
+		opts.Clients = 1
 	}
 	if opts.Generator == nil {
 		opts.Generator = Fixed("workload capacity probe")
 	}
 
-	type clientAgg struct {
-		res  ClientResult
-		hist *stats.Histogram
-	}
-	aggs := make([]clientAgg, opts.Clients)
-
-	// Warmup runs before the clock: it establishes sessions (the attested
-	// handshake is two orders of magnitude above a forward) so the measured
-	// window sees steady state. Warmup queries come from a throwaway pass
-	// over each client's stream; the measured pass reopens the stream so
-	// determinism is unaffected.
-	if opts.Warmup > 0 {
-		var wg sync.WaitGroup
-		for c := 0; c < opts.Clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				stream := opts.Generator.Stream(c, opts.Clients)
-				for i := 0; i < opts.Warmup; i++ {
-					// Warmup seqs are negative so ops indexing a result
-					// slice by seq can tell them apart from measured ops.
-					_ = op(c, -(1 + c + i*opts.Clients), stream.Next())
-				}
-			}(c)
-		}
-		wg.Wait()
-	}
-
-	var interval time.Duration
-	if opts.Rate > 0 {
-		// Open loop: the aggregate offer is spread evenly, each client
-		// ticking every Clients/Rate.
-		interval = time.Duration(float64(opts.Clients) / opts.Rate * float64(time.Second))
-	}
-
-	start := time.Now()
-	deadline := time.Time{}
-	if opts.Ops == 0 {
-		deadline = start.Add(opts.Duration)
-	}
-
+	res := &Result{Clients: opts.Clients, PerClient: make([]ClientResult, opts.Clients)}
 	var (
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
+		failed atomic.Bool
+		errMu  sync.Mutex
+		wg     sync.WaitGroup
 	)
-	var wg sync.WaitGroup
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			agg := &aggs[c]
-			agg.hist = stats.NewLatencyHistogram()
+			counts := &res.PerClient[c]
 			stream := opts.Generator.Stream(c, opts.Clients)
-
-			budget := -1
-			if opts.Ops > 0 {
-				budget = (opts.Ops - c + opts.Clients - 1) / opts.Clients
-			}
-			// Stagger open-loop clients so the aggregate offer is smooth
-			// rather than Clients-sized bursts every interval.
-			next := start
-			if interval > 0 {
-				next = start.Add(time.Duration(c) * interval / time.Duration(opts.Clients))
-			}
-			for i := 0; budget < 0 || i < budget; i++ {
-				if interval > 0 {
-					// Check the deadline before sleeping toward the next
-					// tick: a low-rate client must not sleep past the end
-					// of the run and inflate Elapsed by up to an interval.
-					if !deadline.IsZero() && next.After(deadline) {
-						return
-					}
-					if wait := time.Until(next); wait > 0 {
-						time.Sleep(wait)
-					}
-					next = next.Add(interval)
-				}
-				if !deadline.IsZero() && !time.Now().Before(deadline) {
-					return
-				}
+			for seq := c; seq < opts.Ops; seq += opts.Clients {
 				if opts.FailFast && failed.Load() {
 					return
 				}
-				q := stream.Next()
-				t0 := time.Now()
-				err := op(c, c+i*opts.Clients, q)
-				lat := time.Since(t0).Seconds()
-				if err != nil {
-					agg.res.Errors++
+				if err := op(c, seq, stream.Next()); err != nil {
+					counts.Errors++
 					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
+					if res.FirstErr == nil {
+						res.FirstErr = err
 					}
 					errMu.Unlock()
 					if opts.FailFast {
@@ -198,48 +99,14 @@ func Run(op Op, opts Options) (*Result, error) {
 					}
 					continue
 				}
-				agg.res.Ops++
-				agg.hist.Add(lat)
+				counts.Ops++
 			}
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	// An open-loop duration-bound run measures its scheduled window:
-	// clients exit after their last pre-deadline tick, and that early exit
-	// must not shrink the denominator and report achieved > offered.
-	if opts.Rate > 0 && opts.Ops == 0 && elapsed < opts.Duration && !failed.Load() {
-		elapsed = opts.Duration
+	for _, counts := range res.PerClient {
+		res.Ops += counts.Ops
+		res.Errors += counts.Errors
 	}
-
-	res := &Result{
-		Clients:  opts.Clients,
-		Elapsed:  elapsed,
-		Hist:     stats.NewLatencyHistogram(),
-		FirstErr: firstErr,
-	}
-	for _, agg := range aggs {
-		res.Ops += agg.res.Ops
-		res.Errors += agg.res.Errors
-		res.PerClient = append(res.PerClient, agg.res)
-		res.Hist.Merge(agg.hist)
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	}
-	res.Latency = res.Hist.Summary()
 	return res, nil
-}
-
-// String renders the run outcome as a one-glance report.
-func (r *Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload: %d clients, %d ops (%d errors) in %s -> %.0f ops/s\n",
-		r.Clients, r.Ops, r.Errors, r.Elapsed.Round(time.Millisecond), r.Throughput)
-	if r.Ops > 0 {
-		fmt.Fprintf(&b, "latency: median %.4fs  p90 %.4fs  p99 %.4fs  max %.4fs\n",
-			r.Latency.Median, r.Latency.P90, r.Latency.P99, r.Latency.Max)
-		b.WriteString(r.Hist.String())
-	}
-	return b.String()
 }
