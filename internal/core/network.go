@@ -550,11 +550,11 @@ func (d directConduit) Attest(from, to string, offer []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply, err := marshalOffer(relay.handshaker)
+	own, reply, err := marshalOffer(relay.handshaker)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := relay.handshaker.Establish(peer, false)
+	sess, err := relay.handshaker.Establish(own, peer, false)
 	if err != nil {
 		return nil, err
 	}
@@ -562,13 +562,15 @@ func (d directConduit) Attest(from, to string, offer []byte) ([]byte, error) {
 	return reply, nil
 }
 
-// marshalOffer produces one side's handshake offer in wire form.
-func marshalOffer(h *securechan.Handshaker) ([]byte, error) {
+// marshalOffer produces one side's handshake offer for one session, and its
+// wire form.
+func marshalOffer(h *securechan.Handshaker) (*securechan.HandshakeMsg, []byte, error) {
 	offer, err := h.Offer()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return offer.Marshal()
+	wire, err := offer.Marshal()
+	return offer, wire, err
 }
 
 // SkipRecord consumes the sequence number of a record the server's
@@ -949,7 +951,7 @@ func (net *Network) ensurePairLocked(ps *pairState, client, relay *Node, relayID
 // back, verified. A relay that cannot be reached is unavailable; one that
 // refuses our offer or fails verification misbehaved. Caller holds ps.mu.
 func attestRemoteLocked(ps *pairState, client *Node, relayID string, via transport.Attestor) error {
-	offer, err := marshalOffer(client.handshaker)
+	own, offer, err := marshalOffer(client.handshaker)
 	if err != nil {
 		return fmt.Errorf("attested session %s->%s: %w", client.id, relayID, err)
 	}
@@ -962,7 +964,7 @@ func attestRemoteLocked(ps *pairState, client *Node, relayID string, via transpo
 	}
 	peer, err := securechan.UnmarshalHandshakeMsg(reply)
 	if err == nil {
-		ps.client, err = client.handshaker.Establish(peer, true)
+		ps.client, err = client.handshaker.Establish(own, peer, true)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: attesting %s: %w", ErrRelayMisbehaved, relayID, err)

@@ -102,10 +102,11 @@ func SetGateObserver(f GateObserver) {
 	gateObserver.Store(&f)
 }
 
-// Stats reports call-gate and memory counters.
+// Stats reports call-gate, quote and memory counters.
 type Stats struct {
 	ECalls     uint64
 	OCalls     uint64
+	Quotes     uint64
 	EPCUsed    int64
 	EPCLimit   int64
 	PageFaults uint64
@@ -131,6 +132,7 @@ type Enclave struct {
 
 	ecallCount atomic.Uint64
 	ocallCount atomic.Uint64
+	quoteCount atomic.Uint64
 }
 
 // Config controls enclave creation.
@@ -248,11 +250,15 @@ func (e *Enclave) Destroy() {
 	e.sealKey = [32]byte{}
 }
 
+// Destroyed reports whether Destroy has run.
+func (e *Enclave) Destroyed() bool { return e.destroyed.Load() }
+
 // Stats returns current counters.
 func (e *Enclave) Stats() Stats {
 	return Stats{
 		ECalls:     e.ecallCount.Load(),
 		OCalls:     e.ocallCount.Load(),
+		Quotes:     e.quoteCount.Load(),
 		EPCUsed:    e.epc.Used(),
 		EPCLimit:   e.epc.Limit(),
 		PageFaults: e.epc.PageFaults(),
@@ -323,6 +329,7 @@ func (e *Enclave) Quote(reportData []byte) (*Quote, error) {
 	if e.destroyed.Load() {
 		return nil, ErrDestroyed
 	}
+	e.quoteCount.Add(1)
 	return e.platform.quote(e.measurement, reportData), nil
 }
 

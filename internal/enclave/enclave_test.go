@@ -162,7 +162,7 @@ func TestQuoteAndIASVerify(t *testing.T) {
 	p := newTestPlatform(t, ias)
 	e := p.New(Config{Name: "cyclosa", Version: 1})
 
-	report := []byte("ephemeral-key-hash")
+	report := []byte("handshake-key-hash")
 	q, err := e.Quote(report)
 	if err != nil {
 		t.Fatal(err)

@@ -324,8 +324,9 @@ func (s *Server) serveConn(nc net.Conn) {
 				}
 			}
 		case frameAttest:
-			// A key exchange is two signature checks and an ECDH; it runs
-			// inline, like the control-plane frames.
+			// A key exchange is one X25519 (plus, for a quote not seen
+			// before, one signature check); it runs inline, like the
+			// control-plane frames.
 			err := s.handleAttest(fc, peer, h.stream, *buf, &owned)
 			putFrame(buf)
 			if err != nil {

@@ -7,6 +7,14 @@
 // counter nonces (replay of a record is rejected because the receiver's
 // counter has moved on).
 //
+// Each enclave has one X25519 key, quoted once when its Handshaker is built;
+// the verifier checks each quote's signature once per process
+// (enclave.Verifier). What makes a session's keys its own is the pair of
+// random nonces the two offers carry, which salt HKDF with the two public
+// keys: a re-attested pair never derives an earlier session's keys, so its
+// counters may restart at zero. There is no forward secrecy: a leaked
+// enclave handshake key exposes every session that enclave took part in.
+//
 // The package is message-oriented and carries nothing itself: a Handshaker
 // produces and verifies the two HandshakeMsg offers of a key exchange, and
 // the Session they establish seals and opens individual records. Whoever
@@ -48,10 +56,11 @@ func hkdfExpand(prk, info []byte, length int) []byte {
 }
 
 // deriveKeys derives the two directional AES-256 keys from the ECDH shared
-// secret and the handshake transcript hash.
+// secret and the handshake transcript hash (both public keys and both
+// nonces).
 func deriveKeys(shared, transcript []byte) (initiatorKey, responderKey [32]byte) {
 	prk := hkdfExtract(transcript, shared)
-	okm := hkdfExpand(prk, []byte("cyclosa-securechan-v1"), 64)
+	okm := hkdfExpand(prk, []byte("cyclosa-securechan-v2"), 64)
 	copy(initiatorKey[:], okm[:32])
 	copy(responderKey[:], okm[32:])
 	return initiatorKey, responderKey

@@ -51,6 +51,17 @@ func (e *testEnv) handshakers(t *testing.T) (*Handshaker, *Handshaker) {
 	return ha, hb
 }
 
+// establish completes h's side of a handshake as initiator against peer,
+// with a fresh offer of its own.
+func establish(t *testing.T, h *Handshaker, peer *HandshakeMsg) (*Session, error) {
+	t.Helper()
+	own, err := h.Offer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Establish(own, peer, true)
+}
+
 func TestEstablishPairAndRoundTrip(t *testing.T) {
 	env := newTestEnv(t)
 	ha, hb := env.handshakers(t)
@@ -163,7 +174,7 @@ func TestHandshakeRejectsUntrustedEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ha.Establish(offer, true); !errors.Is(err, ErrAttestation) {
+	if _, err := establish(t, ha, offer); !errors.Is(err, ErrAttestation) {
 		t.Errorf("untrusted enclave err = %v", err)
 	}
 }
@@ -185,7 +196,7 @@ func TestHandshakeRejectsRoguePlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ha.Establish(offer, true); !errors.Is(err, ErrAttestation) {
+	if _, err := establish(t, ha, offer); !errors.Is(err, ErrAttestation) {
 		t.Errorf("rogue platform err = %v", err)
 	}
 }
@@ -207,12 +218,12 @@ func TestHandshakeRejectsKeySubstitution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := &HandshakeMsg{PublicKey: mitmOffer.PublicKey, Quote: offer.Quote}
-	if _, err := ha.Establish(forged, true); !errors.Is(err, ErrBinding) {
+	forged := &HandshakeMsg{PublicKey: mitmOffer.PublicKey, Quote: offer.Quote, Nonce: offer.Nonce}
+	if _, err := establish(t, ha, forged); !errors.Is(err, ErrBinding) {
 		t.Errorf("key substitution err = %v", err)
 	}
 	// Missing quote is also rejected.
-	if _, err := ha.Establish(&HandshakeMsg{PublicKey: offer.PublicKey}, true); !errors.Is(err, ErrAttestation) {
+	if _, err := establish(t, ha, &HandshakeMsg{PublicKey: offer.PublicKey, Nonce: offer.Nonce}); !errors.Is(err, ErrAttestation) {
 		t.Errorf("missing quote err = %v", err)
 	}
 }
@@ -255,8 +266,8 @@ func TestSessionsAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A record from session 1 must not decrypt in session 2 (fresh ephemeral
-	// keys per handshake).
+	// A record from session 1 must not decrypt in session 2 (different
+	// enclaves' keys, different nonces).
 	ct, err := sa1.Encrypt([]byte("cross-session"))
 	if err != nil {
 		t.Fatal(err)

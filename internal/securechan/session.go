@@ -3,6 +3,7 @@ package securechan
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,9 +16,9 @@ import (
 // NonceObserver receives every nonce counter a session consumes: one call
 // per sealed record (send true) and one per successfully opened record
 // (send false). It exists for protocol invariant checking — internal/simnet
-// installs one to prove AEAD nonces never repeat within a session — and is
-// invoked under the session mutex, so it must be fast and must not call
-// back into the session.
+// installs one to prove AEAD nonces never repeat under a key, across
+// sessions too (Session.KeyFingerprint) — and is invoked under the session
+// mutex, so it must be fast and must not call back into the session.
 type NonceObserver func(s *Session, send bool, seq uint64)
 
 // nonceObserver is the process-wide observer; nil (the default) costs one
@@ -77,6 +78,7 @@ type Session struct {
 	recvSeq  uint64
 	peer     enclave.Measurement
 	closed   bool
+	keyPrint [16]byte
 
 	// Nonce scratch arrays, reused under mu so the hot path never allocates
 	// a nonce. Only the trailing 8 bytes are rewritten per record; the
@@ -104,11 +106,21 @@ func newSession(sendKey, recvKey [32]byte, peer enclave.Measurement) (*Session, 
 	if send.NonceSize() > maxNonceSize || recv.NonceSize() > maxNonceSize {
 		return nil, fmt.Errorf("securechan: AEAD nonce size exceeds %d bytes", maxNonceSize)
 	}
-	return &Session{sendAEAD: send, recvAEAD: recv, peer: peer}, nil
+	sess := &Session{sendAEAD: send, recvAEAD: recv, peer: peer}
+	sum := sha256.Sum256(append(sendKey[:], recvKey[:]...))
+	copy(sess.keyPrint[:], sum[:])
+	return sess, nil
 }
 
 // PeerMeasurement returns the attested code identity of the remote enclave.
 func (s *Session) PeerMeasurement() enclave.Measurement { return s.peer }
+
+// KeyFingerprint identifies the session's pair of directional keys (a hash,
+// not the keys): two sessions with the same fingerprint seal and open under
+// the same keys, so their counter nonces must never overlap. Nonce
+// observers use it to check uniqueness across sessions; it never changes
+// and may be read under the session mutex.
+func (s *Session) KeyFingerprint() [16]byte { return s.keyPrint }
 
 // Encrypt seals a message for the peer. The 8-byte record sequence number is
 // prepended in clear (it is authenticated via the nonce).

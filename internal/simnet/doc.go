@@ -46,8 +46,10 @@
 //     inside the "engine" ocall, the frame modelling the enclave's TLS
 //     tunnel to the search engine.
 //   - nonce uniqueness — a securechan.NonceObserver proves every session's
-//     AEAD nonce counters are strictly sequential in both directions, so no
-//     nonce is ever reused under a key.
+//     AEAD nonce counters are strictly sequential in both directions, and
+//     that no session reaches a counter an earlier session under the same
+//     keys (Session.KeyFingerprint) already used, so no nonce is ever
+//     reused under a key.
 //   - no self-relay — no delivery may have the same node on both ends.
 //
 // # How a run is put together

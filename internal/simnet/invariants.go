@@ -32,6 +32,15 @@ type Invariants struct {
 	// layer closes every half it discards on breakPair/re-attest), so the
 	// map tracks live sessions only and long chaos soaks stay bounded.
 	nonces map[nonceKey]uint64
+	// keys tracks the same counters per (key fingerprint, direction), across
+	// the sessions that used those keys: a session that re-derived an
+	// earlier session's keys (a re-attestation without fresh nonces) would
+	// reuse (key, nonce) pairs, and strict sequence within each session
+	// cannot see that. Unlike nonces it is never pruned: a closed session's
+	// keys coming back is exactly the reuse it exists to catch. It grows by
+	// one small entry per session direction for the length of a run, and
+	// pins no session past its close.
+	keys map[keyDir]keyUse
 	// checked counters prove the checkers actually ran.
 	wireScans  uint64
 	gateScans  uint64
@@ -43,6 +52,20 @@ type nonceKey struct {
 	send bool
 }
 
+type keyDir struct {
+	key  [16]byte
+	send bool
+}
+
+// keyUse is how far the counters under one key and direction have gone:
+// spent by sessions that are closed or have stopped using it, next by the
+// session using it now (owner, nil if none).
+type keyUse struct {
+	owner *securechan.Session
+	spent uint64
+	next  uint64
+}
+
 // maxViolations bounds the violation list.
 const maxViolations = 64
 
@@ -52,6 +75,7 @@ func NewInvariants(sentinel string) *Invariants {
 	return &Invariants{
 		sentinel: []byte(sentinel),
 		nonces:   make(map[nonceKey]uint64),
+		keys:     make(map[keyDir]keyUse),
 	}
 }
 
@@ -61,7 +85,9 @@ func NewInvariants(sentinel string) *Invariants {
 // record) and uninstall when the run ends; the hooks are process-wide, so
 // runs using them must not overlap.
 func (v *Invariants) Install() (uninstall func()) {
-	securechan.SetNonceObserver(v.observeNonce)
+	securechan.SetNonceObserver(func(s *securechan.Session, send bool, seq uint64) {
+		v.observeNonce(s, s.KeyFingerprint(), send, seq)
+	})
 	securechan.SetCloseObserver(v.observeClose)
 	enclave.SetGateObserver(v.observeGate)
 	return func() {
@@ -93,6 +119,11 @@ func (v *Invariants) Scans() (wire, gate, nonce uint64) {
 func (v *Invariants) violate(format string, args ...any) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.violateLocked(format, args...)
+}
+
+// violateLocked records a violation; the caller holds v.mu.
+func (v *Invariants) violateLocked(format string, args ...any) {
 	if len(v.violations) >= maxViolations {
 		v.overflow++
 		return
@@ -136,40 +167,59 @@ func (v *Invariants) observeGate(e *enclave.Enclave, dir enclave.GateDir, name s
 	v.violate("plaintext query crossed the enclave boundary in %s %q", kind, name)
 }
 
-// observeNonce asserts per-session nonce uniqueness: the counters must be
-// strictly sequential from zero in each direction, so no (key, nonce) pair
-// ever repeats.
-func (v *Invariants) observeNonce(s *securechan.Session, send bool, seq uint64) {
+// observeNonce asserts nonce uniqueness for one record of session s, whose
+// keys have fingerprint key. Within the session the counters must be
+// strictly sequential from zero in each direction; across sessions, none may
+// reach a counter another session under the same keys already used.
+// Together these mean no (key, nonce) pair ever repeats.
+func (v *Invariants) observeNonce(s *securechan.Session, key [16]byte, send bool, seq uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.nonceScans++
-	key := nonceKey{sess: s, send: send}
-	want := v.nonces[key]
+
+	kd := keyDir{key: key, send: send}
+	use := v.keys[kd]
+	if use.owner != s {
+		use.spent = max(use.spent, use.next)
+		use.owner, use.next = s, 0
+	}
+	if seq < use.spent {
+		v.violateLocked("nonce reused across sessions (%s): key %x, seq %d, %d already spent", direction(send), key[:4], seq, use.spent)
+	}
+	use.next = max(use.next, seq+1)
+	v.keys[kd] = use
+
+	sk := nonceKey{sess: s, send: send}
+	want := v.nonces[sk]
 	if seq != want {
-		dir := "recv"
-		if send {
-			dir = "send"
-		}
-		if len(v.violations) >= maxViolations {
-			v.overflow++
-		} else {
-			v.violations = append(v.violations,
-				fmt.Sprintf("nonce counter out of sequence (%s): got %d, want %d", dir, seq, want))
-		}
+		v.violateLocked("nonce counter out of sequence (%s): got %d, want %d", direction(send), seq, want)
 		if seq < want {
 			return // never wind a counter back: that is the reuse we guard against
 		}
 	}
-	v.nonces[key] = seq + 1
+	v.nonces[sk] = seq + 1
+}
+
+func direction(send bool) string {
+	if send {
+		return "send"
+	}
+	return "recv"
 }
 
 // observeClose releases the nonce bookkeeping of a discarded session. A
 // closed session refuses every further record, so its counters can never be
 // consulted again; without this, breakPair -> re-attest cycles would grow
-// the map (and pin the dead sessions) for the length of a soak.
+// the map (and pin the dead sessions) for the length of a soak. What it
+// spent under its keys stays counted.
 func (v *Invariants) observeClose(s *securechan.Session) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	delete(v.nonces, nonceKey{sess: s, send: true})
-	delete(v.nonces, nonceKey{sess: s, send: false})
+	for _, send := range [2]bool{true, false} {
+		delete(v.nonces, nonceKey{sess: s, send: send})
+		kd := keyDir{key: s.KeyFingerprint(), send: send}
+		if use, ok := v.keys[kd]; ok && use.owner == s {
+			v.keys[kd] = keyUse{spent: max(use.spent, use.next)}
+		}
+	}
 }

@@ -270,9 +270,9 @@ func TestInvariantCheckersDetect(t *testing.T) {
 
 	inv.checkWire("n1", "n2", []byte("prefix "+Sentinel+" suffix"))
 	inv.checkWire("n1", "n1", []byte("x"))
-	inv.observeNonce(nil, true, 0) // ok: first counter
-	inv.observeNonce(nil, true, 2) // gap
-	inv.observeNonce(nil, true, 1) // rewind: the reuse case
+	inv.observeNonce(nil, [16]byte{}, true, 0) // ok: first counter
+	inv.observeNonce(nil, [16]byte{}, true, 2) // gap
+	inv.observeNonce(nil, [16]byte{}, true, 1) // rewind: the reuse case
 
 	v, overflow := inv.Violations()
 	if overflow != 0 {
@@ -298,7 +298,7 @@ func TestInvariantCheckersDetect(t *testing.T) {
 
 	// A clean record at the resumed counter passes.
 	before := len(v)
-	inv.observeNonce(nil, true, 3)
+	inv.observeNonce(nil, [16]byte{}, true, 3)
 	v, _ = inv.Violations()
 	if len(v) != before {
 		t.Fatalf("clean nonce recorded a violation: %v", v[before:])
