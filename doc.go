@@ -95,13 +95,14 @@
 // before allocating; fuzz targets in internal/core and
 // internal/searchengine hold that line.
 //
-// Buffer ownership: scratch buffers come from a sync.Pool (internal/core)
-// or live in the per-pair session state. A pooled buffer is owned by its
-// getter until putBuf; slices decoded from it must be copied before the
-// put. The record returned by a relay's "forward" ecall points into
-// relay-owned scratch and is valid only until the next forward from the
-// same peer — the client decrypts it into its own pair buffer inside the
-// pair critical section. securechan.Session.EncryptAppend/DecryptAppend
+// Buffer ownership: scratch buffers come from a sync.Pool (internal/core).
+// A pooled buffer is owned by its getter until putBuf; slices decoded from
+// it must be copied before the put. A client forward holds its plaintext
+// and ciphertext buffers from the seal to the open, never longer, so a pair
+// keeps no buffer. The record returned by a relay's "forward" ecall points
+// into relay-owned scratch and is valid only until the next forward from
+// the same peer — the client decrypts it into its forward's plaintext
+// buffer inside the pair critical section. securechan.Session.EncryptAppend/DecryptAppend
 // append into caller-provided buffers and allocate nothing once those
 // buffers have grown to the working size.
 //

@@ -214,16 +214,20 @@ func (b pageBackend) Search(string, string, time.Time) ([]searchengine.Result, e
 	return b.page, nil
 }
 
-// realPage is a page of the size a relay really carries: 10 results, 30
-// terms in all.
+// realPage is a page of the size a relay really carries: 10 results whose
+// documents hold 20–39 terms each, as the engine's do (305 terms in all).
 func realPage() []searchengine.Result {
 	page := make([]searchengine.Result, 10)
 	for i := range page {
+		terms := make([]string, 20+i*13%20)
+		for j := range terms {
+			terms[j] = fmt.Sprintf("term%d", (i*7+j)%40)
+		}
 		page[i] = searchengine.Result{
 			DocID: 1000 + i,
 			URL:   fmt.Sprintf("https://web.sim/health/%d", 1000+i),
-			Title: fmt.Sprintf("kidney dialysis treatment %d", i),
-			Terms: []string{"kidney", "dialysis", fmt.Sprintf("treatment%d", i)},
+			Title: strings.Join(terms[:4], " "),
+			Terms: terms,
 			Score: 9.5 - float64(i)/4,
 		}
 	}

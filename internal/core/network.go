@@ -151,16 +151,12 @@ type pairShard struct {
 	m  map[pairKey]*pairState
 }
 
+// pairState is the client half of one attested pair. It holds no buffer: a
+// forward's scratch lives in its forwardCall from the seal to the open, so a
+// node's memory does not grow with the number of relays it has used.
 type pairState struct {
 	mu     sync.Mutex
 	client *securechan.Session
-
-	// Scratch buffers reused across forwards of this pair (guarded by mu):
-	// plainBuf carries the padded request plaintext out and the response
-	// plaintext back; ctBuf carries the request ciphertext. One pair of
-	// buffers replaces the five per-forward allocations of the JSON path.
-	plainBuf []byte
-	ctBuf    []byte
 }
 
 // NewNetwork builds and bootstraps the deployment: platforms register with
@@ -605,12 +601,13 @@ func (d directConduit) DropSession(from, to string) {
 // the two halves Search runs k+1 times around one Submit.
 //
 // The exchange is zero-allocation at steady state: request encoding,
-// padding, encryption and response decryption all run in the pair's scratch
-// buffers, under the pair lock. Delivery itself goes through the network's
-// conduit, the seam where internal/simnet injects faults; any failure after
-// the request record was sealed breaks the pair (see breakPair), and any
-// failure that is not plain unavailability is classified as relay
-// misbehavior so the retry layer can blacklist Byzantine relays.
+// padding, encryption and response decryption all run in two buffers the
+// forward takes from bufPool at the seal and hands back at the open, under
+// the pair lock. Delivery itself goes through the network's conduit, the
+// seam where internal/simnet injects faults; any failure after the request
+// record was sealed breaks the pair (see breakPair), and any failure that is
+// not plain unavailability is classified as relay misbehavior so the retry
+// layer can blacklist Byzantine relays.
 //
 // discardPage says the caller will not look at the result page (a fake
 // query's response, a capacity probe): the page then gets the same checks
@@ -628,10 +625,13 @@ func (net *Network) forward(client *Node, relayID, query string, now time.Time, 
 
 // forwardCall is one forward between its two halves: what sealForward leaves
 // for openForward. From a successful seal to the end of the open the pair
-// lock (ps.mu) is held. The struct lives in its caller's frame or in a
-// search's pooled scratch; neither half retains it.
+// lock (ps.mu) is held and the call owns two bufPool buffers: plain, which
+// carries the padded request plaintext out and the response plaintext back,
+// and ct, which holds the sealed record. The struct lives in its caller's
+// frame or in a search's pooled scratch; neither half retains it.
 type forwardCall struct {
 	ps          *pairState
+	plain, ct   *[]byte
 	relay       *Node // nil: the relay lives in another process
 	relayID     string
 	requestID   uint64
@@ -646,18 +646,26 @@ type forwardCall struct {
 	spliced                               bool // the answer got as far as the AEAD open
 }
 
+// releaseScratch hands the forward's two buffers back to bufPool. The call
+// holds none afterwards, so no exit can hand them back twice.
+func (c *forwardCall) releaseScratch() {
+	putBuf(c.plain)
+	putBuf(c.ct)
+	c.plain, c.ct = nil, nil
+}
+
 // errUnattested is sealForward's refusal to attest inline; it never leaves
 // Search, which moves the path to a worker.
 var errUnattested = errors.New("core: pair has no session")
 
 // sealForward is the first half of a forward: every check that precedes the
 // wire, then the sealed record. On success the pair lock is held, the record
-// sits in the pair's ciphertext scratch and c carries what openForward
-// needs; on failure nothing is held and nothing was sealed. start is the
-// clock reading the caller already has (a search chains one path's sealed
-// reading into the next path's start). With attest false a pair without a
-// session is refused with errUnattested instead of running the handshake on
-// the caller's goroutine.
+// sits in c's ciphertext buffer and c carries what openForward needs; on
+// failure nothing is held and nothing was sealed. start is the clock reading
+// the caller already has (a search chains one path's sealed reading into the
+// next path's start). With attest false a pair without a session is refused
+// with errUnattested instead of running the handshake on the caller's
+// goroutine.
 func (net *Network) sealForward(client *Node, relayID, query string, discardPage, attest bool, start time.Time, c *forwardCall) ([]byte, error) {
 	*c = forwardCall{relayID: relayID, discardPage: discardPage, start: start}
 	if relayID == client.id {
@@ -721,21 +729,23 @@ func (net *Network) sealForward(client *Node, relayID, query string, discardPage
 	// request size so a link observer cannot distinguish requests by
 	// length (§IV).
 	c.encStart = time.Now()
-	plain := append(ps.plainBuf[:0], 0, 0, 0, 0)
+	c.plain, c.ct = getBuf(), getBuf()
+	plain := append((*c.plain)[:0], 0, 0, 0, 0)
 	plain = appendRequest(plain, c.requestID, query)
 	binary.BigEndian.PutUint32(plain, uint32(len(plain)-4))
 	plain = appendPadding(plain)
-	ps.plainBuf = plain
+	*c.plain = plain
 
-	ct, err := ps.client.EncryptAppend(ps.ctBuf[:0], plain)
+	ct, err := ps.client.EncryptAppend((*c.ct)[:0], plain)
 	if err != nil {
 		// Unreachable for an open session (sealing cannot fail), and
 		// ensurePairLocked above guarantees one under ps.mu — kept only so a
 		// future securechan change fails loudly rather than silently.
+		c.releaseScratch()
 		ps.mu.Unlock()
 		return nil, fmt.Errorf("client encrypt: %w", err)
 	}
-	ps.ctBuf = ct
+	*c.ct = ct
 	c.sealed = time.Now()
 	c.ps, c.relay = ps, relay
 	return ct, nil
@@ -744,15 +754,18 @@ func (net *Network) sealForward(client *Node, relayID, query string, discardPage
 // openForward is the second half of a forward: it consumes the answer to the
 // record sealForward produced — every check on it, breakPair on every
 // failure but a throttled record — hands the response buffer back to the
-// submit seam, releases the pair lock and records the forward. arrived is the
-// caller's reading of the clock when it took the answer in hand. The returned
-// latency is the sampled path latency plus what the link injected.
+// submit seam and the forward's own buffers to bufPool, releases the pair
+// lock and records the forward. arrived is the caller's reading of the clock
+// when it took the answer in hand. The returned latency is the sampled path
+// latency plus what the link injected.
 func (net *Network) openForward(client *Node, c *forwardCall, answer transport.Completion, arrived time.Time) (forwardResponse, time.Duration, error) {
 	c.arrived = arrived
 	c.latency += answer.Injected
 	resp, err := net.openLocked(client, c, answer)
-	// The open copied what it keeps into the pair's plaintext scratch.
+	// resp aliases none of the three buffers: the page decode copies, and a
+	// record's completion is posted only once nothing reads it any more.
 	net.submit.Release(answer)
+	c.releaseScratch()
 	c.ps.mu.Unlock()
 	c.end = time.Now()
 	net.recordForward(c, resp, err)
@@ -776,16 +789,17 @@ func (net *Network) openLocked(client *Node, c *forwardCall, answer transport.Co
 		}
 		return forwardResponse{}, fmt.Errorf("%w: relay %s: %v", ErrRelayMisbehaved, c.relayID, err)
 	}
-	// The response record is the conduit's (relay-owned scratch, a per-pair
-	// buffer, a pooled frame); decrypting it into our own buffer, inside the
-	// pair critical section, consumes it before anyone can reuse it.
+	// The response record is the conduit's (relay-owned scratch, a
+	// connection's per-pair buffer, a pooled frame); decrypting it into the
+	// forward's own plaintext buffer, inside the pair critical section,
+	// consumes it before anyone can reuse it.
 	c.spliced = true
-	respPlain, err := ps.client.DecryptAppend(ps.plainBuf[:0], answer.Resp)
+	respPlain, err := ps.client.DecryptAppend((*c.plain)[:0], answer.Resp)
 	if err != nil {
 		net.breakPair(ps, client, c.relay)
 		return forwardResponse{}, fmt.Errorf("%w: response from %s: %v", ErrRelayMisbehaved, c.relayID, err)
 	}
-	ps.plainBuf = respPlain
+	*c.plain = respPlain
 	resp, err := decodeResponseWire(respPlain, c.discardPage)
 	if err != nil {
 		net.breakPair(ps, client, c.relay)

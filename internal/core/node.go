@@ -377,9 +377,9 @@ func (n *Node) registerECalls() {
 			n.stats.engineErrors.Add(1)
 			return nil, err
 		}
-		// Clamp to the wire bounds so an arbitrary backend cannot produce a
-		// page the requesting client's decoder rejects.
-		results = searchengine.ClampForWire(results)
+		// AppendResults clamps the page to the wire bounds as it encodes, so
+		// an arbitrary backend cannot produce a page the requesting client's
+		// decoder rejects.
 		return searchengine.AppendResults(args[len(args):], results), nil
 	})
 }

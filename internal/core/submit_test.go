@@ -11,6 +11,7 @@ import (
 
 	"cyclosa/internal/searchengine"
 	"cyclosa/internal/sensitivity"
+	"cyclosa/internal/testutil"
 	"cyclosa/internal/transport"
 )
 
@@ -219,9 +220,13 @@ func TestSealForwardPadsToFixedSize(t *testing.T) {
 // the old single-function exchange must hold: AEAD open, request-id echo,
 // page validation (also of a page nobody will look at), breakPair on every
 // failure after the seal except a throttled record, the typed outcomes; and
-// whatever the answer, the pair lock is released and the response buffer
-// handed back exactly once.
+// whatever the answer, the pair lock is released, the response buffer
+// handed back exactly once and the forward's own scratch returned to
+// bufPool. On an exit that keeps the pair, a round of that exit and one
+// forward allocates no more than the forwards in it: a buffer the exit kept
+// would cost a pool New on every round.
 func TestOpenForwardChecks(t *testing.T) {
+	errThrottled := fmt.Errorf("%w: over quota", ErrRelayThrottled)
 	// relaySeal seals a response plaintext with the relay's half of the
 	// session — what only a relay enclave gone bad could produce.
 	relaySeal := func(t *testing.T, relay *Node, client string, plain []byte) []byte {
@@ -303,8 +308,12 @@ func TestOpenForwardChecks(t *testing.T) {
 		},
 		{
 			name: "throttled record keeps the pair",
-			answer: func(*testing.T, *Network, *Node, *Node, *forwardCall, []byte) transport.Completion {
-				return transport.Completion{Err: fmt.Errorf("%w: over quota", ErrRelayThrottled)}
+			answer: func(t *testing.T, net *Network, client, relay *Node, c *forwardCall, record []byte) transport.Completion {
+				// A shedding relay consumes the record's sequence number.
+				if err := (directConduit{net}).SkipRecord(client.id, relay.id, record); err != nil {
+					t.Fatal(err)
+				}
+				return transport.Completion{Err: errThrottled}
 			},
 			wantErr:   ErrRelayThrottled,
 			notErr:    ErrRelayMisbehaved,
@@ -381,8 +390,41 @@ func TestOpenForwardChecks(t *testing.T) {
 			if got := seam.released - released; got != 1 {
 				t.Fatalf("response buffer handed back %d times, want once", got)
 			}
+			if c.plain != nil || c.ct != nil {
+				t.Fatal("openForward returned still holding the forward's scratch")
+			}
 			if kept := pairSession(net, client.id, relay.id) != nil; kept != tc.keepsPair {
 				t.Fatalf("pair kept = %v, want %v", kept, tc.keepsPair)
+			}
+			if !tc.keepsPair || testutil.RaceEnabled {
+				return
+			}
+
+			forward := func() {
+				if _, _, err := net.forward(client, relay.id, "the query under test", t0, tc.discardPage); err != nil {
+					t.Fatal(err)
+				}
+			}
+			exit := func() {
+				record, err := net.sealForward(client, relay.id, "the query under test", tc.discardPage, false, time.Now(), &c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := net.openForward(client, &c, tc.answer(t, net, client, relay, &c, record), time.Now()); !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+			}
+			round := func() { exit(); forward() }
+			for i := 0; i < 8; i++ {
+				round() // grow the pooled buffers to their working size
+			}
+			pin := testing.AllocsPerRun(200, forward)
+			want := pin // a throttled exit allocates nothing
+			if tc.wantErr == nil {
+				want += pin // an honest exit is a forward
+			}
+			if n := testing.AllocsPerRun(200, round); n > want {
+				t.Errorf("exit + forward allocates %.0f times per round, want <= %.0f (a forward alone: %.0f)", n, want, pin)
 			}
 		})
 	}

@@ -142,11 +142,19 @@ var framePool = sync.Pool{
 	},
 }
 
+// maxPooledFrame is the largest buffer putFrame keeps: a frame may be as
+// long as maxFrame allows, but one unusual frame must not leave a buffer
+// that size circulating for every later read to carry.
+const maxPooledFrame = 64 << 10
+
 func getFrame() *[]byte {
 	return framePool.Get().(*[]byte)
 }
 
 func putFrame(b *[]byte) {
+	if cap(*b) > maxPooledFrame {
+		return
+	}
 	framePool.Put(b)
 }
 

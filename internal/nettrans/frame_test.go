@@ -337,3 +337,30 @@ type loopbackConduit struct{}
 func (loopbackConduit) Deliver(_, _ string, payload []byte, _ time.Time) ([]byte, time.Duration, error) {
 	return payload, 0, nil
 }
+
+// putFrame keeps a buffer up to maxPooledFrame and drops a larger one, so
+// one oversize frame does not leave its buffer circulating.
+func TestPutFrameDropsOversizeBuffers(t *testing.T) {
+	// pooled reports whether a put buffer of capacity size comes back from
+	// the pool. A put-then-get on one goroutine returns the buffer just put
+	// unless the processor's slot was taken or the goroutine moved to another
+	// processor in between, hence the retries.
+	pooled := func(size int) bool {
+		for try := 0; try < 10; try++ {
+			b := make([]byte, 0, size)
+			putFrame(&b)
+			got := getFrame()
+			if got == &b {
+				return true
+			}
+		}
+		return false
+	}
+	if pooled(maxPooledFrame + 1) {
+		t.Errorf("a buffer of %d bytes was pooled, want dropped", maxPooledFrame+1)
+	}
+	// The race detector makes the pool drop puts at random.
+	if !testutil.RaceEnabled && !pooled(maxPooledFrame) {
+		t.Errorf("a buffer of %d bytes was dropped, want pooled", maxPooledFrame)
+	}
+}

@@ -48,30 +48,71 @@ var (
 
 // AppendResults appends the binary encoding of a result page to dst and
 // returns the extended slice. A nil/empty page encodes to the 2-byte header.
+//
+// The page is bounded to what the wire format can carry as it is encoded, so
+// an arbitrary Backend cannot make an honest relay emit a response its
+// client's decoder rejects: a page beyond MaxWireResults is cut to that many
+// results, then any result with a string beyond MaxWireStringLen or more than
+// MaxWireTerms terms is dropped. The output therefore always decodes. A page
+// that respects every bound (the common case) is walked once; one that does
+// not is encoded again, clamped, over the first attempt.
 func AppendResults(dst []byte, results []Result) []byte {
+	out, ok := appendPage(dst, results)
+	if !ok {
+		out, _ = appendPage(out[:len(dst)], clampForWire(results))
+	}
+	return out
+}
+
+// appendPage encodes results behind dst. It reports false, with the output
+// unusable, as soon as it meets a bound the wire format does not allow.
+func appendPage(dst []byte, results []Result) ([]byte, bool) {
+	if len(results) > MaxWireResults {
+		return dst, false
+	}
 	dst = append(dst, ResultsWireVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(results)))
+	var ok bool
 	for i := range results {
 		r := &results[i]
+		if len(r.Terms) > MaxWireTerms {
+			return dst, false
+		}
 		dst = binary.AppendVarint(dst, int64(r.DocID))
-		dst = wire.AppendString(dst, r.URL)
-		dst = wire.AppendString(dst, r.Title)
+		if dst, ok = appendString(dst, r.URL); !ok {
+			return dst, false
+		}
+		if dst, ok = appendString(dst, r.Title); !ok {
+			return dst, false
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(r.Terms)))
 		for _, t := range r.Terms {
-			dst = wire.AppendString(dst, t)
+			if dst, ok = appendString(dst, t); !ok {
+				return dst, false
+			}
 		}
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Score))
 	}
-	return dst
+	return dst, true
 }
 
-// ClampForWire bounds a result page to what the wire format can carry, so
-// an arbitrary Backend cannot make an honest relay emit a response its
-// client's decoder rejects: the page is cut to MaxWireResults and any
-// result with a string beyond MaxWireStringLen or more than MaxWireTerms
-// terms is dropped. The common case (every bound respected) returns the
-// slice unchanged without copying.
-func ClampForWire(results []Result) []Result {
+// appendString appends one length-prefixed string, reporting false if it is
+// longer than MaxWireStringLen. A string under 128 bytes — every real URL,
+// title and term — has a one-byte length and takes the inlined fast path.
+func appendString(dst []byte, s string) ([]byte, bool) {
+	if len(s) < 0x80 {
+		return append(append(dst, byte(len(s))), s...), true
+	}
+	if len(s) > MaxWireStringLen {
+		return dst, false
+	}
+	return wire.AppendString(dst, s), true
+}
+
+// clampForWire is the page AppendResults encodes when results break a wire
+// bound: cut to MaxWireResults, then every result wireSafe rejects dropped.
+// A page within every bound is returned unchanged without copying.
+func clampForWire(results []Result) []Result {
 	if len(results) > MaxWireResults {
 		results = results[:MaxWireResults]
 	}
@@ -105,7 +146,9 @@ func wireSafe(r *Result) bool {
 // measureResults walks one result page at the front of data and applies
 // every check of the format (version, bounds, truncation) without
 // allocating. It returns the page's result count, the total length of its
-// term lists and the unconsumed remainder.
+// term lists and the unconsumed remainder. The walk moves an offset through
+// data and reads a one-byte varint (every string length and term count of a
+// real page) itself; a longer one is left to the wire package.
 func measureResults(data []byte) (nResults, nTerms int, rest []byte, err error) {
 	if len(data) < 1 {
 		return 0, 0, nil, ErrWireTruncated
@@ -117,31 +160,66 @@ func measureResults(data []byte) (nResults, nTerms int, rest []byte, err error) 
 	if err != nil {
 		return 0, 0, nil, err
 	}
+	off := 0
 	for i := uint64(0); i < count; i++ {
-		if _, data, err = wire.ConsumeVarint(data); err != nil { // docID
+		if off, err = skipVarint(data, off); err != nil { // docID
 			return 0, 0, nil, err
 		}
-		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // url
+		if off, err = skipStrings(data, off, 2); err != nil { // url, title
 			return 0, 0, nil, err
 		}
-		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // title
+		var terms int
+		if terms, off, err = termCount(data, off); err != nil {
 			return 0, 0, nil, err
 		}
-		var terms uint64
-		if terms, data, err = wire.ConsumeUvarint(data, MaxWireTerms); err != nil {
+		nTerms += terms
+		if off, err = skipStrings(data, off, terms); err != nil {
 			return 0, 0, nil, err
 		}
-		nTerms += int(terms)
-		for ; terms > 0; terms-- {
-			if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
-				return 0, 0, nil, err
-			}
+		if len(data)-off < 8 { // score
+			return 0, 0, nil, ErrWireTruncated
 		}
-		if _, data, err = wire.ConsumeUint64(data); err != nil { // score
-			return 0, 0, nil, err
-		}
+		off += 8
 	}
-	return int(count), nTerms, data, nil
+	return int(count), nTerms, data[off:], nil
+}
+
+// skipVarint returns the offset past the signed varint at data[off:].
+func skipVarint(data []byte, off int) (int, error) {
+	if off < len(data) && data[off] < 0x80 {
+		return off + 1, nil
+	}
+	_, rest, err := wire.ConsumeVarint(data[off:])
+	return len(data) - len(rest), err
+}
+
+// skipStrings returns the offset past the n length-prefixed strings at
+// data[off:], each no longer than MaxWireStringLen.
+func skipStrings(data []byte, off, n int) (int, error) {
+	for ; n > 0; n-- {
+		if off < len(data) && data[off] < 0x80 {
+			if off += 1 + int(data[off]); off > len(data) {
+				return 0, ErrWireTruncated
+			}
+			continue
+		}
+		_, rest, err := wire.ConsumeBytes(data[off:], MaxWireStringLen)
+		if err != nil {
+			return 0, err
+		}
+		off = len(data) - len(rest)
+	}
+	return off, nil
+}
+
+// termCount reads the term count at data[off:] and returns it with the
+// offset past it. A one-byte count is within MaxWireTerms.
+func termCount(data []byte, off int) (int, int, error) {
+	if off < len(data) && data[off] < 0x80 {
+		return int(data[off]), off + 1, nil
+	}
+	n, rest, err := wire.ConsumeUvarint(data[off:], MaxWireTerms)
+	return int(n), len(data) - len(rest), err
 }
 
 // SkipResults validates one result page at the front of data exactly as
@@ -172,18 +250,7 @@ func DecodeResults(data []byte) ([]Result, []byte, error) {
 	// measureResults accepted the page, so this second walk cannot run off
 	// its end or meet a length beyond a bound.
 	page := string(data[:len(data)-len(rest)])
-	off := 1 // past the version
-	uvarint := func() int {
-		v, n := binary.Uvarint(data[off:])
-		off += n
-		return int(v)
-	}
-	str := func() string {
-		n := uvarint()
-		off += n
-		return page[off-n : off]
-	}
-	uvarint() // past the count
+	_, off := uvarintAt(data, 1) // past the version and the count
 	results := make([]Result, nResults)
 	var terms []string
 	if nTerms > 0 {
@@ -194,18 +261,45 @@ func DecodeResults(data []byte) ([]Result, []byte, error) {
 		docID, n := binary.Varint(data[off:])
 		off += n
 		r.DocID = int(docID)
-		r.URL = str()
-		r.Title = str()
-		if n := uvarint(); n > 0 {
+		var urlTitle [2]string
+		off = readStrings(page, data, off, urlTitle[:])
+		r.URL, r.Title = urlTitle[0], urlTitle[1]
+		var nt int
+		if nt, off = uvarintAt(data, off); nt > 0 {
 			// Capacity capped: appending to one result's Terms must not
 			// overwrite the next result's.
-			r.Terms, terms = terms[:n:n], terms[n:]
-			for j := range r.Terms {
-				r.Terms[j] = str()
-			}
+			r.Terms, terms = terms[:nt:nt], terms[nt:]
+			off = readStrings(page, data, off, r.Terms)
 		}
 		r.Score = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
 		off += 8
 	}
 	return results, rest, nil
+}
+
+// uvarintAt reads the uvarint at data[off:] of a page measureResults
+// accepted and returns it with the offset past it.
+func uvarintAt(data []byte, off int) (int, int) {
+	if b := data[off]; b < 0x80 {
+		return int(b), off + 1
+	}
+	v, n := binary.Uvarint(data[off:])
+	return int(v), off + n
+}
+
+// readStrings fills dst with the len(dst) length-prefixed strings at
+// data[off:] of a page measureResults accepted, as substrings of page
+// (data's copy), and returns the offset past them.
+func readStrings(page string, data []byte, off int, dst []string) int {
+	for i := range dst {
+		n := int(data[off])
+		if n < 0x80 {
+			off++
+		} else {
+			n, off = uvarintAt(data, off)
+		}
+		dst[i] = page[off : off+n]
+		off += n
+	}
+	return off
 }

@@ -2,13 +2,16 @@ package searchengine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cyclosa/internal/testutil"
+	"cyclosa/internal/wire"
 )
 
 func sampleResults() []Result {
@@ -19,16 +22,24 @@ func sampleResults() []Result {
 	}
 }
 
-// realPage is a page of the size a relay really carries: 10 results, 30
-// terms in all.
+// realPage is a page of the size a relay really carries: 10 results whose
+// documents hold 20–39 terms each, as the engine's do (305 terms in all),
+// titled by their first four terms.
 func realPage() []Result {
+	vocab := []string{"kidney", "dialysis", "treatment", "renal", "failure", "clinic",
+		"nephrology", "transplant", "donor", "blood", "pressure", "filtration",
+		"chronic", "disease", "stage", "diet", "potassium", "creatinine", "urine", "symptoms"}
 	page := make([]Result, 10)
 	for i := range page {
+		terms := make([]string, 20+i*13%20)
+		for j := range terms {
+			terms[j] = vocab[(i*7+j)%len(vocab)]
+		}
 		page[i] = Result{
 			DocID: 1000 + i,
 			URL:   fmt.Sprintf("https://web.sim/health/%d", 1000+i),
-			Title: fmt.Sprintf("kidney dialysis treatment %d", i),
-			Terms: []string{"kidney", "dialysis", fmt.Sprintf("treatment%d", i)},
+			Title: strings.Join(terms[:4], " "),
+			Terms: terms,
 			Score: 9.5 - float64(i)/4,
 		}
 	}
@@ -102,27 +113,46 @@ func TestResultsCodecRejectsBadFrames(t *testing.T) {
 	}
 }
 
-func TestClampForWire(t *testing.T) {
+// AppendResults bounds the page to the wire format as it encodes: a result
+// beyond a bound is dropped, the rest survive, and the output decodes.
+func TestAppendResultsClampsToWireBounds(t *testing.T) {
 	ok := sampleResults()
-	if got := ClampForWire(ok); len(got) != len(ok) {
-		t.Errorf("clamp dropped valid results: %d -> %d", len(ok), len(got))
+	want := AppendResults(nil, ok)
+	over := func(r Result) []Result { return append([]Result{r}, ok...) }
+	tooManyTerms := make([]string, MaxWireTerms+1)
+	for _, tc := range []struct {
+		name string
+		page []Result
+	}{
+		{"oversize url", over(Result{DocID: 1, URL: strings.Repeat("x", MaxWireStringLen+1)})},
+		{"oversize title", over(Result{DocID: 1, Title: strings.Repeat("x", MaxWireStringLen+1)})},
+		{"oversize term", over(Result{DocID: 1, Terms: []string{"a", strings.Repeat("x", MaxWireStringLen+1)}})},
+		{"too many terms", over(Result{DocID: 1, Terms: tooManyTerms})},
+		{"unsafe last", append(sampleResults(), Result{URL: strings.Repeat("x", MaxWireStringLen+1)})},
+	} {
+		blob := AppendResults([]byte{0xAB}, tc.page)
+		if blob[0] != 0xAB {
+			t.Fatalf("%s: the clamped page overwrote what dst held", tc.name)
+		}
+		if !bytes.Equal(blob[1:], want) {
+			t.Errorf("%s: encoded %x, want the safe results alone %x", tc.name, blob[1:], want)
+		}
+		if _, rest, err := DecodeResults(blob[1:]); err != nil || len(rest) != 0 {
+			t.Errorf("%s: clamped page does not round-trip: %v (%d bytes left)", tc.name, err, len(rest))
+		}
 	}
 
-	// An oversize string is dropped, the rest survives, and the clamped
-	// page must encode and decode cleanly.
-	bad := append([]Result{{DocID: 1, URL: strings.Repeat("x", MaxWireStringLen+1)}}, sampleResults()...)
-	got := ClampForWire(bad)
-	if len(got) != len(bad)-1 {
-		t.Fatalf("clamp kept %d of %d, want %d", len(got), len(bad), len(bad)-1)
-	}
-	if _, _, err := DecodeResults(AppendResults(nil, got)); err != nil {
-		t.Errorf("clamped page does not round-trip: %v", err)
+	// Strings at the bound are carried.
+	edge := []Result{{URL: strings.Repeat("u", MaxWireStringLen), Title: strings.Repeat("t", 128), Terms: []string{strings.Repeat("x", 127)}}}
+	if got, _, err := DecodeResults(AppendResults(nil, edge)); err != nil || !reflect.DeepEqual(got, edge) {
+		t.Errorf("page at the bounds: err %v, round trip equal %v", err, reflect.DeepEqual(got, edge))
 	}
 
 	// An oversize page is cut to the bound.
 	many := make([]Result, MaxWireResults+10)
-	if got := ClampForWire(many); len(got) != MaxWireResults {
-		t.Errorf("clamped count = %d, want %d", len(got), MaxWireResults)
+	got, _, err := DecodeResults(AppendResults(nil, many))
+	if err != nil || len(got) != MaxWireResults {
+		t.Errorf("oversize page decodes to %d results (%v), want %d", len(got), err, MaxWireResults)
 	}
 }
 
@@ -158,14 +188,14 @@ func TestResultsCodecAllocsOnRealPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 3 {
-		t.Errorf("DecodeResults(10-result page) allocates %.1f times, want 3", n)
+		t.Errorf("DecodeResults(real page) allocates %.1f times, want 3", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := SkipResults(blob); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("SkipResults(10-result page) allocates %.1f times, want 0", n)
+		t.Errorf("SkipResults(real page) allocates %.1f times, want 0", n)
 	}
 }
 
@@ -242,6 +272,209 @@ func FuzzResultsDecode(f *testing.F) {
 		got, rest, err := DecodeResults(re)
 		if err != nil || len(rest) != 0 || len(got) != len(results) {
 			t.Fatalf("re-encode mismatch: %v (rest %d, got %d want %d)", err, len(rest), len(got), len(results))
+		}
+	})
+}
+
+// --- references ---------------------------------------------------------------
+
+// refAppendPage is the encoder as it was before AppendResults checked the
+// wire bounds while encoding: one wire.AppendString per string and no bound
+// checked, so it also writes pages the decoder rejects.
+func refAppendPage(dst []byte, results []Result) []byte {
+	dst = append(dst, ResultsWireVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(results)))
+	for i := range results {
+		r := &results[i]
+		dst = binary.AppendVarint(dst, int64(r.DocID))
+		dst = wire.AppendString(dst, r.URL)
+		dst = wire.AppendString(dst, r.Title)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Terms)))
+		for _, t := range r.Terms {
+			dst = wire.AppendString(dst, t)
+		}
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Score))
+	}
+	return dst
+}
+
+// refAppendResults is what a relay encoded before: the page clamped to the
+// wire bounds in a walk of its own, then encoded.
+func refAppendResults(dst []byte, results []Result) []byte {
+	return refAppendPage(dst, clampForWire(results))
+}
+
+// refMeasure is the validating walk as it was before measureResults read
+// offsets inline: one wire.Consume* call per field.
+func refMeasure(data []byte) (nResults, nTerms int, rest []byte, err error) {
+	if len(data) < 1 {
+		return 0, 0, nil, ErrWireTruncated
+	}
+	if data[0] != ResultsWireVersion {
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrWireVersion, data[0])
+	}
+	count, data, err := wire.ConsumeUvarint(data[1:], MaxWireResults)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	for i := uint64(0); i < count; i++ {
+		if _, data, err = wire.ConsumeVarint(data); err != nil { // docID
+			return 0, 0, nil, err
+		}
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // url
+			return 0, 0, nil, err
+		}
+		if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil { // title
+			return 0, 0, nil, err
+		}
+		var terms uint64
+		if terms, data, err = wire.ConsumeUvarint(data, MaxWireTerms); err != nil {
+			return 0, 0, nil, err
+		}
+		nTerms += int(terms)
+		for ; terms > 0; terms-- {
+			if _, data, err = wire.ConsumeBytes(data, MaxWireStringLen); err != nil {
+				return 0, 0, nil, err
+			}
+		}
+		if _, data, err = wire.ConsumeUint64(data); err != nil { // score
+			return 0, 0, nil, err
+		}
+	}
+	return int(count), nTerms, data, nil
+}
+
+// checkWalkMatchesReference: on data, the page walk and all three of its
+// callers accept and reject what the reference walk does, with the same
+// error and the same remainder. It returns the page DecodeResults made.
+func checkWalkMatchesReference(t *testing.T, data []byte) []Result {
+	t.Helper()
+	wantResults, wantTerms, wantRest, wantErr := refMeasure(data)
+	nResults, nTerms, rest, err := measureResults(data)
+	for _, class := range []error{ErrWireTruncated, ErrWireOversize, ErrWireVersion} {
+		if errors.Is(err, class) != errors.Is(wantErr, class) {
+			t.Fatalf("measureResults err %v, reference err %v", err, wantErr)
+		}
+	}
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("measureResults err %q, reference err %q", err, wantErr)
+	}
+	if nResults != wantResults || nTerms != wantTerms || !bytes.Equal(rest, wantRest) || len(rest) != len(wantRest) {
+		t.Fatalf("measureResults: %d results, %d terms, %d bytes left; reference: %d, %d, %d",
+			nResults, nTerms, len(rest), wantResults, wantTerms, len(wantRest))
+	}
+	checkSkipMatchesDecode(t, data)
+	page, decRest, decErr := DecodeResults(data)
+	if fmt.Sprint(decErr) != fmt.Sprint(wantErr) || len(decRest) != len(wantRest) || len(page) != wantResults {
+		t.Fatalf("DecodeResults: %d results, %d bytes left, err %v; reference: %d, %d, %v",
+			len(page), len(decRest), decErr, wantResults, len(wantRest), wantErr)
+	}
+	return page
+}
+
+// stretch returns page with one string replaced by a run of n bytes — the
+// at'th of its URLs, titles and terms in wire order — or, with the top bit
+// of at set, with one result given MaxWireTerms+1 terms.
+func stretch(page []Result, n, at uint16) []Result {
+	if len(page) == 0 {
+		return page
+	}
+	page = append([]Result(nil), page...)
+	if at&0x8000 != 0 {
+		page[int(at&0x7fff)%len(page)].Terms = make([]string, MaxWireTerms+1)
+		return page
+	}
+	if n == 0 {
+		return page
+	}
+	long := strings.Repeat("x", int(n))
+	slots := 0
+	for i := range page {
+		slots += 2 + len(page[i].Terms)
+	}
+	slot := int(at) % slots
+	for i := range page {
+		r := &page[i]
+		switch {
+		case slot == 0:
+			r.URL = long
+		case slot == 1:
+			r.Title = long
+		case slot < 2+len(r.Terms):
+			r.Terms = append([]string(nil), r.Terms...)
+			r.Terms[slot-2] = long
+		default:
+			slot -= 2 + len(r.Terms)
+			continue
+		}
+		return page
+	}
+	return page
+}
+
+// FuzzResultsMatchReference is the differential oracle of the page codec.
+// On arbitrary bytes the walk agrees with refMeasure: accept/reject, error
+// and remainder. Whatever page the bytes decode to, stretched by one string
+// of long bytes (or one result of too many terms), AppendResults writes
+// exactly the bytes refAppendResults does, and its output decodes.
+func FuzzResultsMatchReference(f *testing.F) {
+	sample := refAppendPage(nil, sampleResults())
+	edges := []Result{{DocID: 1, URL: strings.Repeat("u", 127), Title: strings.Repeat("t", 128),
+		Terms: []string{strings.Repeat("a", MaxWireStringLen), strings.Repeat("b", MaxWireStringLen+1)}}}
+	ids := []Result{{DocID: -1}, {DocID: math.MinInt64}, {DocID: math.MaxInt64}, {DocID: 1 << 40}, {DocID: -(1 << 40)}}
+	urlStart := 1 + 1 + 1 + 1 // version, count, docID 12, URL length
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add(sample, uint16(0), uint16(0))
+	f.Add(refAppendPage(nil, realPage()), uint16(0), uint16(0))
+	f.Add(refAppendPage(nil, edges), uint16(0), uint16(0))       // the 16 KiB+1 term is oversize
+	f.Add(refAppendPage(nil, edges[:0:0]), uint16(0), uint16(0)) // empty page
+	f.Add(refAppendPage(nil, ids), uint16(0), uint16(0))
+	urlLen := len(sampleResults()[0].URL)
+	f.Add(sample[:urlStart+3], uint16(0), uint16(0))        // cut inside a one-byte-length URL
+	f.Add(sample[:urlStart+urlLen-1], uint16(0), uint16(0)) // ... one byte short of its end
+	f.Add(refAppendPage(nil, append(sampleResults(), Result{URL: strings.Repeat("x", MaxWireStringLen+1)})), uint16(0), uint16(0))
+	for i, n := range []uint16{127, 128, MaxWireStringLen, MaxWireStringLen + 1} {
+		f.Add(sample, n, uint16(i))
+	}
+	f.Add(sample, uint16(0), uint16(0x8001)) // one result with too many terms
+	f.Fuzz(func(t *testing.T, data []byte, long, at uint16) {
+		page := stretch(checkWalkMatchesReference(t, data), long, at)
+		prefix := []byte{0xAB}
+		got := AppendResults(prefix, page)
+		want := refAppendResults(prefix, page)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendResults wrote %d bytes, reference %d: %x vs %x", len(got), len(want), got, want)
+		}
+		if _, rest, err := DecodeResults(got[1:]); err != nil || len(rest) != 0 {
+			t.Fatalf("AppendResults output does not decode: %v (%d bytes left)", err, len(rest))
+		}
+	})
+}
+
+// BenchmarkResultsCodec times the three page operations of a forward on a
+// real page: the relay's encode, a fake's check, the real page's decode.
+func BenchmarkResultsCodec(b *testing.B) {
+	page := realPage()
+	blob := AppendResults(nil, page)
+	b.Run("AppendResults", func(b *testing.B) {
+		dst := make([]byte, 0, len(blob))
+		for i := 0; i < b.N; i++ {
+			dst = AppendResults(dst[:0], page)
+		}
+	})
+	b.Run("SkipResults", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := SkipResults(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("DecodeResults", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := DecodeResults(blob); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -14,7 +14,7 @@ import "time"
 // wrapper express latency spikes without sleeping.
 //
 // Ownership: payload may be mutated or retained only for the duration of
-// the call (it aliases the caller's per-pair scratch buffer); the returned
+// the call (it aliases the forward's pooled scratch buffer); the returned
 // response is valid only until the next delivery between the same pair and
 // must be consumed before then, exactly like the relay-owned scratch it
 // usually points into. OwnershipChecker wraps any implementation and audits

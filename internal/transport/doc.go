@@ -34,7 +34,7 @@
 //
 // The ownership contract (documented on Conduit and audited at runtime by
 // NewOwnershipChecker): the request payload may be read only for the
-// duration of the call — it aliases the caller's per-pair scratch; the
+// duration of the call — it aliases the forward's pooled scratch; the
 // returned response is valid only until the next delivery between the same
 // pair and must be consumed before then. Use the checker in tests of every
 // new Conduit implementation — it caught real aliasing bugs in the TCP one.
