@@ -78,8 +78,11 @@
 //
 // The forward hot path — client encode, pad, encrypt → relay ecall:
 // decrypt, record, engine ocall, encrypt → client decrypt, decode — is
-// JSON-free and effectively zero-allocation at steady state (two
-// query-string copies per forward, nothing else).
+// JSON-free and effectively zero-allocation at steady state: one
+// allocation per forward, the query string the engine ocall hands
+// Backend.Search (whose signature takes a string). The past-query table
+// keeps queries as bytes, and a relay's server hands the forward interned
+// node ids.
 //
 // Wire format (version 1, see internal/core/messages.go): every frame
 // opens with a 1-byte version; fixed 64-bit fields are big-endian; strings

@@ -94,7 +94,7 @@ func (p *Proxy) Obfuscate(query string) (obfuscated string, disjuncts []string, 
 		}
 		fi++
 	}
-	p.table.Add(query)
+	p.table.Add([]byte(query))
 	return strings.Join(disjuncts, searchengine.ORSeparator), disjuncts, realIdx
 }
 

@@ -130,10 +130,10 @@ type forwardResponse struct {
 }
 
 // appendRequest appends the binary encoding of a forward request to dst.
-func appendRequest(dst []byte, requestID uint64, query string) []byte {
+func appendRequest(dst []byte, requestID uint64, query []byte) []byte {
 	dst = append(dst, wireVersion)
 	dst = binary.BigEndian.AppendUint64(dst, requestID)
-	return appendWireString(dst, query)
+	return wire.AppendBytes(dst, query)
 }
 
 // decodeRequestWire decodes a forward request. The returned query aliases
@@ -301,7 +301,7 @@ func encodeRequest(r *forwardRequest) ([]byte, error) {
 	if len(r.Query) > maxWireQueryLen {
 		return nil, fmt.Errorf("%w: query %d bytes", ErrWireOversize, len(r.Query))
 	}
-	return appendRequest(nil, r.RequestID, r.Query), nil
+	return appendRequest(nil, r.RequestID, []byte(r.Query)), nil
 }
 
 func decodeRequest(data []byte) (*forwardRequest, error) {

@@ -612,7 +612,7 @@ func (d directConduit) DropSession(from, to string) {
 // discardPage says the caller will not look at the result page (a fake
 // query's response, a capacity probe): the page then gets the same checks
 // but is not materialised, and the returned Results are nil.
-func (net *Network) forward(client *Node, relayID, query string, now time.Time, discardPage bool) (forwardResponse, time.Duration, error) {
+func (net *Network) forward(client *Node, relayID string, query []byte, now time.Time, discardPage bool) (forwardResponse, time.Duration, error) {
 	var c forwardCall
 	record, err := net.sealForward(client, relayID, query, discardPage, true, time.Now(), &c)
 	if err != nil {
@@ -666,7 +666,7 @@ var errUnattested = errors.New("core: pair has no session")
 // next path's start). With attest false a pair without a session is refused
 // with errUnattested instead of running the handshake on the caller's
 // goroutine.
-func (net *Network) sealForward(client *Node, relayID, query string, discardPage, attest bool, start time.Time, c *forwardCall) ([]byte, error) {
+func (net *Network) sealForward(client *Node, relayID string, query []byte, discardPage, attest bool, start time.Time, c *forwardCall) ([]byte, error) {
 	*c = forwardCall{relayID: relayID, discardPage: discardPage, start: start}
 	if relayID == client.id {
 		// A node must never relay its own query: the engine would see the
@@ -989,9 +989,13 @@ func attestRemoteLocked(ps *pairState, client *Node, relayID string, via transpo
 // RelayRoundTrip performs one full forward round trip (client encrypt →
 // relay ecall: decrypt, record, backend, encrypt → client decrypt): the
 // operation of the ruler's relay workload (benchmark/). The sampled network
-// latency is discarded; the caller measures wall time.
+// latency is discarded; the caller measures wall time. The query travels
+// as bytes from here on: it is copied into a pooled buffer, not converted.
 func (net *Network) RelayRoundTrip(client *Node, relayID, query string, now time.Time) error {
-	_, _, err := net.forward(client, relayID, query, now, true)
+	qb := getBuf()
+	*qb = append((*qb)[:0], query...)
+	_, _, err := net.forward(client, relayID, *qb, now, true)
+	putBuf(qb)
 	return err
 }
 

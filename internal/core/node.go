@@ -296,9 +296,9 @@ func (n *Node) registerECalls() {
 		}
 
 		// Record the query in the enclave-resident table (step 4 of Fig 4):
-		// it becomes fake-query source material. The conversion copies the
-		// query out of the pooled buffer — the table retains it.
-		n.state.table.Add(string(query))
+		// it becomes fake-query source material. Add copies its bytes out of
+		// the pooled buffer into the table's arena.
+		n.state.table.Add(query)
 
 		// Submit to the engine through the untrusted host (ocall), as the
 		// enclave's TLS bytes would leave through the host NIC.
@@ -513,8 +513,16 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	}
 	k := assessment.K
 
+	// The k+1 records are sealed here, one after the other, submitted as one
+	// batch and opened here as their answers arrive (§VI). The scratch holds
+	// what that needs besides the result, the relays and the queries
+	// included.
+	sc := getSearchScratch(k + 1)
+	defer putSearchScratch(sc)
+
 	// Pick k+1 distinct relays; shrink k when the view is too small.
-	relays := n.peers.Sample(k + 1)
+	relays := n.peers.AppendSample(sc.relays[:0], k+1)
+	sc.relays = relays
 	if len(relays) == 0 {
 		return nil, ErrNoPeers
 	}
@@ -527,19 +535,23 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		k = len(relays) - 1
 	}
 
-	// One fake query per fake relay, drawn from the enclave table; the table
-	// can run dry right after bootstrap.
+	// One fake query per fake relay, drawn from the enclave table into the
+	// scratch; the table can run dry right after bootstrap. The real query
+	// joins them there: every path's query is bytes in sc.queries.
 	n.mu.Lock()
-	fakes := n.state.table.Sample(n.rng, k)
+	sc.queries, sc.spans = n.state.table.appendSample(sc.queries[:0], sc.spans[:0], n.rng, k)
 	realIdx := n.rng.Intn(k + 1)
 	n.mu.Unlock()
-	if len(fakes) < k {
-		k = len(fakes)
+	if fakes := len(sc.spans); fakes < k {
+		k = fakes
 		if realIdx > k {
 			realIdx = k
 		}
 		relays = relays[:k+1]
 	}
+	realSpan := span{uint32(len(sc.queries)), uint32(len(query))}
+	sc.queries = append(sc.queries, query...)
+	sc.paths(k + 1)
 
 	res := &SearchResult{Assessment: assessment, K: k}
 
@@ -549,14 +561,10 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// parallel, and only the real query's path delays the user.
 	res.Latency = time.Duration(k+1) * n.net.clientSendCost
 
-	// The k+1 records are sealed here, one after the other, submitted as one
-	// batch and opened here as their answers arrive (§VI). From its seal to
-	// its open a path holds its pair lock, so a search holds up to k+1 of
-	// them: they are taken in relay-id order, which is what keeps two
-	// searches of this node that share relays from waiting on each other in
-	// a cycle. Path i still goes to relays[i].
-	sc := getSearchScratch(k + 1)
-	defer putSearchScratch(sc)
+	// From its seal to its open a path holds its pair lock, so a search
+	// holds up to k+1 of them: they are taken in relay-id order, which is
+	// what keeps two searches of this node that share relays from waiting on
+	// each other in a cycle. Path i still goes to relays[i].
 	for i := range sc.order {
 		j := i
 		for ; j > 0 && relays[sc.order[j-1]] > relays[i]; j-- {
@@ -564,14 +572,15 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		}
 		sc.order[j] = i
 	}
-	pathQuery := func(i int) string {
+	pathQuery := func(i int) []byte {
+		s := realSpan
 		switch {
-		case i == realIdx:
-			return query
 		case i > realIdx:
-			return fakes[i-1]
+			s = sc.spans[i-1]
+		case i < realIdx:
+			s = sc.spans[i]
 		}
-		return fakes[i]
+		return sc.queries[s.off : s.off+s.n : s.off+s.n]
 	}
 
 	// A path leaves this goroutine for a path worker only when it is slow
@@ -661,14 +670,20 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	return res, nil
 }
 
-// searchScratch is what one Search needs besides its result: a call slot
-// per path, the locking order, the batch and the two channels its paths
-// report on. Every path reports exactly once, so the channels are empty
-// again when the search ends and the whole scratch is pooled.
+// searchScratch is what one Search needs besides its result: the relays,
+// the k+1 queries as bytes, a call slot per path, the locking order, the
+// batch and the two channels its paths report on. Every path reports
+// exactly once, so the channels are empty again when the search ends and
+// the whole scratch is pooled.
 type searchScratch struct {
-	calls []forwardCall
-	order []int
-	batch []transport.Submission
+	relays []rps.NodeID
+	// queries holds the fakes the table sampled, then the real query;
+	// spans locates the fakes in it.
+	queries []byte
+	spans   []span
+	calls   []forwardCall
+	order   []int
+	batch   []transport.Submission
 	// done receives the submit seam's completions, outcomes the paths that
 	// ran on a worker; both have room for all k+1.
 	done     chan transport.Completion
@@ -677,10 +692,13 @@ type searchScratch struct {
 
 var searchScratchPool sync.Pool
 
+// getSearchScratch returns a scratch with room for up to paths paths.
 func getSearchScratch(paths int) *searchScratch {
 	sc, _ := searchScratchPool.Get().(*searchScratch)
 	if sc == nil || cap(sc.calls) < paths {
 		sc = &searchScratch{
+			relays:   make([]rps.NodeID, 0, paths),
+			spans:    make([]span, 0, paths),
 			calls:    make([]forwardCall, paths),
 			order:    make([]int, paths),
 			batch:    make([]transport.Submission, 0, paths),
@@ -688,14 +706,21 @@ func getSearchScratch(paths int) *searchScratch {
 			outcomes: make(chan pathOutcome, paths),
 		}
 	}
-	sc.calls, sc.order = sc.calls[:paths], sc.order[:paths]
 	return sc
+}
+
+// paths sizes the call slots and the locking order to the search's paths.
+func (sc *searchScratch) paths(paths int) {
+	sc.calls, sc.order = sc.calls[:paths], sc.order[:paths]
 }
 
 func putSearchScratch(sc *searchScratch) {
 	clear(sc.calls) // pair states and nodes are not the pool's to keep alive
 	clear(sc.batch)
 	sc.batch = sc.batch[:0]
+	if cap(sc.queries) > maxPooledBuf {
+		sc.queries = nil
+	}
 	searchScratchPool.Put(sc)
 }
 
@@ -705,13 +730,14 @@ func putSearchScratch(sc *searchScratch) {
 // deliverAdapter: Deliver it through link and post the completion. The job
 // carries everything it needs, so a lingering worker keeps no network alive.
 type pathJob struct {
-	node         *Node
-	relay, query string
-	now          time.Time
-	exclude      []rps.NodeID
-	real         bool
-	first        *forwardOutcome
-	out          chan<- pathOutcome
+	node    *Node
+	relay   string
+	query   []byte // in the search's scratch, which outlives the job
+	now     time.Time
+	exclude []rps.NodeID
+	real    bool
+	first   *forwardOutcome
+	out     chan<- pathOutcome
 
 	link   transport.Conduit
 	from   string
@@ -771,7 +797,7 @@ func runPath(j pathJob) {
 // work. discardPage is passed to every attempt's forward. first, when
 // non-nil, is the outcome of the first attempt, which the caller (Search)
 // has already made.
-func (n *Node) forwardWithRetry(relay, query string, now time.Time, exclude []rps.NodeID, discardPage bool, first *forwardOutcome) (forwardResponse, string, time.Duration, error) {
+func (n *Node) forwardWithRetry(relay string, query []byte, now time.Time, exclude []rps.NodeID, discardPage bool, first *forwardOutcome) (forwardResponse, string, time.Duration, error) {
 	var total time.Duration
 	var tried map[string]struct{}
 	current := relay

@@ -143,7 +143,7 @@ func pairSession(net *Network, client, relay string) any {
 func TestSealForwardRefusals(t *testing.T) {
 	net, ids := retryNet(t, nil)
 	client := net.Node(ids[0])
-	if _, _, err := net.forward(client, ids[4], "attest the pair", t0, true); err != nil {
+	if _, _, err := net.forward(client, ids[4], []byte("attest the pair"), t0, true); err != nil {
 		t.Fatal(err)
 	}
 	net.Kill(ids[2])
@@ -164,7 +164,7 @@ func TestSealForwardRefusals(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var c forwardCall
-			record, err := net.sealForward(client, tc.relay, tc.query, true, tc.attest, time.Now(), &c)
+			record, err := net.sealForward(client, tc.relay, []byte(tc.query), true, tc.attest, time.Now(), &c)
 			if !errors.Is(err, tc.want) || record != nil {
 				t.Fatalf("record %d bytes, err = %v; want no record and %v", len(record), err, tc.want)
 			}
@@ -189,13 +189,13 @@ func TestSealForwardRefusals(t *testing.T) {
 func TestSealForwardPadsToFixedSize(t *testing.T) {
 	net, ids := retryNet(t, nil)
 	client := net.Node(ids[0])
-	if _, _, err := net.forward(client, ids[1], "attest the pair", t0, true); err != nil {
+	if _, _, err := net.forward(client, ids[1], []byte("attest the pair"), t0, true); err != nil {
 		t.Fatal(err)
 	}
 	sizes := make(map[int]bool)
 	for _, q := range []string{"a", "medium sized query terms", strings.Repeat("long ", 40)} {
 		var c forwardCall
-		record, err := net.sealForward(client, ids[1], q, true, false, time.Now(), &c)
+		record, err := net.sealForward(client, ids[1], []byte(q), true, false, time.Now(), &c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,13 +356,13 @@ func TestOpenForwardChecks(t *testing.T) {
 			net, seam := seamNet(t, 91)
 			ids := net.NodeIDs()
 			client, relay := net.Node(ids[0]), net.Node(ids[1])
-			if _, _, err := net.forward(client, relay.id, "attest the pair", t0, true); err != nil {
+			if _, _, err := net.forward(client, relay.id, []byte("attest the pair"), t0, true); err != nil {
 				t.Fatal(err)
 			}
 			released := seam.released
 
 			var c forwardCall
-			record, err := net.sealForward(client, relay.id, "the query under test", tc.discardPage, false, time.Now(), &c)
+			record, err := net.sealForward(client, relay.id, []byte("the query under test"), tc.discardPage, false, time.Now(), &c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,12 +401,12 @@ func TestOpenForwardChecks(t *testing.T) {
 			}
 
 			forward := func() {
-				if _, _, err := net.forward(client, relay.id, "the query under test", t0, tc.discardPage); err != nil {
+				if _, _, err := net.forward(client, relay.id, []byte("the query under test"), t0, tc.discardPage); err != nil {
 					t.Fatal(err)
 				}
 			}
 			exit := func() {
-				record, err := net.sealForward(client, relay.id, "the query under test", tc.discardPage, false, time.Now(), &c)
+				record, err := net.sealForward(client, relay.id, []byte("the query under test"), tc.discardPage, false, time.Now(), &c)
 				if err != nil {
 					t.Fatal(err)
 				}

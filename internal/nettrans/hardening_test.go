@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cyclosa/internal/testutil"
 )
 
 func TestHelloPayloadRejectsHostileInput(t *testing.T) {
@@ -176,5 +178,31 @@ func TestAttestHandshakeBound(t *testing.T) {
 				t.Fatalf("%d dials: a refused handshake must not cost the connection", got)
 			}
 		})
+	}
+}
+
+// TestIDTableBounded: a connection's id table answers every id with its
+// own bytes, costs nothing for an id it holds, and stops growing at
+// maxInternedIDs however many distinct ids a peer sends.
+func TestIDTableBounded(t *testing.T) {
+	ids := make(idTable)
+	for i := 0; i < 2*maxInternedIDs; i++ {
+		id := []byte(fmt.Sprintf("node-%d", i))
+		if got := ids.intern(id); got != string(id) {
+			t.Fatalf("intern(%q) = %q", id, got)
+		}
+	}
+	if len(ids) != maxInternedIDs {
+		t.Fatalf("table holds %d ids, bound %d", len(ids), maxInternedIDs)
+	}
+	if testutil.RaceEnabled {
+		return
+	}
+	held, past := []byte("node-7"), []byte(fmt.Sprintf("node-%d", 2*maxInternedIDs-1))
+	if n := testing.AllocsPerRun(200, func() { ids.intern(held) }); n != 0 {
+		t.Errorf("interning a held id allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ids.intern(past) }); n != 1 {
+		t.Errorf("an id past the bound costs %.1f allocations, want 1 (a plain conversion)", n)
 	}
 }

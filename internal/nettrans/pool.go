@@ -125,6 +125,11 @@ type poolConn struct {
 	sem     chan struct{} // MaxPending backpressure
 	lastUse atomic.Int64  // unix nanos of the last exchange activity
 
+	// results holds the result channels of finished blocking round trips
+	// for the next ones to reuse; a sem slot per channel in use keeps it
+	// from ever being full. A channel goes back only empty (see abandon).
+	results chan chan callResult
+
 	// timeouts counts consecutive request timeouts (reset by any answered
 	// exchange). A socket whose response direction silently died never
 	// errors the read loop; without this, such a pipe would blackhole its
@@ -177,7 +182,7 @@ func (p *Pool) roundTrip(addr string, typ frameType, parts ...[]byte) (*poolConn
 		// Only the flush leader (or a writer the poisoned connection turned
 		// away) sees the write error; the streams whose frames were queued
 		// behind it learn that the connection is gone.
-		pc.st.unregister(stream)
+		pc.abandon(stream, ch)
 		p.connFailed(addr, pc, fmt.Errorf("%w: %s: write: %v", ErrConnClosed, addr, err))
 		return nil, header{}, nil, fmt.Errorf("nettrans: write to %s: %w", addr, err)
 	}
@@ -186,23 +191,18 @@ func (p *Pool) roundTrip(addr string, typ frameType, parts ...[]byte) (*poolConn
 	defer workers.PutTimer(t)
 	select {
 	case res := <-ch:
+		pc.putResultChan(ch)
 		pc.lastUse.Store(time.Now().UnixNano())
 		if res.err == nil {
 			pc.timeouts.Store(0)
 		}
 		return pc, res.hdr, res.buf, res.err
 	case <-t.C:
-		// The stream may still be answered later; unregister so the reader
+		// The stream may still be answered later; abandon it so the reader
 		// drops the late response instead of blocking on a dead waiter.
-		if _, ours := pc.st.unregister(stream); !ours {
-			// The reader (or teardown) already delivered concurrently: drain.
-			res := <-ch
-			if res.buf != nil {
-				putFrame(res.buf)
-			}
-			return nil, header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
+		if pc.abandon(stream, ch) {
+			pc.timeouts.Add(1)
 		}
-		pc.timeouts.Add(1)
 		return nil, header{}, nil, fmt.Errorf("%w: %s", ErrRequestTimeout, addr)
 	}
 }
@@ -234,11 +234,12 @@ func (p *Pool) claimStream(addr string) (*poolConn, uint64, chan callResult, err
 			}
 		}
 
-		ch := make(chan callResult, 1) // room for the one result: delivery never blocks the reader
+		ch := pc.getResultChan()
 		stream, err := pc.st.register(waiter{ch: ch})
 		if err == nil {
 			return pc, stream, ch, nil
 		}
+		pc.putResultChan(ch)
 		<-pc.sem
 		if attempt > 0 {
 			return nil, 0, nil, err
@@ -333,6 +334,8 @@ func (p *Pool) adopt(fc *frameConn, addr string) *poolConn {
 		addr: addr,
 		st:   newShardedStreamTable(defaultStreamShards()),
 		sem:  make(chan struct{}, p.cfg.MaxPending),
+
+		results: make(chan chan callResult, p.cfg.MaxPending),
 	}
 	pc.lastUse.Store(time.Now().UnixNano())
 	p.mu.Lock()
@@ -462,6 +465,40 @@ func (pc *poolConn) close(err error) {
 	if pc.st.close(err) {
 		pc.fc.Close()
 	}
+}
+
+// getResultChan returns an empty channel with room for one result, so a
+// delivery never blocks the reader.
+func (pc *poolConn) getResultChan() chan callResult {
+	select {
+	case ch := <-pc.results:
+		return ch
+	default:
+		return make(chan callResult, 1)
+	}
+}
+
+// putResultChan keeps an empty result channel for the next round trip.
+func (pc *poolConn) putResultChan(ch chan callResult) {
+	select {
+	case pc.results <- ch:
+	default:
+	}
+}
+
+// abandon gives up a blocking round trip's stream and returns its result
+// channel, empty, to the connection. It reports whether the stream was
+// still pending; if not, the reader or the teardown claimed it first and its
+// result is in ch or on the way, and abandon waits for it and drops it.
+func (pc *poolConn) abandon(stream uint64, ch chan callResult) bool {
+	_, pending := pc.st.unregister(stream)
+	if !pending {
+		if res := <-ch; res.buf != nil {
+			putFrame(res.buf)
+		}
+	}
+	pc.putResultChan(ch)
+	return pending
 }
 
 // readLoop routes inbound frames to their pending streams.

@@ -212,3 +212,126 @@ func TestPoolBackoffResetsAfterSuccess(t *testing.T) {
 		putFrame(buf)
 	}
 }
+
+// pooledResults takes the result channels pc keeps for reuse, failing the
+// test if one of them holds a result, and puts them back.
+func pooledResults(t *testing.T, pc *poolConn) int {
+	t.Helper()
+	var chans []chan callResult
+	for len(pc.results) > 0 {
+		ch := <-pc.results
+		if len(ch) != 0 {
+			t.Fatalf("a pooled result channel holds %d results", len(ch))
+		}
+		chans = append(chans, ch)
+	}
+	for _, ch := range chans {
+		pc.results <- ch
+	}
+	return len(chans)
+}
+
+// peerConn returns the pool's current connection to addr.
+func peerConn(p *Pool, addr string) *poolConn {
+	p.mu.Lock()
+	ps := p.peers[addr]
+	p.mu.Unlock()
+	if ps == nil {
+		return nil
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.conn
+}
+
+// TestPoolResultChanEmptyOnEveryExit: a blocking round trip hands its result
+// channel back to the connection on every exit — answered, timed out, timed
+// out with the answer already claimed, cut by teardown — and the channel is
+// empty when it goes back, so no round trip can read another's result.
+func TestPoolResultChanEmptyOnEveryExit(t *testing.T) {
+	t.Run("answered", func(t *testing.T) {
+		srv := startEchoServer(t, ServerConfig{})
+		p := NewPool(PoolConfig{})
+		defer p.Close()
+		for i := 0; i < 3; i++ {
+			_, buf, err := echoRoundTrip(t, p, srv.Addr().String(), "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			putFrame(buf)
+		}
+		if n := pooledResults(t, peerConn(p, srv.Addr().String())); n != 1 {
+			t.Fatalf("%d channels pooled after 3 sequential round trips, want 1 (reused)", n)
+		}
+	})
+	t.Run("timed out", func(t *testing.T) {
+		srv := startEchoServer(t, ServerConfig{Handler: slowConduit{d: 200 * time.Millisecond}})
+		addr := srv.Addr().String()
+		p := NewPool(PoolConfig{RequestTimeout: 30 * time.Millisecond})
+		defer p.Close()
+		if _, _, err := echoRoundTrip(t, p, addr, "x"); !errors.Is(err, ErrRequestTimeout) {
+			t.Fatalf("err = %v, want ErrRequestTimeout", err)
+		}
+		pc := peerConn(p, addr)
+		if n := pooledResults(t, pc); n != 1 {
+			t.Fatalf("%d channels pooled after a timeout, want 1", n)
+		}
+		// The late answer arrives and is dropped by the reader, not posted
+		// into the pooled channel.
+		time.Sleep(300 * time.Millisecond)
+		pooledResults(t, pc)
+	})
+	t.Run("answer claimed before the timeout", func(t *testing.T) {
+		srv := startEchoServer(t, ServerConfig{})
+		addr := srv.Addr().String()
+		p := NewPool(PoolConfig{})
+		defer p.Close()
+		_, buf, err := echoRoundTrip(t, p, addr, "x") // dial
+		if err != nil {
+			t.Fatal(err)
+		}
+		putFrame(buf)
+		pc := peerConn(p, addr)
+		ch := pc.getResultChan()
+		stream, err := pc.st.register(waiter{ch: ch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reader claims the stream and posts its answer just as the
+		// waiter's timer fires: abandon must find it and drop it.
+		if !pc.st.deliver(stream, callResult{buf: getFrame()}) {
+			t.Fatal("stream not pending")
+		}
+		if pc.abandon(stream, ch) {
+			t.Fatal("abandon found the claimed stream pending")
+		}
+		if n := pooledResults(t, pc); n != 1 {
+			t.Fatalf("%d channels pooled after abandon, want 1", n)
+		}
+	})
+	t.Run("teardown", func(t *testing.T) {
+		srv := startEchoServer(t, ServerConfig{Handler: slowConduit{d: 2 * time.Second}, DrainTimeout: 10 * time.Millisecond})
+		addr := srv.Addr().String()
+		p := NewPool(PoolConfig{RequestTimeout: 10 * time.Second})
+		defer p.Close()
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := echoRoundTrip(t, p, addr, "x")
+			done <- err
+		}()
+		var pc *poolConn
+		for deadline := time.Now().Add(5 * time.Second); pc == nil || pc.idle(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("round trip never registered its stream")
+			}
+			pc = peerConn(p, addr)
+		}
+		pc.close(ErrConnClosed)
+		if err := <-done; !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("err = %v, want ErrConnClosed", err)
+		}
+		if n := pooledResults(t, pc); n != 1 {
+			t.Fatalf("%d channels pooled after teardown, want 1", n)
+		}
+	})
+}

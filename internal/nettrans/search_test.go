@@ -301,11 +301,13 @@ func TestWarmSearchOneFlushPerConnection(t *testing.T) {
 	}
 }
 
-// tcpSearchAllocBudget bounds TestTCPSearchAllocs: 56 measured — 7 on the
-// searching node (result, relay and fake samples, tokens), the rest at the
-// eight relays (table entry, engine ocall strings, titleBackend's page, the
-// ids the server hands its handler).
-const tcpSearchAllocBudget = 60
+// tcpSearchAllocBudget bounds TestTCPSearchAllocs: 29 measured — 5 on the
+// searching node (the result, 2 for tokenizing, 2 for the real page's
+// decode) and 3 at each of the eight relays (the engine ocall's query
+// string, 2 for titleBackend's page). The servers hand their handler
+// interned ids, the table keeps bytes, and a round trip's result channel is
+// the connection's.
+const tcpSearchAllocBudget = 29
 
 // TestTCPSearchAllocs pins the allocations of a whole warm k = 7 search over
 // loopback TCP — both ends of all eight paths, since the servers run in this

@@ -234,12 +234,39 @@ func (s *Server) unregister(fc *frameConn) {
 	s.mu.Unlock()
 }
 
-// dataJob is one data frame on its way to handleData, handed to a dispatch
-// worker by value (no closure per frame).
+// dataJob is one data frame on its way to handleData, decoded by the
+// connection's read loop and handed to a dispatch worker by value (no
+// closure per frame). from and to are the read loop's interned ids; record
+// aliases buf.
 type dataJob struct {
-	fc  *frameConn
-	h   header
-	buf *[]byte
+	fc       *frameConn
+	stream   uint64
+	buf      *[]byte
+	nowNano  int64
+	from, to string
+	record   []byte
+}
+
+// maxInternedIDs bounds a connection's id table: a peer naming more
+// distinct ids than this gets a fresh string per id past the bound, instead
+// of a table that grows with what it sends.
+const maxInternedIDs = 1024
+
+// idTable interns the node ids a connection's data frames name, so a warm
+// frame hands its Handler the two strings without allocating. The read loop
+// owns it; nothing else touches it, so it takes no lock.
+type idTable map[string]string
+
+// intern returns id as a string: the table's copy when it has one.
+func (t idTable) intern(id []byte) string {
+	if s, ok := t[string(id)]; ok {
+		return s
+	}
+	s := string(id)
+	if len(t) < maxInternedIDs {
+		t[s] = s
+	}
+	return s
 }
 
 // dispatch runs one exchange on a bounded worker slot. It returns false when
@@ -268,7 +295,7 @@ func (s *Server) runDispatched(job dataJob) {
 		<-s.sem
 		s.inflight.Done()
 	}()
-	s.handleData(job.fc, job.h, job.buf)
+	s.handleData(job)
 }
 
 // serveConn runs one connection: hello exchange, then the frame loop.
@@ -279,6 +306,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 	var owned []pairKey // pairs attested on this connection
+	ids := make(idTable)
 	defer func() {
 		s.unregister(fc)
 		fc.Close()
@@ -308,10 +336,11 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		switch h.typ {
 		case frameData:
-			// Admission precedes dispatch and decrypt: an over-quota record
-			// costs a sequence-number skip, nothing else.
-			code, msg := s.admitData(peer, owned, *buf)
-			if code == 0 && !s.dispatch(dataJob{fc, h, buf}) {
+			// Decoded once, here; admission precedes dispatch and decrypt:
+			// an over-quota record costs a sequence-number skip, nothing else.
+			job := dataJob{fc: fc, stream: h.stream, buf: buf}
+			code, msg := s.admitData(peer, owned, ids, &job)
+			if code == 0 && !s.dispatch(job) {
 				// Draining: refuse the new exchange but keep the connection
 				// open — answers already dispatched on it must still flush;
 				// Close cuts the socket once the drain completes.
@@ -354,23 +383,17 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// handleData serves one conduit exchange: decode, deliver, respond. It owns
-// buf and releases it. Any response-write failure closes the connection (a
-// failed flush already has; this covers a response that could not even be
-// queued), so a peer that stopped reading cannot keep feeding us work whose
-// answers all silently vanish.
-func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
-	defer putFrame(buf)
-	nowNano, from, to, record, err := decodeDataPayload(*buf)
+// handleData serves one conduit exchange: deliver, respond. It owns the
+// job's buffer and releases it. Any response-write failure closes the
+// connection (a failed flush already has; this covers a response that could
+// not even be queued), so a peer that stopped reading cannot keep feeding us
+// work whose answers all silently vanish.
+func (s *Server) handleData(job dataJob) {
+	defer putFrame(job.buf)
+	fc := job.fc
+	resp, injected, err := s.cfg.Handler.Deliver(job.from, job.to, job.record, time.Unix(0, job.nowNano))
 	if err != nil {
-		if fc.writeErrFrame(h.stream, errCodeRejected, fmt.Sprintf("bad data frame: %v", err)) != nil {
-			fc.Close()
-		}
-		return
-	}
-	resp, injected, err := s.cfg.Handler.Deliver(string(from), string(to), record, time.Unix(0, nowNano))
-	if err != nil {
-		if fc.writeErrFrame(h.stream, codeFor(err), err.Error()) != nil {
+		if fc.writeErrFrame(job.stream, codeFor(err), err.Error()) != nil {
 			fc.Close()
 		}
 		return
@@ -381,7 +404,7 @@ func (s *Server) handleData(fc *frameConn, h header, buf *[]byte) {
 	// exchange returns; the conduit contract keeps it valid until the pair's
 	// next delivery, which cannot start until the requester has read this
 	// frame.
-	if fc.writeFrame(frameResp, h.stream, *meta, resp) != nil {
+	if fc.writeFrame(frameResp, job.stream, *meta, resp) != nil {
 		fc.Close()
 	}
 	putFrame(meta)
@@ -430,30 +453,32 @@ func codeFor(err error) byte {
 	return errCodeRejected
 }
 
-// admitData decides whether a data frame is dispatched (code 0) or refused
-// with an err frame. With a Handler that terminates sessions, an admission-
-// controlled frame must ride a session attested on this connection: from is
-// then the hello identity Allow charges, and no other connection can spend
-// that client's tokens or move its session (the skip below checks no AEAD
-// tag). An over-quota record is refused unopened — the Handler consumes its
+// admitData decodes a data frame into job — its ids interned through ids —
+// and decides whether it is dispatched (code 0) or refused with an err
+// frame. With a Handler that terminates sessions, an admission-controlled
+// frame must ride a session attested on this connection: from is then the
+// hello identity Allow charges, and no other connection can spend that
+// client's tokens or move its session (the skip below checks no AEAD tag).
+// An over-quota record is refused unopened — the Handler consumes its
 // sequence number, so the session survives the refusal.
-func (s *Server) admitData(peer string, owned []pairKey, payload []byte) (code byte, msg string) {
-	switch {
-	case s.cfg.Handler == nil:
+func (s *Server) admitData(peer string, owned []pairKey, ids idTable, job *dataJob) (code byte, msg string) {
+	if s.cfg.Handler == nil {
 		return errCodeRejected, "no data-plane handler"
+	}
+	nowNano, from, to, record, err := decodeDataPayload(*job.buf)
+	if err != nil {
+		return errCodeRejected, fmt.Sprintf("bad data frame: %v", err)
+	}
+	job.nowNano, job.from, job.to, job.record = nowNano, ids.intern(from), ids.intern(to), record
+	switch {
 	case s.cfg.Admission == nil:
 		return 0, ""
-	}
-	_, from, to, record, err := decodeDataPayload(payload)
-	switch {
-	case err != nil:
-		return errCodeRejected, "bad data frame"
-	case s.host != nil && !slices.ContainsFunc(owned, func(k pairKey) bool { return k.from == string(from) && k.to == string(to) }):
+	case s.host != nil && !slices.Contains(owned, pairKey{job.from, job.to}):
 		return errCodeNoSession, "no session attested on this connection"
 	case s.cfg.Admission.Allow(peer) == nil:
 		return 0, ""
 	case s.host != nil:
-		if err := s.host.SkipRecord(string(from), string(to), record); err != nil {
+		if err := s.host.SkipRecord(job.from, job.to, record); err != nil {
 			// Nothing was consumed; the sender must not believe otherwise
 			// (nor learn which sequence number the session expects).
 			return codeFor(err), "record refused unopened"

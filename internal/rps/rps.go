@@ -76,6 +76,8 @@ type Node struct {
 	// blacklist holds peers this node refuses to keep in its view
 	// (unresponsive relays, §VI-b).
 	blacklist map[NodeID]struct{}
+	// perm is AppendSample's permutation scratch.
+	perm []int
 }
 
 // NewNode creates a node with the given bootstrap peers in its initial view
@@ -185,20 +187,41 @@ func (n *Node) Merge(descs []Descriptor) {
 // Sample returns up to k distinct random peers from the view. It returns
 // fewer than k if the view is smaller.
 func (n *Node) Sample(k int) []NodeID {
+	if k <= 0 {
+		return nil
+	}
+	out := n.AppendSample(make([]NodeID, 0, min(k, n.cfg.ViewSize)), k)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// AppendSample is Sample appending to dst: up to k distinct random peers
+// from the view, in the order and with the draws of rand.Perm over the
+// view, whose first k indices it takes. The permutation lives in the node's
+// scratch, so a dst with room costs no allocation.
+func (n *Node) AppendSample(dst []NodeID, k int) []NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if k <= 0 || len(n.view) == 0 {
-		return nil
+		return dst
 	}
-	idx := n.rng.Perm(len(n.view))
-	if k > len(idx) {
-		k = len(idx)
+	// rand.Perm, into scratch: the same Intn per index, so the node's rng
+	// stream is unchanged.
+	if cap(n.perm) < len(n.view) {
+		n.perm = make([]int, len(n.view))
 	}
-	out := make([]NodeID, 0, k)
-	for _, i := range idx[:k] {
-		out = append(out, n.view[i].ID)
+	perm := n.perm[:len(n.view)]
+	for i := range perm {
+		j := n.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	return out
+	for _, i := range perm[:min(k, len(perm))] {
+		dst = append(dst, n.view[i].ID)
+	}
+	return dst
 }
 
 // SelectPeer returns the exchange target for this round: the peer with the

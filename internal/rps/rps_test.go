@@ -1,7 +1,10 @@
 package rps
 
 import (
+	"slices"
 	"testing"
+
+	"cyclosa/internal/testutil"
 )
 
 func TestNewNodeBootstrap(t *testing.T) {
@@ -273,5 +276,52 @@ func TestDescriptorString(t *testing.T) {
 func TestNodeNameFormat(t *testing.T) {
 	if string(Name(0)) != "node0000" || string(Name(42)) != "node0042" || string(Name(9999)) != "node9999" {
 		t.Errorf("nodeName wrong: %s %s %s", string(Name(0)), string(Name(42)), string(Name(9999)))
+	}
+}
+
+// TestAppendSampleMatchesPerm: AppendSample draws exactly what rand.Perm
+// over the view draws, so relay choice — and every seeded stream built on
+// it — is the one Sample made when it called Perm.
+func TestAppendSampleMatchesPerm(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		views := int(seed%23) + 1
+		boot := make([]NodeID, views)
+		for i := range boot {
+			boot[i] = Name(i)
+		}
+		cfg := Config{ViewSize: 32, Seed: seed}
+		got, ref := NewNode("self", boot, cfg), NewNode("self", boot, cfg)
+		var dst []NodeID
+		for round, k := range []int{1, 3, 8, views, views + 5, 2} {
+			dst = got.AppendSample(dst[:0], k)
+			idx := ref.rng.Perm(len(ref.view))
+			var want []NodeID
+			for _, i := range idx[:min(k, len(idx))] {
+				want = append(want, ref.view[i].ID)
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("seed %d round %d k=%d: AppendSample = %v, Perm reference = %v", seed, round, k, dst, want)
+			}
+		}
+		if a, b := got.rng.Int63(), ref.rng.Int63(); a != b {
+			t.Fatalf("seed %d: rng streams diverged after sampling (%d vs %d)", seed, a, b)
+		}
+	}
+}
+
+// TestAppendSampleAllocs: with room in dst, sampling allocates nothing.
+func TestAppendSampleAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	boot := make([]NodeID, 20)
+	for i := range boot {
+		boot[i] = Name(i)
+	}
+	n := NewNode("self", boot, Config{ViewSize: 20, Seed: 9})
+	dst := make([]NodeID, 0, 8)
+	n.AppendSample(dst, 8) // sizes the permutation scratch
+	if allocs := testing.AllocsPerRun(200, func() { dst = n.AppendSample(dst[:0], 8) }); allocs != 0 {
+		t.Errorf("AppendSample allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -275,7 +275,8 @@ func TestAnalyzerAdaptiveK(t *testing.T) {
 }
 
 // Assessing a query against a long history is bounded by what tokenizing it
-// costs: the linkability score itself works out of pooled scratch.
+// costs (2 allocations): the linkability score works out of pooled scratch,
+// and the semantic check's WordNet lookups return precomputed domain lists.
 func TestAnalyzerAssessAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation adds allocations")
@@ -295,8 +296,10 @@ func TestAnalyzerAssessAllocs(t *testing.T) {
 	a := NewAnalyzer(NewCombinedDetector(fx.db, fx.models, 40, []string{"sex"}), link, 7)
 	query := log.Queries[600].Text
 	a.Assess(query) // sizes the scratch
-	if n := testing.AllocsPerRun(200, func() { a.Assess(query) }); n > 10 {
-		t.Errorf("Assess over a %d-entry history allocates %.1f times, want <= 10", link.HistorySize(), n)
+	n := testing.AllocsPerRun(200, func() { a.Assess(query) })
+	t.Logf("Assess over a %d-entry history: %.1f allocs", link.HistorySize(), n)
+	if n > 2 {
+		t.Errorf("Assess over a %d-entry history allocates %.1f times, want <= 2", link.HistorySize(), n)
 	}
 }
 

@@ -18,6 +18,7 @@ package wordnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cyclosa/internal/queries"
@@ -35,9 +36,10 @@ type Synset struct {
 
 // Database is the lexical database: synsets indexed by word and by domain.
 type Database struct {
-	synsets  []Synset
-	byWord   map[string][]int // word -> synset IDs
-	byDomain map[string][]int // domain -> synset IDs
+	synsets   []Synset
+	byWord    map[string][]int    // word -> synset IDs
+	byDomain  map[string][]int    // domain -> synset IDs
+	domainsOf map[string][]string // word -> sorted distinct domains of its synsets
 }
 
 // BuildConfig controls database construction.
@@ -160,7 +162,22 @@ func Build(uni *queries.Universe, cfg BuildConfig) *Database {
 			i += size
 		}
 	}
+	db.indexDomains()
 	return db
+}
+
+// indexDomains computes every word's DomainsOf answer once, so a lookup —
+// one per query term in the semantic analysis — allocates nothing.
+func (db *Database) indexDomains() {
+	db.domainsOf = make(map[string][]string, len(db.byWord))
+	for word, ids := range db.byWord {
+		var domains []string
+		for _, id := range ids {
+			domains = append(domains, db.synsets[id].Domains...)
+		}
+		sort.Strings(domains)
+		db.domainsOf[word] = slices.Clip(slices.Compact(domains))
+	}
 }
 
 func (db *Database) addSynset(words, domains []string) {
@@ -205,20 +222,11 @@ func (db *Database) Domains() []string {
 	return out
 }
 
-// DomainsOf returns the domain labels of every synset containing word.
+// DomainsOf returns the domain labels of every synset containing word,
+// sorted and distinct (nil for a word not in the database). The slice is
+// the database's own: callers must not modify it.
 func (db *Database) DomainsOf(word string) []string {
-	set := make(map[string]struct{})
-	for _, s := range db.SynsetsOf(word) {
-		for _, d := range s.Domains {
-			set[d] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
+	return db.domainsOf[word]
 }
 
 // DomainDictionary compiles the keyword dictionary of the given domains: all

@@ -1,11 +1,13 @@
 package wordnet
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"cyclosa/internal/queries"
+	"cyclosa/internal/testutil"
 )
 
 func testDB(t *testing.T) (*queries.Universe, *Database) {
@@ -195,4 +197,52 @@ func contains(xs []string, x string) bool {
 		}
 	}
 	return false
+}
+
+// domainsOfByScan is DomainsOf as a per-call map and sort over the word's
+// synsets: the reference the precomputed lists must equal.
+func domainsOfByScan(db *Database, word string) []string {
+	set := make(map[string]struct{})
+	for _, s := range db.SynsetsOf(word) {
+		for _, d := range s.Domains {
+			set[d] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for d := range set {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDomainsOfMatchesScan: over the whole vocabulary (and a word outside
+// it) the precomputed DomainsOf equals the scan.
+func TestDomainsOfMatchesScan(t *testing.T) {
+	uni, db := testDB(t)
+	words := append([]string{"not-a-word"}, uni.Background...)
+	for _, topic := range uni.Topics {
+		words = append(words, topic.Terms...)
+	}
+	for w := range db.byWord {
+		words = append(words, w)
+	}
+	for _, w := range words {
+		if got, want := db.DomainsOf(w), domainsOfByScan(db, w); !slices.Equal(got, want) {
+			t.Fatalf("DomainsOf(%q) = %v, scan %v", w, got, want)
+		}
+	}
+}
+
+// TestDomainsOfAllocs: a lookup — one per query term in the semantic
+// analysis — allocates nothing.
+func TestDomainsOfAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	uni, db := testDB(t)
+	word := uni.Background[0]
+	if n := testing.AllocsPerRun(200, func() { db.DomainsOf(word) }); n != 0 {
+		t.Errorf("DomainsOf allocates %.1f times, want 0", n)
+	}
 }

@@ -96,15 +96,26 @@ func TestPoolNeverQueues(t *testing.T) {
 // last job (the lazy idle check needs one timer period to notice the job and
 // one more to see none), and a worker that keeps getting jobs outlives many.
 func TestPoolWorkersExpire(t *testing.T) {
-	p := New("test-expire", func(struct{}) {})
+	ran := make(chan struct{}, 1)
+	p := New("test-expire", func(struct{}) { ran <- struct{}{} })
 	before := Spawned("test-expire")
 	// Keep one worker busy across three timer periods: it must not exit.
-	for end := time.Now().Add(3 * Linger); time.Now().Before(end); {
+	// The worker arms its linger timer right after its first job, and a
+	// timer that fires takes it out of its select until it has run the
+	// timer case, so a Go at that moment finds no parked worker. Each later
+	// job is therefore handed over half a linger away from any firing, once
+	// the previous one has run: the hand-off finds the worker parked unless
+	// the scheduler holds one of them back for half a linger.
+	p.Go(struct{}{})
+	<-ran
+	start := time.Now()
+	for i := 1; i <= 3; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i)*Linger - Linger/2)))
 		p.Go(struct{}{})
-		time.Sleep(Linger / 5)
+		<-ran
 	}
 	if got := Spawned("test-expire") - before; got != 1 {
-		t.Fatalf("a job every %v started %d goroutines, want 1 (worker expired while in use)", Linger/5, got)
+		t.Fatalf("a job every %v started %d goroutines, want 1 (worker expired while in use)", Linger, got)
 	}
 	if p.Live() != 1 {
 		t.Fatalf("%d workers live, want 1", p.Live())
