@@ -58,8 +58,8 @@
 //     session-pair map is spread over 64 independently locked shards, the
 //     request counter is a single atomic, node and overlay membership are
 //     immutable after construction, and liveness is a read-mostly RWMutex —
-//     Kill, Alive and the continuous gossip loop (StartGossip/StopGossip)
-//     are safe to call while forwards are in flight.
+//     Kill, Alive and gossip rounds (Gossip) are safe to call while
+//     forwards are in flight.
 //   - One forward on one (client, relay) pair is a critical section of that
 //     pair alone: the secure channel enforces strictly increasing record
 //     sequence numbers, so records of a pair cannot interleave, but any

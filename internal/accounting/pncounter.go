@@ -10,7 +10,8 @@ import (
 // Wire bounds for a ledger payload. They exist so a malicious peer cannot
 // balloon a receiver's memory through one gossip frame; a payload exceeding
 // them is rejected whole (the sender is cut, matching the membership
-// plane's treatment of malformed view frames).
+// plane's treatment of malformed view frames). A ledger never holds more
+// than one payload can carry, so every peer accepts its AppendWire.
 const (
 	// ledgerWireVersion is the codec version byte.
 	ledgerWireVersion = 1
@@ -33,6 +34,11 @@ const (
 //
 // Value(subject) = sum(P) - sum(N): positive evidence of misbehavior minus
 // pardons. All methods are safe for concurrent use.
+//
+// The ledger stays within the wire bounds: Inc and Pardon record nothing
+// for a new subject once maxLedgerSubjects are held, or for an ID longer
+// than maxLedgerIDLen, and MergeWire rejects a payload whose merge would
+// pass a bound.
 type Ledger struct {
 	mu   sync.Mutex
 	self string
@@ -55,32 +61,55 @@ func (l *Ledger) Self() string { return l.self }
 
 // Inc charges subject with delta units of misbehavior observed locally.
 func (l *Ledger) Inc(subject string, delta uint64) {
-	if delta == 0 || subject == "" {
-		return
-	}
 	l.mu.Lock()
-	bump(l.p, subject, l.self, delta)
+	l.bump(l.p, subject, delta)
 	l.mu.Unlock()
 }
 
 // Pardon credits subject with delta units (the N side), e.g. after an
 // operator clears a node that misbehaved due to a since-fixed defect.
 func (l *Ledger) Pardon(subject string, delta uint64) {
-	if delta == 0 || subject == "" {
-		return
-	}
 	l.mu.Lock()
-	bump(l.n, subject, l.self, delta)
+	l.bump(l.n, subject, delta)
 	l.mu.Unlock()
 }
 
-func bump(side map[string]map[string]uint64, subject, replica string, delta uint64) {
+// bump adds delta to this replica's entry for subject on side, unless that
+// would take the ledger past a wire bound. The caller holds l.mu.
+func (l *Ledger) bump(side map[string]map[string]uint64, subject string, delta uint64) {
+	if delta == 0 || subject == "" || len(subject) > maxLedgerIDLen || len(l.self) > maxLedgerIDLen {
+		return
+	}
 	m := side[subject]
 	if m == nil {
+		if !l.holds(subject) && l.subjects() >= maxLedgerSubjects {
+			return
+		}
 		m = make(map[string]uint64)
 		side[subject] = m
 	}
-	m[replica] += delta
+	if _, ok := m[l.self]; !ok && len(m) >= maxLedgerReplicas {
+		return
+	}
+	m[l.self] += delta
+}
+
+// holds reports whether subject has an entry on either side. The caller
+// holds l.mu.
+func (l *Ledger) holds(subject string) bool {
+	return l.p[subject] != nil || l.n[subject] != nil
+}
+
+// subjects counts the subjects with an entry on either side. The caller
+// holds l.mu.
+func (l *Ledger) subjects() int {
+	n := len(l.p)
+	for s := range l.n {
+		if l.p[s] == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Value returns subject's net misbehavior count: total increments minus
@@ -97,25 +126,6 @@ func sumSide(m map[string]uint64) int64 {
 		s += int64(v)
 	}
 	return s
-}
-
-// Subjects returns every subject with any recorded evidence, sorted.
-func (l *Ledger) Subjects() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seen := make(map[string]struct{}, len(l.p)+len(l.n))
-	for s := range l.p {
-		seen[s] = struct{}{}
-	}
-	for s := range l.n {
-		seen[s] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Values snapshots every subject's net count, for ops surfaces (-mode
@@ -185,7 +195,8 @@ func appendSide(dst []byte, m map[string]uint64) []byte {
 // elementwise-maximum per (subject, replica) entry. It returns the
 // subjects whose net Value changed, sorted — the caller re-evaluates
 // exactly those against its blacklist threshold. A malformed or
-// over-bounds payload is rejected without applying any of it.
+// over-bounds payload, or one whose merge would take the ledger past a
+// wire bound, is rejected without applying any of it.
 func (l *Ledger) MergeWire(payload []byte) ([]string, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("accounting: empty ledger payload")
@@ -202,10 +213,6 @@ func (l *Ledger) MergeWire(payload []byte) ([]string, error) {
 		return nil, fmt.Errorf("accounting: ledger subject count %d exceeds %d", count, maxLedgerSubjects)
 	}
 
-	type parsedSubject struct {
-		id   string
-		p, n []parsedEntry
-	}
 	parsed := make([]parsedSubject, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var ps parsedSubject
@@ -229,6 +236,10 @@ func (l *Ledger) MergeWire(payload []byte) ([]string, error) {
 
 	var changed []string
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.fits(parsed); err != nil {
+		return nil, err
+	}
 	for _, ps := range parsed {
 		before := sumSide(l.p[ps.id]) - sumSide(l.n[ps.id])
 		mergeSide(l.p, ps.id, ps.p)
@@ -237,9 +248,13 @@ func (l *Ledger) MergeWire(payload []byte) ([]string, error) {
 			changed = append(changed, ps.id)
 		}
 	}
-	l.mu.Unlock()
 	sort.Strings(changed)
 	return changed, nil
+}
+
+type parsedSubject struct {
+	id   string
+	p, n []parsedEntry
 }
 
 type parsedEntry struct {
@@ -247,19 +262,65 @@ type parsedEntry struct {
 	count   uint64
 }
 
-func mergeSide(side map[string]map[string]uint64, subject string, entries []parsedEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	m := side[subject]
-	if m == nil {
-		m = make(map[string]uint64, len(entries))
-		side[subject] = m
-	}
-	for _, e := range entries {
-		if e.count > m[e.replica] {
-			m[e.replica] = e.count
+// fits reports an error if merging parsed would take the ledger past
+// maxLedgerSubjects subjects, or a subject's side past maxLedgerReplicas
+// replicas. The caller holds l.mu.
+func (l *Ledger) fits(parsed []parsedSubject) error {
+	// Per subject, the replicas the merge would add to each side. A subject
+	// may repeat in a payload, so the sets span its occurrences.
+	type growth struct{ p, n map[string]struct{} }
+	grown := make(map[string]*growth)
+	for _, ps := range parsed {
+		g := grown[ps.id]
+		if g == nil {
+			g = &growth{}
+			grown[ps.id] = g
 		}
+		g.p = newReplicas(g.p, l.p[ps.id], ps.p)
+		g.n = newReplicas(g.n, l.n[ps.id], ps.n)
+		if len(l.p[ps.id])+len(g.p) > maxLedgerReplicas || len(l.n[ps.id])+len(g.n) > maxLedgerReplicas {
+			return fmt.Errorf("accounting: merging subject %q would pass %d replicas per side", ps.id, maxLedgerReplicas)
+		}
+	}
+	held := l.subjects()
+	for id, g := range grown {
+		if !l.holds(id) && len(g.p)+len(g.n) > 0 {
+			held++
+		}
+	}
+	if held > maxLedgerSubjects {
+		return fmt.Errorf("accounting: merging would hold %d subjects, over %d", held, maxLedgerSubjects)
+	}
+	return nil
+}
+
+// newReplicas adds to set the replicas of entries that mergeSide would add
+// to have, and returns set.
+func newReplicas(set map[string]struct{}, have map[string]uint64, entries []parsedEntry) map[string]struct{} {
+	for _, e := range entries {
+		if _, ok := have[e.replica]; !ok && e.count > 0 {
+			if set == nil {
+				set = make(map[string]struct{})
+			}
+			set[e.replica] = struct{}{}
+		}
+	}
+	return set
+}
+
+// mergeSide raises subject's entries on side to those of entries. A count
+// of 0 adds nothing, so no subject or replica is held without evidence.
+func mergeSide(side map[string]map[string]uint64, subject string, entries []parsedEntry) {
+	for _, e := range entries {
+		m := side[subject]
+		if e.count <= m[e.replica] {
+			continue
+		}
+		if m == nil {
+			m = make(map[string]uint64, len(entries))
+			side[subject] = m
+		}
+		m[e.replica] = e.count
 	}
 }
 

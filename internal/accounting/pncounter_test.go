@@ -2,6 +2,7 @@ package accounting
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -30,8 +31,8 @@ func TestLedgerIncValue(t *testing.T) {
 	// Zero deltas and empty subjects are no-ops.
 	l.Inc("", 5)
 	l.Inc("x", 0)
-	if got := l.Subjects(); !reflect.DeepEqual(got, []string{"mallory", "trent"}) {
-		t.Fatalf("Subjects = %v", got)
+	if got := l.Values(); !reflect.DeepEqual(got, map[string]int64{"mallory": 2, "trent": 1}) {
+		t.Fatalf("Values = %v", got)
 	}
 }
 
@@ -162,17 +163,15 @@ func TestLedgerMergeWireRejects(t *testing.T) {
 			if _, err := l.MergeWire(tc.payload); err == nil {
 				t.Fatalf("MergeWire(%s) accepted malformed payload", tc.name)
 			}
-			if len(l.Subjects()) != 0 {
-				t.Fatalf("rejected payload mutated ledger: %v", l.Subjects())
+			if len(l.Values()) != 0 {
+				t.Fatalf("rejected payload mutated ledger: %v", l.Values())
 			}
 		})
 	}
 
 	// Oversized ID length must be rejected too.
-	big := NewLedger(strings.Repeat("x", maxLedgerIDLen+1))
-	big.Inc("s", 1)
 	l := NewLedger("r3")
-	if _, err := l.MergeWire(big.AppendWire(nil)); err == nil {
+	if _, err := l.MergeWire(encodeLedger(wireSubject{"s", []string{strings.Repeat("x", maxLedgerIDLen+1)}, nil})); err == nil {
 		t.Fatal("oversized replica ID accepted")
 	}
 }
@@ -186,4 +185,126 @@ func TestLedgerValues(t *testing.T) {
 	if got := l.Values(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Values = %v, want %v", got, want)
 	}
+}
+
+// wireSubject is one subject of a hand-built ledger payload: each listed
+// replica carries a count of 1 on its side.
+type wireSubject struct {
+	id   string
+	p, n []string
+}
+
+// encodeLedger builds a ledger payload in AppendWire's format from subjects
+// as given: unsorted, duplicates kept, bounds unchecked.
+func encodeLedger(subjects ...wireSubject) []byte {
+	b := binary.AppendUvarint([]byte{ledgerWireVersion}, uint64(len(subjects)))
+	appendString := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	for _, s := range subjects {
+		b = appendString(b, s.id)
+		for _, side := range [][]string{s.p, s.n} {
+			b = binary.AppendUvarint(b, uint64(len(side)))
+			for _, r := range side {
+				b = binary.AppendUvarint(appendString(b, r), 1)
+			}
+		}
+	}
+	return b
+}
+
+// names returns n distinct IDs with the given prefix.
+func names(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%04d", prefix, i)
+	}
+	return out
+}
+
+// subjectsPayload is a payload of one increment by replica for each subject.
+func subjectsPayload(replica string, subjects []string) []byte {
+	ws := make([]wireSubject, len(subjects))
+	for i, s := range subjects {
+		ws[i] = wireSubject{id: s, p: []string{replica}}
+	}
+	return encodeLedger(ws...)
+}
+
+// TestFreshLedgerAcceptsEveryAppendWire: whatever a ledger accepts or
+// records, its AppendWire stays within what a peer's MergeWire accepts, so
+// one honest node cannot cut itself off from every exchange.
+func TestFreshLedgerAcceptsEveryAppendWire(t *testing.T) {
+	accepts := func(t *testing.T, l *Ledger) {
+		t.Helper()
+		if _, err := NewLedger("fresh").MergeWire(l.AppendWire(nil)); err != nil {
+			t.Fatalf("a fresh ledger rejects this ledger's AppendWire: %v", err)
+		}
+	}
+
+	t.Run("subjects", func(t *testing.T) {
+		l := NewLedger("r1")
+		if _, err := l.MergeWire(subjectsPayload("a", names("s", maxLedgerSubjects))); err != nil {
+			t.Fatal(err)
+		}
+		// Each payload alone is within bounds; together they are not.
+		if _, err := l.MergeWire(subjectsPayload("b", names("t", maxLedgerSubjects))); err == nil {
+			t.Error("a merge taking the ledger past the subject bound was accepted")
+		}
+		if got := len(l.Values()); got != maxLedgerSubjects {
+			t.Errorf("ledger holds %d subjects, want %d: a rejected payload is applied whole or not at all", got, maxLedgerSubjects)
+		}
+		l.Inc("one-too-many", 1)
+		l.Pardon("one-too-many", 1)
+		if got := len(l.Values()); got != maxLedgerSubjects {
+			t.Errorf("ledger holds %d subjects after Inc at the bound, want %d", got, maxLedgerSubjects)
+		}
+		// Evidence about subjects already held is still recorded.
+		l.Inc("s0000", 2)
+		if got := l.Value("s0000"); got != 3 {
+			t.Errorf("Value(s0000) = %d, want 3", got)
+		}
+		// So is a payload that only raises held subjects.
+		if _, err := l.MergeWire(subjectsPayload("c", names("s", 10))); err != nil {
+			t.Errorf("a payload adding no subject was rejected: %v", err)
+		}
+		accepts(t, l)
+	})
+
+	t.Run("replicas", func(t *testing.T) {
+		l := NewLedger("self")
+		if _, err := l.MergeWire(encodeLedger(wireSubject{"s", names("a", maxLedgerReplicas), names("a", maxLedgerReplicas)})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.MergeWire(encodeLedger(wireSubject{"s", names("b", 1), nil})); err == nil {
+			t.Error("a merge taking a subject past the replica bound was accepted")
+		}
+		// The same subject twice in one payload counts once per replica.
+		dup := wireSubject{"u", names("c", maxLedgerReplicas/2+1), nil}
+		if _, err := l.MergeWire(encodeLedger(dup, wireSubject{"u", names("d", maxLedgerReplicas/2+1), nil})); err == nil {
+			t.Error("a payload repeating a subject past the replica bound was accepted")
+		}
+		if _, err := l.MergeWire(encodeLedger(dup, dup)); err != nil {
+			t.Errorf("a payload repeating a subject within the replica bound was rejected: %v", err)
+		}
+		l.Inc("s", 1)
+		l.Pardon("s", 1)
+		if got := l.Value("s"); got != 0 {
+			t.Errorf("Value(s) = %d, want 0: no room for this replica's entry", got)
+		}
+		accepts(t, l)
+	})
+
+	t.Run("ids", func(t *testing.T) {
+		long := strings.Repeat("x", maxLedgerIDLen+1)
+		l := NewLedger("r1")
+		l.Inc(long, 1)
+		if got := len(l.Values()); got != 0 {
+			t.Errorf("ledger holds %d subjects after an Inc with an oversized ID", got)
+		}
+		accepts(t, l)
+		self := NewLedger(long)
+		self.Inc("s", 1)
+		accepts(t, self)
+	})
 }

@@ -108,16 +108,6 @@ func (a *SimAttack) Learn(user, query string) {
 	}
 }
 
-// Similarity returns the SimAttack metric between a query and a user's
-// profile (0 for unknown users).
-func (a *SimAttack) Similarity(user, query string) float64 {
-	p, ok := a.profiles[user]
-	if !ok {
-		return 0
-	}
-	return p.index.Score(textproc.Tokenize(query), a.alpha)
-}
-
 // Identify attempts to link an anonymous query to a user. It succeeds only
 // when the best-scoring profile exceeds the threshold and is the unique
 // maximum (the confidence rule of §VII-E).
@@ -183,10 +173,4 @@ func (a *SimAttack) IdentifyGroup(candidates []string) (queryIdx int, user strin
 		return -1, "", false
 	}
 	return bestIdx, bestUser, true
-}
-
-// IsUserLike is the known-sender classification attack (TrackMeNot): decide
-// whether a query plausibly belongs to the user's own interests.
-func (a *SimAttack) IsUserLike(user, query string) bool {
-	return a.Similarity(user, query) > a.threshold
 }

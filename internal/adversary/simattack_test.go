@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cyclosa/internal/queries"
+	"cyclosa/internal/textproc"
 )
 
 // handLog builds a tiny log with two clearly distinct users.
@@ -35,13 +36,11 @@ func TestNewProfiles(t *testing.T) {
 
 func TestSimilarity(t *testing.T) {
 	a := New(handLog(), Config{})
-	aliceSim := a.Similarity("alice", "kidney dialysis")
-	bobSim := a.Similarity("bob", "kidney dialysis")
+	terms := textproc.Tokenize("kidney dialysis")
+	aliceSim := a.profiles["alice"].index.Score(terms, a.alpha)
+	bobSim := a.profiles["bob"].index.Score(terms, a.alpha)
 	if aliceSim <= bobSim {
 		t.Errorf("alice sim %.3f should exceed bob sim %.3f for a kidney query", aliceSim, bobSim)
-	}
-	if got := a.Similarity("nobody", "kidney"); got != 0 {
-		t.Errorf("unknown user similarity = %v", got)
 	}
 }
 
@@ -113,16 +112,6 @@ func TestIdentifyGroup(t *testing.T) {
 	}
 	if _, _, ok := a.IdentifyGroup(nil); ok {
 		t.Error("empty group should not be identified")
-	}
-}
-
-func TestIsUserLike(t *testing.T) {
-	a := New(handLog(), Config{})
-	if !a.IsUserLike("alice", "kidney dialysis clinic") {
-		t.Error("alice's own query should be user-like")
-	}
-	if a.IsUserLike("alice", "football playoff schedule") {
-		t.Error("bob's query should not look like alice")
 	}
 }
 

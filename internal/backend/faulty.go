@@ -56,9 +56,6 @@ func NewFaulty(cfg FaultyConfig) *Faulty { return &Faulty{cfg: cfg} }
 // SetBrownout switches between the healthy and brownout profiles.
 func (f *Faulty) SetBrownout(on bool) { f.browned.Store(on) }
 
-// Browned reports whether the brownout profile is active.
-func (f *Faulty) Browned() bool { return f.browned.Load() }
-
 // Injected reports the number of injected errors and hangs so far.
 func (f *Faulty) Injected() (errs, hangs uint64) {
 	return f.injErrs.Load(), f.injHangs.Load()

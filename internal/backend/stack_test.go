@@ -342,8 +342,8 @@ func TestFaultyDeterminism(t *testing.T) {
 		t.Fatalf("healthy profile is perfect by default: %v", err)
 	}
 	f.SetBrownout(true)
-	if !f.Browned() {
-		t.Fatal("Browned() should reflect SetBrownout")
+	if !f.browned.Load() {
+		t.Fatal("SetBrownout(true) did not switch the brownout profile on")
 	}
 	if _, err := f.Search("n1", "browned", t0); err == nil {
 		t.Fatal("brownout at ErrorRate 1 must fail")

@@ -1,27 +1,19 @@
-// Package tmn implements the TrackMeNot baseline (§II-A2): a browser
-// extension that periodically sends fake queries to the search engine on
-// behalf of the user, obfuscating the profile the engine accumulates. The
-// user's identity remains visible (no unlinkability) and the fakes are
-// generated from RSS feeds, which makes them distributionally distant from
-// the user's own interests — the weakness the paper's 45% re-identification
-// rate exposes.
+// Package tmn holds the fake-query source of the TrackMeNot baseline
+// (§II-A2): a browser extension that periodically sends fake queries to the
+// search engine on behalf of the user, obfuscating the profile the engine
+// accumulates. The user's identity remains visible (no unlinkability) and
+// the fakes are generated from RSS feeds, which makes them distributionally
+// distant from the user's own interests — the weakness the paper's 45%
+// re-identification rate exposes. The evaluation (Fig 5, the fake-source
+// ablation) draws TrackMeNot's fakes from RSSFeed.
 package tmn
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"cyclosa/internal/queries"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/transport"
 )
-
-// Backend is the search engine.
-type Backend interface {
-	Search(source, query string, now time.Time) ([]searchengine.Result, error)
-}
 
 // RSSFeed simulates the news feeds TrackMeNot samples fake queries from:
 // headline-like phrases over general topics, drawn uniformly (no relation to
@@ -53,60 +45,4 @@ func (f *RSSFeed) Headline() string {
 		terms = append(terms, topic.Terms[f.rng.Intn(len(topic.Terms))])
 	}
 	return strings.Join(terms, " ")
-}
-
-// Client is one user's TrackMeNot extension.
-type Client struct {
-	user    string
-	backend Backend
-	feed    *RSSFeed
-	model   *transport.Model
-	// FakesPerQuery is the number of feed queries interleaved around each
-	// real query (the periodic stream folded onto query times).
-	fakesPerQuery int
-	rng           *rand.Rand
-}
-
-// NewClient creates the extension for one user. fakesPerQuery <= 0 defaults
-// to 3.
-func NewClient(user string, backend Backend, feed *RSSFeed, model *transport.Model, fakesPerQuery int, seed int64) *Client {
-	if fakesPerQuery <= 0 {
-		fakesPerQuery = 3
-	}
-	return &Client{
-		user:          user,
-		backend:       backend,
-		feed:          feed,
-		model:         model,
-		fakesPerQuery: fakesPerQuery,
-		rng:           rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Search sends the real query directly under the user's identity, plus the
-// periodic fakes, and returns the real query's results untouched (perfect
-// accuracy — TrackMeNot never merges result sets).
-func (c *Client) Search(query string, now time.Time) ([]searchengine.Result, time.Duration, error) {
-	// Interleave fakes before and after the real query, as the periodic
-	// generator would around the time of a real search.
-	before := c.rng.Intn(c.fakesPerQuery + 1)
-	for i := 0; i < before; i++ {
-		c.sendFake(now.Add(-time.Duration(i+1) * 13 * time.Second))
-	}
-	latency := c.model.Sample(transport.LinkEngineRTT)
-	results, err := c.backend.Search(c.user, query, now)
-	if err != nil {
-		return nil, latency, fmt.Errorf("tmn search: %w", err)
-	}
-	for i := before; i < c.fakesPerQuery; i++ {
-		c.sendFake(now.Add(time.Duration(i+1) * 17 * time.Second))
-	}
-	return results, latency, nil
-}
-
-// sendFake issues one feed query; engine refusals are ignored (the extension
-// retries later in the real system).
-func (c *Client) sendFake(at time.Time) {
-	//nolint:errcheck // fake traffic is fire-and-forget
-	_, _ = c.backend.Search(c.user, c.feed.Headline(), at)
 }

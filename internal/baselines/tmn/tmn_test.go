@@ -3,25 +3,9 @@ package tmn
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"cyclosa/internal/queries"
-	"cyclosa/internal/searchengine"
-	"cyclosa/internal/transport"
 )
-
-// recordingBackend captures engine calls and serves a canned page.
-type recordingBackend struct {
-	sources []string
-	queries []string
-	page    []searchengine.Result
-}
-
-func (b *recordingBackend) Search(source, query string, _ time.Time) ([]searchengine.Result, error) {
-	b.sources = append(b.sources, source)
-	b.queries = append(b.queries, query)
-	return b.page, nil
-}
 
 func TestHeadlineDrawsFromGeneralTopicsOnly(t *testing.T) {
 	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 13})
@@ -48,79 +32,3 @@ func TestHeadlineDrawsFromGeneralTopicsOnly(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchInterleavesFakesUnderUserIdentity(t *testing.T) {
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 13})
-	page := []searchengine.Result{{DocID: 1, Terms: []string{"anything"}}}
-	tests := []struct {
-		name          string
-		fakesPerQuery int
-		wantCalls     int
-	}{
-		{"default fakes", 0, 4}, // defaults to 3 fakes + the real query
-		{"one fake", 1, 2},
-		{"five fakes", 5, 6},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			backend := &recordingBackend{page: page}
-			feed := NewRSSFeed(uni, 5)
-			c := NewClient("dave", backend, feed, transport.DefaultModel(1), tt.fakesPerQuery, 17)
-
-			realQuery := "very distinctive real query"
-			results, latency, err := c.Search(realQuery, time.Unix(1000, 0))
-			if err != nil {
-				t.Fatalf("Search: %v", err)
-			}
-			if len(backend.queries) != tt.wantCalls {
-				t.Fatalf("engine saw %d calls, want %d (fakes + real)", len(backend.queries), tt.wantCalls)
-			}
-			real := 0
-			for i, q := range backend.queries {
-				if backend.sources[i] != "dave" {
-					t.Fatalf("engine saw source %q, want dave: TrackMeNot does not hide identity", backend.sources[i])
-				}
-				if q == realQuery {
-					real++
-				}
-			}
-			if real != 1 {
-				t.Fatalf("real query reached the engine %d times, want exactly once", real)
-			}
-			// TrackMeNot never merges result pages: the real page is untouched.
-			if len(results) != len(page) || results[0].DocID != 1 {
-				t.Fatalf("results = %+v, want the unfiltered canned page", results)
-			}
-			if latency <= 0 {
-				t.Fatalf("latency = %v, want > 0", latency)
-			}
-		})
-	}
-}
-
-func TestFakeFailuresAreIgnored(t *testing.T) {
-	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 13})
-	backend := &failFakesBackend{realQuery: "the real one"}
-	c := NewClient("erin", backend, NewRSSFeed(uni, 5), transport.DefaultModel(1), 3, 19)
-	if _, _, err := c.Search("the real one", time.Unix(0, 0)); err != nil {
-		t.Fatalf("Search: %v — fake-query refusals must not fail the real search", err)
-	}
-}
-
-// failFakesBackend refuses everything except the real query.
-type failFakesBackend struct {
-	realQuery string
-}
-
-func (b *failFakesBackend) Search(_, query string, _ time.Time) ([]searchengine.Result, error) {
-	if query != b.realQuery {
-		return nil, errRefused
-	}
-	return nil, nil
-}
-
-var errRefused = &refusedError{}
-
-type refusedError struct{}
-
-func (*refusedError) Error() string { return "engine refused" }

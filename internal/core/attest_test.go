@@ -25,7 +25,7 @@ func TestReattestRejectsOldSessionRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := net.pairEntry(client.ID(), relay.ID()).client.Encrypt(padPlaintext(plain))
+	old, err := net.pairEntry(client.ID(), relay.ID()).client.EncryptAppend(nil, padPlaintext(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestReattestRejectsOldSessionRecord(t *testing.T) {
 	if _, err := client.AttestRelay(relay.ID(), directConduit{net}); err != nil {
 		t.Fatal(err)
 	}
-	engineBefore := w.engine.QueryCount()
+	engineBefore := len(w.engine.Observations())
 	if _, err := relay.handleForward(client.ID(), old, t0); err == nil {
 		t.Fatal("a record of the replaced session was accepted by the re-attested one")
 	}
-	if w.engine.QueryCount() != engineBefore {
+	if len(w.engine.Observations()) != engineBefore {
 		t.Error("the replayed record reached the engine")
 	}
 	// The new session works.

@@ -137,13 +137,7 @@ func TestKillAndGossipDuringForwards(t *testing.T) {
 	net.BootstrapFromTrending(uni, hammerBootstrap, 99)
 	ids := net.NodeIDs()
 
-	if err := net.StartGossip(200 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	defer net.StopGossip()
-	if err := net.StartGossip(time.Millisecond); err == nil {
-		t.Fatal("second StartGossip should fail while the loop runs")
-	}
+	defer gossipWhile(net, 200*time.Microsecond)()
 
 	// Kill two relays and poll liveness concurrently with the hammer.
 	var ctl sync.WaitGroup

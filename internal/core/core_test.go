@@ -133,7 +133,7 @@ func TestSearchSendsFakesThroughDistinctRelays(t *testing.T) {
 
 	// A semantically sensitive query forces k = kmax fakes.
 	sens := w.uni.Topic("sex").Terms[0] + " " + w.uni.Topic("sex").Terms[1]
-	engineBefore := w.engine.QueryCount()
+	engineBefore := len(w.engine.Observations())
 	res, err := node.Search(sens, t0)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,8 @@ func TestSearchSendsFakesThroughDistinctRelays(t *testing.T) {
 	if res.K != 3 {
 		t.Fatalf("K = %d, want kmax=3", res.K)
 	}
-	sent := w.engine.QueryCount() - engineBefore
-	if sent != uint64(res.K+1) {
+	sent := len(w.engine.Observations()) - engineBefore
+	if sent != res.K+1 {
 		t.Errorf("engine received %d queries, want %d (real + fakes)", sent, res.K+1)
 	}
 	// The engine observed the queries from (k+1) distinct relay sources,

@@ -5,48 +5,29 @@ import (
 	"time"
 )
 
-func TestStartStopGossip(t *testing.T) {
-	w := getWorld(t)
-	net, err := NewNetwork(NetworkOptions{
-		Nodes:        10,
-		Seed:         88,
-		Backend:      NullBackend{},
-		GossipRounds: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.BootstrapFromTrending(w.uni, 8, 88)
-
-	if err := net.StartGossip(2 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.StartGossip(time.Millisecond); err == nil {
-		t.Error("double start should fail")
-	}
-
-	// The loop must actually run rounds.
-	deadline := time.Now().Add(2 * time.Second)
-	start := net.rpsNet.Rounds()
-	for net.rpsNet.Rounds() < start+3 {
-		if time.Now().After(deadline) {
-			t.Fatal("gossip loop did not advance")
+// gossipWhile runs one gossip round every interval on its own goroutine,
+// the way a long-running deployment keeps the overlay a continuously
+// changing random topology (§V-E), until the returned stop is called; stop
+// returns once the goroutine has exited.
+func gossipWhile(net *Network, interval time.Duration) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+				net.Gossip(1)
+			case <-quit:
+				return
+			}
 		}
-		time.Sleep(2 * time.Millisecond)
+	}()
+	return func() {
+		close(quit)
+		<-exited
 	}
-
-	net.StopGossip()
-	after := net.rpsNet.Rounds()
-	time.Sleep(10 * time.Millisecond)
-	if net.rpsNet.Rounds() != after {
-		t.Error("gossip loop kept running after StopGossip")
-	}
-	// Stop is idempotent; restart works.
-	net.StopGossip()
-	if err := net.StartGossip(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	net.StopGossip()
 }
 
 // Searches proceed correctly while the overlay is being reshuffled
@@ -54,10 +35,7 @@ func TestStartStopGossip(t *testing.T) {
 func TestSearchDuringGossip(t *testing.T) {
 	w := getWorld(t)
 	net := newTestNetwork(t, 12, w, 2)
-	if err := net.StartGossip(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	defer net.StopGossip()
+	defer gossipWhile(net, time.Millisecond)()
 
 	node := net.Node(net.NodeIDs()[0])
 	for i := 0; i < 20; i++ {

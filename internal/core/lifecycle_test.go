@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -58,47 +59,7 @@ func TestJoinBecomesRelay(t *testing.T) {
 	}
 }
 
-// TestLeaveHealsAndFails: after a graceful leave the node is gone from the
-// member set, direct forwards to it fail as unavailability, and searches
-// keep completing once views heal.
-func TestLeaveHealsAndFails(t *testing.T) {
-	net := lifecycleNet(t, 8)
-	now := time.Unix(0, 0)
-	ids := net.NodeIDs()
-	gone, client := ids[1], net.Node(ids[0])
-
-	// Establish a pair with the departing relay so Leave has sessions to
-	// discard in both directions.
-	if err := net.RelayRoundTrip(client, gone, "warmup", now); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RelayRoundTrip(net.Node(gone), ids[2], "warmup out", now); err != nil {
-		t.Fatal(err)
-	}
-
-	net.Leave(gone)
-	net.Leave(gone) // idempotent
-
-	if net.Node(gone) != nil {
-		t.Fatal("departed node still resolvable")
-	}
-	if got := len(net.NodeIDs()); got != 7 {
-		t.Fatalf("member count after leave: %d", got)
-	}
-	err := net.RelayRoundTrip(client, gone, "post-leave", now)
-	if !errors.Is(err, ErrRelayUnavailable) {
-		t.Fatalf("forward to departed relay: %v, want ErrRelayUnavailable", err)
-	}
-
-	net.Gossip(30)
-	for _, id := range net.NodeIDs() {
-		if _, err := net.Node(id).Search("heal probe", now); err != nil {
-			t.Fatalf("search from %s after leave: %v", id, err)
-		}
-	}
-}
-
-// TestChurnUnderConcurrentForwards: joins and leaves race 16 forwarding
+// TestChurnUnderConcurrentForwards: joins and kills race 16 forwarding
 // goroutines; every search must either complete or fail with a clean
 // protocol error.
 func TestChurnUnderConcurrentForwards(t *testing.T) {
@@ -129,13 +90,13 @@ func TestChurnUnderConcurrentForwards(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
-		id := "churner"
+		id := fmt.Sprintf("churner%d", i)
 		if _, err := net.Join(id); err != nil {
 			t.Errorf("join %d: %v", i, err)
 			break
 		}
 		net.Gossip(2)
-		net.Leave(id)
+		net.Kill(id)
 		net.Gossip(2)
 	}
 	close(stop)

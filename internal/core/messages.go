@@ -68,21 +68,6 @@ const requestPadSize = 512
 // hot path never allocates a pad buffer.
 var zeroPad [requestPadSize]byte
 
-// padPlaintext wraps payload as [4-byte length | payload | zero padding] of
-// exactly requestPadSize bytes (longer payloads are carried unpadded — the
-// rare oversize query still works, at a distinguishability cost).
-func padPlaintext(payload []byte) []byte {
-	capHint := 4 + len(payload)
-	if capHint < requestPadSize {
-		capHint = requestPadSize
-	}
-	out := make([]byte, 0, capHint)
-	out = append(out, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	return appendPadding(out)
-}
-
 // appendPadding zero-pads a [4-byte length | payload] buffer to
 // requestPadSize and returns the extended slice (no-op when already at or
 // beyond the pad size).
@@ -93,7 +78,8 @@ func appendPadding(buf []byte) []byte {
 	return buf
 }
 
-// unpadPlaintext reverses padPlaintext.
+// unpadPlaintext reverses the padding: it returns the payload of a
+// [4-byte length | payload | zero padding] plaintext.
 func unpadPlaintext(padded []byte) ([]byte, error) {
 	if len(padded) < 4 {
 		return nil, fmt.Errorf("padded message too short: %d bytes", len(padded))
@@ -103,19 +89,6 @@ func unpadPlaintext(padded []byte) ([]byte, error) {
 		return nil, fmt.Errorf("padded length %d exceeds message size %d", n, len(padded))
 	}
 	return padded[4 : 4+n], nil
-}
-
-// forwardRequest is the enclave-to-enclave message asking a relay to submit
-// a query to the search engine on the sender's behalf. Real and fake
-// queries use the identical message, so relays (and any traffic observer)
-// cannot tell them apart (§IV) — unlike OR-group systems whose obfuscated
-// messages are visibly larger than plain ones.
-type forwardRequest struct {
-	// Query is the search query to forward.
-	Query string
-	// RequestID is a random identifier echoed in the response; it lets the
-	// client detect replays (§VI-b) and match responses to requests.
-	RequestID uint64
 }
 
 // forwardResponse carries the search results back to the requesting node.
@@ -293,37 +266,4 @@ func appendWireString(dst []byte, s string) []byte {
 
 func consumeWireBytes(data []byte, max uint64) ([]byte, []byte, error) {
 	return wire.ConsumeBytes(data, max)
-}
-
-// --- convenience wrappers (session setup, tests; not on the hot path) ------
-
-func encodeRequest(r *forwardRequest) ([]byte, error) {
-	if len(r.Query) > maxWireQueryLen {
-		return nil, fmt.Errorf("%w: query %d bytes", ErrWireOversize, len(r.Query))
-	}
-	return appendRequest(nil, r.RequestID, []byte(r.Query)), nil
-}
-
-func decodeRequest(data []byte) (*forwardRequest, error) {
-	requestID, query, err := decodeRequestWire(data)
-	if err != nil {
-		return nil, fmt.Errorf("decode forward request: %w", err)
-	}
-	return &forwardRequest{Query: string(query), RequestID: requestID}, nil
-}
-
-func encodeResponse(r *forwardResponse) ([]byte, error) {
-	if len(r.EngineError) > maxWireErrLen {
-		return nil, fmt.Errorf("%w: engine error %d bytes", ErrWireOversize, len(r.EngineError))
-	}
-	out := appendResponseHeader(nil, r.RequestID, r.EngineError)
-	return searchengine.AppendResults(out, r.Results), nil
-}
-
-func decodeResponse(data []byte) (*forwardResponse, error) {
-	resp, err := decodeResponseWire(data, false)
-	if err != nil {
-		return nil, fmt.Errorf("decode forward response: %w", err)
-	}
-	return &resp, nil
 }

@@ -79,11 +79,10 @@ type NetworkOptions struct {
 //
 // The hot path (forward) is safe for concurrent use by many client
 // goroutines and avoids global locks: the member set is a copy-on-write
-// snapshot read lock-free on every forward (Join/Leave swap in a new copy),
-// the pair/session map is sharded across pairShardCount locks, the request
+// snapshot read lock-free on every forward (Join swaps in a new copy), the
+// pair/session map is sharded across pairShardCount locks, the request
 // counter is atomic, and liveness is a read-mostly RWMutex. Kill, Alive,
-// Join, Leave, StartGossip and StopGossip may be called while forwards are
-// in flight.
+// Join and Gossip may be called while forwards are in flight.
 type Network struct {
 	// Immutable after NewNetwork returns.
 	engine         Backend
@@ -106,7 +105,7 @@ type Network struct {
 	attestor transport.Attestor
 
 	// members is the copy-on-write node set: forwards read it lock-free,
-	// Join/Leave (serialized by joinMu) swap in a new copy. The zero-cost
+	// Join (serialized by joinMu) swaps in a new copy. The zero-cost
 	// read is what keeps the hot path unchanged from the immutable era.
 	members atomic.Pointer[memberSet]
 	joinMu  sync.Mutex
@@ -132,10 +131,6 @@ type Network struct {
 	// goroutine: a blocking conduit's Deliver calls (deliverAdapter), and
 	// the paths that need a handshake or a retry (Node.Search).
 	paths *workers.Pool[pathJob]
-
-	gossipMu   sync.Mutex
-	gossipStop chan struct{}
-	gossipDone chan struct{}
 }
 
 // memberSet is one immutable snapshot of the node set.
@@ -347,80 +342,6 @@ func (net *Network) Join(id string) (*Node, error) {
 	return node, nil
 }
 
-// Leave removes a node gracefully: it stops gossiping, the survivors age
-// its descriptors out of their views, forwards addressed to it fail as
-// unavailability (retry picks a live relay), and every attested pair it was
-// part of is discarded. Unlike Kill, Leave frees the node's state. Safe to
-// call while forwards are in flight.
-func (net *Network) Leave(id string) {
-	net.joinMu.Lock()
-	cur := net.members.Load()
-	node, exists := cur.nodes[id]
-	if !exists {
-		net.joinMu.Unlock()
-		return
-	}
-	next := &memberSet{
-		nodes: make(map[string]*Node, len(cur.nodes)-1),
-		order: make([]string, 0, len(cur.order)-1),
-	}
-	for k, v := range cur.nodes {
-		if k != id {
-			next.nodes[k] = v
-		}
-	}
-	for _, k := range cur.order {
-		if k != id {
-			next.order = append(next.order, k)
-		}
-	}
-	net.members.Store(next)
-	net.joinMu.Unlock()
-
-	net.rpsNet.Remove(rps.NodeID(id))
-	net.deadMu.Lock()
-	delete(net.dead, id)
-	net.deadMu.Unlock()
-	net.purgePairs(id, next)
-	// The departed node's own responder halves are not in any pair state;
-	// close them too so session observers release their bookkeeping.
-	node.closeSessions()
-}
-
-// purgePairs discards every pair state involving a departed node, closing
-// the session halves so observers release their bookkeeping. members is the
-// post-departure set (used to drop responder sessions the departed client
-// held at surviving relays).
-func (net *Network) purgePairs(id string, members *memberSet) {
-	for si := range net.pairShards {
-		shard := &net.pairShards[si]
-		shard.mu.Lock()
-		var purged []pairKey
-		var states []*pairState
-		for key, ps := range shard.m {
-			if key.client == id || key.relay == id {
-				purged = append(purged, key)
-				states = append(states, ps)
-				delete(shard.m, key)
-			}
-		}
-		shard.mu.Unlock()
-		for i, ps := range states {
-			ps.mu.Lock()
-			if ps.client != nil {
-				ps.client.Close()
-				ps.client = nil
-			}
-			ps.mu.Unlock()
-			if key := purged[i]; key.client == id {
-				if relay := members.nodes[key.relay]; relay != nil {
-					relay.dropSession(id)
-				}
-			}
-		}
-	}
-}
-
 // BootstrapFromTrending fills every node's table with n queries from a
 // trending source over the universe.
 func (net *Network) BootstrapFromTrending(uni *queries.Universe, n int, seed int64) {
@@ -466,50 +387,6 @@ func (net *Network) Alive(id string) bool {
 // Gossip runs additional peer-sampling rounds (e.g. to heal after failures).
 func (net *Network) Gossip(rounds int) { net.rpsNet.Run(rounds) }
 
-// StartGossip launches the continuous peer-sampling loop: one gossip round
-// every interval, keeping the overlay a "continuously changing random
-// topology" (§V-E) in long-running deployments. It returns immediately;
-// call StopGossip to stop the loop and wait for it to exit. Starting twice
-// without stopping is an error. Safe to call while forwards are in flight.
-func (net *Network) StartGossip(interval time.Duration) error {
-	net.gossipMu.Lock()
-	defer net.gossipMu.Unlock()
-	if net.gossipStop != nil {
-		return errors.New("core: gossip loop already running")
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	net.gossipStop, net.gossipDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				net.rpsNet.Round()
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-// StopGossip signals the gossip loop to stop and waits for it to exit. It
-// is a no-op when the loop is not running.
-func (net *Network) StopGossip() {
-	net.gossipMu.Lock()
-	stop, done := net.gossipStop, net.gossipDone
-	net.gossipStop, net.gossipDone = nil, nil
-	net.gossipMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
 // directConduit is the default delivery path: hand the record straight to
 // the relay's host entry point, in process. It is the innermost layer of
 // any conduit stack installed via NetworkOptions.Conduit.
@@ -519,7 +396,7 @@ var _ transport.Conduit = directConduit{}
 
 // Deliver hands one encrypted record to the relay and returns its encrypted
 // response. The member-set lookup is a lock-free snapshot read; an unknown
-// relay (never a member, or departed via Leave) surfaces as unavailability.
+// relay (not a member) surfaces as unavailability.
 func (d directConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
 	relay := d.net.members.Load().nodes[to]
 	if relay == nil {
@@ -690,12 +567,8 @@ func (net *Network) sealForward(client *Node, relayID string, query []byte, disc
 	// (first use, or re-attestation after a break) runs under the same
 	// lock acquisition — one lock round trip per forward.
 	ps.mu.Lock()
-	// Re-check membership now that the pair entry is published: if Leave
-	// completed between the snapshot read above and pairEntry, its purge has
-	// already scanned the shard and missed this entry — attesting here would
-	// leak a session nothing ever closes. If instead the relay is still a
-	// member, any later Leave purges this entry (and blocks on ps.mu until
-	// this exchange finishes), so the session is always discarded cleanly.
+	// Re-check membership now that the pair entry is published, so a pair
+	// is only ever attested to the member this forward resolved.
 	if net.members.Load().nodes[relayID] != relay {
 		ps.mu.Unlock()
 		return nil, ErrRelayUnavailable

@@ -390,8 +390,8 @@ func (n *Node) ID() string { return n.id }
 // Enclave exposes the node's enclave (for stats and ablations).
 func (n *Node) Enclave() *enclave.Enclave { return n.encl }
 
-// Table returns the enclave past-query table's length; the content itself is
-// enclave state and not exposed.
+// TableLen returns the enclave past-query table's length; the content itself
+// is enclave state and not exposed.
 func (n *Node) TableLen() int { return n.state.table.Len() }
 
 // Stats returns a snapshot of the node's counters.
@@ -448,20 +448,6 @@ func (n *Node) admitSession(peer string, sess *securechan.Session) {
 	n.state.sessions[peer] = &relaySession{
 		sess:    sess,
 		relayed: n.stats.relayed.Handle(0),
-	}
-}
-
-// closeSessions discards and closes every responder-side session the node
-// holds. Called when the node leaves the deployment, so per-session
-// observers (the simnet nonce checker) release their bookkeeping — the
-// same both-halves-closed rule breakPair follows.
-func (n *Node) closeSessions() {
-	n.state.mu.Lock()
-	defer n.state.mu.Unlock()
-	for peer, rs := range n.state.sessions {
-		rs.sess.Close()
-		rs.relayed.Close()
-		delete(n.state.sessions, peer)
 	}
 }
 

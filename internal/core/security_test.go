@@ -23,14 +23,14 @@ func TestSecurityForgedRequestRejected(t *testing.T) {
 
 	// Garbage ciphertext under the client's identity: the enclave's
 	// decrypt fails and nothing is recorded or forwarded.
-	engineBefore := w.engine.QueryCount()
+	engineBefore := len(w.engine.Observations())
 	if _, err := relay.handleForward(client.ID(), []byte("not a valid record at all"), t0); err == nil {
 		t.Fatal("forged request accepted")
 	}
 	if relay.TableLen() != tableBefore {
 		t.Error("forged request polluted the past-query table")
 	}
-	if w.engine.QueryCount() != engineBefore {
+	if len(w.engine.Observations()) != engineBefore {
 		t.Error("forged request reached the engine")
 	}
 
@@ -59,7 +59,7 @@ func TestSecurityReplayToRelayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ps.client.Encrypt(padPlaintext(plain))
+	ct, err := ps.client.EncryptAppend(nil, padPlaintext(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestSecurityEngineViewShape(t *testing.T) {
 	ids := net.NodeIDs()
 	client := net.Node(ids[0])
 
-	w.engine.ResetObservations()
+	before := len(w.engine.Observations())
 	sens := w.uni.Topic("sex").Terms[2] + " " + w.uni.Topic("sex").Terms[3]
 	res, err := client.Search(sens, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := w.engine.Observations()
+	obs := w.engine.Observations()[before:]
 	if len(obs) != res.K+1 {
 		t.Fatalf("engine saw %d queries, want %d", len(obs), res.K+1)
 	}
@@ -168,7 +168,7 @@ func TestSecurityUniformRequestSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := ps.client.Encrypt(padPlaintext(plain))
+		ct, err := ps.client.EncryptAppend(nil, padPlaintext(plain))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestSecurityCrossPairIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := psA.client.Encrypt(plain)
+	ct, err := psA.client.EncryptAppend(nil, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,9 @@ func MeasureCode(name string, version int) Measurement {
 
 // Errors returned by the enclave runtime.
 var (
-	ErrDestroyed      = errors.New("enclave: destroyed")
-	ErrUnknownECall   = errors.New("enclave: unknown ecall")
-	ErrSealCorrupted  = errors.New("enclave: sealed blob corrupted or wrong enclave")
-	ErrEPCExhausted   = errors.New("enclave: EPC and swap exhausted")
-	ErrNotInitialized = errors.New("enclave: not initialized")
+	ErrDestroyed     = errors.New("enclave: destroyed")
+	ErrUnknownECall  = errors.New("enclave: unknown ecall")
+	ErrSealCorrupted = errors.New("enclave: sealed blob corrupted or wrong enclave")
 )
 
 // ECall is a trusted function callable through the call gate. Arguments and

@@ -261,9 +261,6 @@ func TestEPCWithinLimitNoFaults(t *testing.T) {
 	if epc.PageFaults() != 0 {
 		t.Errorf("faults within limit = %d", epc.PageFaults())
 	}
-	if epc.Touch(256<<10) != 0 {
-		t.Error("touch within limit should be free")
-	}
 	epc.Free(512 << 10)
 	if epc.Used() != 0 {
 		t.Errorf("used after free = %d", epc.Used())
@@ -285,14 +282,10 @@ func TestEPCPagingCliff(t *testing.T) {
 	if faults != wantPages {
 		t.Errorf("faults = %d, want %d", faults, wantPages)
 	}
-	if epc.PenaltyTotal() <= 0 {
-		t.Error("no penalty accumulated")
-	}
-	// Touching memory while oversubscribed also faults.
-	before := epc.PageFaults()
-	cost := epc.Touch(512 << 10)
-	if cost <= 0 || epc.PageFaults() == before {
-		t.Error("touch while oversubscribed should fault")
+	// Every further page while oversubscribed faults too.
+	epc.Alloc(512 << 10)
+	if got := epc.PageFaults() - faults; got != (512<<10)/pageSize {
+		t.Errorf("faults while oversubscribed = %d, want %d", got, (512<<10)/pageSize)
 	}
 }
 
@@ -309,9 +302,6 @@ func TestEPCDefaults(t *testing.T) {
 	epc.Free(100)
 	if epc.Used() != 0 {
 		t.Error("over-free should clamp to 0")
-	}
-	if epc.Touch(-1) != 0 {
-		t.Error("negative touch should be free")
 	}
 }
 

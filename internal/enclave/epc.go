@@ -1,9 +1,6 @@
 package enclave
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // DefaultEPCLimit is the SGX enclave page cache limit the paper cites
 // (128 MB, §II-B).
@@ -12,14 +9,10 @@ const DefaultEPCLimit int64 = 128 << 20
 // pageSize is the SGX page granularity.
 const pageSize = 4096
 
-// DefaultPageFaultPenalty approximates the cost of one EPC page swap
-// (encrypt + evict + reload through the SGX driver); measurements in the
-// SecureKeeper/SCONE papers the paper cites put it in the tens of
-// microseconds.
-const DefaultPageFaultPenalty = 25 * time.Microsecond
-
 // EPC models the enclave page cache: allocations within the limit are free;
-// beyond it every touched page may fault and pay the swap penalty. CYCLOSA
+// beyond it every page faults (the driver swaps it through encrypted
+// memory, tens of microseconds each in the SecureKeeper/SCONE measurements
+// the paper cites). CYCLOSA
 // keeps its enclave at 1.7 MB precisely to stay on the cheap side of this
 // cliff (§V-F); the EPC model lets the ablation benchmarks show the cliff.
 type EPC struct {
@@ -27,9 +20,6 @@ type EPC struct {
 	limit      int64
 	used       int64
 	pageFaults uint64
-	penalty    time.Duration
-	// accumulated simulated penalty time
-	penaltyTotal time.Duration
 }
 
 // NewEPC creates an EPC model with the given limit (DefaultEPCLimit if
@@ -38,7 +28,7 @@ func NewEPC(limit int64) *EPC {
 	if limit <= 0 {
 		limit = DefaultEPCLimit
 	}
-	return &EPC{limit: limit, penalty: DefaultPageFaultPenalty}
+	return &EPC{limit: limit}
 }
 
 // Limit returns the EPC size.
@@ -62,16 +52,8 @@ func (e *EPC) PageFaults() uint64 {
 	return e.pageFaults
 }
 
-// PenaltyTotal returns the accumulated simulated paging cost.
-func (e *EPC) PenaltyTotal() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.penaltyTotal
-}
-
 // Alloc reserves n bytes of enclave memory. Allocations always succeed (the
-// driver swaps), but pages beyond the EPC limit register page faults and
-// accumulate the paging penalty.
+// driver swaps), but pages beyond the EPC limit register page faults.
 func (e *EPC) Alloc(n int64) {
 	if n <= 0 {
 		return
@@ -83,9 +65,7 @@ func (e *EPC) Alloc(n int64) {
 	if e.used > e.limit {
 		over := e.used - maxInt64(before, e.limit)
 		if over > 0 {
-			faults := uint64((over + pageSize - 1) / pageSize)
-			e.pageFaults += faults
-			e.penaltyTotal += time.Duration(faults) * e.penalty
+			e.pageFaults += uint64((over + pageSize - 1) / pageSize)
 		}
 	}
 }
@@ -101,30 +81,6 @@ func (e *EPC) Free(n int64) {
 	if e.used < 0 {
 		e.used = 0
 	}
-}
-
-// Touch simulates accessing n bytes of resident enclave memory: if usage
-// exceeds the limit, a proportional share of the touched pages fault.
-func (e *EPC) Touch(n int64) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.used <= e.limit {
-		return 0
-	}
-	// Fraction of enclave pages not resident in the EPC.
-	missRatio := float64(e.used-e.limit) / float64(e.used)
-	pages := (n + pageSize - 1) / pageSize
-	faults := uint64(float64(pages) * missRatio)
-	if faults == 0 {
-		return 0
-	}
-	e.pageFaults += faults
-	cost := time.Duration(faults) * e.penalty
-	e.penaltyTotal += cost
-	return cost
 }
 
 func maxInt64(a, b int64) int64 {

@@ -153,10 +153,10 @@ func RunAccuracy(w *World, opts AccuracyOptions) (*AccuracyResult, error) {
 	}
 
 	// CYCLOSA: the real query travels alone through a relay; the returned
-	// page is byte-identical to direct. Verified through the full core
-	// network in TestAccuracyCyclosaExact; here the real-path equality lets
-	// us reuse the direct page (the relay forwards the query text
-	// unchanged).
+	// page is byte-identical to direct. TestAccuracyCyclosaExact
+	// (internal/eval/fig6_test.go) verifies that through a full core
+	// network over this engine; here the real-path equality lets us reuse
+	// the direct page (the relay forwards the query text unchanged).
 	exact(MechCyclosa, func(q queries.Query) []searchengine.Result {
 		return engine.DirectResults(q.Text)
 	})

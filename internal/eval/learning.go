@@ -112,11 +112,3 @@ func (r *LearningAdversaryResult) String() string {
 	b.WriteString("(intercept-and-learn sharpens the attack on TOR traffic; CYCLOSA's replayed fakes poison it)\n")
 	return b.String()
 }
-
-// FinalGap returns the last round's TOR/CYCLOSA rate ratio.
-func (r *LearningAdversaryResult) FinalGap() float64 {
-	if len(r.CyclosaRates) == 0 || r.CyclosaRates[len(r.CyclosaRates)-1] == 0 {
-		return 0
-	}
-	return r.TORRates[len(r.TORRates)-1] / r.CyclosaRates[len(r.CyclosaRates)-1]
-}

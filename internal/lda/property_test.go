@@ -60,11 +60,11 @@ func TestTrainStableUnderShuffledCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The corpus statistics are permutation-invariant exactly.
-		if m.VocabSize() != base.VocabSize() {
-			t.Errorf("shuffle %d: vocab size %d, want %d", shufSeed, m.VocabSize(), base.VocabSize())
+		if len(m.vocab) != len(base.vocab) {
+			t.Errorf("shuffle %d: vocab size %d, want %d", shufSeed, len(m.vocab), len(base.vocab))
 		}
-		if m.NumTokens() != base.NumTokens() {
-			t.Errorf("shuffle %d: tokens %d, want %d", shufSeed, m.NumTokens(), base.NumTokens())
+		if m.numTokens != base.numTokens {
+			t.Errorf("shuffle %d: tokens %d, want %d", shufSeed, m.numTokens, base.numTokens)
 		}
 		// The extracted dictionary is stable, not identical.
 		if j := jaccard(baseDict, m.Dictionary(30)); j < 0.6 {
@@ -86,8 +86,8 @@ func TestTermProbBoundsProperty(t *testing.T) {
 	probe := append([]string{"never-seen-term", ""}, uni.Topic("health").Terms[:50]...)
 	for k := 0; k < m.K; k++ {
 		for _, term := range probe {
-			if p := m.TermProb(k, term); p <= 0 || p > 1 {
-				t.Fatalf("TermProb(%d, %q) = %v, want (0, 1]", k, term, p)
+			if p := termProb(m, k, term); p <= 0 || p > 1 {
+				t.Fatalf("termProb(%d, %q) = %v, want (0, 1]", k, term, p)
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func TestTrainEdgeCorpora(t *testing.T) {
 		for _, d := range tc.docs {
 			want += len(d)
 		}
-		if m.NumTokens() != want {
-			t.Errorf("%s: NumTokens = %d, want %d", tc.name, m.NumTokens(), want)
+		if m.numTokens != want {
+			t.Errorf("%s: tokens = %d, want %d", tc.name, m.numTokens, want)
 		}
 	}
 }

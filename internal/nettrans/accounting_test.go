@@ -214,8 +214,9 @@ func TestLedgerGossipConvergesAndBlacklists(t *testing.T) {
 	a.Start()
 	b.Start()
 
-	// Node A observes misbehavior worth the default threshold (3).
-	a.ReportMisbehavior("mallory", 3)
+	// Node A blacklists mallory, recording evidence worth the default
+	// threshold (3).
+	a.Blacklist("mallory")
 
 	waitFor(t, "b to merge mallory's count", func() bool {
 		return ledgerB.Value("mallory") == 3
@@ -285,34 +286,6 @@ func TestLedgerExchangeWithLedgerlessPeer(t *testing.T) {
 	}
 }
 
-// TestReportMisbehaviorWithoutLedger: a membership without a ledger
-// degrades ReportMisbehavior to an immediate local blacklist.
-func TestReportMisbehaviorWithoutLedger(t *testing.T) {
-	bare, _ := startMemberDaemon(t, "node-noledger", nil, nil)
-	bare.ReportMisbehavior("cheat", 1)
-	if !bare.Node().IsBlacklisted("cheat") {
-		t.Fatal("ledger-less membership did not blacklist on report")
-	}
-}
-
-// TestReportMisbehaviorAccumulates: sub-threshold reports accumulate
-// without blacklisting; the report that crosses the threshold blacklists.
-func TestReportMisbehaviorAccumulates(t *testing.T) {
-	m, ledger, _ := startAccountedDaemon(t, "node-solo", nil)
-	m.ReportMisbehavior("shady", 1)
-	m.ReportMisbehavior("shady", 1)
-	if m.Node().IsBlacklisted("shady") {
-		t.Fatal("blacklisted below threshold")
-	}
-	m.ReportMisbehavior("shady", 1)
-	if !m.Node().IsBlacklisted("shady") {
-		t.Fatal("not blacklisted at threshold")
-	}
-	if v := ledger.Value("shady"); v != 3 {
-		t.Fatalf("ledger value = %d, want 3", v)
-	}
-}
-
 // TestBlacklistRecordsLedgerEvidence: a direct local blacklist writes
 // threshold-weight evidence so the verdict gossips.
 func TestBlacklistRecordsLedgerEvidence(t *testing.T) {
@@ -339,8 +312,8 @@ func TestHandleAccountingRejects(t *testing.T) {
 	if _, err := m.HandleAccounting("peer-x", []byte{0xFF, 0x01, 0x02}, nil); err == nil {
 		t.Fatal("malformed payload accepted")
 	}
-	if len(ledger.Subjects()) != 0 {
-		t.Fatalf("rejected payload mutated ledger: %v", ledger.Subjects())
+	if len(ledger.Values()) != 0 {
+		t.Fatalf("rejected payload mutated ledger: %v", ledger.Values())
 	}
 
 	evil := accounting.NewLedger("evil")

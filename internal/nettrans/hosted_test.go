@@ -537,8 +537,8 @@ func TestUnattestedPeerNeverBlacklisted(t *testing.T) {
 	if st := c.node.Stats(); st.Blacklisted != 0 || blacklisted.Load() != 0 {
 		t.Fatalf("stats %+v, %d blacklist hooks fired: an unresolvable peer must never be blacklisted", st, blacklisted.Load())
 	}
-	if c.peers.ViewSize() != 3 {
-		t.Fatalf("view shrank to %d: pending peers must stay sampleable", c.peers.ViewSize())
+	if len(c.peers.View()) != 3 {
+		t.Fatalf("view shrank to %d: pending peers must stay sampleable", len(c.peers.View()))
 	}
 }
 

@@ -180,7 +180,7 @@ func NewMembership(cfg MembershipConfig) *Membership {
 	rpsCfg.Addr = cfg.Self.Addr
 	if cfg.Ledger != nil {
 		// Every blacklist transition — attestation verdict, misbehavior
-		// threshold, upper-layer report — records threshold-weight evidence
+		// threshold, a local Blacklist call — records threshold-weight evidence
 		// in the ledger, exactly once, so the verdict propagates: peers that
 		// merge this node's ledger reach the same conclusion without
 		// re-observing the misbehavior. Threshold-driven blacklists change
@@ -408,19 +408,6 @@ func (m *Membership) applyThresholds(subjects []string) {
 			m.mu.Unlock()
 		}
 	}
-}
-
-// ReportMisbehavior charges subject with delta units of locally observed
-// misbehavior and blacklists it if the merged count reaches the threshold.
-// This is the upper-layer hook (relay protocol violations, forged answers);
-// without a ledger it degrades to an immediate local blacklist.
-func (m *Membership) ReportMisbehavior(subject string, delta uint64) {
-	if m.cfg.Ledger == nil {
-		m.Blacklist(subject)
-		return
-	}
-	m.cfg.Ledger.Inc(subject, delta)
-	m.applyThresholds([]string{subject})
 }
 
 // exchangeWith runs the active half of one push-pull exchange against addr:

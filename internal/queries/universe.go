@@ -207,16 +207,6 @@ func (u *Universe) TopicsOf(term string) []string {
 	return nil
 }
 
-// PolysemousTerms returns the terms that belong to more than one topic.
-func (u *Universe) PolysemousTerms() []string {
-	terms := make([]string, 0, len(u.polysemous))
-	for t := range u.polysemous {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	return terms
-}
-
 // wordGen produces unique pronounceable pseudo-words from syllables, so the
 // synthetic vocabulary tokenizes like real query terms.
 type wordGen struct {

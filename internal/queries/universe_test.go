@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -56,7 +57,11 @@ func TestUniverseLookup(t *testing.T) {
 
 func TestUniversePolysemy(t *testing.T) {
 	uni := NewUniverse(UniverseConfig{Seed: 2})
-	poly := uni.PolysemousTerms()
+	poly := make([]string, 0, len(uni.polysemous))
+	for term := range uni.polysemous {
+		poly = append(poly, term)
+	}
+	sort.Strings(poly)
 	if len(poly) == 0 {
 		t.Fatal("expected polysemous terms (WordNet false-positive source)")
 	}
@@ -120,17 +125,13 @@ func TestTrendingSource(t *testing.T) {
 			sensTerms[term] = struct{}{}
 		}
 	}
-	poly := make(map[string]struct{})
-	for _, p := range uni.PolysemousTerms() {
-		poly[p] = struct{}{}
-	}
 	for _, q := range batch {
 		if q == "" {
 			t.Fatal("empty trending query")
 		}
 		for _, term := range strings.Fields(q) {
 			_, isSens := sensTerms[term]
-			_, isPoly := poly[term]
+			_, isPoly := uni.polysemous[term]
 			if isSens && !isPoly {
 				t.Errorf("trending query %q contains unambiguous sensitive term %q", q, term)
 			}

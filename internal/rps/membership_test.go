@@ -15,7 +15,7 @@ func TestSeededBootstrapConverges(t *testing.T) {
 		t.Fatalf("after 25 rounds only %d/48 nodes reachable from seed", got)
 	}
 	for _, id := range net.NodeIDs() {
-		if vs := net.Node(id).ViewSize(); vs == 0 {
+		if vs := len(net.Node(id).View()); vs == 0 {
 			t.Fatalf("node %s has an empty view after convergence", id)
 		}
 	}
@@ -33,8 +33,8 @@ func TestAddJoinsThroughGossip(t *testing.T) {
 	if deg[joined] == 0 {
 		t.Fatal("joined node never entered any view")
 	}
-	if net.Node(joined).ViewSize() < 4 {
-		t.Fatalf("joined node's view stayed tiny: %d", net.Node(joined).ViewSize())
+	if len(net.Node(joined).View()) < 4 {
+		t.Fatalf("joined node's view stayed tiny: %d", len(net.Node(joined).View()))
 	}
 	if got, want := net.Reachable(joined), 17; got != want {
 		t.Fatalf("reachable from joined node: %d, want %d", got, want)
@@ -175,7 +175,7 @@ func TestSeededRebootstrap(t *testing.T) {
 			t.Fatalf("re-bootstrapped view of %s holds %s, want seeds only", stranded[0], d.ID)
 		}
 	}
-	if net.Node(stranded[0]).ViewSize() == 0 {
+	if len(net.Node(stranded[0]).View()) == 0 {
 		t.Fatalf("%s re-bootstrapped to an empty view", stranded[0])
 	}
 	net.SetDropRate(0)

@@ -123,13 +123,6 @@ func (n *Node) SetAddr(addr string) {
 	n.cfg.Addr = addr
 }
 
-// ViewSize returns the current number of view entries.
-func (n *Node) ViewSize() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.view)
-}
-
 // View returns a copy of the current view.
 func (n *Node) View() []Descriptor {
 	n.mu.Lock()

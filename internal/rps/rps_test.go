@@ -13,8 +13,8 @@ func TestNewNodeBootstrap(t *testing.T) {
 	if n.ID() != "self" {
 		t.Errorf("ID = %s", n.ID())
 	}
-	if n.ViewSize() != 3 {
-		t.Errorf("view size = %d, want 3 (self excluded)", n.ViewSize())
+	if len(n.View()) != 3 {
+		t.Errorf("view size = %d, want 3 (self excluded)", len(n.View()))
 	}
 	for _, d := range n.View() {
 		if d.ID == "self" {
@@ -32,8 +32,8 @@ func TestBootstrapRespectsViewSize(t *testing.T) {
 		boot[i] = Name(i)
 	}
 	n := NewNode("self", boot, Config{ViewSize: 8, Seed: 1})
-	if n.ViewSize() != 8 {
-		t.Errorf("view size = %d, want 8", n.ViewSize())
+	if len(n.View()) != 8 {
+		t.Errorf("view size = %d, want 8", len(n.View()))
 	}
 }
 
@@ -145,8 +145,8 @@ func TestViewNeverExceedsSize(t *testing.T) {
 			{ID: Name(i), Age: i % 3},
 			{ID: Name(i + 100), Age: 0},
 		})
-		if n.ViewSize() > 4 {
-			t.Fatalf("view grew to %d > 4", n.ViewSize())
+		if len(n.View()) > 4 {
+			t.Fatalf("view grew to %d > 4", len(n.View()))
 		}
 	}
 }

@@ -38,11 +38,11 @@ const (
 	MaxWireTerms = 4096
 )
 
-// Result-codec errors. Truncation and oversize are the shared wire-level
-// errors (aliased so errors.Is matches across packages).
+// Result-codec errors. Truncation is the shared wire-level error (aliased
+// so errors.Is matches across packages); a length past a bound fails with
+// wire.ErrOversize.
 var (
 	ErrWireTruncated = wire.ErrTruncated
-	ErrWireOversize  = wire.ErrOversize
 	ErrWireVersion   = errors.New("searchengine: unknown result page version")
 )
 

@@ -108,7 +108,7 @@ func TestResultsCodecRejectsBadFrames(t *testing.T) {
 	// A count field claiming 2^40 results must be rejected before any
 	// allocation.
 	huge := []byte{ResultsWireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x3F}
-	if _, _, err := DecodeResults(huge); !errors.Is(err, ErrWireOversize) {
+	if _, _, err := DecodeResults(huge); !errors.Is(err, wire.ErrOversize) {
 		t.Errorf("oversized count: got %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func checkWalkMatchesReference(t *testing.T, data []byte) []Result {
 	t.Helper()
 	wantResults, wantTerms, wantRest, wantErr := refMeasure(data)
 	nResults, nTerms, rest, err := measureResults(data)
-	for _, class := range []error{ErrWireTruncated, ErrWireOversize, ErrWireVersion} {
+	for _, class := range []error{ErrWireTruncated, wire.ErrOversize, ErrWireVersion} {
 		if errors.Is(err, class) != errors.Is(wantErr, class) {
 			t.Fatalf("measureResults err %v, reference err %v", err, wantErr)
 		}

@@ -135,7 +135,6 @@ type Engine struct {
 	blocked      map[string]struct{}
 	violations   map[string]int
 	observations []Observation
-	queryCount   uint64
 }
 
 type bucket struct {
@@ -193,9 +192,6 @@ func New(uni *queries.Universe, cfg Config) *Engine {
 	return e
 }
 
-// NumDocs returns the corpus size.
-func (e *Engine) NumDocs() int { return len(e.docs) }
-
 // Search serves a query from source at the given time. It applies rate
 // limiting and bot detection before answering, records the observation, and
 // returns the ranked result page. OR-aggregated queries are answered with an
@@ -207,7 +203,6 @@ func (e *Engine) Search(source, query string, now time.Time) ([]Result, error) {
 	}
 	e.mu.Lock()
 	e.observations = append(e.observations, Observation{Source: source, Query: query, Time: now})
-	e.queryCount++
 	e.mu.Unlock()
 
 	subqueries := splitOR(query)
@@ -321,14 +316,6 @@ func (e *Engine) admit(source string, now time.Time) error {
 	return nil
 }
 
-// Blocked reports whether source is banned.
-func (e *Engine) Blocked(source string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, banned := e.blocked[source]
-	return banned
-}
-
 // Observations returns a copy of the engine-side query log (the adversary's
 // interception point, §VII-E).
 func (e *Engine) Observations() []Observation {
@@ -337,20 +324,6 @@ func (e *Engine) Observations() []Observation {
 	out := make([]Observation, len(e.observations))
 	copy(out, e.observations)
 	return out
-}
-
-// QueryCount returns the number of admitted queries.
-func (e *Engine) QueryCount() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queryCount
-}
-
-// ResetObservations clears the observation log (between experiments).
-func (e *Engine) ResetObservations() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observations = nil
 }
 
 // splitOR splits an OR-aggregated query into its disjuncts.

@@ -206,8 +206,8 @@ func TestBotDetectionBan(t *testing.T) {
 	if !errors.Is(lastErr, ErrBlocked) {
 		t.Fatalf("source never banned: %v", lastErr)
 	}
-	if !e.Blocked("proxy") {
-		t.Error("Blocked() = false after ban")
+	if _, banned := e.blocked["proxy"]; !banned {
+		t.Error("source not on the ban list after ban")
 	}
 	// Ban persists even after time passes.
 	if _, err := e.Search("proxy", q, t0.Add(24*time.Hour)); !errors.Is(err, ErrBlocked) {
@@ -234,13 +234,6 @@ func TestObservations(t *testing.T) {
 	}
 	if obs[1].Time != t0.Add(time.Minute) {
 		t.Errorf("obs[1].Time = %v", obs[1].Time)
-	}
-	if e.QueryCount() != 2 {
-		t.Errorf("QueryCount = %d", e.QueryCount())
-	}
-	e.ResetObservations()
-	if len(e.Observations()) != 0 {
-		t.Error("ResetObservations did not clear")
 	}
 }
 

@@ -17,14 +17,14 @@ func TestSessionRoundTripProperty(t *testing.T) {
 	}
 	f := func(msgs [][]byte) bool {
 		for _, msg := range msgs {
-			ct, err := sa.Encrypt(msg)
+			ct, err := sa.EncryptAppend(nil, msg)
 			if err != nil {
 				return false
 			}
 			if len(msg) > 0 && bytes.Contains(ct, msg) && len(msg) > 8 {
 				return false // plaintext visible in the record
 			}
-			pt, err := sb.Decrypt(ct)
+			pt, err := sb.DecryptAppend(nil, ct)
 			if err != nil {
 				return false
 			}
@@ -51,7 +51,7 @@ func TestSessionCiphertextFreshness(t *testing.T) {
 	msg := []byte("identical message")
 	seen := make(map[string]struct{})
 	for i := 0; i < 50; i++ {
-		ct, err := sa.Encrypt(msg)
+		ct, err := sa.EncryptAppend(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestSessionCiphertextFreshness(t *testing.T) {
 		if len(ct) != len(msg)+8+16 { // seq + GCM tag
 			t.Fatalf("unexpected record size %d for %d-byte message", len(ct), len(msg))
 		}
-		if _, err := sb.Decrypt(ct); err != nil {
+		if _, err := sb.DecryptAppend(nil, ct); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,11 +23,11 @@ func TestReattestDerivesFreshKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("same plaintext, same sequence number")
-	ct1, err := sa1.Encrypt(msg)
+	ct1, err := sa1.EncryptAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := sa2.Encrypt(msg)
+	ct2, err := sa2.EncryptAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestReattestDerivesFreshKeys(t *testing.T) {
 	if sa1.KeyFingerprint() == sa2.KeyFingerprint() {
 		t.Error("re-attested sessions share a key fingerprint")
 	}
-	if _, err := sb2.Decrypt(ct1); !errors.Is(err, ErrDecrypt) {
+	if _, err := sb2.DecryptAppend(nil, ct1); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("session-1 record opened in session 2: err = %v", err)
 	}
-	if pt, err := sb1.Decrypt(ct1); err != nil || !bytes.Equal(pt, msg) {
+	if pt, err := sb1.DecryptAppend(nil, ct1); err != nil || !bytes.Equal(pt, msg) {
 		t.Errorf("session 1 own record: %q, %v", pt, err)
 	}
 }

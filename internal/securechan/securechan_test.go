@@ -74,14 +74,14 @@ func TestEstablishPairAndRoundTrip(t *testing.T) {
 	}
 
 	msg := []byte("GET /search?q=kidney+dialysis")
-	ct, err := sa.Encrypt(msg)
+	ct, err := sa.EncryptAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(ct, []byte("kidney")) {
 		t.Error("ciphertext leaks plaintext")
 	}
-	pt, err := sb.Decrypt(ct)
+	pt, err := sb.DecryptAppend(nil, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestEstablishPairAndRoundTrip(t *testing.T) {
 	}
 
 	// Reverse direction.
-	ct2, err := sb.Encrypt([]byte("results"))
+	ct2, err := sb.EncryptAppend(nil, []byte("results"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt2, err := sa.Decrypt(ct2)
+	pt2, err := sa.DecryptAppend(nil, ct2)
 	if err != nil || string(pt2) != "results" {
 		t.Fatalf("reverse direction: %q, %v", pt2, err)
 	}
@@ -107,15 +107,15 @@ func TestReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sa.Encrypt([]byte("msg-0"))
+	ct, err := sa.EncryptAppend(nil, []byte("msg-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sb.Decrypt(ct); err != nil {
+	if _, err := sb.DecryptAppend(nil, ct); err != nil {
 		t.Fatal(err)
 	}
 	// Replay of the same record must fail (§VI-b).
-	if _, err := sb.Decrypt(ct); !errors.Is(err, ErrDecrypt) {
+	if _, err := sb.DecryptAppend(nil, ct); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("replay err = %v, want ErrDecrypt", err)
 	}
 }
@@ -127,16 +127,16 @@ func TestOutOfOrderAndTamperRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct0, _ := sa.Encrypt([]byte("m0"))
-	ct1, _ := sa.Encrypt([]byte("m1"))
-	if _, err := sb.Decrypt(ct1); !errors.Is(err, ErrDecrypt) {
+	ct0, _ := sa.EncryptAppend(nil, []byte("m0"))
+	ct1, _ := sa.EncryptAppend(nil, []byte("m1"))
+	if _, err := sb.DecryptAppend(nil, ct1); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("out-of-order err = %v", err)
 	}
 	ct0[len(ct0)-1] ^= 0x01
-	if _, err := sb.Decrypt(ct0); !errors.Is(err, ErrDecrypt) {
+	if _, err := sb.DecryptAppend(nil, ct0); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("tampered err = %v", err)
 	}
-	if _, err := sb.Decrypt([]byte{1, 2}); !errors.Is(err, ErrTooShort) {
+	if _, err := sb.DecryptAppend(nil, []byte{1, 2}); !errors.Is(err, ErrTooShort) {
 		t.Errorf("short record err = %v", err)
 	}
 }
@@ -149,10 +149,10 @@ func TestClosedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	sa.Close()
-	if _, err := sa.Encrypt([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := sa.EncryptAppend(nil, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("encrypt after close err = %v", err)
 	}
-	if _, err := sa.Decrypt([]byte("xxxxxxxxxx")); !errors.Is(err, ErrClosed) {
+	if _, err := sa.DecryptAppend(nil, []byte("xxxxxxxxxx")); !errors.Is(err, ErrClosed) {
 		t.Errorf("decrypt after close err = %v", err)
 	}
 }
@@ -268,11 +268,11 @@ func TestSessionsAreIndependent(t *testing.T) {
 	}
 	// A record from session 1 must not decrypt in session 2 (different
 	// enclaves' keys, different nonces).
-	ct, err := sa1.Encrypt([]byte("cross-session"))
+	ct, err := sa1.EncryptAppend(nil, []byte("cross-session"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sb2.Decrypt(ct); !errors.Is(err, ErrDecrypt) {
+	if _, err := sb2.DecryptAppend(nil, ct); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("cross-session decrypt err = %v", err)
 	}
 }

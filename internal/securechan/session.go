@@ -122,16 +122,11 @@ func (s *Session) PeerMeasurement() enclave.Measurement { return s.peer }
 // and may be read under the session mutex.
 func (s *Session) KeyFingerprint() [16]byte { return s.keyPrint }
 
-// Encrypt seals a message for the peer. The 8-byte record sequence number is
-// prepended in clear (it is authenticated via the nonce).
-func (s *Session) Encrypt(plaintext []byte) ([]byte, error) {
-	return s.EncryptAppend(make([]byte, 0, 8+len(plaintext)+16), plaintext)
-}
-
 // EncryptAppend seals a message for the peer, appending the record to dst
-// and returning the extended slice. With a dst of sufficient capacity the
-// call performs no allocation. plaintext must not overlap dst's spare
-// capacity.
+// and returning the extended slice. The 8-byte record sequence number is
+// prepended in clear (it is authenticated via the nonce). With a dst of
+// sufficient capacity the call performs no allocation. plaintext must not
+// overlap dst's spare capacity.
 func (s *Session) EncryptAppend(dst, plaintext []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,17 +144,12 @@ func (s *Session) EncryptAppend(dst, plaintext []byte) ([]byte, error) {
 	return s.sendAEAD.Seal(dst, nonce, plaintext, dst[off:off+8]), nil
 }
 
-// Decrypt opens a record from the peer. Records must arrive in order; a
-// record whose sequence number does not match the session state is rejected
-// (this is what defeats replay, §VI-b).
-func (s *Session) Decrypt(record []byte) ([]byte, error) {
-	return s.DecryptAppend(nil, record)
-}
-
 // DecryptAppend opens a record from the peer, appending the plaintext to
-// dst and returning the extended slice. With a dst of sufficient capacity
+// dst and returning the extended slice. Records must arrive in order; a
+// record whose sequence number does not match the session state is rejected
+// (this is what defeats replay, §VI-b). With a dst of sufficient capacity
 // the call performs no allocation. record must not overlap dst's spare
-// capacity. The same in-order sequence rule as Decrypt applies.
+// capacity.
 func (s *Session) DecryptAppend(dst, record []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,8 +7,9 @@ import (
 	"cyclosa/internal/testutil"
 )
 
-// The append-style session APIs must interoperate with the allocating ones
-// (same record format, same sequence discipline).
+// A record sealed into a pre-grown buffer opens into a fresh one and the
+// other way round (same record format, same sequence discipline), and
+// appending leaves dst's existing content intact.
 func TestAppendAPIsInteroperate(t *testing.T) {
 	env := newTestEnv(t)
 	ha, hb := env.handshakers(t)
@@ -22,7 +23,7 @@ func TestAppendAPIsInteroperate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := sb.Decrypt(ct) // plain API decrypts an appended record
+	pt, err := sb.DecryptAppend(nil, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +31,11 @@ func TestAppendAPIsInteroperate(t *testing.T) {
 		t.Errorf("got %q, want %q", pt, msg)
 	}
 
-	ct2, err := sa.Encrypt(msg) // plain API encrypt...
+	ct2, err := sa.EncryptAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt2, err := sb.DecryptAppend(make([]byte, 0, 64), ct2) // ...append decrypt
+	pt2, err := sb.DecryptAppend(make([]byte, 0, 64), ct2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestAppendAPIsInteroperate(t *testing.T) {
 
 	// Appending leaves existing dst content intact.
 	prefix := []byte("prefix:")
-	ct3, err := sa.Encrypt(msg)
+	ct3, err := sa.EncryptAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func TestSkipAdvancesSequence(t *testing.T) {
 	})
 	defer SetNonceObserver(nil)
 
-	shed, err := sa.Encrypt([]byte("over quota"))
+	shed, err := sa.EncryptAppend(nil, []byte("over quota"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := sa.Encrypt([]byte("admitted"))
+	kept, err := sa.EncryptAppend(nil, []byte("admitted"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSkipAdvancesSequence(t *testing.T) {
 	if err := sb.Skip(shed); err != nil {
 		t.Fatalf("Skip: %v", err)
 	}
-	pt, err := sb.Decrypt(kept)
+	pt, err := sb.DecryptAppend(nil, kept)
 	if err != nil {
 		t.Fatalf("decrypt after skip: %v", err)
 	}
@@ -56,11 +56,11 @@ func TestSkipRejectsReplayAndShortRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sa.Encrypt([]byte("msg-0"))
+	ct, err := sa.EncryptAppend(nil, []byte("msg-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sb.Decrypt(ct); err != nil {
+	if _, err := sb.DecryptAppend(nil, ct); err != nil {
 		t.Fatal(err)
 	}
 	// A replayed record must not be skippable: its sequence is stale.
@@ -71,7 +71,7 @@ func TestSkipRejectsReplayAndShortRecords(t *testing.T) {
 		t.Fatalf("Skip(short) err = %v, want ErrTooShort", err)
 	}
 	sb.Close()
-	ct2, err := sa.Encrypt([]byte("msg-1"))
+	ct2, err := sa.EncryptAppend(nil, []byte("msg-1"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package sensitivity
 
 import (
 	"cyclosa/internal/lda"
-	"cyclosa/internal/textproc"
 	"cyclosa/internal/wordnet"
 )
 
@@ -45,9 +44,6 @@ func (d *WordNetDetector) IsSensitive(terms []string) bool {
 	return d.dict.MatchesAny(terms)
 }
 
-// DictionarySize returns the number of compiled keywords.
-func (d *WordNetDetector) DictionarySize() int { return d.dict.Len() }
-
 // LDADetector flags queries containing any term of the dictionary compiled
 // from a trained LDA model's thematic vectors (§V-A1, second approach).
 type LDADetector struct {
@@ -78,9 +74,6 @@ func (d *LDADetector) IsSensitive(terms []string) bool {
 	}
 	return false
 }
-
-// DictionarySize returns the number of compiled keywords.
-func (d *LDADetector) DictionarySize() int { return len(d.dict) }
 
 // CombinedDetector combines WordNet and LDA: a term counts as sensitive if
 //
@@ -158,10 +151,4 @@ func (d *CombinedDetector) termSensitive(term string) bool {
 		}
 	}
 	return true
-}
-
-// DetectQuery is a convenience wrapper that tokenizes a raw query before
-// detection.
-func DetectQuery(d Detector, query string) bool {
-	return d.IsSensitive(textproc.Tokenize(query))
 }

@@ -70,13 +70,13 @@ func FuzzRecordMutation(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := a.Encrypt(payload)
+			rec, err := a.EncryptAppend(nil, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bit := pos % uint64(len(rec)*8)
 			rec[bit/8] ^= 1 << (bit % 8)
-			if _, err := b.Decrypt(rec); err == nil {
+			if _, err := b.DecryptAppend(nil, rec); err == nil {
 				t.Fatalf("bit-flipped record accepted (bit %d of %d bytes)", bit, len(rec))
 			}
 		case 1: // truncation
@@ -84,12 +84,12 @@ func FuzzRecordMutation(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := a.Encrypt(payload)
+			rec, err := a.EncryptAppend(nil, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cut := pos % uint64(len(rec)) // strictly shorter
-			if _, err := b.Decrypt(rec[:cut]); err == nil {
+			if _, err := b.DecryptAppend(nil, rec[:cut]); err == nil {
 				t.Fatalf("record truncated to %d of %d bytes accepted", cut, len(rec))
 			}
 		case 2: // replay (and the unmutated control)
@@ -97,18 +97,18 @@ func FuzzRecordMutation(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := a.Encrypt(payload)
+			rec, err := a.EncryptAppend(nil, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pt, err := b.Decrypt(rec)
+			pt, err := b.DecryptAppend(nil, rec)
 			if err != nil {
 				t.Fatalf("pristine record rejected: %v", err)
 			}
 			if !bytes.Equal(pt, payload) {
 				t.Fatal("round trip corrupted the payload")
 			}
-			if _, err := b.Decrypt(rec); err == nil {
+			if _, err := b.DecryptAppend(nil, rec); err == nil {
 				t.Fatal("replayed record accepted")
 			}
 		case 3: // Byzantine result page: fabricated bytes into the decoder

@@ -51,11 +51,11 @@ func TestNoncePruningOnSessionClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := sa.Encrypt([]byte("probe"))
+		ct, err := sa.EncryptAppend(nil, []byte("probe"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sb.Decrypt(ct); err != nil {
+		if _, err := sb.DecryptAppend(nil, ct); err != nil {
 			t.Fatal(err)
 		}
 		if got := tracked(); got == 0 {
@@ -88,7 +88,7 @@ func TestNonceReuseAcrossSessionsDetected(t *testing.T) {
 
 	seal := func(s *securechan.Session) {
 		t.Helper()
-		if _, err := s.Encrypt([]byte("probe")); err != nil {
+		if _, err := s.EncryptAppend(nil, []byte("probe")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -113,29 +113,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X <= x) as a fraction in [0, 1].
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// First index with value > x.
-	idx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample value v with P(X <= v) >= q, for
-// q in (0, 1]: the nearest-rank quantile, as Percentile. q <= 0 returns the
-// minimum.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[nearestRank(len(c.sorted), q)]
-}
-
 // Points returns up to n evenly spaced (value, cumulative fraction) points,
 // suitable for printing a CDF series like the paper's figures.
 func (c *CDF) Points(n int) []Point {

@@ -79,21 +79,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed durations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// BucketCounts returns the non-cumulative per-bucket counts, with the
-// final element counting observations above the last boundary.
-func (h *Histogram) BucketCounts() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
 
 func (h *Histogram) appendText(b []byte, name, label, labelValue string, hasLabel bool) []byte {
 	appendLabels := func(b []byte, le string) []byte {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -234,21 +233,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // first use. Cache the handle; do not call With on the hot path.
 func (v *CounterVec) With(labelValue string) *Counter { return v.fam.child(labelValue).counter }
 
-// GaugeVec is a gauge family with one label dimension.
-type GaugeVec struct{ fam *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	if label == "" {
-		panic(fmt.Sprintf("telemetry: GaugeVec %q requires a label name", name))
-	}
-	return &GaugeVec{fam: r.register(name, help, kindGauge, label, nil)}
-}
-
-// With returns the gauge for the given label value, registering it on
-// first use.
-func (v *GaugeVec) With(labelValue string) *Gauge { return v.fam.child(labelValue).gauge }
-
 // HistogramVec is a histogram family with one label dimension sharing one
 // set of bucket boundaries.
 type HistogramVec struct{ fam *family }
@@ -264,13 +248,6 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []time.Duratio
 // With returns the histogram for the given label value, registering it on
 // first use. Cache the handle; do not call With on the hot path.
 func (v *HistogramVec) With(labelValue string) *Histogram { return v.fam.child(labelValue).hist }
-
-// WritePrometheus renders every family in Prometheus text exposition
-// format (version 0.0.4), sorted by family name for deterministic output.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	_, err := w.Write(r.AppendText(nil))
-	return err
-}
 
 // AppendText appends the text exposition of the registry to b and returns
 // the extended slice.

@@ -45,15 +45,12 @@ func TestVecHandlesAndFuncMetrics(t *testing.T) {
 	}
 	ok.Add(2)
 	bad.Inc()
-	gv := r.GaugeVec("test_levels", "levels", "pool")
-	gv.With("a").Set(11)
 	r.CounterFunc("test_sampled_total", "sampled", func() float64 { return 42 })
 	r.GaugeFunc("test_temperature", "temp", func() float64 { return 1.5 })
 	text := string(r.AppendText(nil))
 	for _, want := range []string{
 		`test_outcomes_total{outcome="ok"} 2`,
 		`test_outcomes_total{outcome="error"} 1`,
-		`test_levels{pool="a"} 11`,
 		"test_sampled_total 42",
 		"test_temperature 1.5",
 	} {

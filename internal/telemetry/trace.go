@@ -96,6 +96,3 @@ func (r *TraceRing) Snapshot() []Trace {
 	}
 	return out
 }
-
-// Cap returns the ring capacity.
-func (r *TraceRing) Cap() int { return len(r.slots) }

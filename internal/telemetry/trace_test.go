@@ -9,8 +9,8 @@ import (
 
 func TestTraceRingOrderAndEviction(t *testing.T) {
 	r := NewTraceRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("cap = %d, want 4", r.Cap())
+	if len(r.slots) != 4 {
+		t.Fatalf("cap = %d, want 4", len(r.slots))
 	}
 	for i := 0; i < 6; i++ {
 		r.Record(Trace{Op: "forward", Outcome: "ok", TotalNS: int64(i)})
@@ -28,7 +28,7 @@ func TestTraceRingOrderAndEviction(t *testing.T) {
 }
 
 func TestTraceRingEmptyAndClamp(t *testing.T) {
-	if got := NewTraceRing(0).Cap(); got != 1 {
+	if got := len(NewTraceRing(0).slots); got != 1 {
 		t.Fatalf("clamped cap = %d, want 1", got)
 	}
 	if got := NewTraceRing(8).Snapshot(); len(got) != 0 {

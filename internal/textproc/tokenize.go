@@ -32,13 +32,6 @@ var defaultStopWords = map[string]struct{}{
 	"your": {},
 }
 
-// IsStopWord reports whether w is in the default stop-word list. The check is
-// case-insensitive.
-func IsStopWord(w string) bool {
-	_, ok := defaultStopWords[strings.ToLower(w)]
-	return ok
-}
-
 // Tokenize splits a raw query string into lower-cased terms, dropping
 // punctuation and stop words. Terms are split on any non-letter, non-digit
 // rune, so "flights: NYC->Boston" yields ["flights", "nyc", "boston"].
@@ -53,19 +46,6 @@ func Tokenize(query string) []string {
 			continue
 		}
 		terms = append(terms, t)
-	}
-	return terms
-}
-
-// TokenizeKeepStopWords splits a query like Tokenize but retains stop words.
-// The fake-query plausibility checks need the raw term stream.
-func TokenizeKeepStopWords(query string) []string {
-	fields := strings.FieldsFunc(query, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	terms := make([]string, 0, len(fields))
-	for _, f := range fields {
-		terms = append(terms, strings.ToLower(f))
 	}
 	return terms
 }

@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,31 +36,10 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestTokenizeKeepStopWords(t *testing.T) {
-	got := TokenizeKeepStopWords("the best of the best")
-	want := []string{"the", "best", "of", "the", "best"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TokenizeKeepStopWords = %v, want %v", got, want)
-	}
-}
-
-func TestIsStopWord(t *testing.T) {
-	for _, w := range []string{"the", "The", "THE", "of", "and"} {
-		if !IsStopWord(w) {
-			t.Errorf("IsStopWord(%q) = false, want true", w)
-		}
-	}
-	for _, w := range []string{"health", "boston", ""} {
-		if IsStopWord(w) {
-			t.Errorf("IsStopWord(%q) = true, want false", w)
-		}
-	}
-}
-
 func TestTokenizeNeverReturnsStopWordsOrUppercase(t *testing.T) {
 	f := func(s string) bool {
 		for _, term := range Tokenize(s) {
-			if IsStopWord(term) {
+			if _, stop := defaultStopWords[strings.ToLower(term)]; stop {
 				return false
 			}
 			for _, r := range term {

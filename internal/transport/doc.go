@@ -3,9 +3,9 @@
 //
 // # Latency model
 //
-// Per-link latency distributions for the simulated deployments (Fig 8a/8b)
-// and a virtual clock so that long simulated horizons (the 90-minute load
-// run of Fig 8d) execute instantly. The paper measures end-to-end latencies
+// Per-link latency distributions for the simulated deployments (Fig 8a/8b).
+// Latencies are sampled and accounted, never slept, so long simulated
+// horizons execute instantly. The paper measures end-to-end latencies
 // on physical machines; absolute values here come from a calibrated model
 // instead (medians chosen to match Fig 8a: direct ≈ 0.58 s, CYCLOSA
 // ≈ 0.88 s, TOR ≈ 62 s), but the shape of the comparison — which system is
@@ -19,9 +19,8 @@
 // latency and loss probability, and every delivery adds a heavy-tailed
 // Pareto jitter draw from a splitmix64 stream keyed by (seed, link,
 // delivery index) — latencies and losses are pure functions of the seed.
-// WANConduit layers the matrix over any inner Conduit (RTT as injected
-// latency, loss as ErrLinkLost); internal/simnet accepts the same matrix
-// directly so WAN conditions compose with the fault catalog.
+// internal/simnet draws from the matrix directly, so WAN conditions compose
+// with the fault catalog.
 //
 // # The Conduit seam
 //

@@ -118,55 +118,3 @@ func (m *Model) RTT(c LinkClass) time.Duration {
 
 // ProcessingCost returns the fixed per-relay processing cost.
 func (m *Model) ProcessingCost() time.Duration { return m.processing }
-
-// Clock abstracts time for the simulations.
-type Clock interface {
-	Now() time.Time
-}
-
-// RealClock is the wall clock.
-type RealClock struct{}
-
-// Now returns time.Now().
-func (RealClock) Now() time.Time { return time.Now() }
-
-var _ Clock = RealClock{}
-
-// VirtualClock is a manually advanced clock for simulated horizons.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-var _ Clock = (*VirtualClock)(nil)
-
-// NewVirtualClock starts a virtual clock at start.
-func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
-}
-
-// Now returns the current virtual time.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d (negative d is ignored).
-func (c *VirtualClock) Advance(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-// Set jumps the clock to t if t is not before the current time.
-func (c *VirtualClock) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
-	}
-}

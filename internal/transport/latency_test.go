@@ -72,36 +72,3 @@ func TestModelDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestVirtualClock(t *testing.T) {
-	start := time.Date(2006, 3, 1, 0, 0, 0, 0, time.UTC)
-	c := NewVirtualClock(start)
-	if !c.Now().Equal(start) {
-		t.Error("initial time wrong")
-	}
-	c.Advance(time.Hour)
-	if !c.Now().Equal(start.Add(time.Hour)) {
-		t.Error("advance wrong")
-	}
-	c.Advance(-time.Hour)
-	if !c.Now().Equal(start.Add(time.Hour)) {
-		t.Error("negative advance should be ignored")
-	}
-	c.Set(start.Add(2 * time.Hour))
-	if !c.Now().Equal(start.Add(2 * time.Hour)) {
-		t.Error("set forward wrong")
-	}
-	c.Set(start)
-	if !c.Now().Equal(start.Add(2 * time.Hour)) {
-		t.Error("set backward should be ignored")
-	}
-}
-
-func TestRealClock(t *testing.T) {
-	before := time.Now()
-	got := RealClock{}.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Error("RealClock.Now out of range")
-	}
-}

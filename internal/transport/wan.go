@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -168,12 +167,6 @@ func (m *WANMatrix) RegionName(id string) string {
 	return m.regions[m.Region(id)]
 }
 
-// BaseOneWay returns the base one-way latency between two regions.
-func (m *WANMatrix) BaseOneWay(a, b int) time.Duration { return m.oneWay[a][b] }
-
-// LossRate returns the configured loss probability between two regions.
-func (m *WANMatrix) LossRate(a, b int) float64 { return m.lossP[a][b] }
-
 // OneWay draws the one-way latency of delivery idx on the from -> to link:
 // the inter-region base plus a heavy-tailed Pareto jitter. Pure function of
 // (seed, from, to, idx).
@@ -205,55 +198,6 @@ func (m *WANMatrix) Lose(from, to string, idx uint64) bool {
 	}
 	draw := wanMix(m.seed, wanHash(from)^wanHash(to)<<1^0x105eca5e, idx) & 0xFFFFFFFF
 	return draw < m.loss[a][b]
-}
-
-// ErrLinkLost is the sentinel wrapped into WANConduit loss errors. Callers
-// that need a protocol-level classification (core's relay-unavailable
-// taxonomy) set WANConduit.Lost instead.
-var ErrLinkLost = errors.New("transport: wan link lost delivery")
-
-// WANConduit layers the WAN matrix over an inner Conduit: every delivery
-// pays a sampled round trip as injected latency, and lost deliveries fail
-// without reaching the inner conduit. Per-pair delivery indices make the
-// loss/latency streams deterministic per link.
-type WANConduit struct {
-	// Lost is the error a lost delivery wraps (default ErrLinkLost).
-	// Install core's unavailability sentinel here so requesters re-sample
-	// instead of charging the relay with misbehavior.
-	Lost error
-
-	m     *WANMatrix
-	inner Conduit
-
-	mu    sync.Mutex
-	pairs map[[2]string]uint64
-}
-
-// NewWANConduit builds the middleware over inner.
-func NewWANConduit(m *WANMatrix, inner Conduit) *WANConduit {
-	return &WANConduit{m: m, inner: inner, pairs: make(map[[2]string]uint64)}
-}
-
-// Matrix returns the underlying WANMatrix.
-func (c *WANConduit) Matrix() *WANMatrix { return c.m }
-
-// Deliver implements Conduit.
-func (c *WANConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
-	c.mu.Lock()
-	idx := c.pairs[[2]string{from, to}]
-	c.pairs[[2]string{from, to}] = idx + 1
-	c.mu.Unlock()
-
-	if c.m.Lose(from, to, idx) {
-		lost := c.Lost
-		if lost == nil {
-			lost = ErrLinkLost
-		}
-		return nil, 0, fmt.Errorf("%w: %s->%s #%d (%s->%s)", lost,
-			from, to, idx, c.m.RegionName(from), c.m.RegionName(to))
-	}
-	resp, injected, err := c.inner.Deliver(from, to, payload, now)
-	return resp, injected + c.m.RTT(from, to, idx), err
 }
 
 // wanHash is the process-stable FNV-1a hash keying per-node and per-link

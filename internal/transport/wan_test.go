@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -52,7 +51,7 @@ func TestWANMatrixLatencyBounds(t *testing.T) {
 	m := mustWAN(t, DefaultWANConfig(7))
 	for i := 0; i < 2000; i++ {
 		from, to := fmt.Sprintf("a%d", i%29), fmt.Sprintf("b%d", i%31)
-		base := m.BaseOneWay(m.Region(from), m.Region(to))
+		base := m.oneWay[m.Region(from)][m.Region(to)]
 		d := m.OneWay(from, to, uint64(i))
 		if d < base {
 			t.Fatalf("sample %v below base %v for %s->%s", d, base, from, to)
@@ -96,7 +95,7 @@ func TestWANMatrixLossRateEmpirical(t *testing.T) {
 			break
 		}
 	}
-	want := m.LossRate(m.Region(from), m.Region(to))
+	want := m.lossP[m.Region(from)][m.Region(to)]
 	const n = 200000
 	lost := 0
 	for i := 0; i < n; i++ {
@@ -134,67 +133,4 @@ func TestWANMatrixZeroConfigDefaults(t *testing.T) {
 	if got := len(m.Regions()); got != 5 {
 		t.Fatalf("zero config regions = %d, want 5", got)
 	}
-}
-
-// recordingConduit echoes and records calls, for WANConduit layering tests.
-type recordingConduit struct {
-	calls int
-}
-
-func (r *recordingConduit) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
-	r.calls++
-	return payload, 5 * time.Millisecond, nil
-}
-
-func TestWANConduitInjectsRTTAndLoss(t *testing.T) {
-	m := mustWAN(t, DefaultWANConfig(11))
-	inner := &recordingConduit{}
-	c := NewWANConduit(m, inner)
-	now := time.Unix(0, 0)
-
-	delivered, lost := 0, 0
-	for i := 0; i < 3000; i++ {
-		from, to := fmt.Sprintf("c%d", i%11), fmt.Sprintf("s%d", i%13)
-		resp, injected, err := c.Deliver(from, to, []byte("q"), now)
-		if err != nil {
-			if !errors.Is(err, ErrLinkLost) {
-				t.Fatalf("loss error not wrapping ErrLinkLost: %v", err)
-			}
-			lost++
-			continue
-		}
-		delivered++
-		if string(resp) != "q" {
-			t.Fatalf("payload not passed through")
-		}
-		base := m.BaseOneWay(m.Region(from), m.Region(to)) + m.BaseOneWay(m.Region(to), m.Region(from))
-		if injected < base+5*time.Millisecond {
-			t.Fatalf("injected %v below RTT base %v + inner 5ms", injected, base)
-		}
-	}
-	if inner.calls != delivered {
-		t.Fatalf("inner saw %d calls, delivered %d", inner.calls, delivered)
-	}
-	if lost == 0 {
-		t.Fatalf("expected some losses over 3000 cross-region deliveries")
-	}
-}
-
-func TestWANConduitCustomLostSentinel(t *testing.T) {
-	m := mustWAN(t, DefaultWANConfig(11))
-	sentinel := errors.New("custom unavailable")
-	c := NewWANConduit(m, &recordingConduit{})
-	c.Lost = sentinel
-	now := time.Unix(0, 0)
-	for i := 0; i < 20000; i++ {
-		from, to := fmt.Sprintf("c%d", i%11), fmt.Sprintf("s%d", i%13)
-		_, _, err := c.Deliver(from, to, nil, now)
-		if err != nil {
-			if !errors.Is(err, sentinel) {
-				t.Fatalf("lost delivery error = %v, want wrap of custom sentinel", err)
-			}
-			return
-		}
-	}
-	t.Fatalf("no loss observed")
 }

@@ -195,33 +195,6 @@ func (db *Database) addSynset(words, domains []string) {
 	}
 }
 
-// NumSynsets returns the number of synsets in the database.
-func (db *Database) NumSynsets() int { return len(db.synsets) }
-
-// SynsetsOf returns the synsets containing word, or nil if the word is not in
-// the database.
-func (db *Database) SynsetsOf(word string) []Synset {
-	ids := db.byWord[word]
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]Synset, len(ids))
-	for i, id := range ids {
-		out[i] = db.synsets[id]
-	}
-	return out
-}
-
-// Domains returns all domain labels in the database, sorted.
-func (db *Database) Domains() []string {
-	out := make([]string, 0, len(db.byDomain))
-	for d := range db.byDomain {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DomainsOf returns the domain labels of every synset containing word,
 // sorted and distinct (nil for a word not in the database). The slice is
 // the database's own: callers must not modify it.
@@ -292,13 +265,6 @@ func (d *Dictionary) Merge(other *Dictionary) *Dictionary {
 
 // Len returns the number of terms.
 func (d *Dictionary) Len() int { return len(d.terms) }
-
-// Domains returns the domain labels the dictionary was compiled from.
-func (d *Dictionary) Domains() []string {
-	out := make([]string, len(d.domains))
-	copy(out, d.domains)
-	return out
-}
 
 // Terms returns the dictionary terms, sorted.
 func (d *Dictionary) Terms() []string {

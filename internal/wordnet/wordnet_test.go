@@ -18,16 +18,8 @@ func testDB(t *testing.T) (*queries.Universe, *Database) {
 
 func TestBuildDomains(t *testing.T) {
 	uni, db := testDB(t)
-	domains := db.Domains()
 	for _, want := range append(uni.SensitiveTopicNames(), "factotum") {
-		found := false
-		for _, d := range domains {
-			if d == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if len(db.byDomain[want]) == 0 {
 			t.Errorf("domain %q missing from database", want)
 		}
 	}
@@ -37,7 +29,7 @@ func TestBuildDeterministic(t *testing.T) {
 	uni := queries.NewUniverse(queries.UniverseConfig{Seed: 2})
 	a := Build(uni, BuildConfig{Seed: 9})
 	b := Build(uni, BuildConfig{Seed: 9})
-	if a.NumSynsets() != b.NumSynsets() {
+	if len(a.synsets) != len(b.synsets) {
 		t.Fatal("same seed produced different databases")
 	}
 	da := a.DomainDictionary("health").Terms()
@@ -59,7 +51,7 @@ func TestCoverageCreatesGaps(t *testing.T) {
 	total := 0
 	for _, term := range uni.Topic("health").Terms {
 		total++
-		if db.SynsetsOf(term) == nil {
+		if len(db.byWord[term]) == 0 {
 			missing++
 		}
 	}
@@ -70,7 +62,7 @@ func TestCoverageCreatesGaps(t *testing.T) {
 
 	full := Build(uni, BuildConfig{Seed: 3, Coverage: 1.0})
 	for _, term := range uni.Topic("health").Terms {
-		if full.SynsetsOf(term) == nil {
+		if len(full.byWord[term]) == 0 {
 			t.Fatalf("full-coverage database missing term %q", term)
 		}
 	}
@@ -96,7 +88,16 @@ func TestPolysemyCausesFalsePositives(t *testing.T) {
 	// Find a polysemous term shared between a sensitive and a general topic;
 	// the sensitive dictionary must contain it (the false-positive source).
 	found := false
-	for _, term := range uni.PolysemousTerms() {
+	var poly []string
+	for _, topic := range uni.Topics {
+		for _, term := range topic.Terms {
+			if len(uni.TopicsOf(term)) > 1 {
+				poly = append(poly, term)
+			}
+		}
+	}
+	sort.Strings(poly)
+	for _, term := range slices.Compact(poly) {
 		topics := uni.TopicsOf(term)
 		var sensTopic string
 		hasGeneral := false
@@ -110,7 +111,7 @@ func TestPolysemyCausesFalsePositives(t *testing.T) {
 		if sensTopic == "" || !hasGeneral {
 			continue
 		}
-		if db.SynsetsOf(term) == nil {
+		if len(db.byWord[term]) == 0 {
 			continue // dropped by coverage
 		}
 		if !db.DomainDictionary(sensTopic).Contains(term) {
@@ -128,7 +129,7 @@ func TestDomainsOf(t *testing.T) {
 	uni, db := testDB(t)
 	// Any covered background term maps to factotum.
 	for _, term := range uni.Background {
-		if db.SynsetsOf(term) == nil {
+		if len(db.byWord[term]) == 0 {
 			continue
 		}
 		doms := db.DomainsOf(term)
@@ -164,7 +165,7 @@ func TestDictionaryMerge(t *testing.T) {
 	if m.Len() != 2 || !m.Contains("kidney") || !m.Contains("adult") {
 		t.Errorf("merge wrong: %v", m.Terms())
 	}
-	doms := m.Domains()
+	doms := slices.Clone(m.domains)
 	sort.Strings(doms)
 	if strings.Join(doms, ",") != "health,sex" {
 		t.Errorf("merged domains = %v", doms)
@@ -183,13 +184,6 @@ func TestDictionaryString(t *testing.T) {
 	}
 }
 
-func TestSynsetsOfUnknownWord(t *testing.T) {
-	_, db := testDB(t)
-	if got := db.SynsetsOf("not-a-word"); got != nil {
-		t.Errorf("SynsetsOf(unknown) = %v", got)
-	}
-}
-
 func contains(xs []string, x string) bool {
 	for _, v := range xs {
 		if v == x {
@@ -203,8 +197,8 @@ func contains(xs []string, x string) bool {
 // synsets: the reference the precomputed lists must equal.
 func domainsOfByScan(db *Database, word string) []string {
 	set := make(map[string]struct{})
-	for _, s := range db.SynsetsOf(word) {
-		for _, d := range s.Domains {
+	for _, id := range db.byWord[word] {
+		for _, d := range db.synsets[id].Domains {
 			set[d] = struct{}{}
 		}
 	}

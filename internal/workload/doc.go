@@ -10,10 +10,10 @@
 // clock in the package: an Op that wants its own latency times itself, and
 // how fast a path is, as a claim, is measured by benchmark/run.sh.
 //
-// Queries come from a Generator: a fixed probe, a round-robin list, a
-// Zipf-popularity stream over a queries.Universe vocabulary (web search
-// popularity is heavy-tailed), or a trace replay over a queries.Log or a
-// parsed query-log file (ParseTrace). Each client draws from its own
-// deterministic stream, so a run issues exactly the same multiset of
-// queries regardless of goroutine interleaving.
+// Queries come from a Generator: a fixed probe, a Zipf-popularity stream
+// over a queries.Universe vocabulary (web search popularity is
+// heavy-tailed), or a trace replay over a queries.Log or a list of query
+// texts. Each client draws from its own deterministic stream, so a run
+// issues exactly the same multiset of queries regardless of goroutine
+// interleaving.
 package workload

@@ -44,30 +44,6 @@ func (f fixed) Stream(int, int) Stream {
 // relay capacity benchmark, where the query content is irrelevant.
 func Fixed(q string) Generator { return fixed(q) }
 
-// roundRobin cycles a query list, client c starting at offset c.
-type roundRobin []string
-
-func (r roundRobin) Stream(client, _ int) Stream {
-	i := client % len(r)
-	return funcStream(func() string {
-		q := r[i]
-		i = (i + 1) % len(r)
-		return q
-	})
-}
-
-// RoundRobin returns a generator cycling over qs with per-client offsets.
-// It panics on an empty list (a workload with no queries is a bug at the
-// call site, not a runtime condition).
-func RoundRobin(qs []string) Generator {
-	if len(qs) == 0 {
-		panic("workload: RoundRobin with no queries")
-	}
-	cp := make([]string, len(qs))
-	copy(cp, qs)
-	return roundRobin(cp)
-}
-
 // ZipfConfig tunes the Zipf-popularity generator.
 type ZipfConfig struct {
 	// PoolSize is the number of distinct queries in the popularity pool
@@ -187,26 +163,4 @@ func (g *traceGen) Stream(client, clients int) Stream {
 		i = (i + clients) % len(g.texts)
 		return q
 	})
-}
-
-// ParseGenerator builds a generator from a -workload style spec: "fixed"
-// (capacity probe), "zipf" (popularity stream over uni) or "trace" (replay
-// of the given texts). It is the flag-parsing seam of cmd/cyclosa-bench.
-func ParseGenerator(spec string, uni *queries.Universe, trace []string, seed int64) (Generator, error) {
-	switch spec {
-	case "", "fixed":
-		return Fixed("workload capacity probe"), nil
-	case "zipf":
-		if uni == nil {
-			return nil, fmt.Errorf("workload: zipf workload needs a universe")
-		}
-		return NewZipf(uni, ZipfConfig{Seed: seed})
-	case "trace":
-		if len(trace) == 0 {
-			return nil, fmt.Errorf("workload: trace workload needs a non-empty trace")
-		}
-		return ReplayQueries(trace), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown workload %q (want fixed|zipf|trace)", spec)
-	}
 }

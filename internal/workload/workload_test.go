@@ -38,7 +38,6 @@ func TestStreamsAreDeterministic(t *testing.T) {
 		gen  func() Generator
 	}{
 		{"fixed", func() Generator { return Fixed("probe") }},
-		{"round-robin", func() Generator { return RoundRobin(trace) }},
 		{"zipf", func() Generator { return mustZipf(t, uni, ZipfConfig{Seed: 11}) }},
 		{"replay", func() Generator { return ReplayQueries(trace) }},
 	}
@@ -255,42 +254,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}, Options{Clients: 3})
 	if err != nil || res.Ops != 0 || res.Errors != 0 || len(res.PerClient) != 3 {
 		t.Fatalf("zero-op run = %+v, %v; want three idle clients and no error", res, err)
-	}
-}
-
-func TestParseGenerator(t *testing.T) {
-	uni := testUniverse()
-	tests := []struct {
-		name    string
-		spec    string
-		uni     *queries.Universe
-		trace   []string
-		wantErr bool
-	}{
-		{"empty means fixed", "", uni, nil, false},
-		{"fixed", "fixed", nil, nil, false},
-		{"zipf", "zipf", uni, nil, false},
-		{"zipf without universe", "zipf", nil, nil, true},
-		{"trace", "trace", nil, []string{"a", "b"}, false},
-		{"trace without trace", "trace", nil, nil, true},
-		{"unknown", "bogus", uni, nil, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			gen, err := ParseGenerator(tt.spec, tt.uni, tt.trace, 1)
-			if tt.wantErr {
-				if err == nil {
-					t.Fatalf("ParseGenerator(%q) succeeded, want error", tt.spec)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseGenerator(%q): %v", tt.spec, err)
-			}
-			if q := gen.Stream(0, 1).Next(); q == "" {
-				t.Fatalf("generator %q produced an empty query", tt.spec)
-			}
-		})
 	}
 }
 
