@@ -29,7 +29,7 @@ var (
 	world     testWorld
 )
 
-func getWorld(t *testing.T) testWorld {
+func getWorld(t testing.TB) testWorld {
 	t.Helper()
 	worldOnce.Do(func() {
 		uni := queries.NewUniverse(queries.UniverseConfig{Seed: 50})

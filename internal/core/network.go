@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,8 +96,9 @@ type Network struct {
 	pairSeed       maphash.Seed
 	conduit        transport.Conduit
 	// submit is the asynchronous form of conduit, the only shape Search
-	// uses: the conduit itself when it implements the seam (TCPConduit), the
-	// path-worker adapter around its Deliver otherwise.
+	// uses: the conduit itself when it implements the seam (TCPConduit, the
+	// in-process directConduit), the path-worker adapter around its Deliver
+	// otherwise.
 	submit transport.Submitter
 	// attestor is a hosted node's conduit (NewHostedNode), which carries the
 	// attested key exchange to relays outside this process; nil in a
@@ -128,9 +130,13 @@ type Network struct {
 	requestCounter atomic.Uint64
 
 	// paths runs, on lingering workers, what a Search does not do on its own
-	// goroutine: a blocking conduit's Deliver calls (deliverAdapter), and
-	// the paths that need a handshake or a retry (Node.Search).
+	// goroutine: a Deliver-only conduit's Deliver calls (deliverAdapter),
+	// the in-process conduit's helpers (directConduit.Submit), and the paths
+	// that need a handshake or a retry (Node.Search).
 	paths *workers.Pool[pathJob]
+	// claimWithin bounds how long a record of an in-process batch waits for
+	// a claimer (submitBatch).
+	claimWithin time.Duration
 }
 
 // memberSet is one immutable snapshot of the node set.
@@ -219,6 +225,7 @@ func newNetwork(engine Backend, model *transport.Model, verifier *enclave.Verifi
 		clientSendCost: clientSendCost,
 		pairSeed:       maphash.MakeSeed(),
 		paths:          workers.New("path", runPath),
+		claimWithin:    defaultClaimWithin,
 	}
 	for i := range net.pairShards {
 		net.pairShards[i].m = make(map[pairKey]*pairState)
@@ -236,20 +243,19 @@ func (net *Network) setConduit(link transport.Conduit) {
 	}
 }
 
-// deliverAdapter is the submit seam of a conduit that only has Deliver (the
-// in-process one, simnet's fault layer, the WAN and latency wrappers, the
-// ownership checker): every record's Deliver runs on a path worker, which
-// posts the completion. The response stays where Deliver's contract leaves
-// it — valid until the pair's next delivery, which the pair lock the
+// deliverAdapter is the submit seam of a conduit that only has Deliver
+// (simnet's fault layer, the WAN and latency wrappers, the ownership
+// checker, a tracing wrapper): such a Deliver may block, so every record is
+// served on a path worker of its own (submitBatch with no inline share),
+// which posts the completion. The response stays where Deliver's contract
+// leaves it — valid until the pair's next delivery, which the pair lock the
 // submitting forward still holds keeps away — so Release has nothing to do.
 type deliverAdapter struct{ net *Network }
 
 var _ transport.Submitter = deliverAdapter{}
 
 func (a deliverAdapter) Submit(from string, now time.Time, batch []transport.Submission, done chan<- transport.Completion) {
-	for _, s := range batch {
-		a.net.paths.Go(pathJob{link: a.net.conduit, from: from, relay: s.To, record: s.Payload, now: now, tag: s.Tag, done: done})
-	}
+	a.net.submitBatch(a.net.conduit, false, len(batch), from, now, batch, done)
 }
 
 func (deliverAdapter) Release(transport.Completion) {}
@@ -392,7 +398,150 @@ func (net *Network) Gossip(rounds int) { net.rpsNet.Run(rounds) }
 // any conduit stack installed via NetworkOptions.Conduit.
 type directConduit struct{ net *Network }
 
-var _ transport.Conduit = directConduit{}
+var (
+	_ transport.Conduit   = directConduit{}
+	_ transport.Submitter = directConduit{}
+)
+
+// Submit serves a batch in process before it returns, on the calling
+// goroutine and on up to min(len(batch), GOMAXPROCS)-1 path-worker helpers:
+// a serve is CPU work unless the relay's backend waits, so a helper is worth
+// a hand-off only while a core is free to run it, and with GOMAXPROCS 1 the
+// caller serves the whole batch. A backend that does wait (a remote engine,
+// a hang the watchdog has yet to cut) holds up the records behind it only
+// until net.claimWithin after the call: each record still unclaimed then
+// gets a worker of its own.
+func (d directConduit) Submit(from string, now time.Time, batch []transport.Submission, done chan<- transport.Completion) {
+	d.net.submitBatch(d, true, min(len(batch), runtime.GOMAXPROCS(0))-1, from, now, batch, done)
+}
+
+// Release does nothing: a completion's response stays where Deliver leaves
+// it, in the relay's session buffer, which the pair lock the submitting
+// forward holds keeps untouched until the forward is opened.
+func (directConduit) Release(transport.Completion) {}
+
+// defaultClaimWithin bounds how long a record of an in-process batch waits
+// for a claimer: two orders of magnitude above a whole batch's serving time
+// on an engine that answers from memory, well below a remote engine's
+// round trip.
+const defaultClaimWithin = 10 * time.Millisecond
+
+// submitBatch serves batch through link: that many helpers, each a path
+// worker, claim records from one shared index, serve each through Deliver
+// and post its completion. With inline set the calling goroutine claims
+// records too, a timer hands every record still unclaimed net.claimWithin
+// later to a worker of its own, and the call returns once every record is
+// served — so a helper that found nothing left has run, and parks again,
+// before its search ends. Without it each helper serves one record
+// (helpers is then len(batch)) and the call returns at once. done has room
+// for every record (the Submitter contract), so no post blocks a claimer.
+func (net *Network) submitBatch(link transport.Conduit, inline bool, helpers int, from string, now time.Time, batch []transport.Submission, done chan<- transport.Completion) {
+	b, _ := batchFramePool.Get().(*batchFrame)
+	if b == nil {
+		b = &batchFrame{quiet: make(chan struct{}, 1)}
+	}
+	b.net, b.link, b.inline = net, link, inline
+	b.from, b.now, b.batch, b.done = from, now, batch, done
+	b.next.Store(0)
+	if !inline {
+		b.refs.Store(int32(helpers))
+		for i := 0; i < helpers; i++ {
+			net.paths.Go(pathJob{batch: b})
+		}
+		return
+	}
+	b.refs.Store(int32(helpers) + 2) // the helpers, the claim timer, the caller
+	if b.timer == nil {
+		b.timer = time.AfterFunc(net.claimWithin, b.claimTimeout)
+	} else {
+		b.timer.Reset(net.claimWithin)
+	}
+	for i := 0; i < helpers; i++ {
+		net.paths.Go(pathJob{batch: b})
+	}
+	b.serve()
+	if b.timer.Stop() {
+		b.refs.Add(-1) // the caller still holds its own, so this is not the last
+	}
+	if b.refs.Add(-1) != 0 {
+		<-b.quiet
+	}
+	b.free()
+}
+
+// batchFrame is one submitBatch while its records are served. Every
+// claimer but an inline caller, and the claim timer while it is armed, holds
+// a reference. The last to let go pools the frame, or, when the caller is
+// waiting, tells it to.
+type batchFrame struct {
+	net    *Network
+	link   transport.Conduit
+	inline bool
+	from   string
+	now    time.Time
+	batch  []transport.Submission
+	done   chan<- transport.Completion
+	next   atomic.Int32 // the next record to claim
+	refs   atomic.Int32
+	quiet  chan struct{} // the waiting caller's wake-up
+	timer  *time.Timer   // claimTimeout, armed by an inline caller
+}
+
+var batchFramePool sync.Pool
+
+// serve claims and serves records until none is left, or after one unless
+// the batch is served inline. A claimed record's completion is not yet
+// posted, so the submitter's batch is still live when the claimer reads it.
+func (b *batchFrame) serve() {
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= len(b.batch) {
+			return
+		}
+		s := b.batch[i]
+		resp, injected, err := b.link.Deliver(b.from, s.To, s.Payload, b.now)
+		b.done <- transport.Completion{Tag: s.Tag, Resp: resp, Injected: injected, Err: err}
+		if !b.inline {
+			return
+		}
+	}
+}
+
+// help is a path worker's part: serve, then let go of the frame.
+func (b *batchFrame) help() {
+	b.serve()
+	b.let()
+}
+
+// claimTimeout runs claimWithin after an inline submit unless the caller
+// stopped it first: a record nobody has claimed by then waits behind
+// claimers that wait themselves (on a backend), so each gets a helper of its
+// own.
+func (b *batchFrame) claimTimeout() {
+	if left := len(b.batch) - int(b.next.Load()); left > 0 {
+		b.refs.Add(int32(left))
+		for i := 0; i < left; i++ {
+			b.net.paths.Go(pathJob{batch: b})
+		}
+	}
+	b.let()
+}
+
+func (b *batchFrame) let() {
+	if b.refs.Add(-1) != 0 {
+		return
+	}
+	if b.inline {
+		b.quiet <- struct{}{}
+		return
+	}
+	b.free()
+}
+
+func (b *batchFrame) free() {
+	b.net, b.link, b.from, b.batch, b.done = nil, nil, "", nil, nil
+	batchFramePool.Put(b)
+}
 
 // Deliver hands one encrypted record to the relay and returns its encrypted
 // response. The member-set lookup is a lock-free snapshot read; an unknown
@@ -567,12 +716,6 @@ func (net *Network) sealForward(client *Node, relayID string, query []byte, disc
 	// (first use, or re-attestation after a break) runs under the same
 	// lock acquisition — one lock round trip per forward.
 	ps.mu.Lock()
-	// Re-check membership now that the pair entry is published, so a pair
-	// is only ever attested to the member this forward resolved.
-	if net.members.Load().nodes[relayID] != relay {
-		ps.mu.Unlock()
-		return nil, ErrRelayUnavailable
-	}
 	if ps.client == nil && !attest {
 		ps.mu.Unlock()
 		return nil, errUnattested

@@ -572,12 +572,14 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// A path leaves this goroutine for a path worker only when it is slow
 	// anyway: its pair has no session (first contact, or a break) and needs
 	// the handshake, or its forward failed and forwardWithRetry takes over
-	// with the attempts it has left.
+	// with the attempts it has left. What the search is owed: answers on
+	// sc.done, outcomes on sc.outcomes.
+	answers, outcomes := 0, 0
 	offload := func(i int, first *forwardOutcome) {
 		n.net.paths.Go(pathJob{node: n, relay: string(relays[i]), query: pathQuery(i), now: now,
 			exclude: relays, real: i == realIdx, first: first, out: sc.outcomes})
+		outcomes++
 	}
-	owed := 0
 	clock := time.Now()
 	for _, i := range sc.order {
 		c := &sc.calls[i]
@@ -594,11 +596,10 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 		default:
 			offload(i, nil)
 		}
-		owed++
 	}
 	if len(sc.batch) > 0 {
 		n.net.submit.Submit(n.id, now, sc.batch, sc.done)
-		owed += len(sc.batch)
+		answers = len(sc.batch)
 	}
 
 	// An answer that was already waiting when the previous one had been
@@ -606,13 +607,24 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 	// clock is read again only after the loop may have slept.
 	var realErr error
 	var opened time.Time
-	for ; owed > 0; owed-- {
+	for answers+outcomes > 0 {
 		if len(sc.done) == 0 {
 			opened = time.Time{}
 		}
 		var o pathOutcome
-		select {
-		case answer := <-sc.done:
+		var answer transport.Completion
+		answered := true
+		if outcomes == 0 {
+			answer = <-sc.done
+		} else {
+			select {
+			case answer = <-sc.done:
+			case o = <-sc.outcomes:
+				answered = false
+			}
+		}
+		if answered {
+			answers--
 			i := answer.Tag
 			if opened.IsZero() {
 				opened = time.Now()
@@ -621,11 +633,11 @@ func (n *Node) Search(query string, now time.Time) (*SearchResult, error) {
 			opened = sc.calls[i].end
 			if err != nil || reply.EngineError != "" {
 				offload(i, &forwardOutcome{reply: reply, lat: lat, err: err})
-				owed++
 				continue
 			}
 			o = pathOutcome{real: i == realIdx, reply: reply, usedRelay: string(relays[i]), pathLatency: lat}
-		case o = <-sc.outcomes:
+		} else {
+			outcomes--
 			opened = time.Time{}
 		}
 		if !o.real {
@@ -710,11 +722,11 @@ func putSearchScratch(sc *searchScratch) {
 	searchScratchPool.Put(sc)
 }
 
-// pathJob is what a path worker runs, handed over by value. With out set it
-// is one of a search's k+1 paths that left the search goroutine: run
-// forwardWithRetry and report the outcome. With done set it is one record of
-// deliverAdapter: Deliver it through link and post the completion. The job
-// carries everything it needs, so a lingering worker keeps no network alive.
+// pathJob is what a path worker runs, handed over by value. With batch set
+// it is a claimer of a submitted batch (submitBatch). Otherwise it is one of
+// a search's k+1 paths that left the search goroutine: run forwardWithRetry
+// and report the outcome on out. The job carries everything it needs, so a
+// lingering worker keeps no network alive.
 type pathJob struct {
 	node    *Node
 	relay   string
@@ -725,11 +737,7 @@ type pathJob struct {
 	first   *forwardOutcome
 	out     chan<- pathOutcome
 
-	link   transport.Conduit
-	from   string
-	record []byte
-	tag    int
-	done   chan<- transport.Completion
+	batch *batchFrame
 }
 
 // forwardOutcome is the result of one forward attempt.
@@ -752,9 +760,8 @@ type pathOutcome struct {
 // kept; a fake's response is validated and dropped without being
 // materialised.
 func runPath(j pathJob) {
-	if j.done != nil {
-		resp, injected, err := j.link.Deliver(j.from, j.relay, j.record, j.now)
-		j.done <- transport.Completion{Tag: j.tag, Resp: resp, Injected: injected, Err: err}
+	if j.batch != nil {
+		j.batch.help()
 		return
 	}
 	reply, usedRelay, pathLatency, err := j.node.forwardWithRetry(j.relay, j.query, j.now, j.exclude, !j.real, j.first)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,10 @@ import (
 )
 
 // kmaxNet is a 16-node NullBackend deployment whose every search runs at
-// k = 7. Its conduit only has Deliver, so a warm search's eight deliveries
-// run on eight path workers (deliverAdapter); over a conduit with a native
-// submit seam a warm search uses none, which nettrans pins
+// k = 7. With no conduit wrapper a warm search's eight records are served
+// by the in-process conduit on the search goroutine and its helpers; behind
+// a Deliver-only wrapper they run on eight path workers (deliverAdapter);
+// over TCP a warm search uses no path worker at all, which nettrans pins
 // (TestWarmSearchOneFlushPerConnection).
 func kmaxNet(t *testing.T, seed int64, conduit func(transport.Conduit) transport.Conduit) *Network {
 	t.Helper()
@@ -60,37 +62,61 @@ func waitPathWorkers(t *testing.T, net *Network, want int, within time.Duration)
 }
 
 // TestSearchReusesPathWorkers: once the pool is warm, 200 searches in a row
-// at k = 7 — 1,600 deliveries through the adapter — start no goroutine, and
-// the workers are gone two lingers after the last of them. The warm-up
-// overlaps searches until the pool holds twice the workers one search takes:
-// a sequential search then always finds eight parked, whatever the scheduler
-// does to the eight that have just reported.
+// at k = 7 start no goroutine, and the workers are gone two lingers after
+// the last of them. Over the in-process conduit a warm search hands its
+// batch to min(8, GOMAXPROCS)-1 helpers; over a Deliver-only conduit each
+// of its eight records takes a worker of its own (deliverAdapter). The
+// warm-up overlaps searches until the pool holds twice the workers one
+// search takes: a sequential search then always finds enough parked,
+// whatever the scheduler does to those that have just reported.
 func TestSearchReusesPathWorkers(t *testing.T) {
-	net := kmaxNet(t, 71, nil)
-	ids := net.NodeIDs()
-	for net.paths.Live() < 16 {
-		var wg sync.WaitGroup
-		for _, id := range ids[:4] {
-			wg.Add(1)
-			go func(node *Node) {
-				defer wg.Done()
+	cases := []struct {
+		name    string
+		conduit func(transport.Conduit) transport.Conduit
+		workers int // path workers one warm search takes
+	}{
+		{"in-process", nil, min(8, runtime.GOMAXPROCS(0)) - 1},
+		{"deliver-only", func(direct transport.Conduit) transport.Conduit { return deliverOnly{direct} }, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := kmaxNet(t, 71, tc.conduit)
+			ids := net.NodeIDs()
+			node := net.Node(ids[0])
+			for i := 0; i < 64; i++ {
+				searchKMax(t, node) // attest every pair the searches below use
+			}
+			for net.paths.Live() < 2*tc.workers {
+				var wg sync.WaitGroup
+				for _, id := range ids[:4] {
+					wg.Add(1)
+					go func(node *Node) {
+						defer wg.Done()
+						searchKMax(t, node)
+					}(net.Node(id))
+				}
+				wg.Wait()
+			}
+			time.Sleep(10 * time.Millisecond) // let the last reporters park
+
+			before := workers.Spawned("path")
+			for i := 0; i < 200; i++ {
 				searchKMax(t, node)
-			}(net.Node(id))
-		}
-		wg.Wait()
-	}
-	time.Sleep(10 * time.Millisecond) // let the last reporters park
+			}
+			if got := workers.Spawned("path") - before; got != 0 {
+				t.Fatalf("200 warm searches at k=7 started %d goroutines, want 0", got)
+			}
 
-	node := net.Node(ids[0])
-	before := workers.Spawned("path")
-	for i := 0; i < 200; i++ {
-		searchKMax(t, node)
+			waitPathWorkers(t, net, 0, 2*workers.Linger+workers.Linger/2)
+		})
 	}
-	if got := workers.Spawned("path") - before; got != 0 {
-		t.Fatalf("200 warm searches at k=7 started %d goroutines, want 0", got)
-	}
+}
 
-	waitPathWorkers(t, net, 0, 2*workers.Linger+workers.Linger/2)
+// deliverOnly hides every method of a conduit but Deliver.
+type deliverOnly struct{ inner transport.Conduit }
+
+func (c deliverOnly) Deliver(from, to string, payload []byte, now time.Time) ([]byte, time.Duration, error) {
+	return c.inner.Deliver(from, to, payload, now)
 }
 
 // hangFrom is a conduit that parks every delivery from the given clients

@@ -120,8 +120,9 @@ type frameConn struct {
 	werr     error // sticky write-path failure
 	wopts    writeOptions
 
-	// wArmedAt tracks the armed write deadline for re-arm elision and the
-	// idle-transition disarm. Flusher-owned (one flusher at a time).
+	// wArmedAt tracks the armed write deadline for re-arm elision and for
+	// the disarm before a deadline-free flush. Flusher-owned (one flusher
+	// at a time).
 	wArmedAt time.Time
 
 	rhdr [headerSize]byte // reader-goroutine owned
@@ -256,11 +257,6 @@ func (fc *frameConn) flushLoop() error {
 			return err
 		}
 		if len(fc.wbuf) == 0 {
-			// Going idle: disarm the write deadline so the stale one cannot
-			// fire mid-write after an idle gap (the write-side mirror of the
-			// read path's deadline-free disarm). Done before handing off the
-			// flusher role so no new leader can race the disarm.
-			fc.disarmWriteDeadline()
 			fc.flushing = false
 			fc.wmu.Unlock()
 			return nil
@@ -270,6 +266,13 @@ func (fc *frameConn) flushLoop() error {
 
 // flushBytes writes one detached batch to the socket. Runs outside wmu —
 // writers keep queueing into the next batch while this one is on the wire.
+//
+// The write deadline outlives the flush that armed it, idle gaps included
+// (net.Conn deadlines persist until changed), so the armed one is checked
+// here, before every write: with a timeout it is re-armed unless at least
+// 3/4 of its budget is left — an idle gap long enough to matter always
+// re-arms — and without one a deadline still armed is disarmed, so a
+// deadline-free flush cannot die of an old flush's timeout.
 func (fc *frameConn) flushBytes(batch []byte) error {
 	if len(batch) == 0 {
 		return nil
@@ -282,6 +285,11 @@ func (fc *frameConn) flushBytes(batch []byte) error {
 			}
 			fc.wArmedAt = now
 		}
+	} else if !fc.wArmedAt.IsZero() {
+		if err := fc.c.SetWriteDeadline(time.Time{}); err != nil {
+			return err
+		}
+		fc.wArmedAt = time.Time{}
 	}
 	fc.wopts.stats.flushes.Add(1)
 	fc.wopts.stats.bytes.Add(uint64(len(batch)))
@@ -289,15 +297,6 @@ func (fc *frameConn) flushBytes(batch []byte) error {
 	mWrittenBytes.Add(uint64(len(batch)))
 	_, err := fc.c.Write(batch)
 	return err
-}
-
-// disarmWriteDeadline clears an armed write deadline (wmu held, flusher
-// role still owned).
-func (fc *frameConn) disarmWriteDeadline() {
-	if !fc.wArmedAt.IsZero() {
-		fc.c.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort disarm on a conn going idle
-		fc.wArmedAt = time.Time{}
-	}
 }
 
 // writeErrFrame reports a failed exchange on a stream.

@@ -285,7 +285,7 @@ func TestWriteDeadlineDisarmedAfterIdleGap(t *testing.T) {
 	}
 
 	// Idle well past the write timeout: the deadline armed for frame one has
-	// expired by now. It must have been disarmed when the flusher went idle.
+	// expired by now. The next, deadline-free flush must disarm it.
 	time.Sleep(250 * time.Millisecond)
 
 	// Deadline-free phase: without the disarm, this write fails instantly
@@ -303,6 +303,83 @@ func TestWriteDeadlineDisarmedAfterIdleGap(t *testing.T) {
 	}
 	if err := <-r2; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deadlineCounter counts the write deadlines set on a conn: arms with a
+// time, disarms with the zero time.
+type deadlineCounter struct {
+	net.Conn
+	arms, disarms int
+}
+
+func (c *deadlineCounter) SetWriteDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.disarms++
+	} else {
+		c.arms++
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// TestWriteDeadlineArmedOncePerQuarterBudget: a connection that goes idle
+// after every flush — a ping-pong, one frame each way — keeps its write
+// deadline, so N warm exchanges inside one quarter of the budget arm it
+// once and never disarm it, instead of arming and disarming around every
+// flush. A flush with no timeout after the armed deadline still disarms it,
+// once.
+func TestWriteDeadlineArmedOncePerQuarterBudget(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	counted := &deadlineCounter{Conn: b}
+	var stats WriteStats
+	fc := newFrameConn(counted, DefaultMaxFrame, writeOptions{timeout: time.Hour, stats: &stats})
+	echo := newFrameConn(a, DefaultMaxFrame, writeOptions{timeout: -1})
+	go func() {
+		for {
+			h, buf, err := echo.readFrame(0)
+			if err != nil {
+				return
+			}
+			err = echo.writeFrame(frameData, h.stream, *buf)
+			putFrame(buf)
+			if err != nil {
+				return
+			}
+		}
+	}()
+	exchange := func(stream uint64) {
+		t.Helper()
+		if err := fc.writeFrame(frameData, stream, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		h, buf, err := fc.readFrame(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putFrame(buf)
+		if h.stream != stream {
+			t.Fatalf("answer on stream %d, want %d", h.stream, stream)
+		}
+	}
+
+	const exchanges = 200
+	for i := uint64(1); i <= exchanges; i++ {
+		exchange(i)
+	}
+	if flushes := stats.Snapshot().Flushes; flushes != exchanges {
+		t.Fatalf("%d exchanges took %d flushes, want one each", exchanges, flushes)
+	}
+	if counted.arms != 1 || counted.disarms != 0 {
+		t.Fatalf("%d flushes in one quarter budget armed the deadline %d times and disarmed it %d times, want 1 and 0", exchanges, counted.arms, counted.disarms)
+	}
+
+	fc.wopts.timeout = 0
+	exchange(exchanges + 1)
+	exchange(exchanges + 2)
+	if counted.arms != 1 || counted.disarms != 1 {
+		t.Fatalf("deadline-free flushes after an armed deadline: %d arms and %d disarms, want 1 and 1", counted.arms, counted.disarms)
 	}
 }
 

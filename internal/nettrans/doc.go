@@ -57,8 +57,9 @@
 // write. Before detaching a batch the leader briefly yields the processor
 // so writers that are already runnable can join it — without that
 // cooperative linger, coalescing never engages on transports whose writes
-// do not block (loopback TCP). A lone writer still flushes immediately; the
-// write deadline is disarmed when the queue goes idle.
+// do not block (loopback TCP). A lone writer still flushes immediately. The
+// write deadline stays armed across idle gaps: a flush re-arms it unless
+// at least 3/4 of its budget is left, and a deadline-free flush disarms it.
 //
 // The contract: writeFrame returns when the frame is queued; a failed flush
 // closes the connection. Only the leader stays for the flush — a writer

@@ -51,7 +51,11 @@ type Completion struct {
 // batch of sealed records goes in, and exactly one Completion per record
 // comes out on the channel the caller supplied — posted by whichever
 // goroutine learns the outcome, never by a goroutine started for the record.
-// Submit itself does not wait for any answer.
+// Submit itself does not wait for an answer from a peer across a wire. An
+// implementation that has no wire may serve the batch before it returns, on
+// the submitting goroutine and on workers it takes from a pool (the
+// in-process conduit does); every completion is then posted when Submit
+// returns.
 //
 // Exactly once: every record of the batch is completed once and only once,
 // whatever happens to it — answered, refused, cut by a connection teardown,

@@ -45,8 +45,12 @@
 // boundary: one client's batch of sealed records in, exactly one Completion
 // per record out on a channel the caller supplies. core.Node.Search uses
 // nothing else — it seals its k+1 records itself, submits once, and opens the
-// answers as they arrive; a conduit that only has Deliver is adapted in core
-// by running each Deliver on a worker goroutine.
+// answers as they arrive. core's in-process conduit serves a batch itself,
+// on the submitting goroutine and a few pooled helpers, and gives a record
+// that nobody could claim within a bound (its claimers wait on a slow
+// engine) a worker of its own; a conduit that only has Deliver is adapted
+// in core by running each Deliver on a worker goroutine, since such a
+// Deliver may block.
 //
 // The rules (documented on Submitter): exactly once — answered, refused, cut
 // by a teardown, timed out or failed before the wire, every record completes

@@ -11,18 +11,28 @@
 // down a deep call chain, and a warm worker keeps its grown stack, so the
 // copies are paid once per worker instead of once per job.
 //
+// A hand-off is one channel operation. Every idle worker parks on a
+// one-slot channel of its own, and the parked workers form a stack under
+// the pool's mutex. Go pops the most recently parked worker and sends it
+// the job; the worker does a plain receive, with no select and no timer of
+// its own. LIFO reuse keeps the workers a steady rate needs hot at the top
+// of the stack and leaves the surplus at the bottom, where it ages out.
+//
+// Ageing is one janitor per pool: a single runtime timer, armed only while
+// some worker is idle, that ticks every Linger and ends the workers that
+// were already parked at the previous tick. An idle worker is therefore
+// gone between one and two lingers after its last job, or at once when the
+// pool is stopped. A tick touches only those old workers, so a Go at the
+// same instant either takes one of them first or finds the rest parked as
+// usual.
+//
 // The pool is generic over the job value, so a caller passes a pointer or a
 // small struct through the channel without wrapping it in a closure; the
 // hand-off itself allocates nothing.
 //
-// The idle check is lazy: a worker notes that it ran a job and looks at that
-// note only when its linger timer fires, re-arming the timer if it was busy.
-// No timer is stopped or reset around a job. An idle worker is therefore
-// gone between one and two lingers after its last job, or at once when the
-// pool is stopped.
-//
 // Three pools exist, told apart on /metrics by the pool label of
-// cyclosa_workers_spawned_total: "path" (core.Node.Search's k+1 forwards),
+// cyclosa_workers_spawned_total: "path" (core.Node.Search's forwards that
+// leave the search goroutine, and the in-process conduit's helpers),
 // "dispatch" (nettrans.Server's exchanges) and "engine" (backend.Stack's
 // watchdog-supervised engine calls). A flat counter under load means
 // goroutines are being reused.

@@ -23,8 +23,8 @@ func waitLive[T any](t *testing.T, p *Pool[T], want int, within time.Duration) {
 
 // warm leaves the pool with n idle workers: n jobs that overlap, then a
 // pause for the workers to park. With a spare worker parked, a sequence of
-// one-at-a-time jobs never finds the pool empty — the job goes to the worker
-// parked longest, and the one that just finished has a whole job to park in.
+// one-at-a-time jobs never finds the pool empty: the job goes to the worker
+// that just finished if it has parked again, and to the spare if not.
 func warm[T any](t *testing.T, p *Pool[T], n int, blocking T, release chan struct{}) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -92,35 +92,164 @@ func TestPoolNeverQueues(t *testing.T) {
 	close(release)
 }
 
-// TestPoolWorkersExpire: an idle worker is gone within two lingers of its
-// last job (the lazy idle check needs one timer period to notice the job and
-// one more to see none), and a worker that keeps getting jobs outlives many.
+// waitParked polls until the pool has want parked workers.
+func waitParked[T any](t *testing.T, p *Pool[T], want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := len(idleStack(p))
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers parked, want %d", n, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// idleStack copies the pool's stack of parked workers, bottom first.
+func idleStack[T any](p *Pool[T]) []*idleWorker[T] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*idleWorker[T](nil), p.idle...)
+}
+
+// never is a janitor period no test outlives: the tests below tick the
+// janitor through sweep, not through the clock.
+const never = time.Hour
+
+// TestPoolWorkersExpire: an idle worker survives the first janitor tick
+// after its last job and ends at the second, and a worker that gets a job
+// between every two ticks outlives any number of them.
 func TestPoolWorkersExpire(t *testing.T) {
 	ran := make(chan struct{}, 1)
-	p := New("test-expire", func(struct{}) { ran <- struct{}{} })
+	p := newPool("test-expire", func(struct{}) { ran <- struct{}{} }, never)
+	defer p.Stop()
 	before := Spawned("test-expire")
-	// Keep one worker busy across three timer periods: it must not exit.
-	// The worker arms its linger timer right after its first job, and a
-	// timer that fires takes it out of its select until it has run the
-	// timer case, so a Go at that moment finds no parked worker. Each later
-	// job is therefore handed over half a linger away from any firing, once
-	// the previous one has run: the hand-off finds the worker parked unless
-	// the scheduler holds one of them back for half a linger.
-	p.Go(struct{}{})
-	<-ran
-	start := time.Now()
-	for i := 1; i <= 3; i++ {
-		time.Sleep(time.Until(start.Add(time.Duration(i)*Linger - Linger/2)))
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			p.sweep()
+		}
 		p.Go(struct{}{})
 		<-ran
+		waitParked(t, p, 1)
 	}
 	if got := Spawned("test-expire") - before; got != 1 {
-		t.Fatalf("a job every %v started %d goroutines, want 1 (worker expired while in use)", Linger, got)
+		t.Fatalf("a job between every two ticks started %d goroutines, want 1 (worker expired while in use)", got)
 	}
+	p.sweep()
 	if p.Live() != 1 {
-		t.Fatalf("%d workers live, want 1", p.Live())
+		t.Fatalf("%d workers live one tick after the last job, want 1", p.Live())
 	}
-	waitLive(t, p, 0, 2*Linger+Linger/2)
+	p.sweep()
+	waitLive(t, p, 0, time.Second)
+}
+
+// TestPoolExpiryBetweenOneAndTwoTicks: a tick ends exactly the workers that
+// were parked at the previous one, and leaves those that parked since.
+func TestPoolExpiryBetweenOneAndTwoTicks(t *testing.T) {
+	release := make(chan struct{})
+	p := newPool("test-ticks", func(block chan struct{}) { <-block }, never)
+	defer p.Stop()
+	// Two workers: the first parks before a tick, the second after it.
+	first := make(chan struct{})
+	p.Go(first)
+	p.Go(release)
+	close(first)
+	waitParked(t, p, 1)
+	early := idleStack(p)[0]
+	p.sweep()
+	close(release)
+	waitParked(t, p, 2)
+
+	p.sweep() // ends the first worker only
+	waitLive(t, p, 1, time.Second)
+	if got := idleStack(p); len(got) != 1 || got[0] == early {
+		t.Fatal("the tick ended the worker that parked after the previous tick")
+	}
+	p.sweep() // and now the second
+	waitLive(t, p, 0, time.Second)
+}
+
+// TestPoolJanitorClock: on the real clock a worker is gone between one and
+// two janitor periods after its last job.
+func TestPoolJanitorClock(t *testing.T) {
+	const linger = 40 * time.Millisecond
+	ran := make(chan struct{}, 1)
+	p := newPool("test-clock", func(struct{}) { ran <- struct{}{} }, linger)
+	defer p.Stop()
+	p.Go(struct{}{})
+	<-ran
+	parked := time.Now()
+	for p.Live() != 0 {
+		if time.Since(parked) > 2*time.Second {
+			t.Fatalf("worker still live %v after its last job", time.Since(parked))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if gone := time.Since(parked); gone < linger {
+		t.Fatalf("worker gone %v after its last job, before one period (%v)", gone, linger)
+	}
+}
+
+// TestPoolLIFO: the most recently parked worker takes the next job, and
+// parks on top again when it is done, so the ones below age undisturbed.
+func TestPoolLIFO(t *testing.T) {
+	release := [3]chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	p := newPool("test-lifo", func(block chan struct{}) { <-block }, never)
+	defer p.Stop()
+	for _, r := range release {
+		p.Go(r)
+	}
+	for i, r := range release {
+		close(r)
+		waitParked(t, p, i+1)
+	}
+	stack := idleStack(p)
+	for i := 0; i < 20; i++ {
+		block := make(chan struct{})
+		p.Go(block)
+		if got := idleStack(p); len(got) != 2 || got[0] != stack[0] || got[1] != stack[1] {
+			t.Fatal("Go did not take the top of the idle stack")
+		}
+		close(block)
+		waitParked(t, p, 3)
+		if got := idleStack(p); got[2] != stack[2] {
+			t.Fatal("the next job went to a worker other than the most recently parked")
+		}
+	}
+}
+
+// TestPoolTickStartsNoGoroutine: a janitor tick at the moment a job is
+// handed over takes no recently used worker out of reach, so the job starts
+// no goroutine, however the two interleave.
+func TestPoolTickStartsNoGoroutine(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	p := newPool("test-tick-race", func(struct{}) { ran <- struct{}{} }, never)
+	defer p.Stop()
+	p.Go(struct{}{})
+	<-ran
+	waitParked(t, p, 1)
+	before := Spawned("test-tick-race")
+	for i := 0; i < 500; i++ {
+		// Park the worker after the latest tick, as a worker in use is.
+		p.Go(struct{}{})
+		<-ran
+		waitParked(t, p, 1)
+		ticked := make(chan struct{})
+		go func() {
+			p.sweep()
+			close(ticked)
+		}()
+		p.Go(struct{}{})
+		<-ran
+		<-ticked
+		waitParked(t, p, 1)
+	}
+	if got := Spawned("test-tick-race") - before; got != 0 {
+		t.Fatalf("jobs handed over at a tick started %d goroutines, want 0", got)
+	}
 }
 
 // TestPoolStop: Stop reaps idle workers at once, a busy one as soon as its

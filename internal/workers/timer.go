@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// timerPool recycles wait timers (a worker's linger, a round trip's
-// request timeout, the engine watchdog's deadline) so the hot path does not
-// start a fresh runtime timer per wait.
+// timerPool recycles wait timers (a round trip's request timeout, the
+// engine watchdog's deadline) so the hot path does not start a fresh
+// runtime timer per wait.
 var timerPool sync.Pool
 
 // GetTimer returns a timer that fires after d.
