@@ -78,11 +78,12 @@
 //
 // The forward hot path — client encode, pad, encrypt → relay ecall:
 // decrypt, record, engine ocall, encrypt → client decrypt, decode — is
-// JSON-free and effectively zero-allocation at steady state: one
-// allocation per forward, the query string the engine ocall hands
-// Backend.Search (whose signature takes a string). The past-query table
-// keeps queries as bytes, and a relay's server hands the forward interned
-// node ids.
+// JSON-free and allocates nothing at steady state. The past-query table
+// keeps queries as bytes, a relay's server hands the forward interned node
+// ids, and the query string the engine ocall hands Backend.Search is cut
+// from a shared chunk. A whole protected search allocates only what it
+// returns or keeps: the result, the real page's decode and the history
+// entry; the query is assessed in pooled scratch.
 //
 // Wire format (version 1, see internal/core/messages.go): every frame
 // opens with a 1-byte version; fixed 64-bit fields are big-endian; strings

@@ -78,6 +78,15 @@ func (b *breaker) allow(now time.Time) (ok, probe bool) {
 	return false, false
 }
 
+// admit is allow at the current time, reading the clock only when the
+// circuit is not closed: a closed circuit admits whatever the time.
+func (b *breaker) admit() (ok, probe bool) {
+	if b.state.Load() == breakerClosed {
+		return true, false
+	}
+	return b.allow(time.Now())
+}
+
 // record feeds one call outcome back. Probe outcomes drive the state
 // machine directly: success closes the circuit, failure reopens it (the
 // outage continues, cooldown restarts). Non-probe outcomes only matter

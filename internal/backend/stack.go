@@ -140,14 +140,14 @@ type Stats struct {
 
 // Stack is the resilient decorator over an Engine. The zero value is not
 // usable; build one with NewStack. A Stack is safe for concurrent use and
-// allocation-free on the success path once warm (its watchdog reuses
-// lingering worker goroutines, pooled timers and pooled call frames).
+// allocation-free on the success path once warm (it reuses lingering worker
+// goroutines and pooled call frames, each with its own watchdog timer).
 type Stack struct {
 	inner Engine
 	pol   Policy
 
-	sem     chan struct{}        // admission gate; slot held until the engine returns
-	workers *workers.Pool[*call] // lingering watchdog workers running the engine calls
+	inFlight atomic.Int64         // admission gate; a slot is held until the engine returns
+	workers  *workers.Pool[*call] // lingering workers running the engine calls
 
 	breaker  breaker
 	tokens   atomic.Int64  // retry budget, millitokens
@@ -177,11 +177,7 @@ const (
 // Policy.Validate first when bad input must be an error).
 func NewStack(inner Engine, pol Policy) *Stack {
 	p := pol.withDefaults()
-	s := &Stack{
-		inner: inner,
-		pol:   p,
-		sem:   make(chan struct{}, p.MaxInFlight),
-	}
+	s := &Stack{inner: inner, pol: p}
 	s.workers = workers.New("engine", s.runCall)
 	s.breaker.init(p)
 	s.tokens.Store(retryTokenCap) // cold start may retry
@@ -206,7 +202,7 @@ func (s *Stack) Stats() Stats {
 		BreakerRejected:  s.breakerRejected.Load(),
 		BreakerOpen:      open,
 		BreakerOpenNanos: openNanos,
-		InFlight:         len(s.sem),
+		InFlight:         int(s.inFlight.Load()),
 
 		RetryBudgetMillitokens: s.tokens.Load(),
 	}
@@ -232,28 +228,29 @@ func (s *Stack) SearchBudget(source, query string, now time.Time, budget time.Du
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			s.timeouts.Add(1)
-			return nil, fmt.Errorf("%w: %v budget exhausted", ErrEngineTimeout, budget)
+		// The first attempt has the whole budget; a retry, what is left.
+		wait := budget
+		if attempt > 0 {
+			if wait = time.Until(deadline); wait <= 0 {
+				s.timeouts.Add(1)
+				return nil, fmt.Errorf("%w: %v budget exhausted", ErrEngineTimeout, budget)
+			}
 		}
 
 		// Admission gate: shed instead of queuing. The slot is released by
-		// the watchdog worker when the engine call actually returns — a hung
-		// call keeps its slot, which is what turns sustained hangs into
-		// shedding instead of unbounded goroutine pile-up.
-		select {
-		case s.sem <- struct{}{}:
-		default:
+		// the worker when the engine call actually returns — a hung call
+		// keeps its slot, which is what turns sustained hangs into shedding
+		// instead of unbounded goroutine pile-up.
+		if !s.takeSlot() {
 			s.shed.Add(1)
 			return nil, fmt.Errorf("%w: %d engine calls in flight", ErrEngineOverloaded, s.pol.MaxInFlight)
 		}
 
 		// Circuit breaker: fail fast on a known-bad engine. Checked after
 		// the gate so an open breaker under overload still sheds honestly.
-		ok, probe := s.breaker.allow(time.Now())
+		ok, probe := s.breaker.admit()
 		if !ok {
-			<-s.sem
+			s.inFlight.Add(-1)
 			s.breakerRejected.Add(1)
 			return nil, fmt.Errorf("%w: circuit open", ErrEngineUnavailable)
 		}
@@ -278,6 +275,21 @@ func (s *Stack) SearchBudget(source, query string, now time.Time, budget time.Du
 		}
 		s.retries.Add(1)
 		s.backoff(attempt, deadline)
+	}
+}
+
+// takeSlot takes an admission slot if fewer than MaxInFlight calls are in
+// flight.
+func (s *Stack) takeSlot() bool {
+	limit := int64(s.pol.MaxInFlight)
+	for {
+		n := s.inFlight.Load()
+		if n >= limit {
+			return false
+		}
+		if s.inFlight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -355,20 +367,29 @@ func (s *Stack) rand64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// call is one watchdog-supervised engine invocation. The frame is pooled;
-// whoever loses the completion race (an abandoning caller, a late worker)
-// is NOT the one that recycles it — see attempt/runCall.
+// call is one watchdog-supervised engine invocation. The frame is pooled,
+// and owns the watchdog timer that abandons it.
+//
+// Three parties hold a frame while a call runs: the caller, the worker
+// running the engine, and the watchdog. The worker (the engine returned) and
+// the watchdog (the wait ran out) race to resolve the call; the winner posts
+// the one outcome the caller receives. Each party lets go of the frame once
+// done with it, the caller on the watchdog's behalf when it stops the timer
+// before it fires, and whoever lets go last recycles the frame. So a frame is
+// never reused while its timer can still fire or its engine call still run.
 type call struct {
 	stack         *Stack
 	source, query string
 	now           time.Time
 	results       []searchengine.Result
 	err           error
-	done          chan struct{}
-	// state sequences the caller/worker race: live -> delivered (worker won,
-	// caller consumes) or live -> abandoned (caller timed out, worker
-	// recycles the frame whenever the engine returns).
+	done          chan struct{} // the outcome: one post per call
+	watchdog      *time.Timer   // made once per frame, re-armed per call
+	// state sequences the worker/watchdog race: live -> delivered (the
+	// engine returned in time) or live -> abandoned (the wait ran out).
 	state atomic.Int32
+	// holders counts the parties still using the frame.
+	holders atomic.Int32
 }
 
 const (
@@ -384,12 +405,16 @@ func (s *Stack) getCall() *call {
 	return &call{stack: s, done: make(chan struct{}, 1)}
 }
 
-func (s *Stack) putCall(c *call) {
+// release lets go of the frame; the last holder recycles it.
+func (c *call) release() {
+	if c.holders.Add(-1) != 0 {
+		return
+	}
 	c.source, c.query = "", ""
 	c.now = time.Time{}
 	c.results, c.err = nil, nil
 	c.state.Store(callLive)
-	s.callPool.Put(c)
+	c.stack.callPool.Put(c)
 }
 
 // attempt runs one engine call under the watchdog. The caller must already
@@ -398,40 +423,46 @@ func (s *Stack) putCall(c *call) {
 func (s *Stack) attempt(source, query string, now time.Time, wait time.Duration) ([]searchengine.Result, error) {
 	c := s.getCall()
 	c.source, c.query, c.now = source, query, now
-
+	c.holders.Store(3)
+	if c.watchdog == nil {
+		c.watchdog = time.AfterFunc(wait, c.expire)
+	} else {
+		c.watchdog.Reset(wait)
+	}
 	s.workers.Go(c)
 
-	t := workers.GetTimer(wait)
-	select {
-	case <-c.done:
-		workers.PutTimer(t)
-		results, err := c.results, c.err
-		s.putCall(c)
-		return results, err
-	case <-t.C:
-		workers.PutTimer(t)
-		if c.state.CompareAndSwap(callLive, callAbandoned) {
-			// The engine is still running (hang or slow reply). Its slot
-			// stays held and the worker recycles the frame on return.
-			s.timeouts.Add(1)
-			return nil, fmt.Errorf("%w: no engine response within %v", ErrEngineTimeout, wait)
-		}
-		// Lost the race: the result landed between timer fire and CAS.
-		<-c.done
-		results, err := c.results, c.err
-		s.putCall(c)
-		return results, err
+	<-c.done
+	if c.watchdog.Stop() {
+		c.release() // the watchdog will not fire: let go on its behalf
 	}
+	if c.state.Load() == callAbandoned {
+		// The engine is still running (hang or slow reply). Its slot stays
+		// held until it returns.
+		c.release()
+		s.timeouts.Add(1)
+		return nil, fmt.Errorf("%w: no engine response within %v", ErrEngineTimeout, wait)
+	}
+	results, err := c.results, c.err
+	c.release()
+	return results, err
+}
+
+// expire is the watchdog: unless the engine already answered, it abandons
+// the call and posts the outcome.
+func (c *call) expire() {
+	if c.state.CompareAndSwap(callLive, callAbandoned) {
+		c.done <- struct{}{}
+	}
+	c.release()
 }
 
 // runCall executes one engine call and resolves the completion race.
 func (s *Stack) runCall(c *call) {
 	results, err := s.inner.Search(c.source, c.query, c.now)
-	<-s.sem // the call is no longer in flight, whether anyone is waiting or not
-	c.results, c.err = results, err
+	s.inFlight.Add(-1) // the call is no longer in flight, whether anyone is waiting or not
 	if c.state.CompareAndSwap(callLive, callDelivered) {
+		c.results, c.err = results, err
 		c.done <- struct{}{}
-	} else {
-		s.putCall(c) // abandoned: nobody will read the frame
 	}
+	c.release()
 }

@@ -258,6 +258,81 @@ func TestSearchBudgetThreading(t *testing.T) {
 	}
 }
 
+// delayEngine answers after a delay it reads off the query. Its one result
+// names the query.
+type delayEngine struct{}
+
+func (delayEngine) Search(_, query string, _ time.Time) ([]searchengine.Result, error) {
+	var delay time.Duration
+	fmt.Sscanf(query, "%d", &delay) //nolint:errcheck // the test writes every query
+	time.Sleep(delay)
+	return []searchengine.Result{{URL: query}}, nil
+}
+
+// TestWatchdogRacesEngineReturn: 10k calls whose engine returns just before,
+// at or just after the watchdog fires. Each call gets exactly one outcome:
+// its own page, or a timeout no earlier than its wait. A frame reused while
+// its timer could still fire would time the next call out early; one reused
+// while its engine still ran would hand the next call the old page; a second
+// outcome posted for one call would be received by a later call of the frame.
+func TestWatchdogRacesEngineReturn(t *testing.T) {
+	const callers, perCaller = 4, 2500
+	s := NewStack(delayEngine{}, Policy{Timeout: time.Second, MaxInFlight: 64, BreakerMinSamples: 1 << 30})
+	waits := []time.Duration{30 * time.Microsecond, 100 * time.Microsecond, 300 * time.Microsecond}
+	var pages, timeouts atomic.Uint64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				wait := waits[(c+i)%len(waits)]
+				delay := wait/2 + time.Duration(i*7919%1000)*wait/1000
+				query := fmt.Sprintf("%d caller %d call %d", delay, c, i)
+				start := time.Now()
+				results, err := s.SearchBudget("n1", query, t0, wait)
+				elapsed := time.Since(start)
+				switch {
+				case err == nil:
+					if len(results) != 1 || results[0].URL != query {
+						errs <- fmt.Errorf("call %q got page %v", query, results)
+						return
+					}
+					pages.Add(1)
+				case errors.Is(err, ErrEngineTimeout):
+					if elapsed < wait {
+						errs <- fmt.Errorf("call %q timed out after %v, before its %v wait", query, elapsed, wait)
+						return
+					}
+					timeouts.Add(1)
+				default:
+					errs <- fmt.Errorf("call %q: %v", query, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Successes != pages.Load() || st.Timeouts != timeouts.Load() || st.Calls != callers*perCaller || pages.Load()+timeouts.Load() != st.Calls {
+		t.Fatalf("%d pages and %d timeouts received, stats %+v", pages.Load(), timeouts.Load(), st)
+	}
+	t.Logf("%d calls: %d pages, %d timeouts", st.Calls, pages.Load(), timeouts.Load())
+	if pages.Load() == 0 || timeouts.Load() == 0 {
+		t.Fatalf("the engine never raced the watchdog: %d pages, %d timeouts", pages.Load(), timeouts.Load())
+	}
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned calls never gave their slots back: %+v", s.Stats())
+		}
+	}
+}
+
 func TestPolicyValidate(t *testing.T) {
 	good := Policy{Timeout: time.Second, MaxRetries: 2, BreakerThreshold: 0.5, MaxInFlight: 8}
 	if err := good.Validate(); err != nil {

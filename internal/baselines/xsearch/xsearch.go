@@ -104,11 +104,7 @@ func (p *Proxy) Obfuscate(query string) (obfuscated string, disjuncts []string, 
 func (p *Proxy) Search(user, query string, now time.Time) ([]searchengine.Result, time.Duration, error) {
 	_ = user // the proxy sees the user but the engine sees only the proxy
 	obfuscated, _, _ := p.Obfuscate(query)
-	latency := p.model.Sample(transport.LinkWAN) +
-		p.model.ProcessingCost() +
-		p.model.Sample(transport.LinkEngineRTT) +
-		p.model.ProcessingCost() +
-		p.model.Sample(transport.LinkWAN)
+	latency := p.model.RelayedSearch()
 	merged, err := p.backend.Search(ProxySource, obfuscated, now)
 	if err != nil {
 		return nil, latency, fmt.Errorf("xsearch proxy: %w", err)

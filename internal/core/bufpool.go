@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // bufPool recycles the scratch buffers of the forward hot path (a forward's
 // request and response plaintext and its sealed record, gate frames,
@@ -32,4 +35,42 @@ func putBuf(b *[]byte) {
 		return
 	}
 	bufPool.Put(b)
+}
+
+// queryChunk is the size of the chunks engine query strings are cut from.
+const queryChunk = 16 << 10
+
+// queryChunks holds partly filled chunks for engineQuery. A chunk is an
+// append-only strings.Builder: the standard library never rewrites bytes a
+// Builder has written, and a full chunk is let go rather than grown, so a
+// string cut from String() stays valid for as long as anyone holds it. A
+// full chunk stays reachable only while a string cut from it does.
+var queryChunks = sync.Pool{
+	New: func() any {
+		b := new(strings.Builder)
+		b.Grow(queryChunk)
+		return b
+	},
+}
+
+// engineQuery returns the query bytes as a string for Backend.Search. The
+// string is cut from a shared chunk instead of allocated on its own, so a
+// relayed record costs no allocation; the backend may keep it. A query
+// longer than a quarter chunk is converted alone.
+func engineQuery(q []byte) string {
+	if len(q) > queryChunk/4 {
+		return string(q)
+	}
+	b := queryChunks.Get().(*strings.Builder)
+	if b.Len()+len(q) > b.Cap() {
+		// Start a new chunk. Reset lets go of the full one without
+		// touching its bytes.
+		b.Reset()
+		b.Grow(queryChunk)
+	}
+	start := b.Len()
+	b.Write(q)
+	s := b.String()[start:]
+	queryChunks.Put(b)
+	return s
 }

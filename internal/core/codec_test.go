@@ -176,9 +176,9 @@ func TestWireCodecAllocs(t *testing.T) {
 }
 
 // One full forward round trip (encode, pad, encrypt, both gate crossings,
-// decrypt, decode) makes one allocation at steady state: the engine ocall's
-// query string, because Backend.Search takes a string. The query reaches the
-// past-query table as bytes.
+// decrypt, decode) allocates nothing at steady state: the past-query table
+// keeps the query as bytes, and the engine ocall cuts the string
+// Backend.Search takes from a shared chunk.
 func TestRelayRoundTripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation adds allocations")
@@ -203,8 +203,8 @@ func TestRelayRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 1 {
-		t.Errorf("RelayRoundTrip allocates %.1f times per op, want <= 1", n)
+	if n != 0 {
+		t.Errorf("RelayRoundTrip allocates %.3f times per op, want 0", n)
 	}
 }
 
@@ -237,9 +237,9 @@ func realPage() []searchengine.Result {
 
 // The pins above only ever see NullBackend's empty page. With a real page
 // in the response, a forward whose page the caller discards (a fake, a
-// capacity probe) must cost no more than with an empty one — the engine
-// ocall's query string — and a forward whose page is kept only the three
-// allocations of the page decode on top.
+// capacity probe) must cost no more than with an empty one — nothing — and
+// a forward whose page is kept only the three allocations of the page
+// decode.
 func TestForwardAllocsOnRealPage(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation adds allocations")
@@ -260,8 +260,8 @@ func TestForwardAllocsOnRealPage(t *testing.T) {
 		wantResults int
 		maxAllocs   float64
 	}{
-		{"fake path", true, 0, 1},
-		{"real path", false, len(page), 4},
+		{"fake path", true, 0, 0},
+		{"real path", false, len(page), 3},
 	} {
 		forward := func() {
 			resp, _, err := net.forward(client, relay, probe, now, tc.discardPage)

@@ -725,11 +725,7 @@ func (net *Network) sealForward(client *Node, relayID string, query []byte, disc
 		return nil, err
 	}
 
-	c.latency = net.model.Sample(transport.LinkWAN) +
-		net.model.ProcessingCost() +
-		net.model.Sample(transport.LinkEngineRTT) +
-		net.model.ProcessingCost() +
-		net.model.Sample(transport.LinkWAN)
+	c.latency = net.model.RelayedSearch()
 
 	// Reject oversized queries before allocating a request id: the counter
 	// must equal the conduit delivery attempts (the chaos invariant

@@ -366,11 +366,12 @@ func (n *Node) registerECalls() {
 		// relayTimeout, so the engine stack must give up first and answer
 		// with a typed engine error instead of silence.
 		var results []searchengine.Result
+		q := engineQuery(query)
 		engStart := time.Now()
 		if n.budgeted != nil {
-			results, err = n.budgeted.SearchBudget(src, string(query), time.Unix(0, nowNano), n.relayTimeout)
+			results, err = n.budgeted.SearchBudget(src, q, time.Unix(0, nowNano), n.relayTimeout)
 		} else {
-			results, err = n.backend.Search(src, string(query), time.Unix(0, nowNano))
+			results, err = n.backend.Search(src, q, time.Unix(0, nowNano))
 		}
 		stageEngine.Observe(time.Since(engStart))
 		if err != nil {

@@ -74,7 +74,7 @@ func (w *WriteStats) Snapshot() WriteStatsSnapshot {
 // writeOptions holds what a frameConn's owner supplies to its write path.
 type writeOptions struct {
 	// timeout is the write deadline per flush (default defaultWriteTimeout;
-	// negative disables).
+	// negative disables). It is fixed for the connection's life.
 	timeout time.Duration
 	// stats, when non-nil, aggregates flush counters (shared across the
 	// conns of one pool or server).
@@ -120,9 +120,8 @@ type frameConn struct {
 	werr     error // sticky write-path failure
 	wopts    writeOptions
 
-	// wArmedAt tracks the armed write deadline for re-arm elision and for
-	// the disarm before a deadline-free flush. Flusher-owned (one flusher
-	// at a time).
+	// wArmedAt is when the write deadline was last armed, for re-arm
+	// elision. Flusher-owned (one flusher at a time).
 	wArmedAt time.Time
 
 	rhdr [headerSize]byte // reader-goroutine owned
@@ -269,27 +268,20 @@ func (fc *frameConn) flushLoop() error {
 //
 // The write deadline outlives the flush that armed it, idle gaps included
 // (net.Conn deadlines persist until changed), so the armed one is checked
-// here, before every write: with a timeout it is re-armed unless at least
-// 3/4 of its budget is left — an idle gap long enough to matter always
-// re-arms — and without one a deadline still armed is disarmed, so a
-// deadline-free flush cannot die of an old flush's timeout.
+// here, before every write: it is re-armed unless at least 3/4 of its
+// budget is left, so an idle gap long enough to matter always re-arms. A
+// connection built without a timeout never arms one.
 func (fc *frameConn) flushBytes(batch []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	if d := fc.wopts.timeout; d > 0 {
-		now := time.Now()
-		if fc.wArmedAt.IsZero() || now.Sub(fc.wArmedAt) > d/deadlineSlack {
+		if now := time.Now(); now.Sub(fc.wArmedAt) > d/deadlineSlack {
 			if err := fc.c.SetWriteDeadline(now.Add(d)); err != nil {
 				return err
 			}
 			fc.wArmedAt = now
 		}
-	} else if !fc.wArmedAt.IsZero() {
-		if err := fc.c.SetWriteDeadline(time.Time{}); err != nil {
-			return err
-		}
-		fc.wArmedAt = time.Time{}
 	}
 	fc.wopts.stats.flushes.Add(1)
 	fc.wopts.stats.bytes.Add(uint64(len(batch)))

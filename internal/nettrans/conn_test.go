@@ -257,15 +257,12 @@ func TestWriteBatchByteBound(t *testing.T) {
 	}
 }
 
-// TestWriteDeadlineDisarmedAfterIdleGap is the write-side stale-deadline
-// regression (the mirror of PR 4's read-side fix): a flush arms a write
-// deadline, and net.Conn deadlines persist until changed — so a conn going
-// idle used to keep its last deadline armed. A later phase writing without
-// deadlines (timeout 0, like the read path's readFrame(0)) would then die
-// of the leftover timeout the moment the peer was slow to read. The conn
-// must survive an idle gap longer than the write timeout followed by a
-// slow-start write.
-func TestWriteDeadlineDisarmedAfterIdleGap(t *testing.T) {
+// TestWriteDeadlineRearmedAfterIdleGap: a flush arms a write deadline, and
+// net.Conn deadlines persist until changed, so a connection that went idle
+// still carries its last one. After an idle gap longer than the write
+// timeout that deadline has expired; the next flush must re-arm it, or the
+// write fails at once instead of waiting for a slow reader.
+func TestWriteDeadlineRearmedAfterIdleGap(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -285,21 +282,18 @@ func TestWriteDeadlineDisarmedAfterIdleGap(t *testing.T) {
 	}
 
 	// Idle well past the write timeout: the deadline armed for frame one has
-	// expired by now. The next, deadline-free flush must disarm it.
+	// expired by now.
 	time.Sleep(250 * time.Millisecond)
 
-	// Deadline-free phase: without the disarm, this write fails instantly
-	// with the expired deadline instead of waiting for the slow reader.
-	fc.wopts.timeout = 0
 	r2 := make(chan error, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond) // slow-start reader
+		time.Sleep(50 * time.Millisecond) // slow-start reader, inside the timeout
 		buf := make([]byte, headerSize+3)
 		_, err := io.ReadFull(a, buf)
 		r2 <- err
 	}()
 	if err := fc.writeFrame(frameData, 2, []byte("two")); err != nil {
-		t.Fatalf("write after idle gap: %v (stale write deadline not disarmed?)", err)
+		t.Fatalf("write after idle gap: %v (expired write deadline not re-armed?)", err)
 	}
 	if err := <-r2; err != nil {
 		t.Fatal(err)
@@ -322,19 +316,16 @@ func (c *deadlineCounter) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
-// TestWriteDeadlineArmedOncePerQuarterBudget: a connection that goes idle
-// after every flush — a ping-pong, one frame each way — keeps its write
-// deadline, so N warm exchanges inside one quarter of the budget arm it
-// once and never disarm it, instead of arming and disarming around every
-// flush. A flush with no timeout after the armed deadline still disarms it,
-// once.
-func TestWriteDeadlineArmedOncePerQuarterBudget(t *testing.T) {
+// pingPong runs n exchanges, one frame each way, from a connection built
+// with the given write timeout to an echoing peer, and returns the write
+// deadlines the connection set and its write counters.
+func pingPong(t *testing.T, timeout time.Duration, n int) (*deadlineCounter, WriteStatsSnapshot) {
+	t.Helper()
 	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
+	t.Cleanup(func() { a.Close(); b.Close() })
 	counted := &deadlineCounter{Conn: b}
 	var stats WriteStats
-	fc := newFrameConn(counted, DefaultMaxFrame, writeOptions{timeout: time.Hour, stats: &stats})
+	fc := newFrameConn(counted, DefaultMaxFrame, writeOptions{timeout: timeout, stats: &stats})
 	echo := newFrameConn(a, DefaultMaxFrame, writeOptions{timeout: -1})
 	go func() {
 		for {
@@ -349,9 +340,8 @@ func TestWriteDeadlineArmedOncePerQuarterBudget(t *testing.T) {
 			}
 		}
 	}()
-	exchange := func(stream uint64) {
-		t.Helper()
-		if err := fc.writeFrame(frameData, stream, []byte("ping")); err != nil {
+	for i := uint64(1); i <= uint64(n); i++ {
+		if err := fc.writeFrame(frameData, i, []byte("ping")); err != nil {
 			t.Fatal(err)
 		}
 		h, buf, err := fc.readFrame(0)
@@ -359,27 +349,31 @@ func TestWriteDeadlineArmedOncePerQuarterBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		putFrame(buf)
-		if h.stream != stream {
-			t.Fatalf("answer on stream %d, want %d", h.stream, stream)
+		if h.stream != i {
+			t.Fatalf("answer on stream %d, want %d", h.stream, i)
 		}
 	}
+	return counted, stats.Snapshot()
+}
 
+// TestWriteDeadlineArmedOncePerQuarterBudget: a connection that goes idle
+// after every flush — a ping-pong, one frame each way — keeps its write
+// deadline, so N warm exchanges inside one quarter of the budget arm it
+// once and never disarm it, instead of arming and disarming around every
+// flush. A connection built without a write timeout never sets a deadline.
+func TestWriteDeadlineArmedOncePerQuarterBudget(t *testing.T) {
 	const exchanges = 200
-	for i := uint64(1); i <= exchanges; i++ {
-		exchange(i)
-	}
-	if flushes := stats.Snapshot().Flushes; flushes != exchanges {
-		t.Fatalf("%d exchanges took %d flushes, want one each", exchanges, flushes)
+	counted, stats := pingPong(t, time.Hour, exchanges)
+	if stats.Flushes != exchanges {
+		t.Fatalf("%d exchanges took %d flushes, want one each", exchanges, stats.Flushes)
 	}
 	if counted.arms != 1 || counted.disarms != 0 {
 		t.Fatalf("%d flushes in one quarter budget armed the deadline %d times and disarmed it %d times, want 1 and 0", exchanges, counted.arms, counted.disarms)
 	}
 
-	fc.wopts.timeout = 0
-	exchange(exchanges + 1)
-	exchange(exchanges + 2)
-	if counted.arms != 1 || counted.disarms != 1 {
-		t.Fatalf("deadline-free flushes after an armed deadline: %d arms and %d disarms, want 1 and 1", counted.arms, counted.disarms)
+	counted, _ = pingPong(t, -1, exchanges)
+	if counted.arms != 0 || counted.disarms != 0 {
+		t.Fatalf("a connection without a write timeout armed %d deadlines and disarmed %d, want none", counted.arms, counted.disarms)
 	}
 }
 

@@ -301,13 +301,13 @@ func TestWarmSearchOneFlushPerConnection(t *testing.T) {
 	}
 }
 
-// tcpSearchAllocBudget bounds TestTCPSearchAllocs: 29 measured — 5 on the
-// searching node (the result, 2 for tokenizing, 2 for the real page's
-// decode) and 3 at each of the eight relays (the engine ocall's query
-// string, 2 for titleBackend's page). The servers hand their handler
-// interned ids, the table keeps bytes, and a round trip's result channel is
-// the connection's.
-const tcpSearchAllocBudget = 29
+// tcpSearchAllocBudget bounds TestTCPSearchAllocs: 19 measured — 3 on the
+// searching node (the result, 2 for the real page's decode) and 2 at each
+// of the eight relays (titleBackend's page). The query is tokenized into
+// scratch, the servers hand their handler interned ids, the table keeps
+// bytes, the engine's query string is cut from a shared chunk, and a round
+// trip's result channel is the connection's.
+const tcpSearchAllocBudget = 19
 
 // TestTCPSearchAllocs pins the allocations of a whole warm k = 7 search over
 // loopback TCP — both ends of all eight paths, since the servers run in this

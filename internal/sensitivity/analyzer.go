@@ -2,6 +2,7 @@ package sensitivity
 
 import (
 	"math"
+	"sync"
 
 	"cyclosa/internal/textproc"
 )
@@ -10,7 +11,8 @@ import (
 // kmax = 7).
 const DefaultKMax = 7
 
-// Assessment is the outcome of analyzing one query.
+// Assessment is the outcome of analyzing one query. Assess tokenizes into
+// pooled scratch, so an Assessment keeps nothing but the query it names.
 type Assessment struct {
 	// Query is the analyzed query text.
 	Query string
@@ -20,10 +22,6 @@ type Assessment struct {
 	Linkability float64
 	// K is the resulting number of fake queries.
 	K int
-
-	// terms is the tokenized query, kept so that RecordQuery does not
-	// tokenize it again.
-	terms []string
 }
 
 // Analyzer combines the semantic detector and the linkability assessor into
@@ -55,22 +53,26 @@ func (a *Analyzer) KMax() int { return a.kmax }
 // record the query in the local history; call RecordQuery once the query has
 // actually been sent.
 func (a *Analyzer) Assess(query string) Assessment {
-	out := Assessment{Query: query, terms: textproc.Tokenize(query)}
+	out := Assessment{Query: query}
+	terms := getTerms(query)
 	if a.detector != nil {
-		out.SemanticSensitive = a.detector.IsSensitive(out.terms)
+		out.SemanticSensitive = a.detector.IsSensitive(*terms)
 	}
 	if a.link != nil {
-		out.Linkability = a.link.scoreTerms(out.terms)
+		out.Linkability = a.link.scoreTerms(*terms)
 	}
+	putTerms(terms)
 	out.K = a.projectK(out.SemanticSensitive, out.Linkability)
 	return out
 }
 
 // RecordQuery adds a sent query to the local history used by the
 // linkability assessment. assessed must be the value Assess returned for it.
+// The query is tokenized again, into scratch; the history keeps one slice of
+// its distinct terms.
 func (a *Analyzer) RecordQuery(assessed Assessment) {
 	if a.link != nil {
-		a.link.addTerms(assessed.terms)
+		a.link.Add(assessed.Query)
 	}
 }
 
@@ -86,4 +88,21 @@ func (a *Analyzer) projectK(semantic bool, linkScore float64) int {
 		linkScore = 1
 	}
 	return int(math.Round(linkScore * float64(a.kmax)))
+}
+
+// termScratch holds the slices queries are tokenized into.
+var termScratch = sync.Pool{New: func() any { return new([]string) }}
+
+// getTerms tokenizes query into pooled scratch; hand it back with putTerms.
+func getTerms(query string) *[]string {
+	terms := termScratch.Get().(*[]string)
+	*terms = textproc.AppendTokens((*terms)[:0], query)
+	return terms
+}
+
+// putTerms returns tokenizing scratch to the pool, dropping the terms so the
+// pool does not keep queries alive.
+func putTerms(terms *[]string) {
+	clear(*terms)
+	termScratch.Put(terms)
 }

@@ -35,15 +35,14 @@ func NewBoundedLinkability(alpha float64, maxSize int) *Linkability {
 	return &Linkability{index: textproc.NewSimilarityIndex(maxSize), alpha: alpha}
 }
 
-// Add records a past query of the local user.
+// Add records a past query of the local user. The query is tokenized into
+// scratch; the history keeps one slice of its distinct terms.
 func (l *Linkability) Add(query string) {
-	l.addTerms(textproc.Tokenize(query))
-}
-
-func (l *Linkability) addTerms(terms []string) {
+	terms := getTerms(query)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.index.Add(terms)
+	l.index.Add(*terms)
+	l.mu.Unlock()
+	putTerms(terms)
 }
 
 // AddAll records a batch of past queries.
@@ -64,7 +63,10 @@ func (l *Linkability) HistorySize() int {
 // the exponential smoothing of the ranked cosine similarities. An empty
 // history or empty query yields 0.
 func (l *Linkability) Score(query string) float64 {
-	return l.scoreTerms(textproc.Tokenize(query))
+	terms := getTerms(query)
+	s := l.scoreTerms(*terms)
+	putTerms(terms)
+	return s
 }
 
 func (l *Linkability) scoreTerms(terms []string) float64 {

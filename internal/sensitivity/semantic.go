@@ -15,7 +15,8 @@ import (
 )
 
 // Detector decides whether a tokenized query is semantically sensitive. The
-// assessment is binary (§V-A1).
+// assessment is binary (§V-A1). terms is the analyzer's scratch, reused for
+// the next query once IsSensitive returns: a detector must not keep the slice.
 type Detector interface {
 	IsSensitive(terms []string) bool
 }

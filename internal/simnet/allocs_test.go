@@ -11,8 +11,7 @@ import (
 // TestSimnetSeamAllocBudget guards the cost of the conduit seam: with fault
 // injection disabled, routing every forward through a Sim may add at most
 // one allocation to RelayRoundTrip over the direct path, and the wrapped
-// path must stay within 2 allocs/op (the direct path makes 1, the engine
-// ocall's query string).
+// path must stay within 1 alloc/op (the direct path makes none).
 func TestSimnetSeamAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -53,8 +52,8 @@ func TestSimnetSeamAllocBudget(t *testing.T) {
 		t.Errorf("simnet seam adds %.1f allocs/op (direct %.1f, wrapped %.1f), budget is +1",
 			wrapped-direct, direct, wrapped)
 	}
-	if wrapped > 2 {
-		t.Errorf("wrapped RelayRoundTrip = %.1f allocs/op, budget is 2", wrapped)
+	if wrapped > 1 {
+		t.Errorf("wrapped RelayRoundTrip = %.1f allocs/op, budget is 1", wrapped)
 	}
 	if st := sim.Stats(); st.Attempts == 0 || st.Attempts != st.Delivered {
 		t.Errorf("faultless sim must deliver every attempt: %+v", st)

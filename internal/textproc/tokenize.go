@@ -36,16 +36,38 @@ var defaultStopWords = map[string]struct{}{
 // punctuation and stop words. Terms are split on any non-letter, non-digit
 // rune, so "flights: NYC->Boston" yields ["flights", "nyc", "boston"].
 func Tokenize(query string) []string {
-	fields := strings.FieldsFunc(query, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	terms := make([]string, 0, len(fields))
-	for _, f := range fields {
-		t := strings.ToLower(f)
-		if _, stop := defaultStopWords[t]; stop {
+	return AppendTokens(nil, query)
+}
+
+// AppendTokens appends the terms Tokenize returns for query to dst. A term
+// already in lower case is a substring of query, so tokenizing a lower-case
+// query into a dst with room for its terms allocates nothing.
+func AppendTokens(dst []string, query string) []string {
+	start := -1
+	for i, r := range query {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
 			continue
 		}
-		terms = append(terms, t)
+		if start >= 0 {
+			dst = appendTerm(dst, query[start:i])
+			start = -1
+		}
 	}
-	return terms
+	if start >= 0 {
+		dst = appendTerm(dst, query[start:])
+	}
+	return dst
+}
+
+// appendTerm appends one field of a query, lower-cased, unless it is a stop
+// word.
+func appendTerm(dst []string, field string) []string {
+	t := strings.ToLower(field)
+	if _, stop := defaultStopWords[t]; stop {
+		return dst
+	}
+	return append(dst, t)
 }

@@ -34,21 +34,41 @@ type LogNormal struct {
 
 // Sample draws one latency.
 func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
+	return l.draw().sample(rng)
+}
+
+// draw is the distribution with its log-median computed once.
+func (l LogNormal) draw() logNormal {
 	if l.Median <= 0 {
+		return logNormal{}
+	}
+	return logNormal{mu: math.Log(float64(l.Median)), sigma: l.Sigma, ok: true}
+}
+
+// logNormal is a LogNormal ready to sample: mu is the log of its median. The
+// zero value is a link with no latency, which draws nothing.
+type logNormal struct {
+	mu, sigma float64
+	ok        bool
+}
+
+func (l logNormal) sample(rng *rand.Rand) time.Duration {
+	if !l.ok {
 		return 0
 	}
-	mu := math.Log(float64(l.Median))
-	x := math.Exp(mu + l.Sigma*rng.NormFloat64())
-	return time.Duration(x)
+	return time.Duration(math.Exp(l.mu + l.sigma*rng.NormFloat64()))
 }
 
 // Model samples latencies per link class. It is safe for concurrent use.
 type Model struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
-	links map[LinkClass]LogNormal
-	// ProcessingCost is the fixed per-message relay processing cost
-	// (enclave transition + crypto), added by RelayCost.
+	links map[LinkClass]logNormal
+	// wan and engine are links[LinkWAN] and links[LinkEngineRTT], the two
+	// classes of a relayed search.
+	wan, engine logNormal
+	// processing is the fixed per-message relay processing cost (enclave
+	// transition + crypto).
 	processing time.Duration
 }
 
@@ -88,13 +108,15 @@ func TestbedModel(seed int64) *Model {
 
 // NewModel builds a model from explicit link parameters.
 func NewModel(seed int64, links map[LinkClass]LogNormal, processing time.Duration) *Model {
-	cp := make(map[LinkClass]LogNormal, len(links))
+	cp := make(map[LinkClass]logNormal, len(links))
 	for k, v := range links {
-		cp[k] = v
+		cp[k] = v.draw()
 	}
 	return &Model{
 		rng:        rand.New(rand.NewSource(seed)),
 		links:      cp,
+		wan:        cp[LinkWAN],
+		engine:     cp[LinkEngineRTT],
 		processing: processing,
 	}
 }
@@ -103,11 +125,21 @@ func NewModel(seed int64, links map[LinkClass]LogNormal, processing time.Duratio
 func (m *Model) Sample(c LinkClass) time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ln, ok := m.links[c]
-	if !ok {
-		return 0
-	}
-	return ln.Sample(m.rng)
+	return m.links[c].sample(m.rng)
+}
+
+// RelayedSearch draws the latency of a search through one relay: a WAN hop
+// to the relay, its processing, the engine round trip, its processing again
+// and the WAN hop back. It draws what Sample(LinkWAN),
+// Sample(LinkEngineRTT) and Sample(LinkWAN) would, in that order, under one
+// lock.
+func (m *Model) RelayedSearch() time.Duration {
+	m.mu.Lock()
+	there := m.wan.sample(m.rng)
+	engine := m.engine.sample(m.rng)
+	back := m.wan.sample(m.rng)
+	m.mu.Unlock()
+	return there + engine + back + 2*m.processing
 }
 
 // RTT draws a round trip on the link class (two independent one-way
@@ -115,6 +147,3 @@ func (m *Model) Sample(c LinkClass) time.Duration {
 func (m *Model) RTT(c LinkClass) time.Duration {
 	return m.Sample(c) + m.Sample(c)
 }
-
-// ProcessingCost returns the fixed per-relay processing cost.
-func (m *Model) ProcessingCost() time.Duration { return m.processing }

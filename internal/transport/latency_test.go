@@ -50,8 +50,8 @@ func TestDefaultModelOrdering(t *testing.T) {
 	if m.Sample(LinkClass(99)) != 0 {
 		t.Error("unknown link class should sample 0")
 	}
-	if m.ProcessingCost() != 2*time.Millisecond {
-		t.Errorf("processing cost = %v", m.ProcessingCost())
+	if m.processing != 2*time.Millisecond {
+		t.Errorf("processing cost = %v", m.processing)
 	}
 }
 
@@ -69,6 +69,31 @@ func TestModelDeterministicPerSeed(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Sample(LinkWAN) != b.Sample(LinkWAN) {
 			t.Fatal("same seed produced different samples")
+		}
+	}
+}
+
+// RelayedSearch draws exactly what its three Sample calls drew: same values,
+// same order, the generator left in the same state.
+func TestRelayedSearchDrawsAsSample(t *testing.T) {
+	models := map[string]func() *Model{
+		"default":  func() *Model { return DefaultModel(5) },
+		"testbed":  func() *Model { return TestbedModel(5) },
+		"no links": func() *Model { return NewModel(5, nil, 0) },
+		"zero wan": func() *Model {
+			return NewModel(5, map[LinkClass]LogNormal{LinkEngineRTT: {Median: time.Second, Sigma: 0.3}, LinkWAN: {}}, time.Millisecond)
+		},
+	}
+	for name, build := range models {
+		one, three := build(), build()
+		for i := 0; i < 1000; i++ {
+			want := three.Sample(LinkWAN) + three.processing + three.Sample(LinkEngineRTT) + three.processing + three.Sample(LinkWAN)
+			if got := one.RelayedSearch(); got != want {
+				t.Fatalf("%s: draw %d: RelayedSearch = %v, three samples = %v", name, i, got, want)
+			}
+			if a, b := one.Sample(LinkLAN), three.Sample(LinkLAN); a != b {
+				t.Fatalf("%s: draw %d: generators out of step: %v vs %v", name, i, a, b)
+			}
 		}
 	}
 }
